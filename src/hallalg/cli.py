@@ -36,6 +36,7 @@ from .repengine import (
     hall_polynomial,
     is_regular_kronecker,
     kronecker_quiver,
+    ms_canonical,
     multisegment_str,
     parse_multisegment,
 )
@@ -87,13 +88,16 @@ def _parse_dimvec(text: str, nv: int):
 
 
 def _parse_cyclic_class(text: str, r: int):
-    """Partition form '(2,1)' (Jordan quiver) or multisegment 'S1[2]+S2[1]'."""
+    """Partition form '(2,1)' (Jordan quiver), multisegment 'S1[2]+S2[1]',
+    or '0' for the zero class; the key comes back canonical."""
     text = text.strip()
+    if text == "0":
+        return ()
     if text.startswith("(") or (text and text[0].isdigit() and "[" not in text):
         if r != 1:
             raise UsageError("partition class syntax is only valid for c1")
         lam = parse_partition(text)
-        return tuple(((0, part), mult) for part, mult in lam.exponential().items())
+        return ms_canonical(((0, part), mult) for part, mult in lam.exponential().items())
     return parse_multisegment(text, r)
 
 

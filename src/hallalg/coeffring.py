@@ -185,13 +185,6 @@ class LaurentPolyV:
                 b += c * Fraction(q0) ** ((k - 1) // 2)
         return SqrtExt(q0, a, b)
 
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        """Evaluate at v = x for rational x (x != 0 if negative exponents occur)."""
-        total = Fraction(0)
-        for k, c in self.coeffs.items():
-            total += c * Fraction(x) ** k
-        return total
-
     # -- rendering ----------------------------------------------------------
 
     def render(self, var: str = "v") -> str:

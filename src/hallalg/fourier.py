@@ -176,7 +176,7 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
                 yi += 1
             else:
                 src_point.append(x_parts[i])
-        orbit = data.orbit_of.get(tuple(src_point))
+        orbit = data.orbit_of.get(src_engine._flatten(src_point, d))
         if orbit is None:
             continue
         coeff = coeff_of_orbit.get(data.classes[orbit].key)
@@ -218,10 +218,11 @@ def fourier_transform(f: HallElement, spec: ReversalSpec,
 
 
 def _second_orbit_point(engine: BruteForceEngine, rep, grade):
+    point = engine._flatten(rep, grade)
     for gen in engine._generators(grade):
-        other = engine._act(gen, rep)
-        if other != rep:
-            return other
+        other = engine._act(gen, point)
+        if other != point:
+            return engine._unflatten(other, grade)
     raise InternalCheckError("orbit of size > 1 with no moving generator")
 
 

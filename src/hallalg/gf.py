@@ -235,9 +235,6 @@ class FieldSpec:
     def elements(self):
         return range(self.q)
 
-    def units(self):
-        return range(1, self.q)
-
     def multiplicative_generator(self) -> int:
         """A generator of the cyclic group GF(q)^*."""
         order = self.q - 1
@@ -372,34 +369,6 @@ def mat_mul(F: FieldSpec, A, B):
     return tuple(out)
 
 
-def mat_add(F: FieldSpec, A, B):
-    return tuple(tuple(F.add(a, b) for a, b in zip(ra, rb))
-                 for ra, rb in zip(A, B))
-
-
-def mat_neg(F: FieldSpec, A):
-    return tuple(tuple(F.neg(a) for a in row) for row in A)
-
-
-def mat_vec(F: FieldSpec, A, v):
-    out = []
-    for row in A:
-        s = 0
-        for a, x in zip(row, v):
-            if a and x:
-                s = F.add(s, F.mul(a, x))
-        out.append(s)
-    return tuple(out)
-
-
-def vec_add(F: FieldSpec, u, v):
-    return tuple(F.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(F: FieldSpec, c, v):
-    return tuple(F.mul(c, x) for x in v)
-
-
 def mat_rank(F: FieldSpec, A) -> int:
     rows = [list(r) for r in A if any(r)]
     if not rows:
@@ -524,23 +493,27 @@ def gl_order(F: FieldSpec, n: int) -> int:
 
 
 def gl_generators(F: FieldSpec, n: int):
-    """A generating set for GL_n(F_q): all unit transvections plus a torus generator."""
-    if n == 0:
-        return []
+    """A small generating set for GL_n(F_q); each generator differs from
+    the identity in exactly one entry.
+
+    The adjacent transvections I + a*E_{i,i+1} and I + a*E_{i+1,i}, with a
+    running over the F_p-basis 1, x, ..., x^(e-1) of F_q (codes p^k), give
+    every adjacent E_{i,i+-1}(b) additively, and the commutators
+    [E_{ij}(a), E_{jk}(b)] = E_{ik}(ab) give the other elementary
+    matrices, so they generate SL_n(F_q).  For q > 2 the torus element
+    diag(g, 1, ..., 1), g a generator of F_q^*, adds the determinant.
+    """
     gens = []
-    if F.q > 2:
-        g = F.multiplicative_generator()
+    if n and F.q > 2:
         diag = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        diag[0][0] = g
+        diag[0][0] = F.multiplicative_generator()
         gens.append(tuple(tuple(r) for r in diag))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for a in F.units():
-                t = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-                t[i][j] = a
-                gens.append(tuple(tuple(r) for r in t))
+    for i in range(n - 1):
+        for k in range(F.e):
+            for r, c in ((i, i + 1), (i + 1, i)):
+                t = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+                t[r][c] = F.p ** k
+                gens.append(tuple(tuple(row) for row in t))
     return gens
 
 
@@ -565,11 +538,6 @@ def subspaces(F: FieldSpec, n: int, k: int):
             for (i, c), val in zip(free_positions, values):
                 rows[i][c] = val
             yield tuple(tuple(r) for r in rows)
-
-
-def all_subspaces(F: FieldSpec, n: int):
-    for k in range(n + 1):
-        yield from subspaces(F, n, k)
 
 
 def rref_membership_coords(F: FieldSpec, basis, pivots, w):

@@ -37,7 +37,7 @@ from .repengine import (
     kronecker_point_zero,
     kronecker_quiver,
 )
-from .report import VerificationReport, timed_report
+from .report import InternalCheckError, VerificationReport, timed_report
 
 __all__ = [
     "PrimitiveSpec",
@@ -303,10 +303,10 @@ def _quasi_length_classes(engine: BruteForceEngine, simple: IsoClass, m: int):
                 continue
             if engine.hall_number(cls, simple, chain[-1]):
                 if found is not None:
-                    raise RuntimeError("tube extension is not unique")
+                    raise InternalCheckError("tube extension is not unique")
                 found = cls
         if found is None:
-            raise RuntimeError("missing tube extension class")
+            raise InternalCheckError("missing tube extension class")
         chain.append(found)
     return chain
 

@@ -23,6 +23,7 @@ from . import gf
 from .coeffring import QPolynomial, interpolate_q
 from .gf import FieldSpec
 from .partitions import Partition
+from .report import InternalCheckError
 
 _SUBSPACE_CACHE: dict = {}
 
@@ -526,7 +527,7 @@ class NilpotentCyclicEngine:
                 entries.append((((i, total), prev)))
         ms = ms_canonical(entries)
         if ms_dim_vector(ms, r) != tuple(dims):
-            raise RuntimeError("point identification failed (non-nilpotent input?)")
+            raise InternalCheckError("point identification failed (non-nilpotent input?)")
         return IsoClass(self.engine_id, "ms", tuple(dims), ms)
 
     # -- structured invariants -------------------------------------------------
@@ -639,10 +640,11 @@ class _GradeData:
 class BruteForceEngine:
     """Generic engine for a small quiver: full orbit partition of E_V.
 
-    Points are tuples of matrices, one per arrow.  Orbits are found by
-    breadth-first closure under generators of prod_i GL(V_i), scanning
-    points in lexicographic order so representatives and indices are
-    deterministic.
+    Points are flat tuples of field codes, the arrows' matrices row by
+    row in arrow order; representatives are handed out as one matrix per
+    arrow.  Orbits are found by closure under compiled generators of
+    prod_i GL(V_i), scanning points in lexicographic order so
+    representatives and indices are deterministic.
     """
 
     def __init__(self, quiver: Quiver, q0: int, nilpotent: bool = False):
@@ -660,36 +662,60 @@ class BruteForceEngine:
 
     # -- enumeration -----------------------------------------------------------
 
-    def _point_count(self, d):
-        total = 0
-        for (t, h) in self.quiver.arrows:
-            total += d[t] * d[h]
-        return self.q0 ** total
+    def _shapes(self, d):
+        return [(d[h], d[t]) for (t, h) in self.quiver.arrows]
+
+    def _entry_count(self, d):
+        return sum(rows * cols for rows, cols in self._shapes(d))
+
+    def _flatten(self, mats, d):
+        """The flat code tuple of a point: each arrow's matrix row by row."""
+        shapes = self._shapes(d)
+        if len(mats) != len(shapes):
+            raise ValueError("point does not belong to this engine's variety")
+        flat = []
+        for X, (rows, cols) in zip(mats, shapes):
+            if len(X) != rows or any(len(row) != cols for row in X):
+                raise ValueError("point does not belong to this engine's variety")
+            for row in X:
+                flat.extend(row)
+        return tuple(flat)
+
+    def _unflatten(self, flat, d):
+        """The point of a flat code tuple as one matrix per arrow."""
+        mats = []
+        pos = 0
+        for rows, cols in self._shapes(d):
+            mats.append(tuple(flat[pos + r * cols: pos + (r + 1) * cols]
+                              for r in range(rows)))
+            pos += rows * cols
+        return tuple(mats)
 
     def _iter_points(self, d):
-        shapes = [(d[h], d[t]) for (t, h) in self.quiver.arrows]
-        entry_counts = [rows * cols for rows, cols in shapes]
-        ranges = [range(self.q0)] * sum(entry_counts)
-        for combo in product(*ranges):
-            mats = []
-            pos = 0
-            for (rows, cols) in shapes:
-                flat = combo[pos:pos + rows * cols]
-                pos += rows * cols
-                mats.append(tuple(tuple(flat[r * cols: (r + 1) * cols])
-                                  for r in range(rows)))
-            yield tuple(mats)
+        """Every flat point in lexicographic order."""
+        return product(range(self.q0), repeat=self._entry_count(d))
 
     def _is_nilpotent_point(self, mats, d):
-        r = self.quiver.nv
+        """The cycle composite M at vertex 0 must satisfy M^(d_0) = 0.
+
+        The cycle passes every vertex, so a zero dimension anywhere makes
+        M zero.  A nonzero trace rules M out at once; otherwise M is
+        squared ceil(log2 d_0) times.
+        """
+        if 0 in d:
+            return True
         F = self.field
-        M = gf.mat_identity(d[0])
-        for a_idx in range(r):
-            M = gf.mat_mul(F, mats[a_idx], M)
-        P = M
-        for _ in range(max(d[0] - 1, 0)):
-            P = gf.mat_mul(F, P, M)
-        return all(all(x == 0 for x in row) for row in P)
+        n = d[0]
+        M = mats[0]
+        for X in mats[1:]:
+            M = gf.mat_mul(F, X, M)
+        if gf.mat_trace(F, M):
+            return False
+        power = 1
+        while power < n:
+            M = gf.mat_mul(F, M, M)
+            power *= 2
+        return not any(any(row) for row in M)
 
     def group_order(self, d) -> int:
         out = 1
@@ -698,24 +724,61 @@ class BruteForceEngine:
         return out
 
     def _generators(self, d):
+        """gf.gl_generators of every GL(d_i), compiled to flat-index updates.
+
+        A generator g differs from the identity in one entry g[k][l] = v
+        and acts by X -> g X g^-1.  On an arrow whose head is the vertex
+        that is "row k += v * row l" (row k *= v if k == l); on an arrow
+        whose tail is the vertex, "column l -= v * column k" (column k
+        *= 1/v if k == l).  A loop gets the row update first.  An update
+        (dst, src, table) sets x[dst] = table[x[dst]][x[src]].
+        Generators that move no entry are left out.
+        """
+        F = self.field
+        codes = range(self.q0)
+        tables = {}
+
+        def axpy(v):  # y, x -> y + v*x
+            if ("axpy", v) not in tables:
+                tables["axpy", v] = tuple(tuple(F.add(y, F.mul(v, x)) for x in codes)
+                                          for y in codes)
+            return tables["axpy", v]
+
+        def scale(v):  # y -> v*y, with src == dst
+            if ("scale", v) not in tables:
+                tables["scale", v] = tuple((F.mul(v, y),) * self.q0 for y in codes)
+            return tables["scale", v]
+
+        blocks = []
+        pos = 0
+        for (t, h), (rows, cols) in zip(self.quiver.arrows, self._shapes(d)):
+            blocks.append((t, h, rows, cols, pos))
+            pos += rows * cols
         gens = []
         for i, n in enumerate(d):
-            for g in gf.gl_generators(self.field, n):
-                gens.append((i, g, gf.mat_inverse(self.field, g)))
+            for g in gf.gl_generators(F, n):
+                k, l = next((k, l) for k in range(n) for l in range(n)
+                            if g[k][l] != (k == l))
+                v = g[k][l]
+                updates = []
+                for t, h, rows, cols, off in blocks:
+                    if h == i:
+                        table = scale(v) if k == l else axpy(v)
+                        updates += [(off + k * cols + c, off + l * cols + c, table)
+                                    for c in range(cols)]
+                    if t == i:
+                        table = scale(F.inv(v)) if k == l else axpy(F.neg(v))
+                        updates += [(off + r * cols + l, off + r * cols + k, table)
+                                    for r in range(rows)]
+                if updates:
+                    gens.append(tuple(updates))
         return gens
 
-    def _act(self, gen, mats):
-        i, g, g_inv = gen
-        F = self.field
-        out = []
-        for a_idx, (t, h) in enumerate(self.quiver.arrows):
-            X = mats[a_idx]
-            if h == i:
-                X = gf.mat_mul(F, g, X)
-            if t == i:
-                X = gf.mat_mul(F, X, g_inv)
-            out.append(X)
-        return tuple(out)
+    def _act(self, gen, x):
+        y = list(x)
+        for dst, src, table in gen:
+            y[dst] = table[y[dst]][y[src]]
+        return tuple(y)
 
     def grade_data(self, d) -> _GradeData:
         d = tuple(d)
@@ -725,7 +788,7 @@ class BruteForceEngine:
             raise ValueError(
                 f"total dimension {sum(d)} exceeds the brute-force cap "
                 f"{BRUTE_TOTAL_DIM_CAP}")
-        if self._point_count(d) > POINT_CAP:
+        if self.q0 ** self._entry_count(d) > POINT_CAP:
             raise ValueError("representation variety exceeds the point cap")
         gens = self._generators(d)
         orbit_of = {}
@@ -734,7 +797,7 @@ class BruteForceEngine:
         for point in self._iter_points(d):
             if point in orbit_of:
                 continue
-            if self.nilpotent and not self._is_nilpotent_point(point, d):
+            if self.nilpotent and not self._is_nilpotent_point(self._unflatten(point, d), d):
                 continue
             idx = len(reps)
             orbit_of[point] = idx
@@ -748,7 +811,7 @@ class BruteForceEngine:
                         orbit_of[y] = idx
                         size += 1
                         queue.append(y)
-            reps.append(point)
+            reps.append(self._unflatten(point, d))
             sizes.append(size)
         classes = [IsoClass(self.engine_id, "orbit", d, i) for i in range(len(reps))]
         data = _GradeData(classes, orbit_of, reps, sizes)
@@ -760,7 +823,7 @@ class BruteForceEngine:
 
     def class_of_point(self, mats, dims) -> IsoClass:
         data = self.grade_data(tuple(dims))
-        idx = data.orbit_of.get(tuple(mats))
+        idx = data.orbit_of.get(self._flatten(mats, dims))
         if idx is None:
             raise ValueError("point does not belong to this engine's variety")
         return data.classes[idx]
@@ -790,7 +853,7 @@ class BruteForceEngine:
         h = len(basis)
         if self.q0 ** h <= 2 ** 13:
             return self._count_invertible_end(basis, dims)
-        size = self._orbit_size_of_point(tuple(mats), tuple(dims))
+        size = self._orbit_size_of_point(mats, tuple(dims))
         return self.group_order(dims) // size
 
     def _count_invertible_end(self, basis, dims) -> int:
@@ -829,8 +892,9 @@ class BruteForceEngine:
         recurse(0, zero_flat)
         return count
 
-    def _orbit_size_of_point(self, point, d, cap: int = 500000):
+    def _orbit_size_of_point(self, mats, d, cap: int = 500000):
         gens = self._generators(d)
+        point = self._flatten(mats, d)
         seen = {point}
         queue = [point]
         while queue:

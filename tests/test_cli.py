@@ -3,6 +3,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallalg.cli import main
 
@@ -50,6 +51,61 @@ class TestHallNum:
                              "--format", "json"])
         assert code == 0
         assert json.loads(out)["value"] == 1
+
+    @pytest.mark.parametrize("L,M,N,value", (("(3,2,1)", "(2,1)", "(2,1)", "9"),
+                                             ("(3,1)", "(2,1)", "(1)", "1"),
+                                             ("(2,1)", "0", "(2,1)", "1"),
+                                             ("(2,1)", "(2,1)", "()", "1")))
+    def test_partition_syntax_regressions(self, L, M, N, value):
+        code, out = run_cli(["hallnum", "--quiver", "c1", "--q", "2",
+                             "--L", L, "--M", M, "--N", N])
+        assert code == 0
+        assert out.strip() == value
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_partition_and_multisegment_spellings_agree(self, data):
+        def partition(n):
+            parts = []
+            while n:
+                part = data.draw(st.integers(1, n))
+                parts.append(part)
+                n -= part
+            return parts
+
+        def spellings(parts):
+            if not parts:
+                return data.draw(st.sampled_from(("()", "0"))), "0"
+            shuffled = data.draw(st.permutations(parts))
+            mult = {p: parts.count(p) for p in shuffled}
+            segs = [f"S1[{p}]" if m == 1 else f"{m}*S1[{p}]" for p, m in mult.items()]
+            return "(" + ",".join(map(str, shuffled)) + ")", "+".join(segs)
+
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(0, n))
+        triple = [spellings(partition(n)), spellings(partition(k)),
+                  spellings(partition(n - k))]
+        outputs = []
+        for which in (0, 1):
+            code, out = run_cli(["hallnum", "--quiver", "c1", "--q", "2",
+                                 "--L", triple[0][which], "--M", triple[1][which],
+                                 "--N", triple[2][which]])
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_engine_inconsistency_exits_3(self, monkeypatch, capsys):
+        from hallalg import cli, gf, repengine
+
+        # a fresh engine whose realization of a class is not nilpotent, so
+        # identifying the points of its submodule table must fail
+        monkeypatch.setattr(cli, "get_nilpotent_engine", repengine.NilpotentCyclicEngine)
+        monkeypatch.setattr(repengine.NilpotentCyclicEngine, "rep_point",
+                            lambda self, c: ((gf.mat_identity(sum(c.grade)),), c.grade))
+        code, _ = run_cli(["hallnum", "--quiver", "c1", "--q", "2",
+                           "--L", "(2)", "--M", "(1)", "--N", "(1)"])
+        assert code == 3
+        assert "point identification failed" in capsys.readouterr().err
 
     def test_brute_selector_rejected(self):
         code, _ = run_cli(["hallnum", "--quiver", "k2", "--q", "2",

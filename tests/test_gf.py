@@ -158,7 +158,7 @@ class TestMatrices:
 
     def test_gl_generators_generate(self):
         # closure of the generating set is the whole group for small cases
-        for q, n in ((2, 2), (3, 2), (2, 3)):
+        for q, n in ((2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3)):
             F = FieldSpec.from_order(q)
             gens = gf.gl_generators(F, n)
             seen = {gf.mat_identity(n)}

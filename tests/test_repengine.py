@@ -147,6 +147,103 @@ class TestOrbitPartition:
             assert all(x == 0 for row in P for x in row)
 
 
+def _group_orbit_partition(engine, d):
+    """Orbit partition of E_d by applying every element of prod_i GL(d_i).
+
+    Independent of the engine's generators: the group is enumerated as
+    all invertible matrices and acts through gf.mat_mul / mat_inverse.
+    Points are scanned in lexicographic order of their entries (arrow by
+    arrow, row by row).  Returns (orbit_of keyed by flat entries, reps, sizes).
+    """
+    from hallalg import gf
+
+    F = engine.field
+    arrows = engine.quiver.arrows
+    shapes = [(d[h], d[t]) for (t, h) in arrows]
+
+    def matrix(flat, rows, cols):
+        return tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows))
+
+    group = []
+    for n in d:
+        invertible = [g for g in (matrix(flat, n, n)
+                                  for flat in product(range(F.q), repeat=n * n))
+                      if gf.mat_is_invertible(F, g)]
+        group.append([(g, gf.mat_inverse(F, g)) for g in invertible])
+    group = list(product(*group))
+
+    def nilpotent(mats):
+        n = d[0]
+        M = gf.mat_identity(n)
+        for X in mats:
+            M = gf.mat_mul(F, X, M)
+        P = gf.mat_identity(n)
+        for _ in range(n):
+            P = gf.mat_mul(F, P, M)
+        return not any(any(row) for row in P)
+
+    def flat_of(mats):
+        return tuple(x for X in mats for row in X for x in row)
+
+    orbit_of, reps, sizes = {}, [], []
+    for flat in product(range(F.q), repeat=sum(r * c for r, c in shapes)):
+        if flat in orbit_of:
+            continue
+        mats, pos = [], 0
+        for rows, cols in shapes:
+            mats.append(matrix(flat[pos:pos + rows * cols], rows, cols))
+            pos += rows * cols
+        mats = tuple(mats)
+        if engine.nilpotent and not nilpotent(mats):
+            continue
+        orbit = set()
+        for elem in group:
+            image = tuple(gf.mat_mul(F, gf.mat_mul(F, elem[h][0], X), elem[t][1])
+                          for X, (t, h) in zip(mats, arrows))
+            orbit.add(flat_of(image))
+        for point in orbit:
+            orbit_of[point] = len(reps)
+        reps.append(mats)
+        sizes.append(len(orbit))
+    return orbit_of, reps, sizes
+
+
+_CLOSURE_CELLS = (
+    [(q0, d) for q0 in (2, 3, 4) for d in ((0, 1), (1, 1), (1, 2), (2, 1))]
+    + [(2, (2, 2)), (2, (0, 3)), (3, (2, 2))]
+)
+
+
+class TestOrbitClosureAgainstGroup:
+    @pytest.mark.parametrize("quiver", (kronecker_quiver(), a2_quiver(), cyclic_quiver(2)),
+                             ids=("k2", "a2", "c2full"))
+    @pytest.mark.parametrize("q0,d", _CLOSURE_CELLS)
+    def test_matches_full_group_action(self, quiver, q0, d):
+        engine = BruteForceEngine(quiver, q0)
+        data = engine.grade_data(d)
+        orbit_of, reps, sizes = _group_orbit_partition(engine, d)
+        assert data.reps == reps
+        assert data.sizes == sizes
+        assert data.orbit_of == orbit_of
+        for c, rep in zip(data.classes, reps):
+            assert engine.class_of_point(rep, d) == c
+
+    @pytest.mark.parametrize("r,d", [(1, (n,)) for n in range(4)]
+                             + [(2, d) for d in ((1, 0), (0, 2), (1, 1), (2, 1), (1, 2))])
+    def test_nilpotent_cyclic_matches_full_group_action(self, r, d):
+        engine = BruteForceEngine(cyclic_quiver(r), 2, nilpotent=True)
+        data = engine.grade_data(d)
+        orbit_of, reps, sizes = _group_orbit_partition(engine, d)
+        assert data.reps == reps
+        assert data.sizes == sizes
+        assert data.orbit_of == orbit_of
+
+    def test_wrong_shape_is_rejected(self):
+        engine = BruteForceEngine(kronecker_quiver(), 2)
+        with pytest.raises(ValueError):
+            engine.class_of_point((((0, 0),), ((0, 0),)), (1, 2))
+
+
 class TestAutOrders:
     def test_segment_examples(self):
         c2 = get_nilpotent_engine(2, 2)
