@@ -117,25 +117,38 @@ def _cache_path(cache_dir, tag, q0, d):
     return os.path.join(cache_dir, name)
 
 
-def _load_cache(path):
+def _load_cache(path, tag, q0, d):
+    """The cached payload at path, or None unless it is readable, of this
+    cache version, and stored for this (quiver, q, grade)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if data.get("version") != CACHE_VERSION:
             return None
+        if (data.get("quiver"), data.get("q"), data.get("grade")) != (tag, q0, list(d)):
+            return None
         if "classes" not in data or "hall" not in data:
             return None
         return data
-    except (OSError, ValueError):
+    except (OSError, ValueError, AttributeError):
         return None
 
 
 def _store_cache(path, data):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
-    os.replace(tmp, path)
+    """Write through a temp file of this writer's own, then rename it over
+    path, so concurrent writers never interleave and readers see whole files."""
+    import tempfile  # here, not at the top, so that runs which never write do not load it
+
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _selector_tag(selector):
@@ -160,7 +173,7 @@ def _grade_cache(selector, q0, d, cache_dir):
     tag = _selector_tag(selector)
     path = _cache_path(cache_dir, tag, q0, d) if cache_dir else None
     if path:
-        data = _load_cache(path)
+        data = _load_cache(path, tag, q0, d)
         if data is not None:
             return data, path
     engine = _get_engine(selector, q0)
@@ -409,22 +422,21 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, quiver=True):
-        if quiver:
-            sp.add_argument("--quiver", default="c1",
-                            help="c1 | cr:<r> | k2 | a2 | c2full")
+    def common(sp, cache=False):
+        sp.add_argument("--quiver", default="c1",
+                        help="c1 | cr:<r> | k2 | a2 | c2full")
         sp.add_argument("--q", type=int, default=2, help="prime power field size")
-        sp.add_argument("--cache-dir", default=None)
+        if cache:
+            sp.add_argument("--cache-dir", default=None)
         sp.add_argument("--format", choices=("table", "json"), default="table")
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("isoclasses", help="list isoclasses at a dimension vector")
-    common(sp)
+    common(sp, cache=True)
     sp.add_argument("--d", required=True, help="dimension vector, e.g. 1,1")
     sp.set_defaults(fn=cmd_isoclasses)
 
     sp = sub.add_parser("hallnum", help="one exact Hall number")
-    common(sp)
+    common(sp, cache=True)
     sp.add_argument("--L", required=True)
     sp.add_argument("--M", required=True)
     sp.add_argument("--N", required=True)

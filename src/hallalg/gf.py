@@ -539,16 +539,3 @@ def subspaces(F: FieldSpec, n: int, k: int):
                 rows[i][c] = val
             yield tuple(tuple(r) for r in rows)
 
-
-def rref_membership_coords(F: FieldSpec, basis, pivots, w):
-    """Coordinates of w in an RREF basis, or None if w is not in the span."""
-    coords = tuple(w[p] for p in pivots)
-    recon = [0] * len(w)
-    for c, row in zip(coords, basis):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    recon[j] = F.add(recon[j], F.mul(c, x))
-    if tuple(recon) != tuple(w):
-        return None
-    return coords

@@ -26,6 +26,7 @@ from .partitions import Partition
 from .report import InternalCheckError
 
 _SUBSPACE_CACHE: dict = {}
+_FIELD_TABLES: dict = {}
 
 __all__ = [
     "Quiver",
@@ -157,10 +158,6 @@ def ms_dim_vector(ms, r: int) -> tuple:
     return tuple(d)
 
 
-def ms_total(ms) -> int:
-    return sum(l * m for (_, l), m in ms)
-
-
 def multisegment_str(ms) -> str:
     """Text form like 'S1[2]+S2[1]' or '2*S1[3]' (1-based vertices)."""
     if not ms:
@@ -247,99 +244,171 @@ class IsoClass:
 # ---------------------------------------------------------------------------
 # Shared submodule enumeration
 # ---------------------------------------------------------------------------
+#
+# Vectors of F^n are numbered by base-q codes, the first coordinate the
+# most significant digit, so code c is the c-th tuple of
+# product(range(q), repeat=n).  A table maps every tail code through
+# every arrow once and then tests a subspace tuple only on the images of
+# its basis codes.
 
-def _apply_to_row(F: FieldSpec, X, u):
-    """Image of the column vector with coordinate row u under X, as a row."""
-    out = []
-    for row in X:
-        s = 0
-        for a, x in zip(row, u):
-            if a and x:
-                s = F.add(s, F.mul(a, x))
-        out.append(s)
-    return tuple(out)
+def _field_tables(F: FieldSpec):
+    """(sub, mul): the q x q tables of a - b and a * b on field codes."""
+    tables = _FIELD_TABLES.get(F.q)
+    if tables is None:
+        codes = range(F.q)
+        tables = _FIELD_TABLES[F.q] = (
+            tuple(tuple(F.sub(a, b) for b in codes) for a in codes),
+            tuple(tuple(F.mul(a, b) for b in codes) for a in codes))
+    return tables
 
 
-def _subspace_lists(F: FieldSpec, n: int):
-    """All subspaces of F^n as (basis rows, pivots), grouped in one list."""
+def _subspace_cache(F: FieldSpec, n: int):
+    """(vectors, leads, subspaces) of F^n, built once per (q, n).
+
+    vectors[c] is the vector with code c and leads[c] the column of its
+    first nonzero entry (n for the zero vector).  subspaces lists every
+    subspace by dimension, in gf.subspaces order, as (basis, codes,
+    pivots, nonpivots): the RREF basis rows (the same tuple objects as
+    in vectors), their codes, and the pivot and non-pivot columns (one
+    shared pair of tuples per pivot set).
+    """
     key = (F.q, n)
-    if key in _SUBSPACE_CACHE:
-        return _SUBSPACE_CACHE[key]
-    out = []
+    cached = _SUBSPACE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    vectors = list(product(range(F.q), repeat=n))
+    code_of = {v: c for c, v in enumerate(vectors)}
+    pivot_sets = {}
+    subspaces = []
     for k in range(n + 1):
         for basis in gf.subspaces(F, n, k):
-            pivots = tuple(next(j for j, x in enumerate(row) if x) for row in basis)
-            out.append((basis, pivots))
-    _SUBSPACE_CACHE[key] = out
+            codes = tuple(map(code_of.__getitem__, basis))
+            pivots = tuple(row.index(1) for row in basis)
+            if pivots not in pivot_sets:
+                pivot_sets[pivots] = (pivots, tuple(c for c in range(n) if c not in pivots))
+            subspaces.append((tuple(map(vectors.__getitem__, codes)), codes)
+                             + pivot_sets[pivots])
+    leads = [next((j for j, x in enumerate(v) if x), n) for v in vectors]
+    cached = _SUBSPACE_CACHE[key] = (vectors, leads, subspaces)
+    return cached
+
+
+def _image_codes(F: FieldSpec, X, tail_vectors):
+    """The code of X u for every tail vector u, indexed by the code of u."""
+    out = []
+    for u in tail_vectors:
+        code = 0
+        for row in X:
+            s = 0
+            for a, x in zip(row, u):
+                if a and x:
+                    s = F.add(s, F.mul(a, x))
+            code = code * F.q + s
+        out.append(code)
     return out
 
 
-def _sub_quotient_point(F: FieldSpec, quiver: Quiver, mats, dims, bases, pivots):
+def _residue(w, basis, pivots, sub, mul):
+    """w minus its projection on the span of an RREF basis (zero iff w is in it)."""
+    for row, p in zip(basis, pivots):
+        x = w[p]
+        if x:
+            mx = mul[x]
+            w = [sub[a][mx[b]] for a, b in zip(w, row)]
+    return w
+
+
+def _stable(image, codes, vectors, leads, basis, pivots, sub, mul):
+    """Whether an arrow maps the vectors with the given codes into the
+    span of an RREF basis.  A nonzero vector of the span has its first
+    nonzero entry in a pivot column, which rules most vectors out at once.
+    """
+    for c in codes:
+        w = image[c]
+        if w and (leads[w] not in pivots
+                  or any(_residue(vectors[w], basis, pivots, sub, mul))):
+            return False
+    return True
+
+
+def _rows(cols, select):
+    """The matrix with the given columns, keeping only the rows in select."""
+    if not cols:
+        return ((),) * len(select)
+    rows = tuple(zip(*cols))
+    return tuple(rows[i] for i in select)
+
+
+def _sub_quotient_point(arrows, vectors, images, choice, sub, mul):
     """Sub and quotient representations induced on a stable subspace tuple.
 
-    Returns (sub_mats, sub_dims, quot_mats, quot_dims) or None when the
-    subspace tuple is not stable under every arrow.
+    choice[i] is the (basis, codes, pivots, nonpivots) chosen at vertex i
+    and images[a][c] the code of arrow a's image of tail vector c.  The
+    coordinates of a vector of an RREF span are its pivot entries; the
+    quotient keeps the non-pivot coordinates of the residue.  Returns
+    (sub_mats, sub_dims, quot_mats, quot_dims).
     """
-    nv = quiver.nv
-    sub_dims = tuple(len(bases[i]) for i in range(nv))
-    # stability plus coordinates of images in the sub bases
-    sub_cols = [None] * len(quiver.arrows)
-    for a_idx, (t, h) in enumerate(quiver.arrows):
-        cols = []
-        X = mats[a_idx]
-        for u in bases[t]:
-            w = _apply_to_row(F, X, u)
-            coords = gf.rref_membership_coords(F, bases[h], pivots[h], w)
-            if coords is None:
-                return None
-            cols.append(coords)
-        sub_cols[a_idx] = cols
+    q = len(sub)
     sub_mats = []
     quot_mats = []
-    nonpivots = [tuple(c for c in range(dims[i]) if c not in pivots[i])
-                 for i in range(nv)]
-    quot_dims = tuple(len(nonpivots[i]) for i in range(nv))
-    for a_idx, (t, h) in enumerate(quiver.arrows):
-        cols = sub_cols[a_idx]
-        S = tuple(tuple(cols[j][i] for j in range(sub_dims[t]))
-                  for i in range(sub_dims[h]))
-        sub_mats.append(S)
-        # quotient: push the non-pivot standard vectors through and reduce
-        X = mats[a_idx]
-        qcols = []
-        for c in nonpivots[t]:
-            w = list(X[i][c] for i in range(dims[h]))
-            for row, p in zip(bases[h], pivots[h]):
-                f = w[p]
-                if f:
-                    for j, x in enumerate(row):
-                        if x:
-                            w[j] = F.sub(w[j], F.mul(f, x))
-            qcols.append(tuple(w[c2] for c2 in nonpivots[h]))
-        Qm = tuple(tuple(qcols[j][i] for j in range(quot_dims[t]))
-                   for i in range(quot_dims[h]))
-        quot_mats.append(Qm)
-    return tuple(sub_mats), sub_dims, tuple(quot_mats), quot_dims
+    for image, (t, h) in zip(images, arrows):
+        head = vectors[h]
+        basis, _, pivots, nonpivots = choice[h]
+        _, codes, _, tail_nonpivots = choice[t]
+        sub_mats.append(_rows([head[image[c]] for c in codes], pivots))
+        # the unit vector e_c of F^n has code q^(n-1-c)
+        n_t = len(vectors[t][0])
+        quot_mats.append(_rows([_residue(head[image[q ** (n_t - 1 - c)]], basis, pivots,
+                                         sub, mul) for c in tail_nonpivots], nonpivots))
+    return (tuple(sub_mats), tuple(len(c[1]) for c in choice),
+            tuple(quot_mats), tuple(len(c[3]) for c in choice))
 
 
 def _submodule_table(F, quiver, mats, dims, classify):
     """Count stable subspace tuples of a point by (quotient class, sub class).
 
-    classify(mats, dims) must return a hashable class key.  The returned
-    dict maps (quot_key, sub_key) -> number of submodules, which is the
-    Hall number F^L_{quot, sub}.
+    classify(mats, dims) must return a hashable class key; it is called
+    once per distinct point.  The returned dict maps (quot_key, sub_key)
+    -> number of submodules, which is the Hall number F^L_{quot, sub}.
+    Subspace tuples are walked in product order of the per-vertex lists,
+    a vertex's choice being tested against every arrow whose ends are
+    both chosen, so keys are inserted in the order of the full product.
     """
-    per_vertex = [_subspace_lists(F, dims[i]) for i in range(quiver.nv)]
+    sub, mul = _field_tables(F)
+    caches = [_subspace_cache(F, n) for n in dims]
+    vectors = [vs for vs, _, _ in caches]
+    images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
+    # the arrows tested when vertex i is chosen: (image, tail, head, head leads)
+    tests = [[(image, t, h, caches[h][1]) for image, (t, h) in zip(images, quiver.arrows)
+              if max(t, h) == i] for i in range(quiver.nv)]
     table = {}
-    for choice in product(*per_vertex):
-        bases = tuple(c[0] for c in choice)
-        pivots = tuple(c[1] for c in choice)
-        res = _sub_quotient_point(F, quiver, mats, dims, bases, pivots)
-        if res is None:
-            continue
-        sub_mats, sub_dims, quot_mats, quot_dims = res
-        key = (classify(quot_mats, quot_dims), classify(sub_mats, sub_dims))
-        table[key] = table.get(key, 0) + 1
+    classes = {}
+    choice = [None] * quiver.nv
+
+    def class_key(point):
+        key = classes.get(point)
+        if key is None:
+            key = classes[point] = classify(*point)
+        return key
+
+    def walk(i):
+        if i == quiver.nv:
+            sub_mats, sub_dims, quot_mats, quot_dims = _sub_quotient_point(
+                quiver.arrows, vectors, images, choice, sub, mul)
+            key = (class_key((quot_mats, quot_dims)), class_key((sub_mats, sub_dims)))
+            table[key] = table.get(key, 0) + 1
+            return
+        for entry in caches[i][2]:
+            choice[i] = entry
+            for image, t, h, leads in tests[i]:
+                basis, _, pivots, _ = choice[h]
+                if not _stable(image, choice[t][1], vectors[h], leads,
+                               basis, pivots, sub, mul):
+                    break
+            else:
+                walk(i + 1)
+
+    walk(0)
     return table
 
 
@@ -1172,16 +1241,34 @@ def kronecker_regular_classes(engine: BruteForceEngine, n: int) -> list:
 _PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31)
 
 
+def _hall_degree_bound(r: int, L, M, N) -> int:
+    """A bound on the degree of the Hall polynomial F^L_{M,N}(q).
+
+    On the Jordan quiver it is Macdonald's n(lambda) - n(mu) - n(nu)
+    (Symmetric Functions and Hall Polynomials, ch. II (4.3)), clamped at
+    0.  On C_r a submodule is a tuple of subspaces N_i of L_i, and the
+    Grassmannian of dim N_i-planes in L_i has a point count of degree
+    dim N_i * (dim L_i - dim N_i), so sum_i dim M_i * dim N_i bounds it.
+    """
+    if r == 1:
+        def n_weight(ms):
+            parts = sorted((l for (_, l), m in ms for _ in range(m)), reverse=True)
+            return Partition(parts).n_weight()
+        return max(0, n_weight(L) - n_weight(M) - n_weight(N))
+    return sum(m * n for m, n in zip(ms_dim_vector(M, r), ms_dim_vector(N, r)))
+
+
 def hall_polynomial(r: int, L, M, N, degree_bound=None) -> QPolynomial:
     """Hall polynomial F^L_{M,N}(q) for nilpotent C_r multisegments.
 
-    Samples exact Hall numbers at enough prime powers and interpolates;
-    the degree bound defaults to dim(M) * dim(N), a safe overestimate.
+    Samples exact Hall numbers at degree_bound + 2 prime powers: the first
+    degree_bound + 1 fix the interpolant and interpolate_q checks it
+    exactly against the last.  The bound defaults to _hall_degree_bound.
     """
     L, M, N = ms_canonical(L), ms_canonical(M), ms_canonical(N)
     if degree_bound is None:
-        degree_bound = ms_total(M) * ms_total(N)
-    needed = degree_bound + 1
+        degree_bound = _hall_degree_bound(r, L, M, N)
+    needed = degree_bound + 2
     if needed > len(_PRIME_POWERS):
         raise ValueError("degree bound exceeds the sampling budget")
     points = []
@@ -1190,5 +1277,4 @@ def hall_polynomial(r: int, L, M, N, degree_bound=None) -> QPolynomial:
         value = eng.hall_number(eng.class_from_key(L), eng.class_from_key(M),
                                 eng.class_from_key(N))
         points.append((q0, value))
-    poly = interpolate_q(points, degree_bound)
-    return poly
+    return interpolate_q(points, degree_bound)

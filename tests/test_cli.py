@@ -279,3 +279,41 @@ class TestCache:
         code2, warm = run_cli(args)
         assert code2 == 0
         assert warm == cold  # stale entry was ignored and rebuilt
+
+    def test_non_object_cache_file_is_rebuilt(self, tmp_path):
+        args = ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "1,1",
+                "--cache-dir", str(tmp_path), "--format", "json"]
+        code1, cold = run_cli(args)
+        (tmp_path / "k2_q2_d1-1.json").write_text("[]")
+        assert run_cli(args) == (code1, cold) == (0, cold)
+
+    def test_cache_file_of_another_grade_is_rebuilt(self, tmp_path):
+        def isoclasses(d, cache):
+            argv = ["isoclasses", "--quiver", "k2", "--q", "2", "--d", d, "--format", "json"]
+            return run_cli(argv + (["--cache-dir", str(tmp_path)] if cache else []))
+
+        assert isoclasses("2,1", cache=True)[0] == 0
+        code, expected = isoclasses("1,2", cache=False)
+        assert code == 0
+        (tmp_path / "k2_q2_d1-2.json").write_text((tmp_path / "k2_q2_d2-1.json").read_text())
+        assert isoclasses("1,2", cache=True) == (0, expected)
+        assert json.loads((tmp_path / "k2_q2_d1-2.json").read_text())["grade"] == [1, 2]
+        assert sorted(os.listdir(tmp_path)) == ["k2_q2_d1-2.json", "k2_q2_d2-1.json"]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["hallpoly", "--quiver", "c1", "--L", "(1,1)", "--M", "(1)", "--N", "(1)",
+         "--jobs", "2"],
+        ["hallnum", "--quiver", "c1", "--L", "(1,1)", "--M", "(1)", "--N", "(1)",
+         "--jobs", "2"],
+        ["isoclasses", "--quiver", "k2", "--d", "1,1", "--jobs", "2"],
+        ["primitive", "--quiver", "k2", "--d", "1,1", "--cache-dir", "unused"],
+        ["hallpoly", "--quiver", "c1", "--L", "(1,1)", "--M", "(1)", "--N", "(1)",
+         "--cache-dir", "unused"],
+    ], ids=["hallpoly-jobs", "hallnum-jobs", "isoclasses-jobs", "primitive-cache-dir",
+            "hallpoly-cache-dir"])
+    def test_ignored_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2

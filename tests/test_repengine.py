@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from hallalg.coeffring import interpolate_q
 from hallalg.partitions import Partition, partitions_of
 from hallalg.repengine import (
     BruteForceEngine,
@@ -315,6 +316,106 @@ class TestHallNumbers:
                         assert lhs == rhs
 
 
+def _reference_table(engine, mats, dims, classify):
+    """Submodule table by a walk written apart from the engine's.
+
+    Every tuple of subspaces from gf.subspaces is tried; a tuple is
+    stable when, for every arrow, the images of the tail basis add
+    nothing to the rank of the head basis.  Sub and quotient come from a
+    change of basis: at each vertex the frame is the subspace basis
+    followed by the unit vectors of the non-pivot columns, the arrow
+    matrix is rewritten in the frames, and its upper-left block is the
+    sub and its lower-right block the quotient.
+    """
+    from hallalg import gf
+
+    F = engine.field
+    arrows = engine.quiver.arrows
+
+    def mul(A, B, rows, inner, cols):
+        if rows == 0:
+            return ()
+        if inner == 0 or cols == 0:
+            return tuple((0,) * cols for _ in range(rows))
+        return gf.mat_mul(F, A, B)
+
+    def transpose(rows, n):
+        return tuple(tuple(row[i] for row in rows) for i in range(n))
+
+    per_vertex = [[b for k in range(n + 1) for b in gf.subspaces(F, n, k)] for n in dims]
+    table = {}
+    for bases in product(*per_vertex):
+        stable = True
+        for X, (t, h) in zip(mats, arrows):
+            k_t, k_h = len(bases[t]), len(bases[h])
+            images = mul(X, transpose(bases[t], dims[t]), dims[h], dims[t], k_t)
+            stacked = tuple(bases[h]) + transpose(images, k_t)
+            if stacked and gf.mat_rank(F, stacked) != k_h:
+                stable = False
+                break
+        if not stable:
+            continue
+        frames, inverses = [], []
+        for basis, n in zip(bases, dims):
+            pivots = [row.index(1) for row in basis]
+            units = tuple(tuple(int(j == c) for j in range(n))
+                          for c in range(n) if c not in pivots)
+            frame = transpose(tuple(basis) + units, n)  # frame vectors as columns
+            frames.append(frame)
+            inverses.append(gf.mat_inverse(F, frame))
+        sub_mats, quot_mats = [], []
+        for X, (t, h) in zip(mats, arrows):
+            n_t, n_h, k_t, k_h = dims[t], dims[h], len(bases[t]), len(bases[h])
+            Y = mul(inverses[h], mul(X, frames[t], n_h, n_t, n_t), n_h, n_h, n_t)
+            assert all(Y[i][j] == 0 for i in range(k_h, n_h) for j in range(k_t))
+            sub_mats.append(tuple(tuple(Y[i][j] for j in range(k_t)) for i in range(k_h)))
+            quot_mats.append(tuple(tuple(Y[i][j] for j in range(k_t, n_t))
+                                   for i in range(k_h, n_h)))
+        sub_dims = tuple(len(b) for b in bases)
+        quot_dims = tuple(n - k for n, k in zip(dims, sub_dims))
+        key = (classify(tuple(quot_mats), quot_dims), classify(tuple(sub_mats), sub_dims))
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+_NIL_TABLE_CELLS = (
+    [(1, q0, (n,)) for q0 in (2, 3, 4) for n in range(5)]
+    + [(2, 2, d) for d in ((1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (3, 0))]
+    + [(2, 3, d) for d in ((2, 1), (0, 2))]
+    + [(3, 2, d) for d in ((1, 1, 1), (2, 1, 1), (1, 0, 1), (0, 2, 1))]
+    + [(3, 3, (1, 1, 1))]
+)
+
+_BRUTE_TABLE_CELLS = [
+    (quiver, q0, d)
+    for quiver in (kronecker_quiver(), a2_quiver(), cyclic_quiver(2))
+    for q0 in (2, 3)
+    for d in ((1, 1), (2, 1), (1, 2), (0, 2), (2, 2))
+    if q0 == 2 or d != (2, 2)
+]
+
+
+class TestSubmoduleTableAgainstReference:
+    @pytest.mark.parametrize("r,q0,d", _NIL_TABLE_CELLS)
+    def test_nilpotent_cyclic(self, r, q0, d):
+        engine = NilpotentCyclicEngine(r, q0)
+        classify = lambda m, dims: engine.class_of_point(m, dims).key
+        for c in engine.classes(d):
+            mats, dims = engine.rep_point(c)
+            expected = _reference_table(engine, mats, dims, classify)
+            assert list(engine.sub_table(c).items()) == list(expected.items()), c.render()
+
+    @pytest.mark.parametrize("quiver,q0,d", _BRUTE_TABLE_CELLS,
+                             ids=[f"{qv.name}-q{q0}-{d}" for qv, q0, d in _BRUTE_TABLE_CELLS])
+    def test_brute_force(self, quiver, q0, d):
+        engine = BruteForceEngine(quiver, q0)
+        classify = lambda m, dims: (tuple(dims), engine.class_of_point(m, dims).key)
+        for c in engine.classes(d):
+            mats, dims = engine.rep_point(c)
+            expected = _reference_table(engine, mats, dims, classify)
+            assert list(engine.sub_table(c).items()) == list(expected.items()), c.render()
+
+
 class TestHomAndSocle:
     @pytest.mark.parametrize("r,q0", [(r, q) for r in (1, 2, 3) for q in (2, 3)])
     def test_hom_rule_matches_linear_solve(self, r, q0):
@@ -421,6 +522,51 @@ class TestHallPolynomial:
         poly = hall_polynomial(
             2, (((0, 1), 1), ((1, 1), 1)), (((0, 1), 1),), (((1, 1), 1),))
         assert poly.render() == "1"
+
+    @pytest.mark.parametrize("lam,mu,nu,degree", [
+        ((2, 1, 1), (2, 1), (1,), 2),
+        ((2, 1, 1), (1, 1), (2,), 2),
+        ((2, 2), (2, 1), (1,), 1),
+        ((3, 1), (3,), (1,), 1),
+        ((4,), (3,), (1,), 0),
+        ((1, 1, 1), (1, 1), (1,), 2),
+    ])
+    def test_default_bound_is_macdonald_plus_check_sample(self, monkeypatch, lam, mu, nu,
+                                                          degree):
+        from hallalg import repengine
+
+        fits = []
+
+        def recording(points, degree_bound):
+            fits.append((len(points), degree_bound))
+            return interpolate_q(points, degree_bound)
+
+        monkeypatch.setattr(repengine, "interpolate_q", recording)
+        key = lambda parts: tuple(sorted(((0, p), parts.count(p)) for p in set(parts)))
+        L, M, N = key(lam), key(mu), key(nu)
+        poly = hall_polynomial(1, L, M, N)
+        assert fits == [(degree + 2, degree)]
+        wide = sum(mu) * sum(nu)  # dim M * dim N, the bound this default replaced
+        assert hall_polynomial(1, L, M, N, degree_bound=wide).coeffs == poly.coeffs
+        assert fits[-1] == (wide + 2, wide)
+
+    def test_c2_takes_per_vertex_bound(self, monkeypatch):
+        from hallalg import repengine
+
+        fits = []
+
+        def recording(points, degree_bound):
+            fits.append((len(points), degree_bound))
+            return interpolate_q(points, degree_bound)
+
+        monkeypatch.setattr(repengine, "interpolate_q", recording)
+        # L = S1[2] + S1[1] has d = (2, 1); M = S1[1], N = S1[2]: sum_i m_i n_i = 1
+        L, M, N = (((0, 1), 1), ((0, 2), 1)), (((0, 1), 1),), (((0, 2), 1),)
+        poly = hall_polynomial(2, L, M, N)
+        assert fits == [(3, 1)]
+        engine = NilpotentCyclicEngine(2, 5)
+        assert poly.evaluate(5) == engine.hall_number(
+            engine.class_from_key(L), engine.class_from_key(M), engine.class_from_key(N))
 
     def test_evaluates_to_hall_numbers(self):
         L, M, N = (((0, 2), 1), ((0, 1), 1)), (((0, 1), 1),), (((0, 2), 1),)
