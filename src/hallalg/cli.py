@@ -357,7 +357,7 @@ def cmd_element(args, out):
 def cmd_verify(args, out):
     fmt = args.format
     if args.all:
-        results = run_all(jobs=args.jobs)
+        results = run_all()
         failed = 0
         for num, name, rep in results:
             if fmt == "json":
@@ -479,7 +479,6 @@ def build_parser():
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("fourier", help="Fourier-transform checks")

@@ -20,7 +20,7 @@ from itertools import product
 from . import gf
 from .coeffring import CycloSqrt, SqrtExt, quantum_factorial, v_power
 from .gf import FieldSpec
-from .hallcore import HallElement, multiply, primitive_subspace
+from .hallcore import HallElement, in_span, multiply, primitive_subspace
 from .primitives import kron_pK2, xi_partition_sum_value
 from .repengine import (
     BruteForceEngine,
@@ -364,46 +364,11 @@ def transform_primitive_check(q0: int) -> VerificationReport:
         src = get_brute_engine(spec.source, q0)
         tgt = get_brute_engine(spec.target, q0)
         image = fourier_transform(kron_pK2(src, 1), spec, src, tgt)
-        basis = primitive_subspace(tgt, (1, 1))
         # membership in the primitive subspace, over the cyclotomic scalars
-        rows = [_embed_cyclo(b) for b in basis]
-        ok = _cyclo_in_span(rows, image.element)
+        ok = in_span(primitive_subspace(tgt, (1, 1)), image.element)
         return ok, "transformed primitive", "primitive subspace", ""
 
     return timed_report("fourier-prim", {"q": q0}, run)
-
-
-def _cyclo_in_span(basis, x: HallElement) -> bool:
-    """Membership of a cyclotomic-coefficient element in a SqrtExt span.
-
-    Solves coordinatewise: each zeta-power coordinate of x must be
-    spanned with rational (SqrtExt) coefficients; here it suffices to
-    reduce x by the echelonized basis and test for zero."""
-    engine = x.engine
-    support = sorted({c for e in basis for c in e.terms} | set(x.terms),
-                     key=lambda c: c.sort_key())
-    cols = {c: j for j, c in enumerate(support)}
-    p = engine.field.p
-    q0 = engine.q0
-    zero = CycloSqrt.zero(p, q0)
-    rows = []
-    for e in basis:
-        row = [zero] * len(support)
-        for c, v in e.terms.items():
-            row[cols[c]] = v if isinstance(v, CycloSqrt) else CycloSqrt.from_scalar(p, q0, v)
-        rows.append(row)
-    target = [zero] * len(support)
-    for c, v in x.terms.items():
-        target[cols[c]] = v if isinstance(v, CycloSqrt) else CycloSqrt.from_scalar(p, q0, v)
-    # eliminate with the basis rows (they are echelonized SqrtExt rows)
-    for row in rows:
-        piv = next((j for j, v in enumerate(row) if not v.is_zero()), None)
-        if piv is None:
-            continue
-        f = target[piv] / row[piv].as_sqrtext()
-        if not f.is_zero():
-            target = [t - f * r for t, r in zip(target, row)]
-    return all(t.is_zero() for t in target)
 
 
 def verify_lemma62_route(n: int, q0: int) -> VerificationReport:

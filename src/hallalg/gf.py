@@ -369,64 +369,62 @@ def mat_mul(F: FieldSpec, A, B):
     return tuple(out)
 
 
-def mat_rank(F: FieldSpec, A) -> int:
-    rows = [list(r) for r in A if any(r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < cols:
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def rref(rows, ncols, inv, mul, sub):
+    """Reduced row echelon form over any exact field; the one elimination
+    routine of the package.
 
+    `inv`, `mul` and `sub` are the field's inverse, product and difference,
+    and an entry is zero when it is falsy, so field codes, SqrtExt and
+    CycloSqrt entries all go through here.  Only the first `ncols` columns
+    are pivoted on; columns past them (an augmented block) are carried
+    along and never inverted.  Each column's pivot is the first remaining
+    row that is nonzero there, so the output depends on the input alone.
 
-def mat_rref(F: FieldSpec, A):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in A]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [], []
-    cols = len(rows[0])
+    Returns (rows, pivots): the nonzero input rows, reduced, as lists.  The
+    first len(pivots) rows are the RREF; the others are zero in the first
+    `ncols` columns.
+    """
+    rows = [list(r) for r in rows if any(r)]
     pivots = []
     rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
+    for col in range(ncols):
+        for piv in range(rank, len(rows)):
+            if rows[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        prow, rows[piv] = rows[piv], rows[rank]
+        s = inv(prow[col])
+        prow = rows[rank] = [mul(s, x) if x else x for x in prow]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                rows[r] = [sub(x, mul(f, y)) if y else x for x, y in zip(row, prow)]
         pivots.append(col)
         rank += 1
         if rank == len(rows):
             break
-    rows = [tuple(r) for r in rows[:rank]]
     return rows, pivots
+
+
+def kernel_from_rref(rows, pivots, ncols, zero, one, sub):
+    """Basis of the right kernel {x : A x = 0} from rref(A): one vector per
+    non-pivot column, 1 there and minus that column's entries at the pivots."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
+        for row, pc in zip(rows, pivots):
+            vec[pc] = sub(zero, row[fc])
+        basis.append(tuple(vec))
+    return basis
+
+
+def mat_rank(F: FieldSpec, A) -> int:
+    return len(rref(A, len(A[0]), F.inv, F.mul, F.sub)[1]) if A else 0
 
 
 def mat_is_invertible(F: FieldSpec, A) -> bool:
@@ -435,28 +433,13 @@ def mat_is_invertible(F: FieldSpec, A) -> bool:
 
 
 def mat_inverse(F: FieldSpec, A):
+    """A^(-1) as the right half of rref([A | I]); ZeroDivisionError if A is singular."""
     n = len(A)
-    if n == 0:
-        return ()
-    aug = [list(A[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = F.inv(aug[rank][col])
-        aug[rank] = [F.mul(inv, x) for x in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(aug[r], aug[rank])]
-        rank += 1
-    return tuple(tuple(row[n:]) for row in aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    rows, pivots = rref(aug, n, F.inv, F.mul, F.sub)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def mat_kernel_basis(F: FieldSpec, A):
@@ -464,16 +447,8 @@ def mat_kernel_basis(F: FieldSpec, A):
     if not A:
         return []
     cols = len(A[0])
-    rows, pivots = mat_rref(F, A)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * cols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = F.neg(rows[r][fc])
-        basis.append(tuple(vec))
-    return basis
+    rows, pivots = rref(A, cols, F.inv, F.mul, F.sub)
+    return kernel_from_rref(rows, pivots, cols, 0, 1, F.sub)
 
 
 def mat_trace(F: FieldSpec, A) -> int:

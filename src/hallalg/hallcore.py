@@ -10,8 +10,10 @@ Q(sqrt(q0)).
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 
+from . import gf
 from .coeffring import CycloSqrt, SqrtExt, v_power
 from .repengine import IsoClass, add_dim, euler_form
 from .report import timed_report
@@ -366,53 +368,9 @@ def is_primitive(x: HallElement, predicate=None) -> bool:
 # Exact linear algebra over Q(sqrt(q0)) and the primitive-subspace solver
 # ---------------------------------------------------------------------------
 
-def sqrtext_rref(rows, ncols, q0):
-    """Reduced row echelon form of a matrix of SqrtExt entries.
-
-    Returns (rref_rows, pivot_columns); first-nonzero pivoting keeps the
-    output deterministic.
-    """
-    rows = [list(r) for r in rows if any(not x.is_zero() for x in r)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return [tuple(r) for r in rows[:rank]], pivots
-
-
-def sqrtext_kernel(rows, ncols, q0):
-    """Reduced-echelon basis of the right kernel of a SqrtExt matrix."""
-    rref, pivots = sqrtext_rref(rows, ncols, q0)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    one = SqrtExt.one(q0)
-    zero = SqrtExt.zero(q0)
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(tuple(vec))
-    if basis:
-        basis, _ = sqrtext_rref(basis, ncols, q0)
-    return basis
+def sqrtext_rref(rows, ncols):
+    """gf.rref over Q(sqrt(q0)); entries past `ncols` may also be CycloSqrt."""
+    return gf.rref(rows, ncols, SqrtExt.inverse, operator.mul, operator.sub)
 
 
 def primitive_subspace(engine, d, predicate=None) -> list:
@@ -450,7 +408,12 @@ def primitive_subspace(engine, d, predicate=None) -> list:
             row = row_map.setdefault(key, [SqrtExt.zero(q0)] * len(classes))
             row[j] = row[j] + coeff
     rows = [row_map[k] for k in sorted(row_map)]
-    kernel = sqrtext_kernel(rows, len(classes), q0)
+    n = len(classes)
+    rref, pivots = sqrtext_rref(rows, n)
+    kernel = gf.kernel_from_rref(rref, pivots, n, SqrtExt.zero(q0), SqrtExt.one(q0),
+                                 operator.sub)
+    if kernel:
+        kernel, _ = sqrtext_rref(kernel, n)
     out = []
     for vec in kernel:
         out.append(HallElement(engine, {c: x for c, x in zip(classes, vec)
@@ -458,48 +421,32 @@ def primitive_subspace(engine, d, predicate=None) -> list:
     return out
 
 
+def _coefficient_columns(elements, zero):
+    """Matrix with column j holding the coefficients of elements[j], one row
+    per class of their joint support."""
+    support = sorted({c for e in elements for c in e.terms}, key=lambda c: c.sort_key())
+    return [[e.terms.get(c, zero) for e in elements] for c in support]
+
+
 def in_span(basis, x: HallElement) -> bool:
-    """Exact membership of x in the span of the given Hall elements."""
-    engine = x.engine
-    support = sorted({c for e in basis for c in e.terms} | set(x.terms),
-                     key=lambda c: c.sort_key())
-    cols = {c: j for j, c in enumerate(support)}
-    q0 = engine.q0
-    zero = SqrtExt.zero(q0)
-    rows = []
-    for e in basis:
-        row = [zero] * len(support)
-        for c, v in e.terms.items():
-            row[cols[c]] = v
-        rows.append(row)
-    rref, pivots = sqrtext_rref(rows, len(support), q0)
-    target = [zero] * len(support)
-    for c, v in x.terms.items():
-        target[cols[c]] = v
-    for r, pc in zip(rref, pivots):
-        f = target[pc]
-        if not f.is_zero():
-            target = [t - f * y for t, y in zip(target, r)]
-    return all(t.is_zero() for t in target)
+    """Exact membership of x in the span of the given Hall elements.
+
+    x is the augmented last column of the system sum_j c_j basis[j] = x, so
+    it is never pivoted on and may have CycloSqrt coefficients over a
+    SqrtExt basis; x is in the span iff that column vanishes in every row
+    the elimination leaves without a pivot.
+    """
+    zero = SqrtExt.zero(x.engine.q0)
+    rows, pivots = sqrtext_rref(_coefficient_columns([*basis, x], zero), len(basis))
+    return not any(row[-1] for row in rows[len(pivots):])
 
 
 def rank_of_elements(elements) -> int:
     """Rank of a family of Hall elements over Q(sqrt(q0))."""
     if not elements:
         return 0
-    engine = elements[0].engine
-    support = sorted({c for e in elements for c in e.terms},
-                     key=lambda c: c.sort_key())
-    cols = {c: j for j, c in enumerate(support)}
-    zero = SqrtExt.zero(engine.q0)
-    rows = []
-    for e in elements:
-        row = [zero] * len(support)
-        for c, v in e.terms.items():
-            row[cols[c]] = v
-        rows.append(row)
-    rref, _ = sqrtext_rref(rows, len(support), engine.q0)
-    return len(rref)
+    zero = SqrtExt.zero(elements[0].engine.q0)
+    return len(sqrtext_rref(_coefficient_columns(elements, zero), len(elements))[1])
 
 
 def adjointness_check(engine, total_dim_bound: int):

@@ -1147,37 +1147,24 @@ def _iter_hom_combinations(F, basis, dimsM, dimsN):
 
 
 # ---------------------------------------------------------------------------
-# Engine factories (per-thread caches so parallel verification cells never
-# share mutable engine state)
+# Engine factories (one shared engine per quiver, q and kind)
 # ---------------------------------------------------------------------------
 
-import threading
-
-_ENGINE_LOCAL = threading.local()
-
-
-def _engine_store():
-    store = getattr(_ENGINE_LOCAL, "store", None)
-    if store is None:
-        store = {}
-        _ENGINE_LOCAL.store = store
-    return store
+_ENGINES: dict = {}
 
 
 def get_nilpotent_engine(r: int, q0: int) -> "NilpotentCyclicEngine":
-    store = _engine_store()
     key = ("nil", r, q0)
-    if key not in store:
-        store[key] = NilpotentCyclicEngine(r, q0)
-    return store[key]
+    if key not in _ENGINES:
+        _ENGINES[key] = NilpotentCyclicEngine(r, q0)
+    return _ENGINES[key]
 
 
 def get_brute_engine(quiver: Quiver, q0: int, nilpotent: bool = False) -> "BruteForceEngine":
-    store = _engine_store()
     key = ("brute", quiver.name, quiver.arrows, q0, nilpotent)
-    if key not in store:
-        store[key] = BruteForceEngine(quiver, q0, nilpotent=nilpotent)
-    return store[key]
+    if key not in _ENGINES:
+        _ENGINES[key] = BruteForceEngine(quiver, q0, nilpotent=nilpotent)
+    return _ENGINES[key]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """The full verification suite: one runnable cell per acceptance criterion.
 
 Every cell returns a VerificationReport; run_all executes them in cell-key
-order (optionally across threads, each thread using its own engines) and
-the CLI and the test suite both drive the same functions.
+order, and the CLI and the test suite both drive the same functions.
 """
 
 from __future__ import annotations
@@ -240,14 +239,9 @@ def run_criterion(number: int) -> VerificationReport:
     raise ValueError(f"no criterion {number}")
 
 
-def run_all(jobs: int = 1):
+def run_all():
     """Run every criterion; results are ordered by criterion number."""
-    if jobs <= 1:
-        return [(num, name, fn()) for num, name, fn in CRITERIA]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [(num, name, pool.submit(fn)) for num, name, fn in CRITERIA]
-        return [(num, name, fut.result()) for num, name, fut in futures]
+    return [(num, name, fn()) for num, name, fn in CRITERIA]
 
 
 # Individual check runners for the CLI (beyond whole criteria).

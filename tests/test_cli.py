@@ -216,7 +216,7 @@ class TestVerifyAll:
                             ((1, "stub", failing),))
         import hallalg.cli as cli
         monkeypatch.setattr(cli, "run_all",
-                            lambda jobs=1: [(1, "stub", failing())])
+                            lambda: [(1, "stub", failing())])
         code, out = run_cli(["verify", "--all"])
         assert code == 1
         assert "FAIL" in out
@@ -311,8 +311,9 @@ class TestFlags:
         ["primitive", "--quiver", "k2", "--d", "1,1", "--cache-dir", "unused"],
         ["hallpoly", "--quiver", "c1", "--L", "(1,1)", "--M", "(1)", "--N", "(1)",
          "--cache-dir", "unused"],
+        ["verify", "--all", "--jobs", "2"],
     ], ids=["hallpoly-jobs", "hallnum-jobs", "isoclasses-jobs", "primitive-cache-dir",
-            "hallpoly-cache-dir"])
+            "hallpoly-cache-dir", "verify-jobs"])
     def test_ignored_flags_are_gone(self, argv):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)

@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hallalg import gf
 from hallalg.coeffring import CycloSqrt, SqrtExt
@@ -171,3 +174,56 @@ class TestMatrices:
                         seen.add(Y)
                         frontier.append(Y)
             assert len(seen) == gf.gl_order(F, n)
+
+
+def _matrices(max_rows=3, max_cols=4, square=False):
+    """(F, A) with F = GF(q), q in {2, 3, 4}, and A a small matrix over F."""
+
+    @st.composite
+    def build(draw):
+        q = draw(st.sampled_from((2, 3, 4)))
+        n = draw(st.integers(1, max_rows))
+        m = n if square else draw(st.integers(1, max_cols))
+        row = st.tuples(*[st.integers(0, q - 1)] * m)
+        return FieldSpec.from_order(q), tuple(draw(st.lists(row, min_size=n, max_size=n)))
+
+    return build()
+
+
+def _combinations(F, vectors, length):
+    """Every F-linear combination of the vectors, enumerated coefficient by coefficient."""
+    if not vectors:
+        return {(0,) * length}
+    return {gf.mat_mul(F, (c,), tuple(vectors))[0]
+            for c in product(range(F.q), repeat=len(vectors))}
+
+
+class TestEliminationKernelAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices())
+    def test_rank_counts_row_combinations(self, FA):
+        F, A = FA
+        assert len(_combinations(F, A, len(A[0]))) == F.q ** gf.mat_rank(F, A)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices())
+    def test_kernel_basis_spans_the_kernel(self, FA):
+        F, A = FA
+        ncols = len(A[0])
+        kernel = _combinations(F, gf.mat_kernel_basis(F, A), ncols)
+        assert len(kernel) == F.q ** (ncols - gf.mat_rank(F, A))
+        for x in kernel:
+            assert all(v == 0 for (v,) in gf.mat_mul(F, A, tuple((c,) for c in x)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices(square=True))
+    @example((FieldSpec.from_order(3), ((1, 2), (2, 1))))
+    @example((FieldSpec.from_order(4), ((1, 2), (2, 1))))
+    def test_inverse_or_singular(self, FA):
+        F, A = FA
+        n = len(A)
+        if gf.mat_rank(F, A) == n:
+            assert gf.mat_mul(F, gf.mat_inverse(F, A), A) == gf.mat_identity(n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                gf.mat_inverse(F, A)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hallalg.coeffring import SqrtExt, v_power
+from hallalg.coeffring import CycloSqrt, SqrtExt, v_power
 from hallalg.hallcore import (
     HallElement,
     TensorElement,
@@ -261,6 +261,31 @@ class TestLinearAlgebraHelpers:
         basis = primitive_subspace(k2, (1, 1))
         assert rank_of_elements(basis) == 2
         assert rank_of_elements(basis + [basis[0] + basis[1]]) == 2
+
+
+class TestInSpanCyclotomicTargets:
+    """A SqrtExt basis that is not in echelon form in support order, with
+    targets in Q(zeta_3)(sqrt 3): the rows c+2a and b+3a both start at a."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        k2 = get_brute_engine(kronecker_quiver(), 3)
+        a, b, c = sorted(k2.classes((1, 1)), key=lambda x: x.sort_key())[:3]
+        basis = [HallElement(k2, {c: 1, a: 2}), HallElement(k2, {b: 1, a: 3})]
+        return k2, (a, b, c), basis
+
+    def test_targets_in_span(self, setup):
+        k2, (a, b, c), basis = setup
+        one, zeta = CycloSqrt.one(3, 3), CycloSqrt.zeta(3, 3)
+        assert in_span(basis, HallElement(k2, {b: one, a: 3 * one}))
+        # zeta * (b + 3a) + (c + 2a)
+        assert in_span(basis, HallElement(k2, {a: 3 * zeta + 2 * one, b: zeta, c: one}))
+
+    def test_target_outside_span(self, setup):
+        k2, (a, b, c), basis = setup
+        one, zeta = CycloSqrt.one(3, 3), CycloSqrt.zeta(3, 3)
+        # the c-coefficient forces c + 2a out, and then a must be 3 * zeta
+        assert not in_span(basis, HallElement(k2, {a: one, b: zeta}))
 
 
 class TestJsonRendering:
