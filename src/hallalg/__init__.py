@@ -3,28 +3,22 @@ Kronecker quivers over finite fields."""
 
 from .coeffring import (
     CycloSqrt,
-    LaurentPolyV,
     QPolynomial,
-    RationalFunctionV,
     SqrtExt,
-    eval_v,
     interpolate_q,
     quantum_factorial,
-    rf_arith,
     v_power,
 )
-from .gf import FieldSpec, FieldElem, additive_character, enumerate_field, trace_to_prime
+from .gf import FieldSpec, trace_to_prime
 from .hallcore import (
     HallElement,
     TensorElement,
     comultiply,
-    comultiply_restricted,
     green_form,
     is_primitive,
     multiply,
     one_d,
     one_reg,
-    one_subset,
     primitive_subspace,
 )
 from .partitions import Partition, a_lambda, partitions_of, phi_irreducible_count

@@ -1,10 +1,11 @@
 """Command-line frontend: isoclass tables, Hall numbers and polynomials,
 primitive-subspace bases, the verification suite, and Fourier checks.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-inconsistency.  Reports are deterministic given identical parameters;
-per-grade results of the brute-force engines can be cached on disk and
-warm runs reproduce cold-run output byte for byte.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a request
+rejected where it is parsed or checked against a verified range or cap),
+3 any other error that escapes a command.  Reports are deterministic given
+identical parameters; per-grade results of the brute-force engines can be
+cached on disk and warm runs reproduce cold-run output byte for byte.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .fourier import (
     transform_primitive_check,
     verify_lemma62_route,
 )
+from .gf import FieldSpec
 from .hallcore import primitive_subspace
 from .partitions import parse_partition
 from .repengine import (
@@ -37,17 +39,14 @@ from .repengine import (
     is_regular_kronecker,
     kronecker_quiver,
     ms_canonical,
+    ms_dim_vector,
     multisegment_str,
     parse_multisegment,
 )
-from .report import InternalCheckError
+from .report import UsageError
 from .suite import CHECK_RUNNERS, run_all
 
 CACHE_VERSION = f"hallalg-{__version__}-cache-1"
-
-
-class UsageError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +75,14 @@ def _parse_selector(text: str):
     raise UsageError(f"unknown quiver selector {text!r}")
 
 
+def _parse_field_order(text: str) -> int:
+    """argparse type of --q: a prime power."""
+    try:
+        return FieldSpec.from_order(int(text)).q
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a prime power")
+
+
 def _parse_dimvec(text: str, nv: int):
     parts = text.replace("(", "").replace(")", "").split(",")
     try:
@@ -93,12 +100,16 @@ def _parse_cyclic_class(text: str, r: int):
     text = text.strip()
     if text == "0":
         return ()
-    if text.startswith("(") or (text and text[0].isdigit() and "[" not in text):
-        if r != 1:
-            raise UsageError("partition class syntax is only valid for c1")
-        lam = parse_partition(text)
-        return ms_canonical(((0, part), mult) for part, mult in lam.exponential().items())
-    return parse_multisegment(text, r)
+    partition_syntax = text.startswith("(") or (text[:1].isdigit() and "[" not in text)
+    if partition_syntax and r != 1:
+        raise UsageError("partition class syntax is only valid for c1")
+    try:
+        if partition_syntax:
+            lam = parse_partition(text)
+            return ms_canonical(((0, part), mult) for part, mult in lam.exponential().items())
+        return parse_multisegment(text, r)
+    except ValueError as exc:
+        raise UsageError(f"bad class {text!r}: {exc}") from exc
 
 
 def _get_engine(selector, q0):
@@ -117,9 +128,12 @@ def _cache_path(cache_dir, tag, q0, d):
     return os.path.join(cache_dir, name)
 
 
-def _load_cache(path, tag, q0, d):
+def _load_cache(path, tag, q0, d, r):
     """The cached payload at path, or None unless it is readable, of this
-    cache version, and stored for this (quiver, q, grade)."""
+    cache version, stored for this (quiver, q, grade), and every Hall entry
+    is a non-negative int under a key naming three classes of C_r, the
+    first of this grade.  r is None for a brute-force quiver, whose files
+    hold no Hall entries."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -127,8 +141,15 @@ def _load_cache(path, tag, q0, d):
             return None
         if (data.get("quiver"), data.get("q"), data.get("grade")) != (tag, q0, list(d)):
             return None
-        if "classes" not in data or "hall" not in data:
+        if "classes" not in data or not isinstance(data.get("hall"), dict):
             return None
+        if r is None and data["hall"]:
+            return None
+        for key, value in data["hall"].items():
+            # unpacking raises ValueError unless the key names exactly three classes
+            L, _, _ = (parse_multisegment(part, r) for part in key.split("|"))
+            if type(value) is not int or value < 0 or ms_dim_vector(L, r) != tuple(d):
+                return None
         return data
     except (OSError, ValueError, AttributeError):
         return None
@@ -173,7 +194,7 @@ def _grade_cache(selector, q0, d, cache_dir):
     tag = _selector_tag(selector)
     path = _cache_path(cache_dir, tag, q0, d) if cache_dir else None
     if path:
-        data = _load_cache(path, tag, q0, d)
+        data = _load_cache(path, tag, q0, d, selector[1] if selector[0] == "nil" else None)
         if data is not None:
             return data, path
     engine = _get_engine(selector, q0)
@@ -246,7 +267,6 @@ def cmd_hallnum(args, out):
         out.write(poly.render() + "\n" if args.format != "json" else
                   json.dumps({"polynomial": poly.render()}, sort_keys=True) + "\n")
         return 0
-    from .repengine import ms_dim_vector
     d = ms_dim_vector(L, r)
     key = f"{multisegment_str(L)}|{multisegment_str(M)}|{multisegment_str(N)}"
     data, path = _grade_cache(selector, args.q, d, args.cache_dir)
@@ -315,7 +335,9 @@ def cmd_element(args, out):
         tube_primitive, x_element,
     )
     family = args.family
-    n = args.n or 1
+    n, m, deg = args.n or 1, args.m or 1, args.deg or 1
+    if min(n, m, deg) < 1:
+        raise UsageError("--n, --m and --deg must be positive")
     if family == "jordan_pn":
         if args.symbolic:
             spec = PrimitiveSpec(family, n=n)
@@ -327,6 +349,8 @@ def cmd_element(args, out):
         elt = p_jordan(get_nilpotent_engine(1, args.q), n)
     elif family in ("cyclic_cn", "cyclic_xn", "cyclic_pnr"):
         r = args.r or 2
+        if r < 2:
+            raise UsageError("cyclic families need --r >= 2")
         PrimitiveSpec(family, r=r, n=n, q0=args.q)
         engine = get_nilpotent_engine(r, args.q)
         builder = {"cyclic_cn": c_central, "cyclic_xn": x_element,
@@ -338,10 +362,8 @@ def cmd_element(args, out):
                    "kron_pk2": kron_pK2}[family]
         elt = builder(engine, n)
     elif family == "tube_pm":
-        m = args.m or 1
         engine = get_brute_engine(kronecker_quiver(), args.q)
-        tubes = kronecker_tubes(engine, m * (args.deg or 1))
-        tubes = [t for t in tubes if t.degree == (args.deg or 1)]
+        tubes = [t for t in kronecker_tubes(engine, m * deg) if t.degree == deg]
         if not tubes or not 0 <= args.index < len(tubes):
             raise UsageError("no tube with that degree and index")
         elt = tube_primitive(engine, tubes[args.index], m)
@@ -425,7 +447,8 @@ def build_parser():
     def common(sp, cache=False):
         sp.add_argument("--quiver", default="c1",
                         help="c1 | cr:<r> | k2 | a2 | c2full")
-        sp.add_argument("--q", type=int, default=2, help="prime power field size")
+        sp.add_argument("--q", type=_parse_field_order, default=2,
+                        help="prime power field size")
         if cache:
             sp.add_argument("--cache-dir", default=None)
         sp.add_argument("--format", choices=("table", "json"), default="table")
@@ -462,7 +485,7 @@ def build_parser():
     sp.add_argument("--family", required=True,
                     choices=("jordan_pn", "cyclic_cn", "cyclic_xn", "cyclic_pnr",
                              "tube_pm", "kron_p0", "kron_pinf", "kron_pk2"))
-    sp.add_argument("--q", type=int, default=2)
+    sp.add_argument("--q", type=_parse_field_order, default=2)
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
@@ -477,7 +500,7 @@ def build_parser():
     sp.add_argument("--all", action="store_true", help="run the full suite")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--q", type=int, default=None)
+    sp.add_argument("--q", type=_parse_field_order, default=None)
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.set_defaults(fn=cmd_verify)
 
@@ -485,7 +508,7 @@ def build_parser():
     sp.add_argument("--check", default="a2",
                     choices=("a2", "hom", "glsum", "divided", "lemma", "double", "prim"))
     sp.add_argument("--pair", default="k2c2", choices=("a2", "k2c2"))
-    sp.add_argument("--q", type=int, default=2)
+    sp.add_argument("--q", type=_parse_field_order, default=2)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.set_defaults(fn=cmd_fourier)
@@ -502,12 +525,12 @@ def main(argv=None, out=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except InternalCheckError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
+    except Exception as exc:
+        import traceback  # only a faulting run pays for the import
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal inconsistency: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -2,11 +2,13 @@
 
 Three coefficient domains live here:
 
-  * Laurent polynomials and rational functions in the variable v, with
-    q available as the alias v^2.  The symbolic variable is v rather
-    than q because the multiplication twist can carry odd powers of v.
+  * QPolynomial: polynomials in q with rational coefficients, for the
+    counting formulas (automorphism orders, irreducible counts, Hall
+    polynomials) and their interpolation.
   * SqrtExt: the quadratic extension Q(sqrt(q0)) for a fixed prime
-    power q0, used when v is specialised to sqrt(q0).
+    power q0, where the twist variable v is specialised to sqrt(q0).
+    Odd powers of v only ever occur as such values (v_power,
+    quantum_factorial), never symbolically.
   * CycloSqrt: Q(zeta_p)(sqrt(q0)), used for additive-character values.
 
 Everything is immutable and exact; there is no floating point anywhere.
@@ -17,20 +19,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .report import UsageError
+
 __all__ = [
-    "LaurentPolyV",
-    "RationalFunctionV",
     "QPolynomial",
     "SqrtExt",
     "CycloSqrt",
-    "rf_arith",
-    "eval_v",
     "interpolate_q",
-    "quantum_integer",
     "quantum_factorial",
     "v_power",
-    "parse_rf",
-    "render_rf",
 ]
 
 
@@ -40,432 +37,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected rational scalar, got {type(x).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in v
-# ---------------------------------------------------------------------------
-
-class LaurentPolyV:
-    """Laurent polynomial in v with rational coefficients.
-
-    Stored as a map exponent -> nonzero Fraction; the empty map is zero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                c = _frac(c)
-                if c:
-                    clean[int(k)] = c
-        self.coeffs = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LaurentPolyV":
-        return LaurentPolyV()
-
-    @staticmethod
-    def one() -> "LaurentPolyV":
-        return LaurentPolyV({0: 1})
-
-    @staticmethod
-    def const(c) -> "LaurentPolyV":
-        return LaurentPolyV({0: _frac(c)})
-
-    @staticmethod
-    def v(k: int = 1) -> "LaurentPolyV":
-        """The monomial v^k."""
-        return LaurentPolyV({k: 1})
-
-    @staticmethod
-    def q(k: int = 1) -> "LaurentPolyV":
-        """The monomial q^k = v^(2k)."""
-        return LaurentPolyV({2 * k: 1})
-
-    # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def low(self) -> int:
-        return min(self.coeffs)
-
-    def high(self) -> int:
-        return max(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPolyV):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_lp(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = LaurentPolyV.__new__(LaurentPolyV)
-        res.coeffs = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = LaurentPolyV.__new__(LaurentPolyV)
-        res.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-_as_lp(other))
-
-    def __rsub__(self, other):
-        return _as_lp(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_lp(other)
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        res = LaurentPolyV.__new__(LaurentPolyV)
-        res.coeffs = out
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial; use RationalFunctionV")
-        result = LaurentPolyV.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift(self, k: int) -> "LaurentPolyV":
-        """Multiply by v^k."""
-        res = LaurentPolyV.__new__(LaurentPolyV)
-        res.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return res
-
-    # -- evaluation ---------------------------------------------------------
-
-    def eval_sqrt(self, q0: int) -> "SqrtExt":
-        """Evaluate at v = sqrt(q0), exactly."""
-        a = Fraction(0)
-        b = Fraction(0)
-        for k, c in self.coeffs.items():
-            if k % 2 == 0:
-                a += c * Fraction(q0) ** (k // 2)
-            else:
-                b += c * Fraction(q0) ** ((k - 1) // 2)
-        return SqrtExt(q0, a, b)
-
-    # -- rendering ----------------------------------------------------------
-
-    def render(self, var: str = "v") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[k]
-            if k == 0:
-                term = str(c) if c > 0 else f"-{-c}"
-            else:
-                mono = var if k == 1 else f"{var}^{k}"
-                if c == 1:
-                    term = mono
-                elif c == -1:
-                    term = f"-{mono}"
-                elif c > 0:
-                    term = f"{c}*{mono}"
-                else:
-                    term = f"-{-c}*{mono}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += term if term.startswith("-") else "+" + term
-        return out
-
-    def __repr__(self):
-        return f"LaurentPolyV({self.render()})"
-
-
-def _as_lp(x) -> LaurentPolyV:
-    if isinstance(x, LaurentPolyV):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPolyV.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPolyV")
-
-
-# -- dense polynomial helpers (internal, used for gcd and division) ---------
-
-def _to_dense(p: LaurentPolyV):
-    """Return (shift, dense Fraction list) with nonzero constant term."""
-    if p.is_zero():
-        return 0, []
-    lo, hi = p.low(), p.high()
-    dense = [p.coeffs.get(k, Fraction(0)) for k in range(lo, hi + 1)]
-    return lo, dense
-
-def _from_dense(shift: int, dense) -> LaurentPolyV:
-    return LaurentPolyV({shift + i: c for i, c in enumerate(dense) if c})
-
-def _dense_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-def _dense_mul_scalar(a, s):
-    return [c * s for c in a]
-
-def _int_primitive(a):
-    """Clear denominators and divide by integer content; a is a Fraction list."""
-    from math import gcd, lcm
-    if not a:
-        return []
-    denom = 1
-    for c in a:
-        denom = lcm(denom, c.denominator)
-    ints = [int(c * denom) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return []
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
-
-def _int_pseudo_rem(a, b):
-    """Pseudo-remainder of integer polynomial a by b (deg a >= deg b)."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        la = a[-1]
-        a = [c * lb for c in a]
-        for i in range(db + 1):
-            a[da - db + i] -= la * b[i]
-        _dense_trim(a)
-    return a
-
-def _poly_gcd_dense(a, b):
-    """gcd of two Fraction coefficient lists via the primitive PRS."""
-    a = _int_primitive(a)
-    b = _int_primitive(b)
-    if not a:
-        return [Fraction(c) for c in b]
-    if not b:
-        return [Fraction(c) for c in a]
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_pseudo_rem(a, b)
-        r = _int_primitive([Fraction(c) for c in r])
-        a, b = b, r
-    return [Fraction(c) for c in a]
-
-def _poly_divmod_dense(a, b):
-    """Exact division helpers over Q; returns (quotient, remainder)."""
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    lb = b[-1]
-    quot = [Fraction(0)] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        f = a[-1] / lb
-        quot[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] -= f * b[i]
-        _dense_trim(a)
-    return quot, a
-
-
-# ---------------------------------------------------------------------------
-# Rational functions in v
-# ---------------------------------------------------------------------------
-
-class RationalFunctionV:
-    """Quotient of Laurent polynomials in v, kept in a canonical form.
-
-    Canonical form: the denominator is an honest polynomial in v with
-    nonzero constant term equal to 1, and gcd(numerator, denominator)
-    is a unit.  Equality of canonical forms is therefore structural.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_lp(num)
-        den = LaurentPolyV.one() if den is None else _as_lp(den)
-        self.num, self.den = _rf_canon(num, den)
-
-    @staticmethod
-    def zero():
-        return RationalFunctionV(LaurentPolyV.zero())
-
-    @staticmethod
-    def one():
-        return RationalFunctionV(LaurentPolyV.one())
-
-    @staticmethod
-    def v(k: int = 1):
-        return RationalFunctionV(LaurentPolyV.v(k))
-
-    @staticmethod
-    def q(k: int = 1):
-        return RationalFunctionV(LaurentPolyV.q(k))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunctionV(LaurentPolyV.const(other))
-        if not isinstance(other, RationalFunctionV):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def cross_equal(self, other: "RationalFunctionV") -> bool:
-        """Equality by cross multiplication, independent of canonical form."""
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __add__(self, other):
-        other = _as_rf(other)
-        return RationalFunctionV(self.num * other.den + other.num * self.den,
-                                 self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = RationalFunctionV.__new__(RationalFunctionV)
-        res.num, res.den = -self.num, self.den
-        return res
-
-    def __sub__(self, other):
-        return self + (-_as_rf(other))
-
-    def __rsub__(self, other):
-        return _as_rf(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_rf(other)
-        return RationalFunctionV(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rf(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunctionV(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_rf(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RationalFunctionV.one() / (self ** (-n))
-        result = RationalFunctionV.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def eval_sqrt(self, q0: int) -> "SqrtExt":
-        den = self.den.eval_sqrt(q0)
-        if den.is_zero():
-            raise ZeroDivisionError(f"pole at v = sqrt({q0})")
-        return self.num.eval_sqrt(q0) / den
-
-    def render(self) -> str:
-        return render_rf(self)
-
-    def __repr__(self):
-        return f"RationalFunctionV({self.render()})"
-
-
-def _as_rf(x) -> RationalFunctionV:
-    if isinstance(x, RationalFunctionV):
-        return x
-    if isinstance(x, (int, Fraction, LaurentPolyV)):
-        return RationalFunctionV(_as_lp(x))
-    raise TypeError(f"cannot coerce {type(x).__name__} to RationalFunctionV")
-
-
-def _rf_canon(num: LaurentPolyV, den: LaurentPolyV):
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return LaurentPolyV.zero(), LaurentPolyV.one()
-    nshift, ndense = _to_dense(num)
-    dshift, ddense = _to_dense(den)
-    g = _poly_gcd_dense(ndense, ddense)
-    if len(g) > 1:
-        ndense, _ = _poly_divmod_dense(ndense, g)
-        ddense, _ = _poly_divmod_dense(ddense, g)
-    # scale so the denominator is monic (leading coefficient 1); it keeps a
-    # nonzero constant term, so equality of canonical forms is structural
-    c = ddense[-1]
-    ndense = _dense_mul_scalar(ndense, 1 / c)
-    ddense = _dense_mul_scalar(ddense, 1 / c)
-    return _from_dense(nshift - dshift, ndense), _from_dense(0, ddense)
-
-
-def rf_arith(a: RationalFunctionV, b: RationalFunctionV, op: str) -> RationalFunctionV:
-    """Apply one of {add, sub, mul, div} to two rational functions."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def eval_v(f: RationalFunctionV, q0: int) -> "SqrtExt":
-    """Specialise v to sqrt(q0); raises ZeroDivisionError at a pole."""
-    return _as_rf(f).eval_sqrt(q0)
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +153,30 @@ class QPolynomial:
             total += c * x ** k
         return total
 
-    def to_laurent_v(self) -> LaurentPolyV:
-        """Substitute q = v^2."""
-        return LaurentPolyV({2 * k: c for k, c in self.coeffs.items()})
-
     def render(self) -> str:
-        return LaurentPolyV({k: c for k, c in self.coeffs.items()}).render(var="q")
+        """Terms by descending exponent, e.g. '1/4*q^4-1/4*q^2' or '-q+1'."""
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k in sorted(self.coeffs, reverse=True):
+            c = self.coeffs[k]
+            if k == 0:
+                term = str(c) if c > 0 else f"-{-c}"
+            else:
+                mono = "q" if k == 1 else f"q^{k}"
+                if c == 1:
+                    term = mono
+                elif c == -1:
+                    term = f"-{mono}"
+                elif c > 0:
+                    term = f"{c}*{mono}"
+                else:
+                    term = f"-{-c}*{mono}"
+            parts.append(term)
+        out = parts[0]
+        for term in parts[1:]:
+            out += term if term.startswith("-") else "+" + term
+        return out
 
     def __repr__(self):
         return f"QPolynomial({self.render()})"
@@ -633,27 +222,6 @@ def interpolate_q(points, degree_bound: int) -> QPolynomial:
                 f"inconsistent sample at q={qi}: interpolant gives "
                 f"{poly.evaluate(qi)}, data says {vi}")
     return poly
-
-
-# ---------------------------------------------------------------------------
-# Quantum integers
-# ---------------------------------------------------------------------------
-
-def quantum_integer(s: int) -> LaurentPolyV:
-    """[s] = (v^s - v^-s)/(v - v^-1) = v^(s-1) + v^(s-3) + ... + v^(1-s)."""
-    if s < 0:
-        raise ValueError("quantum integer of a negative argument")
-    return LaurentPolyV({s - 1 - 2 * i: 1 for i in range(s)})
-
-
-def quantum_factorial(n: int) -> LaurentPolyV:
-    """[n]! = [1][2]...[n], with [0]! = 1."""
-    if n < 0:
-        raise ValueError("quantum factorial of a negative argument")
-    out = LaurentPolyV.one()
-    for s in range(1, n + 1):
-        out = out * quantum_integer(s)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +367,20 @@ def v_power(k: int, q0: int) -> SqrtExt:
     return SqrtExt(q0, 0, Fraction(q0) ** ((k - 1) // 2))
 
 
+def quantum_factorial(n: int, q0: int) -> SqrtExt:
+    """[n]! = [1][2]...[n] at v = sqrt(q0), with [0]! = 1 and the quantum
+    integer [s] = (v^s - v^-s)/(v - v^-1) = v^(s-1) + v^(s-3) + ... + v^(1-s)."""
+    if n < 0:
+        raise ValueError("quantum factorial of a negative argument")
+    out = SqrtExt.one(q0)
+    for s in range(1, n + 1):
+        qint = SqrtExt.zero(q0)
+        for i in range(s):
+            qint = qint + v_power(s - 1 - 2 * i, q0)
+        out = out * qint
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic-quadratic composite Q(zeta_p)(sqrt(q0))
 # ---------------------------------------------------------------------------
@@ -818,7 +400,7 @@ class CycloSqrt:
 
     def __init__(self, p: int, base: int, coords=None):
         if p < 2 or p > _CYCLO_PRIME_CAP:
-            raise ValueError(f"cyclotomic prime {p} out of supported range")
+            raise UsageError(f"cyclotomic prime {p} out of supported range")
         if coords is None:
             coords = [SqrtExt.zero(base)] * (p - 1)
         coords = tuple(
@@ -974,117 +556,3 @@ class CycloSqrt:
 
     def __repr__(self):
         return f"CycloSqrt({self.render()})"
-
-
-# ---------------------------------------------------------------------------
-# Canonical text rendering and parsing of symbolic values
-# ---------------------------------------------------------------------------
-
-def render_rf(f: RationalFunctionV) -> str:
-    """Canonical text form, e.g. '(v^2-1)^-1 * v^4'."""
-    if f.num.is_zero():
-        return "0"
-    num_str = f.num.render()
-    if f.den == LaurentPolyV.one():
-        return num_str
-    if len(f.num.coeffs) > 1:
-        num_str = f"({num_str})"
-    return f"({f.den.render()})^-1 * {num_str}"
-
-
-class _Tok:
-    def __init__(self, text):
-        self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*/()^":
-                self.toks.append(ch)
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            elif ch == "v" or ch == "q":
-                self.toks.append(ch)
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in symbolic value")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-
-def parse_rf(text: str) -> RationalFunctionV:
-    """Parse the canonical rendering back into a rational function."""
-    toks = _Tok(text)
-    value = _parse_sum(toks)
-    if toks.peek() is not None:
-        raise ValueError(f"trailing input {toks.peek()!r} in symbolic value")
-    return value
-
-
-def _parse_sum(toks):
-    sign = 1
-    if toks.peek() in ("+", "-"):
-        sign = -1 if toks.next() == "-" else 1
-    value = _parse_product(toks) * sign
-    while toks.peek() in ("+", "-"):
-        op = toks.next()
-        term = _parse_product(toks)
-        value = value + term if op == "+" else value - term
-    return value
-
-
-def _parse_product(toks):
-    value = _parse_power(toks)
-    while toks.peek() in ("*", "/"):
-        op = toks.next()
-        rhs = _parse_power(toks)
-        value = value * rhs if op == "*" else value / rhs
-    return value
-
-
-def _parse_power(toks):
-    base = _parse_atom(toks)
-    while toks.peek() == "^":
-        toks.next()
-        neg = False
-        if toks.peek() == "-":
-            toks.next()
-            neg = True
-        exp_tok = toks.next()
-        if exp_tok is None or not exp_tok.isdigit():
-            raise ValueError("expected integer exponent")
-        e = int(exp_tok)
-        base = base ** (-e if neg else e)
-    return base
-
-
-def _parse_atom(toks):
-    t = toks.next()
-    if t == "(":
-        value = _parse_sum(toks)
-        if toks.next() != ")":
-            raise ValueError("unbalanced parenthesis in symbolic value")
-        return value
-    if t == "v":
-        return RationalFunctionV.v()
-    if t == "q":
-        return RationalFunctionV.q()
-    if t is not None and t[0].isdigit():
-        if "/" in t:
-            a, b = t.split("/")
-            return RationalFunctionV(LaurentPolyV.const(Fraction(int(a), int(b))))
-        return RationalFunctionV(LaurentPolyV.const(int(t)))
-    raise ValueError(f"unexpected token {t!r} in symbolic value")

@@ -30,7 +30,7 @@ from .repengine import (
     get_brute_engine,
     kronecker_quiver,
 )
-from .report import InternalCheckError, VerificationReport, timed_report
+from .report import InternalCheckError, UsageError, VerificationReport, timed_report
 
 __all__ = [
     "ReversalSpec",
@@ -116,7 +116,7 @@ def _psi_factory(field: FieldSpec, q0: int, conjugate: bool):
     def psi(code: int) -> CycloSqrt:
         val = cache.get(code)
         if val is None:
-            t = gf.trace_to_prime(gf.FieldElem(field, code))
+            t = gf.trace_to_prime(field, code)
             val = CycloSqrt.zeta(p, q0, sign * t)
             cache[code] = val
         return val
@@ -279,7 +279,7 @@ def check_homomorphism(spec: ReversalSpec, q0: int, grade_pairs) -> Verification
 def gl_character_sum(n: int, q: int) -> CycloSqrt:
     """sum over X in GL_n(F_q) of psi(tr X), exactly."""
     if n > 3 or (n == 3 and q > 2) or q > 4:
-        raise ValueError("GL character sum outside the supported range")
+        raise UsageError("GL character sum outside the supported range")
     F = FieldSpec.from_order(q)
     psi = _psi_factory(F, q, conjugate=False)
     total = CycloSqrt.zero(F.p, q)
@@ -375,7 +375,7 @@ def verify_lemma62_route(n: int, q0: int) -> VerificationReport:
     """Evaluate the transformed difference primitive at the two extreme
     nilpotent classes of the 2-cycle and match the closed product formulas."""
     if not (1 <= n <= 2 and q0 in (2, 3)):
-        raise ValueError("parameters outside the verified range")
+        raise UsageError("parameters outside the verified range")
 
     def run():
         spec = kronecker_to_c2()
@@ -408,7 +408,7 @@ def verify_lemma62_route(n: int, q0: int) -> VerificationReport:
 def divided_power_check(n: int, q0: int) -> VerificationReport:
     """[n P1] = v^(-n(n-1)) / [n]! * [P1]^n in the A2 Hall algebra."""
     if not (1 <= n <= 3 and q0 in (2, 3)):
-        raise ValueError("parameters outside the verified range")
+        raise UsageError("parameters outside the verified range")
 
     def run():
         engine = get_brute_engine(a2_quiver(), q0)
@@ -416,7 +416,7 @@ def divided_power_check(n: int, q0: int) -> VerificationReport:
         power = p1
         for _ in range(n - 1):
             power = multiply(power, p1)
-        fact = quantum_factorial(n).eval_sqrt(q0)
+        fact = quantum_factorial(n, q0)
         scaled = power.scale(v_power(-n * (n - 1), q0) / fact)
         np1 = HallElement.basis(engine, engine.class_of_point(
             (gf.mat_identity(n),), (n, n)))

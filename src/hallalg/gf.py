@@ -1,4 +1,4 @@
-"""Finite fields GF(p^e) with exact arithmetic, traces and additive characters.
+"""Finite fields GF(p^e) with exact arithmetic and traces.
 
 Elements are coded as integers 0 .. p^e - 1: the code of an element with
 coefficient vector (c_0, ..., c_{e-1}) over GF(p) is c_0 + c_1*p + ...
@@ -13,17 +13,11 @@ representation engines need.
 
 from __future__ import annotations
 
-from .coeffring import CycloSqrt
-
 __all__ = [
     "FieldSpec",
-    "FieldElem",
-    "enumerate_field",
     "trace_to_prime",
-    "additive_character",
 ]
 
-_ENUM_CAP = 10 ** 4
 _TABLE_CAP = 64
 
 
@@ -258,67 +252,11 @@ class FieldSpec:
         return f"FieldSpec(GF({self.q}))"
 
 
-class FieldElem:
-    """A field element: a spec reference plus a coefficient code."""
-
-    __slots__ = ("spec", "code")
-
-    def __init__(self, spec: FieldSpec, code: int):
-        if not 0 <= code < spec.q:
-            raise ValueError(f"code {code} out of range for GF({spec.q})")
-        self.spec = spec
-        self.code = code
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElem) and self.spec == other.spec
-                and self.code == other.code)
-
-    def __hash__(self):
-        return hash((self.spec.q, self.code))
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.add(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.sub(self.code, other.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.mul(self.code, self.spec.inv(other.code)))
-
-    def __neg__(self):
-        return FieldElem(self.spec, self.spec.neg(self.code))
-
-    def _check(self, other):
-        if not isinstance(other, FieldElem) or other.spec != self.spec:
-            raise TypeError("field mismatch")
-
-    def render(self) -> str:
-        digits = ",".join(str(c) for c in self.spec.decode(self.code))
-        return f"GF({self.spec.q}):[{digits}]"
-
-    def __repr__(self):
-        return self.render()
-
-
-def enumerate_field(spec: FieldSpec):
-    """All p^e elements in deterministic base-p counting order."""
-    if spec.q > _ENUM_CAP:
-        raise ValueError(f"field of size {spec.q} exceeds the enumeration cap")
-    return [FieldElem(spec, code) for code in range(spec.q)]
-
-
-def trace_to_prime(x: FieldElem) -> int:
-    """Tr(x) = x + x^p + ... + x^(p^(e-1)), returned as an element of GF(p)."""
-    spec = x.spec
+def trace_to_prime(spec: FieldSpec, code: int) -> int:
+    """Tr(x) = x + x^p + ... + x^(p^(e-1)) of the element x with this code,
+    returned as an element of GF(p)."""
     total = 0
-    acc = x.code
+    acc = code
     for _ in range(spec.e):
         total = spec.add(total, acc)
         acc = spec.power(acc, spec.p)
@@ -326,15 +264,6 @@ def trace_to_prime(x: FieldElem) -> int:
     if any(vec[1:]):
         raise RuntimeError("trace landed outside the prime subfield")  # unreachable
     return vec[0]
-
-
-def additive_character(x: FieldElem, base: int) -> CycloSqrt:
-    """psi(x) = zeta_p^Tr(x), as an element of Q(zeta_p)(sqrt(base))."""
-    p_base, _ = _factor_prime_power(base)
-    if p_base != x.spec.p:
-        raise TypeError(
-            f"characteristic {x.spec.p} does not match cyclotomic prime of base {base}")
-    return CycloSqrt.zeta(x.spec.p, base, trace_to_prime(x))
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,9 @@ __all__ = [
     "TensorElement",
     "multiply",
     "comultiply",
-    "comultiply_restricted",
     "green_form",
     "tensor_green_form",
     "one_d",
-    "one_subset",
     "one_reg",
     "is_primitive",
     "primitive_subspace",
@@ -305,10 +303,6 @@ def comultiply(x: HallElement, predicate=None) -> TensorElement:
     return res
 
 
-def comultiply_restricted(x: HallElement, predicate) -> TensorElement:
-    return comultiply(x, predicate=predicate)
-
-
 def green_form(x: HallElement, y: HallElement):
     """{x, y} = sum over common support of x_M y_M / a_M."""
     if x.engine.engine_id != y.engine.engine_id:
@@ -337,10 +331,6 @@ def tensor_green_form(x: HallElement, y: HallElement, t: TensorElement):
 def one_d(engine, d) -> HallElement:
     """Sum of all classes of dimension vector d with coefficient 1."""
     return HallElement(engine, {c: 1 for c in engine.classes(d)})
-
-
-def one_subset(engine, d, predicate) -> HallElement:
-    return HallElement(engine, {c: 1 for c in engine.classes(d) if predicate(c)})
 
 
 def one_reg(engine, n: int) -> HallElement:

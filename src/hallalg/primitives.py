@@ -37,7 +37,7 @@ from .repengine import (
     kronecker_point_zero,
     kronecker_quiver,
 )
-from .report import InternalCheckError, VerificationReport, timed_report
+from .report import InternalCheckError, UsageError, VerificationReport, timed_report
 
 __all__ = [
     "PrimitiveSpec",
@@ -227,7 +227,7 @@ def _check_kron_cap(engine, n):
         raise ValueError("needs a Kronecker engine")
     cap = 3 if engine.q0 == 2 else 2
     if not 1 <= n <= cap:
-        raise ValueError(f"n={n} outside the supported range for q={engine.q0}")
+        raise UsageError(f"n={n} outside the supported range for q={engine.q0}")
 
 
 def kron_p0(engine: BruteForceEngine, n: int) -> HallElement:
@@ -378,7 +378,7 @@ def xi_partition_sum_value(n: int, q0) -> Fraction:
 def verify_xi_identity(n: int) -> VerificationReport:
     """Symbolic check of sum_{lambda |- n} prod(1-q^s)/a_lambda = 1/(q^n - 1)."""
     if not 1 <= n <= 12:
-        raise ValueError("n out of the supported range 1..12")
+        raise UsageError("n out of the supported range 1..12")
 
     def run():
         D, cofactors = _xi_common_denominator(n)
@@ -396,7 +396,7 @@ def verify_aut_sum_identities(n: int) -> VerificationReport:
     sum (prod(1-q^s))^2 / a_lambda = n/(q^n - 1) and
     sum 1/a_lambda = q^(n(n-1)/2) / prod_{i=1}^n (q^i - 1)."""
     if not 1 <= n <= 10:
-        raise ValueError("n out of the supported range 1..10")
+        raise UsageError("n out of the supported range 1..10")
 
     def run():
         D, cofactors = _xi_common_denominator(n)
@@ -421,7 +421,7 @@ def verify_key_pairing(r: int, n: int, q0: int) -> VerificationReport:
     """Green pairing of the normalized cyclic primitive against the full sum
     of classes at n*delta equals the partition sum, which equals 1/(q^n-1)."""
     if not (1 <= r <= 3 and 1 <= n <= 2 and q0 in (2, 3)):
-        raise ValueError("parameters outside the verified range")
+        raise UsageError("parameters outside the verified range")
 
     def run():
         engine = get_nilpotent_engine(r, q0)
@@ -440,7 +440,7 @@ def central_family_check(r: int, n: int, q0: int) -> VerificationReport:
     """The central elements commute with every simple and satisfy
     Delta(c_n) = sum_s c_s ox c_{n-s}."""
     if not (2 <= r <= 3 and 1 <= n <= 2 and q0 in (2, 3)):
-        raise ValueError("parameters outside the verified range")
+        raise UsageError("parameters outside the verified range")
 
     def run():
         engine = get_nilpotent_engine(r, q0)
@@ -474,7 +474,7 @@ def kernel_theorem_check(n: int, q0: int) -> VerificationReport:
     """Full primitive space at (n,n) = kernel of z -> {z, 1^reg} on the
     regular primitive space, with the expected dimensions."""
     if not (1 <= n <= 2 and q0 in (2, 3)) or (n == 2 and q0 != 2):
-        raise ValueError("parameters outside the verified range")
+        raise UsageError("parameters outside the verified range")
 
     def run():
         engine = get_brute_engine(kronecker_quiver(), q0)
@@ -518,7 +518,7 @@ def difference_basis_check(n: int, q0: int, anchor_index: int = 0) -> Verificati
     """The differences p_m(x) - p_t(y) over tubes with t*deg(y) = n form a
     basis of the full primitive space at (n, n)."""
     if not (1 <= n <= 2 and q0 in (2, 3)) or (n == 2 and q0 != 2):
-        raise ValueError("parameters outside the verified range")
+        raise UsageError("parameters outside the verified range")
 
     def run():
         engine = get_brute_engine(kronecker_quiver(), q0)

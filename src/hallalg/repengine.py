@@ -23,7 +23,7 @@ from . import gf
 from .coeffring import QPolynomial, interpolate_q
 from .gf import FieldSpec
 from .partitions import Partition
-from .report import InternalCheckError
+from .report import InternalCheckError, UsageError
 
 _SUBSPACE_CACHE: dict = {}
 _FIELD_TABLES: dict = {}
@@ -854,11 +854,11 @@ class BruteForceEngine:
         if d in self._grades:
             return self._grades[d]
         if sum(d) > BRUTE_TOTAL_DIM_CAP:
-            raise ValueError(
+            raise UsageError(
                 f"total dimension {sum(d)} exceeds the brute-force cap "
                 f"{BRUTE_TOTAL_DIM_CAP}")
         if self.q0 ** self._entry_count(d) > POINT_CAP:
-            raise ValueError("representation variety exceeds the point cap")
+            raise UsageError("representation variety exceeds the point cap")
         gens = self._generators(d)
         orbit_of = {}
         reps = []
@@ -1217,7 +1217,7 @@ def kronecker_regular_classes(engine: BruteForceEngine, n: int) -> list:
         raise ValueError("engine is not a Kronecker engine")
     cap = 3 if engine.q0 == 2 else 2
     if n > cap:
-        raise ValueError(f"regular classification capped at n={cap} for q={engine.q0}")
+        raise UsageError(f"regular classification capped at n={cap} for q={engine.q0}")
     return [c for c in engine.classes((n, n)) if is_regular_kronecker(engine, c)]
 
 
@@ -1257,7 +1257,7 @@ def hall_polynomial(r: int, L, M, N, degree_bound=None) -> QPolynomial:
         degree_bound = _hall_degree_bound(r, L, M, N)
     needed = degree_bound + 2
     if needed > len(_PRIME_POWERS):
-        raise ValueError("degree bound exceeds the sampling budget")
+        raise UsageError("degree bound exceeds the sampling budget")
     points = []
     for q0 in _PRIME_POWERS[:needed]:
         eng = NilpotentCyclicEngine(r, q0)

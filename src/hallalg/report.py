@@ -5,11 +5,18 @@ from __future__ import annotations
 import json
 import time
 
-__all__ = ["VerificationReport", "timed_report", "InternalCheckError"]
+__all__ = ["VerificationReport", "timed_report", "InternalCheckError", "UsageError"]
 
 
 class InternalCheckError(RuntimeError):
     """An internal consistency assertion failed; results cannot be trusted."""
+
+
+class UsageError(ValueError):
+    """A request the program does not take: input that does not parse, or
+    parameters outside a check's verified range or a documented cap.  It is
+    raised only where parameters are checked, never for a fault inside a
+    computation."""
 
 
 class VerificationReport:

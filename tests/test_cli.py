@@ -121,6 +121,33 @@ class TestHallPoly:
         assert out.strip() == "q+1"
 
 
+class TestPinnedSymbolicOutputs:
+    """Exact stdout of the commands that print polynomials in q."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["hallpoly", "--quiver", "c1", "--L", "(1,1)", "--M", "(1)", "--N", "(1)"],
+         "q+1\n"),
+        (["hallpoly", "--quiver", "c1", "--L", "(1,1,1)", "--M", "(1)", "--N", "(1,1)"],
+         "q^2+q+1\n"),
+        (["hallpoly", "--quiver", "cr:2", "--L", "2*S1[1]+2*S2[1]", "--M", "S1[1]+S2[1]",
+          "--N", "S1[1]+S2[1]"],
+         "q^2+2*q+1\n"),
+        (["hallpoly", "--quiver", "cr:2", "--L", "S1[2]+S2[1]", "--M", "S1[2]",
+          "--N", "S2[1]", "--format", "json"],
+         '{"L": "S1[2]+S2[1]", "M": "S1[2]", "N": "S2[1]", "polynomial": "q"}\n'),
+        (["hallnum", "--quiver", "c1", "--L", "(1,1,1)", "--M", "(1)", "--N", "(1,1)",
+          "--symbolic", "--format", "json"],
+         '{"polynomial": "q^2+q+1"}\n'),
+        (["element", "--family", "jordan_pn", "--n", "3", "--symbolic"],
+         '{"family": "jordan_pn", "n": 3, "terms": [{"class": "I[3]", "coeff": "1"}, '
+         '{"class": "I[2, 1]", "coeff": "-q+1"}, '
+         '{"class": "I[1, 1, 1]", "coeff": "q^3-q^2-q+1"}]}\n'),
+    ], ids=["hallpoly-c1", "hallpoly-c1-quadratic", "hallpoly-cr2", "hallpoly-cr2-json",
+            "hallnum-symbolic-json", "element-jordan-symbolic"])
+    def test_stdout(self, argv, expected):
+        assert run_cli(argv) == (0, expected)
+
+
 class TestPrimitive:
     def test_full_dimension(self):
         code, out = run_cli(["primitive", "--quiver", "k2", "--q", "2",
@@ -299,6 +326,109 @@ class TestCache:
         assert isoclasses("1,2", cache=True) == (0, expected)
         assert json.loads((tmp_path / "k2_q2_d1-2.json").read_text())["grade"] == [1, 2]
         assert sorted(os.listdir(tmp_path)) == ["k2_q2_d1-2.json", "k2_q2_d2-1.json"]
+
+
+class TestCacheEntryChecks:
+    """A warm run serves a cache file only if its Hall entries are well
+    formed; a well-formed but wrong count cannot be detected."""
+
+    ARGS = ["hallnum", "--quiver", "c1", "--q", "2", "--L", "(2,1)", "--M", "(1)", "--N", "(2)"]
+
+    def tampered_warm_run(self, tmp_path, extra):
+        args = self.ARGS + ["--cache-dir", str(tmp_path)]
+        assert run_cli(args) == (0, "2\n")
+        (path,) = tmp_path.iterdir()
+        data = json.loads(path.read_text())
+        (key,) = data["hall"]
+        data["hall"][key] = 5  # served as is unless the whole file is rejected
+        data["hall"].update(extra)
+        path.write_text(json.dumps(data))
+        result = run_cli(args)
+        return result, key, json.loads(path.read_text())["hall"]
+
+    def test_well_formed_wrong_count_is_served(self, tmp_path):
+        result, key, hall = self.tampered_warm_run(tmp_path, {})
+        assert result == (0, "5\n")
+
+    @pytest.mark.parametrize("value", [-1, True, False, 2.0, "2", None, [2]])
+    def test_non_count_value_is_rebuilt(self, tmp_path, value):
+        result, key, hall = self.tampered_warm_run(tmp_path, {"S1[3]|S1[1]|S1[2]": value})
+        assert result == (0, "2\n")
+        assert hall == {key: 2}
+
+    @pytest.mark.parametrize("bad_key", ["S1[1]|0|S1[1]", "S1[3]|S1[1]", "S1[3]|S1[1]|S1[2]|0",
+                                         "S1[3]|X|S1[2]", "S2[3]|0|S1[3]", "(2,1)|(1)|(2)"])
+    def test_key_not_naming_classes_of_the_grade_is_rebuilt(self, tmp_path, bad_key):
+        result, key, hall = self.tampered_warm_run(tmp_path, {bad_key: 1})
+        assert result == (0, "2\n")
+        assert hall == {key: 2}
+
+    def test_hall_entry_in_a_brute_force_file_is_rebuilt(self, tmp_path):
+        args = ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "1,1",
+                "--cache-dir", str(tmp_path), "--format", "json"]
+        code, cold = run_cli(args)
+        path = tmp_path / "k2_q2_d1-1.json"
+        data = json.loads(path.read_text())
+        data["classes"] = []
+        data["hall"] = {"S1[1]|0|S1[1]": 1}
+        path.write_text(json.dumps(data))
+        assert run_cli(args) == (code, cold) == (0, cold)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", [ValueError("deep fault"), ZeroDivisionError("deep fault"),
+                                     TypeError("deep fault"), RuntimeError("deep fault")],
+                             ids=["ValueError", "ZeroDivisionError", "TypeError", "RuntimeError"])
+    def test_error_inside_an_engine_exits_3(self, monkeypatch, capsys, exc):
+        from hallalg import repengine
+
+        def hall_number(self, *classes):
+            raise exc
+
+        monkeypatch.setattr(repengine.NilpotentCyclicEngine, "hall_number", hall_number)
+        code, out = run_cli(["hallnum", "--quiver", "c1", "--q", "2",
+                             "--L", "(1,1)", "--M", "(1)", "--N", "(1)"])
+        assert (code, out) == (3, "")
+        assert "deep fault" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["hallnum", "--quiver", "c1", "--q", "6", "--L", "(1,1)", "--M", "(1)", "--N", "(1)"],
+        ["isoclasses", "--quiver", "k2", "--q", "1", "--d", "1,1"],
+        ["verify", "pairing", "--r", "2", "--n", "1", "--q", "6"],
+        ["fourier", "--check", "a2", "--q", "10"],
+        ["element", "--family", "cyclic_pnr", "--q", "two"],
+    ], ids=["hallnum", "isoclasses", "verify", "fourier", "element"])
+    def test_q_not_a_prime_power_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "xi", "--n", "13"],
+        ["verify", "pairing", "--r", "4", "--n", "1", "--q", "2"],
+        ["verify", "central", "--r", "1", "--n", "1", "--q", "2"],
+        ["verify", "kernel", "--n", "2", "--q", "3"],
+        ["verify", "lemma-route", "--n", "3", "--q", "2"],
+        ["fourier", "--check", "divided", "--n", "4", "--q", "2"],
+        ["fourier", "--check", "divided", "--n", "1", "--q", "4"],
+        ["fourier", "--check", "lemma", "--n", "1", "--q", "5"],
+        ["fourier", "--check", "glsum", "--n", "3", "--q", "3"],
+        ["fourier", "--check", "a2", "--q", "11"],
+    ])
+    def test_cell_outside_its_verified_range_exits_2(self, argv):
+        assert run_cli(argv) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "5,5"],
+        ["hallnum", "--quiver", "c1", "--L", "(1,-1)", "--M", "(1)", "--N", "(1)"],
+        ["hallnum", "--quiver", "cr:2", "--L", "S3[1]", "--M", "0", "--N", "S3[1]"],
+        ["hallpoly", "--quiver", "c1", "--L", "(2,x)", "--M", "(1)", "--N", "(1)"],
+        ["element", "--family", "cyclic_cn", "--r", "1"],
+        ["element", "--family", "jordan_pn", "--n", "-1"],
+        ["element", "--family", "kron_pk2", "--n", "4", "--q", "2"],
+    ])
+    def test_request_past_a_parser_or_cap_exits_2(self, argv):
+        assert run_cli(argv) == (2, "")
 
 
 class TestFlags:

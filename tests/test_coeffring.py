@@ -5,109 +5,127 @@ import pytest
 
 from hallalg.coeffring import (
     CycloSqrt,
-    LaurentPolyV,
     QPolynomial,
-    RationalFunctionV,
     SqrtExt,
-    eval_v,
     interpolate_q,
-    parse_rf,
     quantum_factorial,
-    quantum_integer,
-    render_rf,
-    rf_arith,
     v_power,
 )
+from hallalg.partitions import Partition, a_lambda, phi_irreducible_count
+from hallalg.primitives import p_jordan_symbolic
 
-V = RationalFunctionV.v()
-Q = RationalFunctionV.q()
-ONE = RationalFunctionV.one()
+Q0S = (2, 3, 4, 5)
+
+
+def random_sqrtext(rng, q0):
+    return SqrtExt(q0, Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                   Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
 
 
 class TestRationalFunctionArithmetic:
+    """Identities of rational functions in v, checked as values at
+    v = sqrt(q0): Q(sqrt(q0)) is where every such value is computed."""
+
     def test_difference_of_squares(self):
-        assert rf_arith(V - V ** -1, V + V ** -1, "mul") == V ** 2 - V ** -2
+        for q0 in Q0S:
+            v, vi = v_power(1, q0), v_power(-1, q0)
+            assert (v - vi) * (v + vi) == v_power(2, q0) - v_power(-2, q0)
 
     def test_q_substitution(self):
-        # q^(rn)/(q^n - 1) at r=2, n=1 is v^4/(v^2 - 1)
-        f = Q ** 2 / (Q - 1)
-        assert f == V ** 4 / (V ** 2 - 1)
+        # q^2/(q-1) = v^4/(v^2-1)
+        for q0 in Q0S:
+            q = SqrtExt(q0, q0)
+            assert q ** 2 / (q - 1) == v_power(4, q0) / (v_power(2, q0) - 1)
+            assert q ** 2 / (q - 1) == Fraction(q0 * q0, q0 - 1)
 
     def test_pairing_sum_reduces(self):
-        # 1/(q-1) + 1/(q-1) - (q-1)/(q-1)^2 = 1/(q-1); hand expansion over the
-        # common denominator (q-1)^2 gives ((q-1)+(q-1)-(q-1))/(q-1)^2
-        lhs = rf_arith(rf_arith(ONE / (Q - 1), ONE / (Q - 1), "add"),
-                       (Q - 1) / ((Q - 1) * (Q - 1)), "sub")
-        assert lhs == ONE / (Q - 1)
+        # 1/(q-1) + 1/(q-1) - (q-1)/(q-1)^2 = 1/(q-1)
+        for q0 in Q0S:
+            q = v_power(2, q0)
+            lhs = 1 / (q - 1) + 1 / (q - 1) - (q - 1) / ((q - 1) * (q - 1))
+            assert lhs == 1 / (q - 1)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            rf_arith(ONE, RationalFunctionV.zero(), "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            rf_arith(ONE, ONE, "pow")
+            SqrtExt.one(2) / SqrtExt.zero(2)
+        with pytest.raises(ZeroDivisionError):
+            SqrtExt.zero(3).inverse()
 
     def test_canonical_equality_is_congruence(self):
-        a = (Q - 1) / (Q ** 2 - 1)
-        b = ONE / (Q + 1)
-        assert a == b
-        assert a + V == b + V
-        assert a * (Q + 1) == ONE
+        for q0 in Q0S:
+            q = v_power(2, q0)
+            a = (q - 1) / (q ** 2 - 1)
+            b = 1 / (q + 1)
+            assert a == b and hash(a) == hash(b)
+            assert a + v_power(1, q0) == b + v_power(1, q0)
+            assert a * (q + 1) == 1
 
     def test_canonical_vs_cross_multiplication_randomized(self):
         rng = random.Random(20240611)
-
-        def random_poly():
-            return LaurentPolyV({rng.randint(-4, 4): rng.randint(-3, 3)
-                                 for _ in range(rng.randint(1, 4))})
-
-        checked = 0
+        checked = equal = 0
         while checked < 200:
-            n1, d1 = random_poly(), random_poly()
-            n2, d2 = random_poly(), random_poly()
-            if d1.is_zero() or d2.is_zero():
+            q0 = rng.choice(Q0S)
+            a, b, c, d = (random_sqrtext(rng, q0) for _ in range(4))
+            if rng.random() < 0.5:
+                # scaling numerator and denominator together keeps the value
+                s = random_sqrtext(rng, q0)
+                c, d = a * s, b * s
+            if b.is_zero() or d.is_zero():
                 continue
-            f = RationalFunctionV(n1, d1)
-            g = RationalFunctionV(n2, d2)
-            assert (f == g) == f.cross_equal(g)
-            # scaling numerator and denominator together never changes the value
-            s = LaurentPolyV({rng.randint(-2, 2): rng.randint(1, 3)})
-            if not s.is_zero():
-                assert RationalFunctionV(n1 * s, d1 * s) == f
+            assert (a / b == c / d) == (a * d == c * b)
+            equal += a / b == c / d
             checked += 1
+        assert 50 < equal < 150
 
 
 class TestEvalV:
+    """Specialising v to sqrt(q0) with v_power."""
+
     def test_pure_q_value(self):
-        assert eval_v(V ** 2, 3) == SqrtExt(3, 3, 0)
+        assert v_power(2, 3) == SqrtExt(3, 3, 0)
 
     def test_twisted_quotient(self):
-        # v^(2rn-n)/(v^n - v^-n) at r=2, n=1: simplifies to v^4/(v^2-1) = 4 at q=2
-        f = V ** 3 / (V - V ** -1)
-        value = eval_v(f, 2)
+        # v^3/(v - v^-1) simplifies to v^4/(v^2-1), which is 4 at q=2
+        value = v_power(3, 2) / (v_power(1, 2) - v_power(-1, 2))
         assert value == SqrtExt(2, 4, 0)
-        assert eval_v(V ** 4 / (V ** 2 - 1), 2) == value
+        assert v_power(4, 2) / (v_power(2, 2) - 1) == value
 
     def test_perfect_square_folding(self):
-        assert eval_v(V ** -1, 4) == SqrtExt(4, Fraction(1, 2), 0)
+        assert v_power(-1, 4) == SqrtExt(4, Fraction(1, 2), 0)
+        assert v_power(3, 9).is_rational()
 
     def test_pole_detection(self):
-        with pytest.raises(ZeroDivisionError):
-            eval_v(ONE / (Q - 2), 2)
+        # 1/(q - q0) has a pole at v = sqrt(q0)
+        for q0 in Q0S:
+            with pytest.raises(ZeroDivisionError):
+                1 / (v_power(2, q0) - q0)
 
     def test_ring_homomorphism_randomized(self):
+        # evaluating Laurent polynomials in v at sqrt(q0), and polynomials in
+        # q at q0, respects sums and products
         rng = random.Random(7)
+
+        def laurent():
+            return {rng.randint(-3, 3): rng.randint(-2, 2) for _ in range(3)}
+
+        def at(f, q0):
+            total = SqrtExt.zero(q0)
+            for k, c in f.items():
+                total = total + c * v_power(k, q0)
+            return total
+
         for _ in range(60):
-            f = RationalFunctionV(
-                LaurentPolyV({rng.randint(-3, 3): rng.randint(-2, 2) for _ in range(3)}),
-                LaurentPolyV({0: 1, rng.randint(1, 3): rng.randint(1, 2)}))
-            g = RationalFunctionV(
-                LaurentPolyV({rng.randint(-3, 3): rng.randint(-2, 2) for _ in range(3)}),
-                LaurentPolyV({0: 2, rng.randint(1, 3): rng.randint(1, 2)}))
+            f, g = laurent(), laurent()
+            fg = {}
+            for k1, c1 in f.items():
+                for k2, c2 in g.items():
+                    fg[k1 + k2] = fg.get(k1 + k2, 0) + c1 * c2
+            qf = QPolynomial({k + 3: c for k, c in f.items()})
+            qg = QPolynomial({k + 3: c for k, c in g.items()})
             for q0 in (2, 3, 5):
-                assert eval_v(f * g, q0) == eval_v(f, q0) * eval_v(g, q0)
-                assert eval_v(f + g, q0) == eval_v(f, q0) + eval_v(g, q0)
+                assert at(fg, q0) == at(f, q0) * at(g, q0)
+                assert (qf * qg).evaluate(q0) == qf.evaluate(q0) * qg.evaluate(q0)
+                assert (qf + qg).evaluate(q0) == qf.evaluate(q0) + qg.evaluate(q0)
 
 
 class TestInterpolation:
@@ -132,24 +150,54 @@ class TestInterpolation:
             interpolate_q([(2, 3), (3, 4), (7, 999)], 1)
 
 
+def defining_product(n, q0):
+    """prod_{s=1..n} (v^s - v^-s)/(v - v^-1) at v = sqrt(q0)."""
+    out = SqrtExt.one(q0)
+    for s in range(1, n + 1):
+        out = out * (v_power(s, q0) - v_power(-s, q0)) / (v_power(1, q0) - v_power(-1, q0))
+    return out
+
+
 class TestQuantumFactorial:
     def test_base_cases(self):
-        assert quantum_factorial(0) == LaurentPolyV.one()
-        assert quantum_factorial(1) == LaurentPolyV.one()
+        for q0 in Q0S:
+            assert quantum_factorial(0, q0) == SqrtExt.one(q0)
+            assert quantum_factorial(1, q0) == SqrtExt.one(q0)
 
     def test_two(self):
-        assert quantum_factorial(2) == LaurentPolyV({1: 1, -1: 1})
+        for q0 in Q0S:
+            assert quantum_factorial(2, q0) == v_power(1, q0) + v_power(-1, q0)
 
     def test_three_against_defining_product(self):
-        # direct product of (v^s - v^-s)/(v - v^-1) for s = 1, 2, 3
-        expected = RationalFunctionV.one()
-        for s in (1, 2, 3):
-            expected = expected * ((V ** s - V ** -s) / (V - V ** -1))
-        assert RationalFunctionV(quantum_factorial(3)) == expected
+        for n in range(5):
+            for q0 in Q0S:
+                assert quantum_factorial(n, q0) == defining_product(n, q0)
 
     def test_quantum_integer(self):
-        assert quantum_integer(2) == LaurentPolyV({1: 1, -1: 1})
-        assert quantum_integer(3) == LaurentPolyV({2: 1, 0: 1, -2: 1})
+        # [s]!/[s-1]! = [s] = v^(s-1) + v^(s-3) + ... + v^(1-s)
+        for q0 in Q0S:
+            for s in range(1, 6):
+                qint = SqrtExt.zero(q0)
+                for i in range(s):
+                    qint = qint + v_power(s - 1 - 2 * i, q0)
+                assert quantum_factorial(s, q0) / quantum_factorial(s - 1, q0) == qint
+
+    @pytest.mark.parametrize("n,values", [
+        (2, ((0, Fraction(3, 2)), (0, Fraction(4, 3)), (Fraction(5, 2), 0), (0, Fraction(6, 5)))),
+        (3, ((0, Fraction(21, 4)), (0, Fraction(52, 9)), (Fraction(105, 8), 0),
+             (0, Fraction(186, 25)))),
+        (4, ((Fraction(315, 8), 0), (Fraction(2080, 27), 0), (Fraction(8925, 64), 0),
+             (Fraction(29016, 125), 0))),
+    ])
+    def test_pinned_values(self, n, values):
+        for q0, (a, b) in zip(Q0S, values):
+            got = quantum_factorial(n, q0)
+            assert (got.base, got.a, got.b) == (q0, a, b)
+            assert got == defining_product(n, q0)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            quantum_factorial(-1, 2)
 
 
 class TestSqrtExt:
@@ -217,23 +265,28 @@ class TestCycloSqrt:
 
 class TestRendering:
     def test_documented_form(self):
-        f = V ** 4 / (V ** 2 - 1)
-        assert render_rf(f) == "(v^2-1)^-1 * v^4"
+        assert QPolynomial({4: Fraction(1, 4), 2: Fraction(-1, 4)}).render() == "1/4*q^4-1/4*q^2"
+        assert QPolynomial({1: -1, 0: 1}).render() == "-q+1"
+        assert QPolynomial({0: Fraction(-3, 2)}).render() == "-3/2"
+        assert QPolynomial({2: 2, 1: -3}).render() == "2*q^2-3*q"
+        assert QPolynomial.zero().render() == "0"
+        assert repr(QPolynomial.q(2)) == "QPolynomial(q^2)"
 
-    def test_round_trip(self):
-        samples = [
-            V ** 4 / (V ** 2 - 1),
-            ONE / (Q - 1),
-            (V - V ** -1) * (V + V ** -1),
-            RationalFunctionV.zero(),
-            RationalFunctionV(LaurentPolyV({0: Fraction(3, 2), 2: -1})),
-            (Q ** 2 + Q + 1) / (Q ** 3 - 1),
-        ]
-        for f in samples:
-            assert parse_rf(render_rf(f)) == f
+    @pytest.mark.parametrize("parts,text", [
+        ((1,), "q-1"),
+        ((2,), "q^2-q"),
+        ((1, 1), "q^4-q^3-q^2+q"),
+        ((2, 1), "q^5-2*q^4+q^3"),
+        ((1, 1, 1), "q^9-q^8-q^7+q^5+q^4-q^3"),
+        ((3, 2, 1), "q^14-3*q^13+3*q^12-q^11"),
+    ])
+    def test_a_lambda_renders(self, parts, text):
+        assert a_lambda(Partition(parts)).render() == text
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_rf("v ++ 1")
-        with pytest.raises(ValueError):
-            parse_rf("w^2")
+    def test_fractional_coefficients(self):
+        assert phi_irreducible_count(4).render() == "1/4*q^4-1/4*q^2"
+        assert phi_irreducible_count(6).render() == "1/6*q^6-1/6*q^3-1/6*q^2+1/6*q"
+
+    def test_jordan_symbolic_coefficients(self):
+        assert [(lam.parts, poly.render()) for lam, poly in p_jordan_symbolic(3)] == [
+            ((3,), "1"), ((2, 1), "-q+1"), ((1, 1, 1), "q^3-q^2-q+1")]

@@ -11,14 +11,12 @@ from hallalg.hallcore import (
     associativity_check,
     coassociativity_check,
     comultiply,
-    comultiply_restricted,
     green_form,
     in_span,
     is_primitive,
     multiply,
     one_d,
     one_reg,
-    one_subset,
     primitive_subspace,
     rank_of_elements,
     tensor_green_form,
@@ -105,7 +103,7 @@ class TestComultiply:
 
     def test_restricted_to_all_is_full(self, k2):
         x = one_d(k2, (1, 1))
-        assert comultiply_restricted(x, lambda c: True) == comultiply(x)
+        assert comultiply(x, predicate=lambda c: True) == comultiply(x)
 
     def test_restricted_is_termwise_filter_on_regulars(self, k2):
         # regulars are extension closed, so restricting the full coproduct
@@ -116,7 +114,7 @@ class TestComultiply:
         filtered = TensorElement(k2, {
             (a, b): v for (a, b), v in full.terms.items()
             if (not sum(a.grade) or reg(a)) and (not sum(b.grade) or reg(b))})
-        assert comultiply_restricted(x, reg) == filtered
+        assert comultiply(x, predicate=reg) == filtered
 
 
 class TestGreenForm:
@@ -159,7 +157,8 @@ class TestDistinguishedElements:
         assert one_d(c2, (0, 0)) == HallElement.unit(c2)
 
     def test_one_subset(self, k2):
-        x = one_subset(k2, (1, 1), lambda c: is_regular_kronecker(k2, c))
+        x = HallElement(k2, {c: 1 for c in k2.classes((1, 1))
+                             if is_regular_kronecker(k2, c)})
         assert x == one_reg(k2, 1)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hallalg.coeffring import QPolynomial, v_power
 from hallalg.hallcore import (
     HallElement,
-    comultiply_restricted,
+    comultiply,
     green_form,
     is_primitive,
     multiply,
@@ -240,7 +240,7 @@ class TestKroneckerPrimitives:
         from hallalg.repengine import is_regular_kronecker
         reg = lambda c: is_regular_kronecker(engine, c)
         restricted = p.restrict(reg)
-        delta = comultiply_restricted(restricted, reg)
+        delta = comultiply(restricted, predicate=reg)
         zero = engine.zero_class()
         from hallalg.hallcore import TensorElement
         expected = {}
