@@ -83,6 +83,15 @@ def _parse_field_order(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not a prime power")
 
 
+def _positive(value, default: int, flag: str) -> int:
+    """A count flag: its default when absent, a UsageError when below 1."""
+    if value is None:
+        return default
+    if value < 1:
+        raise UsageError(f"{flag} must be positive")
+    return value
+
+
 def _parse_dimvec(text: str, nv: int):
     parts = text.replace("(", "").replace(")", "").split(",")
     try:
@@ -335,9 +344,9 @@ def cmd_element(args, out):
         tube_primitive, x_element,
     )
     family = args.family
-    n, m, deg = args.n or 1, args.m or 1, args.deg or 1
-    if min(n, m, deg) < 1:
-        raise UsageError("--n, --m and --deg must be positive")
+    n = _positive(args.n, 1, "--n")
+    m = _positive(args.m, 1, "--m")
+    deg = _positive(args.deg, 1, "--deg")
     if family == "jordan_pn":
         if args.symbolic:
             spec = PrimitiveSpec(family, n=n)
@@ -348,7 +357,7 @@ def cmd_element(args, out):
             return 0
         elt = p_jordan(get_nilpotent_engine(1, args.q), n)
     elif family in ("cyclic_cn", "cyclic_xn", "cyclic_pnr"):
-        r = args.r or 2
+        r = 2 if args.r is None else args.r
         if r < 2:
             raise UsageError("cyclic families need --r >= 2")
         PrimitiveSpec(family, r=r, n=n, q0=args.q)
@@ -414,14 +423,14 @@ def cmd_fourier(args, out):
         spec = kronecker_to_c2() if args.pair == "k2c2" else a2_reversal()
         rep = check_homomorphism(spec, q, pairs)
     elif check == "glsum":
-        n = args.n or 1
+        n = _positive(args.n, 1, "--n")
         value = gl_character_sum(n, q)
         out.write(json.dumps({"n": n, "q": q, "value": value.render()}) + "\n")
         return 0
     elif check == "divided":
-        rep = divided_power_check(args.n or 2, q)
+        rep = divided_power_check(_positive(args.n, 2, "--n"), q)
     elif check == "lemma":
-        rep = verify_lemma62_route(args.n or 1, q)
+        rep = verify_lemma62_route(_positive(args.n, 1, "--n"), q)
     elif check == "double":
         rep = double_transform_check(q)
     elif check == "prim":

@@ -17,7 +17,8 @@ Everything is immutable and exact; there is no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from functools import cache
+from math import gcd, isqrt
 
 from .report import UsageError
 
@@ -228,109 +229,164 @@ def interpolate_q(points, degree_bound: int) -> QPolynomial:
 # Quadratic extension Q(sqrt(q0))
 # ---------------------------------------------------------------------------
 
+@cache
+def _square_root(base: int) -> int:
+    """isqrt(base) if base is a perfect square, else 0; computed once per base."""
+    root = isqrt(base)
+    return root if root * root == base else 0
+
+
+def _reduced(base: int, a: int, b: int, den: int) -> "SqrtExt":
+    """The element (a + b*sqrt(base))/den for integers with den != 0.
+
+    One gcd brings (a, b, den) to lowest terms with den > 0.  The caller
+    keeps b = 0 when base is a perfect square; sums, products and
+    quotients of such elements do so by themselves.
+    """
+    g = gcd(a, b, den)
+    if den < 0:
+        g = -g
+    x = object.__new__(SqrtExt)
+    x.base = base
+    if g == 1:
+        x._a, x._b, x._den = a, b, den
+    else:
+        x._a, x._b, x._den = a // g, b // g, den // g
+    return x
+
+
 class SqrtExt:
     """Exact element a + b*sqrt(base) of Q(sqrt(base)) for a prime power base.
 
-    If base is a perfect square the root is folded into the rational
-    part, so b is always 0 in that case.
+    Stored as integers (a + b*sqrt(base))/den in lowest terms with den > 0,
+    so equal values have equal fields.  If base is a perfect square the
+    root is folded into the rational part, so b is always 0 in that case.
+    The properties a and b give the two coordinates as Fractions.
     """
 
-    __slots__ = ("base", "a", "b")
+    __slots__ = ("base", "_a", "_b", "_den")
 
     def __init__(self, base: int, a=0, b=0):
         a = _frac(a)
         b = _frac(b)
-        root = isqrt(base)
-        if root * root == base and b:
-            a += b * root
-            b = Fraction(0)
-        self.base = int(base)
-        self.a = a
-        self.b = b
+        base = int(base)
+        na = a.numerator * b.denominator
+        nb = b.numerator * a.denominator
+        root = _square_root(base)
+        if root and nb:
+            na += nb * root
+            nb = 0
+        den = a.denominator * b.denominator
+        g = gcd(na, nb, den)
+        self.base, self._a, self._b, self._den = base, na // g, nb // g, den // g
 
-    @staticmethod
-    def from_fraction(base: int, x) -> "SqrtExt":
-        return SqrtExt(base, _frac(x), 0)
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._den)
 
     @staticmethod
     def zero(base: int) -> "SqrtExt":
-        return SqrtExt(base, 0, 0)
+        return _reduced(int(base), 0, 0, 1)
 
     @staticmethod
     def one(base: int) -> "SqrtExt":
-        return SqrtExt(base, 1, 0)
+        return _reduced(int(base), 1, 0, 1)
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self._a and not self._b
 
     def is_rational(self) -> bool:
-        return not self.b
+        return not self._b
 
     def __bool__(self):
         return not self.is_zero()
 
-    def _coerce(self, other):
+    def _parts(self, other):
+        """(a, b, den) of other as an element of this field, or None."""
         if isinstance(other, SqrtExt):
             if other.base != self.base:
                 raise TypeError(
                     f"mixed sqrt bases {self.base} and {other.base}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return SqrtExt(self.base, other, 0)
+            return other._a, other._b, other._den
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return (not self._b and self._a == other.numerator
+                    and self._den == other.denominator)
         if not isinstance(other, SqrtExt):
             return NotImplemented
-        return (self.base == other.base and self.a == other.a
-                and self.b == other.b)
+        return (self.base == other.base and self._a == other._a
+                and self._b == other._b and self._den == other._den)
 
     def __hash__(self):
-        return hash((self.base, self.a, self.b))
+        return hash((self.base, self._a, self._b, self._den))
+
+    def _plus(self, a, b, den):
+        """self + (a + b*sqrt(base))/den."""
+        d = self._den
+        if d == den:
+            return _reduced(self.base, self._a + a, self._b + b, d)
+        return _reduced(self.base, self._a * den + a * d, self._b * den + b * d, d * den)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return SqrtExt(self.base, self.a + o.a, self.b + o.b)
+        return self._plus(*parts)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SqrtExt(self.base, -self.a, -self.b)
+        return _reduced(self.base, -self._a, -self._b, self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return SqrtExt(self.base, self.a - o.a, self.b - o.b)
+        a, b, den = parts
+        return self._plus(-a, -b, den)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _times(self, a, b, den):
+        """self * (a + b*sqrt(base))/den."""
+        s = self.base
+        return _reduced(s, self._a * a + self._b * b * s, self._a * b + self._b * a,
+                        self._den * den)
+
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return SqrtExt(self.base,
-                       self.a * o.a + self.b * o.b * self.base,
-                       self.a * o.b + self.b * o.a)
+        return self._times(*parts)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "SqrtExt":
-        norm = self.a * self.a - self.b * self.b * self.base
+    def _inverse_parts(self, a, b, den):
+        """1/((a + b*sqrt(base))/den) = den*(a - b*sqrt(base))/(a^2 - b^2*base)."""
+        norm = a * a - b * b * self.base
         if not norm:
             raise ZeroDivisionError("inverse of zero in Q(sqrt(q0))")
-        return SqrtExt(self.base, self.a / norm, -self.b / norm)
+        return den * a, -den * b, norm
+
+    def inverse(self) -> "SqrtExt":
+        return _reduced(self.base, *self._inverse_parts(self._a, self._b, self._den))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return self * o.inverse()
+        return self._times(*self._inverse_parts(*parts))
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -348,12 +404,13 @@ class SqrtExt:
         return result
 
     def render(self) -> str:
-        if not self.b:
-            return str(self.a)
-        if not self.a:
-            return f"{self.b}*sqrt({self.base})"
-        s = f"{self.a}+{self.b}*sqrt({self.base})" if self.b > 0 else \
-            f"{self.a}-{-self.b}*sqrt({self.base})"
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
+        if not a:
+            return f"{b}*sqrt({self.base})"
+        s = f"{a}+{b}*sqrt({self.base})" if b > 0 else \
+            f"{a}-{-b}*sqrt({self.base})"
         return s
 
     def __repr__(self):

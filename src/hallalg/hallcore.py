@@ -237,27 +237,56 @@ class TensorElement:
 # Structure maps
 # ---------------------------------------------------------------------------
 
+def _basis_product(engine, A: IsoClass, B: IsoClass) -> dict:
+    """L -> v^<dim A, dim B> F^L_{A,B} for basis classes A and B.
+
+    Memoized on the engine and read from engine.hall_number only.
+    """
+    key = (A, B)
+    table = engine._products.get(key)
+    if table is None:
+        twist = v_power(euler_form(engine.quiver, A.grade, B.grade), engine.q0)
+        table = {}
+        for L in engine.classes(add_dim(A.grade, B.grade)):
+            count = engine.hall_number(L, A, B)
+            if count:
+                table[L] = twist * count
+        engine._products[key] = table
+    return table
+
+
+def _basis_coproduct(engine, M: IsoClass) -> dict:
+    """(X, Y) -> v^<dim X, dim Y> F^M_{X,Y} a_X a_Y / a_M for a basis class M.
+
+    Memoized on the engine and read from engine.sub_table and aut_order
+    only, never from _basis_product, so adjointness stays a check.
+    """
+    table = engine._coproducts.get(M)
+    if table is None:
+        quiver, q0 = engine.quiver, engine.q0
+        aM = engine.aut_order(M)
+        table = {}
+        for (quot_key, sub_key), count in engine.sub_table(M).items():
+            X = engine.class_from_key(quot_key)
+            Y = engine.class_from_key(sub_key)
+            twist = v_power(euler_form(quiver, X.grade, Y.grade), q0)
+            table[(X, Y)] = twist * Fraction(
+                count * engine.aut_order(X) * engine.aut_order(Y), aM)
+        engine._coproducts[M] = table
+    return table
+
+
 def multiply(a: HallElement, b: HallElement) -> HallElement:
     """[M] . [N] = sum_L v^<dim M, dim N> F^L_{M,N} [L], extended bilinearly."""
     if a.engine.engine_id != b.engine.engine_id:
         raise ValueError("cannot multiply elements of different engines")
     engine = a.engine
-    quiver = engine.quiver
     out = {}
     for Ma, ca in a.terms.items():
         for Mb, cb in b.terms.items():
-            target = add_dim(Ma.grade, Mb.grade)
-            twist = v_power(euler_form(quiver, Ma.grade, Mb.grade), engine.q0)
-            base = ca * cb * twist
-            for L in engine.classes(target):
-                count = engine.hall_number(L, Ma, Mb)
-                if count:
-                    cur = out.get(L)
-                    s = base * count if cur is None else cur + base * count
-                    if s.is_zero():
-                        out.pop(L, None)
-                    else:
-                        out[L] = s
+            c = ca * cb
+            for L, coeff in _basis_product(engine, Ma, Mb).items():
+                _acc(out, L, c * coeff)
     res = HallElement.__new__(HallElement)
     res.engine = engine
     res.terms = out
@@ -274,29 +303,16 @@ def comultiply(x: HallElement, predicate=None) -> TensorElement:
     subcategory.
     """
     engine = x.engine
-    quiver = engine.quiver
     out = {}
     for M, c in x.terms.items():
-        aM = engine.aut_order(M)
-        for (quot_key, sub_key), count in engine.sub_table(M).items():
-            X = engine.class_from_key(quot_key)
-            Y = engine.class_from_key(sub_key)
+        for pair, coeff in _basis_coproduct(engine, M).items():
             if predicate is not None:
+                X, Y = pair
                 if sum(X.grade) and not predicate(X):
                     continue
                 if sum(Y.grade) and not predicate(Y):
                     continue
-            aX = engine.aut_order(X)
-            aY = engine.aut_order(Y)
-            twist = v_power(euler_form(quiver, X.grade, Y.grade), engine.q0)
-            coeff = c * twist * Fraction(count * aX * aY, aM)
-            pair = (X, Y)
-            cur = out.get(pair)
-            s = coeff if cur is None else cur + coeff
-            if s.is_zero():
-                out.pop(pair, None)
-            else:
-                out[pair] = s
+            _acc(out, pair, c * coeff)
     res = TensorElement.__new__(TensorElement)
     res.engine = engine
     res.terms = out
@@ -377,23 +393,14 @@ def primitive_subspace(engine, d, predicate=None) -> list:
         classes = [c for c in classes if predicate(c)]
     if not classes:
         return []
-    col_of = {c: j for j, c in enumerate(classes)}
-    quiver = engine.quiver
     q0 = engine.q0
     row_map = {}
     for j, M in enumerate(classes):
-        aM = engine.aut_order(M)
-        for (quot_key, sub_key), count in engine.sub_table(M).items():
-            X = engine.class_from_key(quot_key)
-            Y = engine.class_from_key(sub_key)
+        for (X, Y), coeff in _basis_coproduct(engine, M).items():
             if not sum(X.grade) or not sum(Y.grade):
                 continue
             if predicate is not None and not (predicate(X) and predicate(Y)):
                 continue
-            twist = v_power(euler_form(quiver, X.grade, Y.grade), q0)
-            aX = engine.aut_order(X)
-            aY = engine.aut_order(Y)
-            coeff = twist * Fraction(count * aX * aY, aM)
             key = (X.sort_key(), Y.sort_key())
             row = row_map.setdefault(key, [SqrtExt.zero(q0)] * len(classes))
             row[j] = row[j] + coeff
@@ -440,7 +447,12 @@ def rank_of_elements(elements) -> int:
 
 
 def adjointness_check(engine, total_dim_bound: int):
-    """Verify {xy, z} = {x ox y, Delta z} on all basis triples in range."""
+    """Verify {xy, z} = {x ox y, Delta z} on all basis triples in range.
+
+    This checks the twists and the automorphism factors, not the Hall
+    numbers: both sides read the same F^L_{M,N}, so a wrong submodule
+    table entry passes.  Associativity and coassociativity catch that.
+    """
 
     def run():
         checked = 0

@@ -486,6 +486,9 @@ class NilpotentCyclicEngine:
         self._classes = {}
         self._subtables = {}
         self._aut = {}
+        # basis products and coproducts, filled by hallcore
+        self._products = {}
+        self._coproducts = {}
 
     # -- classes -------------------------------------------------------------
 
@@ -728,6 +731,9 @@ class BruteForceEngine:
         self._grades = {}
         self._subtables = {}
         self._decomp = {}
+        # basis products and coproducts, filled by hallcore
+        self._products = {}
+        self._coproducts = {}
 
     # -- enumeration -----------------------------------------------------------
 

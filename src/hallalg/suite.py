@@ -283,9 +283,8 @@ def _run_basis(args):
 
 
 def _run_lemma_route(args):
-    n = args.get("n") or 1
-    q = args.get("q") or 2
-    return verify_lemma62_route(n, q)
+    n, q = args.get("n"), args.get("q")
+    return verify_lemma62_route(1 if n is None else n, 2 if q is None else q)
 
 
 CHECK_RUNNERS = {

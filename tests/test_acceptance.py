@@ -3,11 +3,21 @@
 Each test prints a single pass/fail line (visible with pytest -s or in
 the captured output on failure) and asserts the criterion's full stated
 parameter range.  `hallalg verify --all` drives the same cells.
+
+Each criterion's report, minus its timing, must also equal the record in
+golden/verify_all.json, the `verify --all --format json` lines without
+`elapsed_ms`; a change that alters any report field fails here.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from hallalg.suite import CRITERIA
+
+GOLDEN = {row["criterion"]: row for row in json.loads(
+    (Path(__file__).parent / "golden" / "verify_all.json").read_text())}
 
 
 def _run(number, name, fn):
@@ -16,6 +26,9 @@ def _run(number, name, fn):
            f"{'PASS' if report.passed else 'FAIL'} ({report.elapsed_ms} ms)"
     print(line)
     assert report.passed, f"{line}\n{report.to_json()}"
+    record = {"criterion": number, **report.to_dict()}
+    del record["elapsed_ms"]
+    assert record == GOLDEN[number]
 
 
 @pytest.mark.parametrize("number,name,fn", CRITERIA,

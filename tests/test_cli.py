@@ -430,6 +430,30 @@ class TestExitCodes:
     def test_request_past_a_parser_or_cap_exits_2(self, argv):
         assert run_cli(argv) == (2, "")
 
+    @pytest.mark.parametrize("argv", [
+        ["element", "--family", "jordan_pn", "--n", "0", "--symbolic"],
+        ["element", "--family", "kron_p0", "--n", "0"],
+        ["element", "--family", "tube_pm", "--m", "0"],
+        ["element", "--family", "tube_pm", "--deg", "0"],
+        ["element", "--family", "cyclic_pnr", "--r", "0"],
+        ["fourier", "--check", "glsum", "--n", "0", "--q", "2"],
+        ["fourier", "--check", "divided", "--n", "0", "--q", "2"],
+        ["fourier", "--check", "lemma", "--n", "0", "--q", "2"],
+        ["verify", "lemma-route", "--n", "0", "--q", "2"],
+    ])
+    def test_zero_count_flag_exits_2(self, argv, capsys):
+        """--n 0 is a usage error, not the default n = 1."""
+        assert run_cli(argv) == (2, "")
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["element", "--family", "jordan_pn", "--symbolic"],
+         '{"family": "jordan_pn", "n": 1, "terms": [{"class": "I[1]", "coeff": "1"}]}\n'),
+        (["fourier", "--check", "glsum", "--q", "2"], '{"n": 1, "q": 2, "value": "-1"}\n'),
+    ])
+    def test_absent_count_flag_takes_its_default(self, argv, expected):
+        assert run_cli(argv) == (0, expected)
+
 
 class TestFlags:
     @pytest.mark.parametrize("argv", [

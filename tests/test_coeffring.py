@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallalg.coeffring import (
     CycloSqrt,
@@ -228,6 +229,180 @@ class TestSqrtExt:
         assert v_power(2, 3) == SqrtExt(3, 3, 0)
         assert v_power(-1, 2) == SqrtExt(2, 0, Fraction(1, 2))
         assert v_power(3, 2) * v_power(-3, 2) == SqrtExt(2, 1, 0)
+
+
+# -- SqrtExt against a plain Fraction-pair reference ---------------------------
+
+SQUARE_ROOTS = {4: 2, 9: 3}
+BASES = (2, 3, 5, 7, 8, 4, 9)
+
+
+def ref(base, a, b):
+    """(a, b) of a + b*sqrt(base) as Fractions, the root folded in when base
+    is a perfect square."""
+    a, b = Fraction(a), Fraction(b)
+    if base in SQUARE_ROOTS:
+        return a + b * SQUARE_ROOTS[base], Fraction(0)
+    return a, b
+
+
+def ref_mul(base, x, y):
+    return ref(base, x[0] * y[0] + x[1] * y[1] * base, x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(base, x):
+    norm = x[0] * x[0] - x[1] * x[1] * base
+    return ref(base, x[0] / norm, -x[1] / norm)
+
+
+def coords(x):
+    return x.a, x.b
+
+
+_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+_bases = st.sampled_from(BASES)
+
+
+@st.composite
+def _elements(draw, count):
+    base = draw(_bases)
+    return base, [(draw(_fractions), draw(_fractions)) for _ in range(count)]
+
+
+def _scalars():
+    return st.one_of(st.integers(-40, 40), _fractions)
+
+
+class TestSqrtExtAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_elements(2))
+    def test_operations_match_reference(self, data):
+        base, [(a1, b1), (a2, b2)] = data
+        x, y = SqrtExt(base, a1, b1), SqrtExt(base, a2, b2)
+        rx, ry = ref(base, a1, b1), ref(base, a2, b2)
+        assert coords(x) == rx
+        assert coords(x + y) == ref(base, rx[0] + ry[0], rx[1] + ry[1])
+        assert coords(x - y) == ref(base, rx[0] - ry[0], rx[1] - ry[1])
+        assert coords(-x) == ref(base, -rx[0], -rx[1])
+        assert coords(x * y) == ref_mul(base, rx, ry)
+        if any(ry):
+            assert coords(y.inverse()) == ref_inverse(base, ry)
+            assert coords(x / y) == ref_mul(base, rx, ref_inverse(base, ry))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_elements(3))
+    def test_ring_axioms(self, data):
+        base, pairs = data
+        x, y, z = (SqrtExt(base, a, b) for a, b in pairs)
+        zero, one = SqrtExt.zero(base), SqrtExt.one(base)
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + zero == x and x * one == x and x * zero == zero
+        assert x + (-x) == zero and x - y == x + (-y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_elements(2), st.integers(-4, 4))
+    def test_inverse_division_and_powers(self, data, n):
+        base, [(a1, b1), (a2, b2)] = data
+        x, y = SqrtExt(base, a1, b1), SqrtExt(base, a2, b2)
+        one = SqrtExt.one(base)
+        if x:
+            assert x * x.inverse() == one
+            assert x.inverse().inverse() == x
+            assert (y / x) * x == y
+            power = one
+            for _ in range(abs(n)):
+                power = power * (x if n >= 0 else x.inverse())
+            assert x ** n == power
+        assert x ** 0 == one
+
+    @settings(max_examples=50, deadline=None)
+    @given(_elements(1), _scalars())
+    def test_zero_division(self, data, k):
+        base, [(a, b)] = data
+        x, zero = SqrtExt(base, a, b), SqrtExt.zero(base)
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+        with pytest.raises(ZeroDivisionError):
+            x / 0
+        with pytest.raises(ZeroDivisionError):
+            k / zero
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1
+
+    @settings(max_examples=150, deadline=None)
+    @given(_elements(1), _scalars())
+    def test_rational_coercion_on_both_sides(self, data, k):
+        base, [(a, b)] = data
+        x, kx = SqrtExt(base, a, b), SqrtExt(base, k, 0)
+        assert x + k == k + x == x + kx
+        assert x - k == x - kx and k - x == kx - x
+        assert x * k == k * x == x * kx
+        if k:
+            assert x / k == x / kx
+        if x:
+            assert k / x == kx / x
+        assert kx == k and kx == Fraction(k) and hash(kx) == hash(SqrtExt(base, Fraction(k)))
+        assert (x == k) == (coords(x) == (Fraction(k), 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_elements(3))
+    def test_equality_and_hash_agree(self, data):
+        base, pairs = data
+        x, y, z = (SqrtExt(base, a, b) for a, b in pairs)
+        if y:
+            # the same value reached two ways: reduced forms must coincide
+            w = (x * y) / y
+            assert w == x and hash(w) == hash(x)
+        assert (x + z) - z == x and hash((x + z) - z) == hash(x)
+        assert (x == y) == (coords(x) == coords(y))
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((4, 9)), st.lists(st.tuples(_fractions, _fractions),
+                                             min_size=2, max_size=2))
+    def test_perfect_square_base_stays_rational(self, base, pairs):
+        (a1, b1), (a2, b2) = pairs
+        x, y = SqrtExt(base, a1, b1), SqrtExt(base, a2, b2)
+        results = [x, y, x + y, x - y, x * y, -x, x ** 3, v_power(3, base), v_power(-1, base)]
+        if y:
+            results += [x / y, y.inverse()]
+        for r in results:
+            assert r.b == 0 and r.is_rational()
+
+    @pytest.mark.parametrize("args,text", [
+        ((2, 0, 0), "0"),
+        ((2, 3, 0), "3"),
+        ((2, Fraction(-3, 2), 0), "-3/2"),
+        ((2, 0, 1), "1*sqrt(2)"),
+        ((2, 0, Fraction(-1, 2)), "-1/2*sqrt(2)"),
+        ((3, 1, 1), "1+1*sqrt(3)"),
+        ((3, Fraction(1, 3), Fraction(-2, 5)), "1/3-2/5*sqrt(3)"),
+        ((5, Fraction(-7, 4), Fraction(3, 4)), "-7/4+3/4*sqrt(5)"),
+        ((4, 1, 1), "3"),
+        ((4, Fraction(1, 2), Fraction(-1, 3)), "-1/6"),
+        ((9, 0, Fraction(-1, 3)), "-1"),
+        ((7, -2, -1), "-2-1*sqrt(7)"),
+        ((8, Fraction(5, 6), Fraction(-5, 6)), "5/6-5/6*sqrt(8)"),
+    ])
+    def test_pinned_render(self, args, text):
+        x = SqrtExt(*args)
+        assert x.render() == text
+        assert repr(x) == f"SqrtExt({text})"
+
+    def test_pinned_derived_renders(self):
+        assert [v_power(k, q0).render() for k in (-3, -1, 0, 1, 2, 5) for q0 in (2, 3, 4)] == [
+            "1/4*sqrt(2)", "1/9*sqrt(3)", "1/8", "1/2*sqrt(2)", "1/3*sqrt(3)", "1/2",
+            "1", "1", "1", "1*sqrt(2)", "1*sqrt(3)", "2", "2", "3", "4",
+            "4*sqrt(2)", "9*sqrt(3)", "32"]
+        assert (SqrtExt(3, 1, 1) / SqrtExt(3, 2, -1)).render() == "5+3*sqrt(3)"
+        assert (CycloSqrt.zeta(3, 3, 1) * SqrtExt(3, Fraction(1, 2), 1)).to_json() == {
+            "a": ["0", "1/2"], "b": ["0", "1"]}
 
 
 class TestCycloSqrt:

@@ -7,6 +7,7 @@ from hallalg.coeffring import CycloSqrt, SqrtExt, v_power
 from hallalg.hallcore import (
     HallElement,
     TensorElement,
+    _grades_with_total,
     adjointness_check,
     associativity_check,
     coassociativity_check,
@@ -22,6 +23,8 @@ from hallalg.hallcore import (
     tensor_green_form,
 )
 from hallalg.repengine import (
+    BruteForceEngine,
+    NilpotentCyclicEngine,
     get_brute_engine,
     get_nilpotent_engine,
     is_regular_kronecker,
@@ -296,3 +299,91 @@ class TestJsonRendering:
             sorted(t["class"] for t in data["terms"])
         parsed = json.loads(x.to_json())
         assert parsed == data
+
+
+_FRESH_ENGINES = {
+    "C1": lambda: NilpotentCyclicEngine(1, 2),
+    "C2": lambda: NilpotentCyclicEngine(2, 2),
+    "K2": lambda: BruteForceEngine(kronecker_quiver(), 2),
+}
+
+
+def _classes_up_to(engine, bound):
+    return [c for t in range(bound + 1) for d in _grades_with_total(engine, t)
+            for c in engine.classes(d)]
+
+
+class TestMemoizedMaps:
+    """Basis products and coproducts are memoized per engine; a memo read
+    must give what the engine's first computation gave."""
+
+    @pytest.mark.parametrize("name", sorted(_FRESH_ENGINES))
+    def test_memo_reads_equal_first_computations(self, name):
+        first, memo = _FRESH_ENGINES[name](), _FRESH_ENGINES[name]()
+        bound = 4
+        classes = _classes_up_to(memo, bound)
+        pairs = [(A, B) for A in classes for B in classes
+                 if sum(A.grade) + sum(B.grade) <= bound]
+        for engine in (first, memo):
+            assert not engine._products and not engine._coproducts
+        # fill memo's tables, then read them back
+        for A, B in pairs:
+            multiply(HallElement.basis(memo, A), HallElement.basis(memo, B))
+        for M in classes:
+            comultiply(HallElement.basis(memo, M))
+        for A, B in pairs:
+            assert (A, B) not in first._products
+            expected = multiply(HallElement.basis(first, A), HallElement.basis(first, B))
+            assert (A, B) in memo._products
+            assert multiply(HallElement.basis(memo, A), HallElement.basis(memo, B)) == expected
+        for M in classes:
+            assert M not in first._coproducts
+            expected = comultiply(HallElement.basis(first, M))
+            assert M in memo._coproducts
+            assert comultiply(HallElement.basis(memo, M)) == expected
+
+    def test_results_do_not_alias_the_memo(self, c2):
+        x = HallElement.basis(c2, c2.simple(0))
+        y = HallElement.basis(c2, c2.simple(1))
+        prod, delta = multiply(x, y), comultiply(one_d(c2, (1, 1)))
+        expected_prod, expected_delta = dict(prod.terms), dict(delta.terms)
+        prod.terms.clear()
+        delta.terms.clear()
+        assert multiply(x, y).terms == expected_prod
+        assert comultiply(one_d(c2, (1, 1))).terms == expected_delta
+
+    def test_bilinear_extension(self, k2):
+        x = one_d(k2, (1, 1)).scale(v_power(1, 2)) + one_d(k2, (1, 0))
+        y = one_d(k2, (0, 1)) - HallElement.unit(k2).scale(3)
+        expected = HallElement.zero(k2)
+        for A, ca in x.terms.items():
+            for B, cb in y.terms.items():
+                expected = expected + multiply(HallElement.basis(k2, A),
+                                               HallElement.basis(k2, B)).scale(ca * cb)
+        assert multiply(x, y) == expected
+
+
+class TestChecksSeeACorruptTable:
+    """A wrong Hall number in one submodule table, planted in a fresh engine
+    before any product is taken, must fail associativity and
+    coassociativity.  Adjointness cannot see it: both of its sides read
+    the same F^L_{M,N}."""
+
+    @pytest.fixture(scope="class")
+    def corrupt(self):
+        engine = NilpotentCyclicEngine(2, 2)
+        L = engine.segment_class(0, 2)
+        key = (engine.simple(0).key, engine.simple(1).key)
+        table = engine.sub_table(L)
+        assert table[key] == 1
+        table[key] += 1
+        return engine
+
+    def test_associativity_fails(self, corrupt):
+        assert not associativity_check(corrupt, 4).passed
+
+    def test_coassociativity_fails(self, corrupt):
+        assert not coassociativity_check(corrupt, 4).passed
+
+    def test_adjointness_is_blind_to_it(self, corrupt):
+        assert adjointness_check(corrupt, 4).passed
