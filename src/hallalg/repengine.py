@@ -17,7 +17,8 @@ Dimension vectors are plain tuples.  All computations are exact.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 from . import gf
 from .coeffring import QPolynomial, interpolate_q
@@ -25,7 +26,9 @@ from .gf import FieldSpec
 from .partitions import Partition
 from .report import InternalCheckError, UsageError
 
+_VECTOR_CACHE: dict = {}
 _SUBSPACE_CACHE: dict = {}
+_POSITION_CACHE: dict = {}
 _FIELD_TABLES: dict = {}
 
 __all__ = [
@@ -53,6 +56,11 @@ __all__ = [
 ]
 
 BRUTE_TOTAL_DIM_CAP = 8
+# A nilpotent table over at most this many subspace tuples tests every
+# tuple: below it the product walk costs less than the T-walk's linear
+# algebra per submodule (0.6 against 0.9 ms a table over the 374
+# subspaces of F_2^5, 3.8 against 1.9 ms over the 2,664 of F_3^5).
+PRODUCT_WALK_TUPLES = 1000
 POINT_CAP = 10 ** 6
 END_ENUM_CAP = 2 ** 16
 
@@ -206,16 +214,18 @@ class IsoClass:
     """Engine-scoped canonical key for an isomorphism class.
 
     Nilpotent cyclic engines key classes by multisegment; brute-force
-    engines key them by (grade, orbit index).
+    engines key them by (grade, orbit index).  A class is never mutated,
+    so its hash is taken once.
     """
 
-    __slots__ = ("engine_id", "kind", "grade", "key")
+    __slots__ = ("engine_id", "kind", "grade", "key", "_hash")
 
     def __init__(self, engine_id: str, kind: str, grade: tuple, key):
         self.engine_id = engine_id
         self.kind = kind
         self.grade = grade
         self.key = key
+        self._hash = hash((engine_id, kind, grade, key))
 
     def __eq__(self, other):
         return (isinstance(other, IsoClass) and self.engine_id == other.engine_id
@@ -223,7 +233,7 @@ class IsoClass:
                 and self.key == other.key)
 
     def __hash__(self):
-        return hash((self.engine_id, self.kind, self.grade, self.key))
+        return self._hash
 
     def sort_key(self):
         return (self.grade, self.key)
@@ -248,53 +258,101 @@ class IsoClass:
 # Vectors of F^n are numbered by base-q codes, the first coordinate the
 # most significant digit, so code c is the c-th tuple of
 # product(range(q), repeat=n).  A table maps every tail code through
-# every arrow once and then tests a subspace tuple only on the images of
-# its basis codes.
+# every arrow once.  A subspace is handed around as the entry (basis,
+# codes, pivots, nonpivots) of its RREF basis, and a tuple of subspaces,
+# one per vertex, as a choice.  The position of a choice is its index in
+# the product of the per-vertex gf.subspaces lists (all dimensions, in
+# order); it fixes the order of a table's keys, whatever walk found it.
 
 def _field_tables(F: FieldSpec):
-    """(sub, mul): the q x q tables of a - b and a * b on field codes."""
+    """(add, sub, mul): the q x q tables of a + b, a - b and a * b on field codes."""
     tables = _FIELD_TABLES.get(F.q)
     if tables is None:
         codes = range(F.q)
-        tables = _FIELD_TABLES[F.q] = (
-            tuple(tuple(F.sub(a, b) for b in codes) for a in codes),
-            tuple(tuple(F.mul(a, b) for b in codes) for a in codes))
+        tables = _FIELD_TABLES[F.q] = tuple(
+            tuple(tuple(op(a, b) for b in codes) for a in codes)
+            for op in (F.add, F.sub, F.mul))
     return tables
 
 
-def _subspace_cache(F: FieldSpec, n: int):
-    """(vectors, leads, subspaces) of F^n, built once per (q, n).
+def _vector_cache(F: FieldSpec, n: int):
+    """(vectors, leads) of F^n, built once per (q, n).
 
     vectors[c] is the vector with code c and leads[c] the column of its
-    first nonzero entry (n for the zero vector).  subspaces lists every
-    subspace by dimension, in gf.subspaces order, as (basis, codes,
-    pivots, nonpivots): the RREF basis rows (the same tuple objects as
-    in vectors), their codes, and the pivot and non-pivot columns (one
-    shared pair of tuples per pivot set).
+    first nonzero entry (n for the zero vector).
     """
     key = (F.q, n)
+    cached = _VECTOR_CACHE.get(key)
+    if cached is None:
+        vectors = list(product(range(F.q), repeat=n))
+        leads = [next((j for j, x in enumerate(v) if x), n) for v in vectors]
+        cached = _VECTOR_CACHE[key] = (vectors, leads)
+    return cached
+
+
+def _code(q, row):
+    code = 0
+    for x in row:
+        code = code * q + x
+    return code
+
+
+def _position_table(q: int, n: int):
+    """(count, pivot_sets): the number of subspaces of F^n and, per pivot
+    tuple, (start, free, pivots, nonpivots).  start is the index of the
+    pivot set's first subspace in the gf.subspaces order, free the (row,
+    column) entries that gf.subspaces runs through, the last one fastest,
+    and pivots and nonpivots the tuples every entry with these pivots
+    shares."""
+    key = (q, n)
+    cached = _POSITION_CACHE.get(key)
+    if cached is None:
+        pivot_sets = {}
+        count = 0
+        for k in range(n + 1):
+            for pivots in combinations(range(n), k):
+                free = tuple((i, c) for i in range(k) for c in range(pivots[i] + 1, n)
+                             if c not in pivots)
+                pivot_sets[pivots] = (count, free, pivots,
+                                      tuple(c for c in range(n) if c not in pivots))
+                count += q ** len(free)
+        cached = _POSITION_CACHE[key] = (count, pivot_sets)
+    return cached
+
+
+def _entry(q, n, rows, codes, pivots):
+    """(index in the F^n subspace list, entry) of an RREF basis."""
+    start, free, pivots, nonpivots = _position_table(q, n)[1][pivots]
+    index = 0
+    for i, c in free:
+        index = index * q + rows[i][c]
+    return start + index, (rows, codes, pivots, nonpivots)
+
+
+def _subspace_cache(F: FieldSpec, n: int):
+    """Every subspace of F^n as an entry, by dimension in gf.subspaces
+    order, built once per (q, n); the basis rows are the same tuple
+    objects as in the vector list."""
+    key = (F.q, n)
     cached = _SUBSPACE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    vectors = list(product(range(F.q), repeat=n))
-    code_of = {v: c for c, v in enumerate(vectors)}
-    pivot_sets = {}
-    subspaces = []
-    for k in range(n + 1):
-        for basis in gf.subspaces(F, n, k):
-            codes = tuple(map(code_of.__getitem__, basis))
-            pivots = tuple(row.index(1) for row in basis)
-            if pivots not in pivot_sets:
-                pivot_sets[pivots] = (pivots, tuple(c for c in range(n) if c not in pivots))
-            subspaces.append((tuple(map(vectors.__getitem__, codes)), codes)
-                             + pivot_sets[pivots])
-    leads = [next((j for j, x in enumerate(v) if x), n) for v in vectors]
-    cached = _SUBSPACE_CACHE[key] = (vectors, leads, subspaces)
+    if cached is None:
+        vectors = _vector_cache(F, n)[0]
+        code_of = {v: c for c, v in enumerate(vectors)}
+        pivot_sets = _position_table(F.q, n)[1]
+        cached = _SUBSPACE_CACHE[key] = []
+        for k in range(n + 1):
+            for basis in gf.subspaces(F, n, k):
+                codes = tuple(map(code_of.__getitem__, basis))
+                pivots = tuple(row.index(1) for row in basis)
+                cached.append((tuple(map(vectors.__getitem__, codes)), codes)
+                              + pivot_sets[pivots][2:])
     return cached
 
 
 def _image_codes(F: FieldSpec, X, tail_vectors):
     """The code of X u for every tail vector u, indexed by the code of u."""
+    add, _, mul = _field_tables(F)
+    q = F.q
     out = []
     for u in tail_vectors:
         code = 0
@@ -302,8 +360,8 @@ def _image_codes(F: FieldSpec, X, tail_vectors):
             s = 0
             for a, x in zip(row, u):
                 if a and x:
-                    s = F.add(s, F.mul(a, x))
-            code = code * F.q + s
+                    s = add[s][mul[a][x]]
+            code = code * q + s
         out.append(code)
     return out
 
@@ -342,11 +400,11 @@ def _rows(cols, select):
 def _sub_quotient_point(arrows, vectors, images, choice, sub, mul):
     """Sub and quotient representations induced on a stable subspace tuple.
 
-    choice[i] is the (basis, codes, pivots, nonpivots) chosen at vertex i
-    and images[a][c] the code of arrow a's image of tail vector c.  The
-    coordinates of a vector of an RREF span are its pivot entries; the
-    quotient keeps the non-pivot coordinates of the residue.  Returns
-    (sub_mats, sub_dims, quot_mats, quot_dims).
+    choice[i] is the entry chosen at vertex i and images[a][c] the code
+    of arrow a's image of tail vector c.  The coordinates of a vector of
+    an RREF span are its pivot entries; the quotient keeps the non-pivot
+    coordinates of the residue.  Returns (sub_mats, sub_dims, quot_mats,
+    quot_dims).
     """
     q = len(sub)
     sub_mats = []
@@ -364,26 +422,182 @@ def _sub_quotient_point(arrows, vectors, images, choice, sub, mul):
             tuple(quot_mats), tuple(len(c[3]) for c in choice))
 
 
-def _submodule_table(F, quiver, mats, dims, classify):
-    """Count stable subspace tuples of a point by (quotient class, sub class).
+def _product_walk(F, quiver, dims, vectors, images):
+    """(position, choice) for every stable subspace tuple of a point.
 
-    classify(mats, dims) must return a hashable class key; it is called
-    once per distinct point.  The returned dict maps (quot_key, sub_key)
-    -> number of submodules, which is the Hall number F^L_{quot, sub}.
     Subspace tuples are walked in product order of the per-vertex lists,
     a vertex's choice being tested against every arrow whose ends are
-    both chosen, so keys are inserted in the order of the full product.
+    both chosen.
     """
-    sub, mul = _field_tables(F)
-    caches = [_subspace_cache(F, n) for n in dims]
-    vectors = [vs for vs, _, _ in caches]
-    images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
-    # the arrows tested when vertex i is chosen: (image, tail, head, head leads)
-    tests = [[(image, t, h, caches[h][1]) for image, (t, h) in zip(images, quiver.arrows)
+    _, sub, mul = _field_tables(F)
+    lists = [_subspace_cache(F, n) for n in dims]
+    leads = [_vector_cache(F, n)[1] for n in dims]
+    # the arrows tested when vertex i is chosen: (image, tail, head)
+    tests = [[(image, t, h) for image, (t, h) in zip(images, quiver.arrows)
               if max(t, h) == i] for i in range(quiver.nv)]
-    table = {}
-    classes = {}
     choice = [None] * quiver.nv
+
+    def walk(i, position):
+        if i == quiver.nv:
+            yield position, tuple(choice)
+            return
+        position *= len(lists[i])
+        for index, entry in enumerate(lists[i]):
+            choice[i] = entry
+            for image, t, h in tests[i]:
+                basis, _, pivots, _ = choice[h]
+                if not _stable(image, choice[t][1], vectors[h], leads[h],
+                               basis, pivots, sub, mul):
+                    break
+            else:
+                yield from walk(i + 1, position + index)
+
+    return walk(0, 0)
+
+
+def _nilpotent_walk(F, quiver, dims, vectors, images):
+    """(position, choice) for every submodule of a point of a quiver in
+    which each vertex has one outgoing arrow, the arrows acting
+    nilpotently.
+
+    With T the arrow maps, a graded subspace U is a submodule iff
+    T(U) is inside U.  So a submodule U of a submodule S lies between
+    V = T(U), a submodule of T(S), and P = T^-1(V) meet S; conversely
+    every graded U between them has T(U) inside V, so is a submodule,
+    and comes from this V iff T(U) = V.  The walk runs through the
+    submodules V of T(S) first (T(S) is smaller, as T is nilpotent), then
+    through the graded subspaces U/V of P/V, one F^m subspace list per
+    vertex with m = dim P_i/V_i, and keeps U when T(U) = V.  At vertex i,
+    with X the arrow to j, that says X maps U_i onto V_j modulo X(V_i),
+    so each vertex is filtered alone.  Every U visited is a submodule.
+    """
+    q = F.q
+    _, sub, mul = _field_tables(F)
+    ops = (F.inv, lambda a, b: mul[a][b], lambda a, b: sub[a][b])
+    nv = quiver.nv
+    out = [None] * nv
+    for a, (t, h) in enumerate(quiver.arrows):
+        out[t] = (a, h)
+    strides = [1] * nv
+    for i in range(nv - 2, -1, -1):
+        strides[i] = strides[i + 1] * _position_table(q, dims[i + 1])[0]
+
+    def reduce(rows, n):
+        """The RREF basis (tuples) and pivots of the span of rows in F^n."""
+        rows, pivots = gf.rref(rows, n, *ops)
+        return tuple(map(tuple, rows[:len(pivots)])), tuple(pivots)
+
+    def image(i, row):
+        a, h = out[i]
+        return vectors[h][images[a][_code(q, row)]]
+
+    def lifts(i, level, V, TV):
+        """(index, entry) for every U_i between V_i and P_i that X_i maps
+        onto V_j modulo X_i(V_i) = TV_j."""
+        n, (_, h) = dims[i], out[i]
+        kernel, section, image_pivots = level
+        V_rows, V_codes, V_pivots, _ = V[i]
+        if len(kernel) + len(V[h][0]) == len(V_rows):  # P_i = V_i, so U_i = V_i
+            yield _entry(q, n, V_rows, V_codes, V_pivots)
+            return
+        # P_i = ker X_i + a preimage of V_j; the coordinates of a vector
+        # of X_i(S_i) on its RREF basis are its entries in the pivot columns
+        P_rows = kernel + [vectors[i][c] for c in _image_codes(
+            F, section, [tuple(v[p] for p in image_pivots) for v in V[h][0]])]
+        # C: an RREF complement of V_i in P_i, zero in V_i's pivot columns
+        C_rows, C_pivots = reduce([_residue(p, V_rows, V_pivots, sub, mul) for p in P_rows], n)
+        m = len(C_rows)
+        # X_i C in V_j / TV_j, in coordinates: TV_j's pivots are among V_j's,
+        # and a vector of V_j that is zero in TV_j's is fixed by the rest
+        R_rows, _, R_pivots, _ = TV[h]
+        coords = [p for p in V[h][2] if p not in R_pivots]
+        e = len(coords)
+        candidates = enumerate(_subspace_cache(F, m))
+        if e:
+            Y = [_residue(image(i, c), R_rows, R_pivots, sub, mul) for c in C_rows]
+            to_e = _image_codes(F, tuple(tuple(y[p] for y in Y) for p in coords),
+                                _vector_cache(F, m)[0])
+            vectors_e = _vector_cache(F, e)[0]
+
+            def onto(W_codes):
+                images = [to_e[c] for c in W_codes if to_e[c]]
+                return len(images) >= e and (e == 1 or len(
+                    reduce([vectors_e[c] for c in images], e)[1]) == e)
+
+            candidates = (pair for pair in candidates if onto(pair[1][1]))
+        if not V_rows and m == n:  # C is the identity, so U = W
+            yield from candidates
+            return
+        lift = _image_codes(F, tuple(zip(*C_rows)), _vector_cache(F, m)[0])
+        for _, (_, W_codes, W_pivots, _) in candidates:
+            # W C is in RREF, with pivots in C's pivot columns and zeros in
+            # V_i's; clearing those columns from V_i's rows leaves them in
+            # RREF too
+            L_codes = [lift[c] for c in W_codes]
+            L_rows = [vectors[i][c] for c in L_codes]
+            L_pivots = [C_pivots[p] for p in W_pivots]
+            pairs = sorted(list(zip(L_pivots, L_codes))
+                           + [(p, _code(q, _residue(v, L_rows, L_pivots, sub, mul)))
+                              for p, v in zip(V_pivots, V_rows)])
+            codes = tuple(c for _, c in pairs)
+            yield _entry(q, n, tuple(vectors[i][c] for c in codes), codes,
+                         tuple(p for p, _ in pairs))
+
+    def submodules(S):
+        """(position, U, T(U)) for every submodule U of S, a tuple of
+        per-vertex (RREF rows, pivots) spanning a submodule."""
+        if not any(rows for rows, _ in S):
+            zero = tuple(_entry(q, n, (), (), ())[1] for n in dims)
+            yield 0, zero, zero
+            return
+        # per vertex: T(S) at the head, and ker X_i and a section of X_i on S_i
+        TS = [None] * nv
+        levels = [None] * nv
+        for i, (rows, _) in enumerate(S):
+            n_h = dims[out[i][1]]
+            k = len(rows)
+            red, pivots = gf.rref([image(i, s) + tuple(int(j == l) for l in range(k))
+                                   for j, s in enumerate(rows)], n_h, *ops)
+            pivots = tuple(pivots)
+            TS[out[i][1]] = (tuple(tuple(row[:n_h]) for row in red[:len(pivots)]), pivots)
+            lifted = [vectors[i][c] for c in _image_codes(
+                F, tuple(zip(*rows)), [row[n_h:] for row in red])]
+            levels[i] = (lifted[len(pivots):], tuple(zip(*lifted[:len(pivots)])), pivots)
+        if sum(len(p) for _, p in TS) == sum(len(p) for _, p in S):
+            raise InternalCheckError("point identification failed (non-nilpotent input?)")
+        for _, V, TV in submodules(tuple(TS)):
+            # the top vertex streams; the others' choices are listed
+            rest = [(0, ())]
+            for i in range(nv - 1, 0, -1):
+                rest = [(index * strides[i] + offset, (entry,) + tail)
+                        for index, entry in lifts(i, levels[i], V, TV)
+                        for offset, tail in rest]
+            for index, entry in lifts(0, levels[0], V, TV):
+                position = index * strides[0]
+                for offset, tail in rest:
+                    yield position + offset, (entry,) + tail, V
+
+    full = tuple((tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                  tuple(range(n))) for n in dims)
+    return ((position, U) for position, U, _ in submodules(full))
+
+
+def _submodule_table(F, quiver, mats, dims, classify, walk):
+    """Count the submodules of a point by (quotient class, sub class).
+
+    walk(F, quiver, dims, vectors, images) yields (position, choice) once
+    for every submodule.  classify(mats, dims) must return a hashable
+    class key; it is called once per distinct point.  The returned dict
+    maps (quot_key, sub_key) -> number of submodules, which is the Hall
+    number F^L_{quot, sub}, with keys ordered by the first position at
+    which they occur.
+    """
+    _, sub, mul = _field_tables(F)
+    vectors = [_vector_cache(F, n)[0] for n in dims]
+    images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
+    counts = {}
+    first = {}
+    classes = {}
 
     def class_key(point):
         key = classes.get(point)
@@ -391,25 +605,18 @@ def _submodule_table(F, quiver, mats, dims, classify):
             key = classes[point] = classify(*point)
         return key
 
-    def walk(i):
-        if i == quiver.nv:
-            sub_mats, sub_dims, quot_mats, quot_dims = _sub_quotient_point(
-                quiver.arrows, vectors, images, choice, sub, mul)
-            key = (class_key((quot_mats, quot_dims)), class_key((sub_mats, sub_dims)))
-            table[key] = table.get(key, 0) + 1
-            return
-        for entry in caches[i][2]:
-            choice[i] = entry
-            for image, t, h, leads in tests[i]:
-                basis, _, pivots, _ = choice[h]
-                if not _stable(image, choice[t][1], vectors[h], leads,
-                               basis, pivots, sub, mul):
-                    break
-            else:
-                walk(i + 1)
-
-    walk(0)
-    return table
+    for position, choice in walk(F, quiver, dims, vectors, images):
+        sub_mats, sub_dims, quot_mats, quot_dims = _sub_quotient_point(
+            quiver.arrows, vectors, images, choice, sub, mul)
+        key = (class_key((quot_mats, quot_dims)), class_key((sub_mats, sub_dims)))
+        if key in counts:
+            counts[key] += 1
+            if position < first[key]:
+                first[key] = position
+        else:
+            counts[key] = 1
+            first[key] = position
+    return {key: counts[key] for key in sorted(counts, key=first.__getitem__)}
 
 
 def _hom_space_basis(F, quiver, matsM, dimsM, matsN, dimsN):
@@ -576,15 +783,21 @@ class NilpotentCyclicEngine:
         total = sum(dims)
         if total == 0:
             return self.zero_class()
-        # rank[j][l] = rank of the composite of l arrows starting at vertex j
+        # rank[j][l] = rank of the composite of l arrows starting at vertex
+        # j: the dimension of its image, carried along as an RREF basis
+        # whose rows are mapped through one arrow at a time
         rank = [[0] * (total + 1) for _ in range(r)]
         for j in range(r):
-            M = gf.mat_identity(dims[j])
+            image = gf.mat_identity(dims[j])
             rank[j][0] = dims[j]
             for l in range(1, total + 1):
-                a_idx = (j + l - 1) % r
-                M = gf.mat_mul(F, mats[a_idx], M)
-                rank[j][l] = gf.mat_rank(F, M)
+                if not image:
+                    break
+                X = mats[(j + l - 1) % r]
+                rows, pivots = gf.rref(gf.mat_mul(F, image, tuple(zip(*X))), len(X),
+                                       F.inv, F.mul, F.sub)
+                image = rows[:len(pivots)]
+                rank[j][l] = len(pivots)
         entries = []
         for i in range(r):
             prev = None
@@ -663,9 +876,11 @@ class NilpotentCyclicEngine:
         if c.key in self._subtables:
             return self._subtables[c.key]
         mats, dims = self.rep_point(c)
+        tuples = prod(_position_table(self.q0, n)[0] for n in dims)
+        walk = _product_walk if tuples <= PRODUCT_WALK_TUPLES else _nilpotent_walk
         table = _submodule_table(
             self.field, self.quiver, mats, dims,
-            lambda m, d: self.class_of_point(m, d).key)
+            lambda m, d: self.class_of_point(m, d).key, walk)
         self._subtables[c.key] = table
         return table
 
@@ -1005,7 +1220,7 @@ class BruteForceEngine:
         mats, dims = self.rep_point(c)
         table = _submodule_table(
             self.field, self.quiver, mats, dims,
-            lambda m, d: (tuple(d), self.class_of_point(m, d).key))
+            lambda m, d: (tuple(d), self.class_of_point(m, d).key), _product_walk)
         self._subtables[key] = table
         return table
 

@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallalg.coeffring import interpolate_q
 from hallalg.partitions import Partition, partitions_of
@@ -416,6 +418,53 @@ class TestSubmoduleTableAgainstReference:
             assert list(engine.sub_table(c).items()) == list(expected.items()), c.render()
 
 
+class TestSubmoduleWalkOnRandomMultisegments:
+    """The nilpotent engine's tables against the reference walk over every
+    subspace tuple, on random classes of C1, C2 and C3: sub_table, which
+    walks small points by the product of subspace lists, and the walk
+    over T(U) run on the same point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_items_in_order(self, data):
+        from hallalg import repengine
+
+        r = data.draw(st.sampled_from((1, 2, 3)), label="r")
+        q0 = data.draw(st.sampled_from((2, 3, 4)), label="q")
+        budget = data.draw(st.integers(1, 5 if q0 == 2 else 4), label="dimension")
+        segments = []
+        while budget:
+            length = data.draw(st.integers(1, budget))
+            segments.append(((data.draw(st.integers(0, r - 1)), length), 1))
+            budget -= length
+        engine = NilpotentCyclicEngine(r, q0)
+        c = engine.make_class(segments)
+        mats, dims = engine.rep_point(c)
+        classify = lambda m, d: engine.class_of_point(m, d).key
+        expected = list(_reference_table(engine, mats, dims, classify).items())
+        assert list(engine.sub_table(c).items()) == expected, c.render()
+        walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
+                                            classify, repengine._nilpotent_walk)
+        assert list(walked.items()) == expected, c.render()
+
+    @pytest.mark.parametrize("r,q0,d", [(1, 3, (5,)), (1, 2, (6,)), (1, 4, (5,)),
+                                        (2, 2, (4, 3))])
+    def test_walks_agree_above_the_product_walk_size(self, r, q0, d):
+        from hallalg import repengine
+
+        engine = NilpotentCyclicEngine(r, q0)
+        classify = lambda m, dims: engine.class_of_point(m, dims).key
+        tuples = 1
+        for n in d:
+            tuples *= len(repengine._subspace_cache(engine.field, n))
+        assert tuples > repengine.PRODUCT_WALK_TUPLES
+        for c in engine.classes(d):
+            mats, dims = engine.rep_point(c)
+            walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
+                                                classify, repengine._product_walk)
+            assert list(engine.sub_table(c).items()) == list(walked.items()), c.render()
+
+
 class TestHomAndSocle:
     @pytest.mark.parametrize("r,q0", [(r, q) for r in (1, 2, 3) for q in (2, 3)])
     def test_hom_rule_matches_linear_solve(self, r, q0):
@@ -567,6 +616,18 @@ class TestHallPolynomial:
         engine = NilpotentCyclicEngine(2, 5)
         assert poly.evaluate(5) == engine.hall_number(
             engine.class_from_key(L), engine.class_from_key(M), engine.class_from_key(N))
+
+    def test_jordan_321_triple(self):
+        L = (((0, 1), 1), ((0, 2), 1), ((0, 3), 1))
+        M = N = (((0, 1), 1), ((0, 2), 1))
+        assert hall_polynomial(1, L, M, N).render() == "2*q^2+q-1"
+
+    @pytest.mark.parametrize("q0,count", [(4, 35), (5, 54)])
+    def test_jordan_321_counts(self, q0, count):
+        engine = NilpotentCyclicEngine(1, q0)
+        L = engine.make_class((((0, 1), 1), ((0, 2), 1), ((0, 3), 1)))
+        M = engine.make_class((((0, 1), 1), ((0, 2), 1)))
+        assert engine.hall_number(L, M, M) == count
 
     def test_evaluates_to_hall_numbers(self):
         L, M, N = (((0, 2), 1), ((0, 1), 1)), (((0, 1), 1),), (((0, 2), 1),)
