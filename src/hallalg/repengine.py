@@ -520,9 +520,9 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
             vectors_e = _vector_cache(F, e)[0]
 
             def onto(W_codes):
-                images = [to_e[c] for c in W_codes if to_e[c]]
-                return len(images) >= e and (e == 1 or len(
-                    reduce([vectors_e[c] for c in images], e)[1]) == e)
+                hits = [to_e[c] for c in W_codes if to_e[c]]
+                return len(hits) >= e and (e == 1 or len(
+                    reduce([vectors_e[c] for c in hits], e)[1]) == e)
 
             candidates = (pair for pair in candidates if onto(pair[1][1]))
         if not V_rows and m == n:  # C is the identity, so U = W
