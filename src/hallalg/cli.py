@@ -446,6 +446,8 @@ def cmd_fourier(args, out):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    """The command-line parser.  Each subcommand's fn default is the name of
+    its cmd_* function, which main looks up only when the command runs."""
     p = argparse.ArgumentParser(
         prog="hallalg",
         description="Exact Hall-algebra computations for cyclic and Kronecker "
@@ -465,7 +467,7 @@ def build_parser():
     sp = sub.add_parser("isoclasses", help="list isoclasses at a dimension vector")
     common(sp, cache=True)
     sp.add_argument("--d", required=True, help="dimension vector, e.g. 1,1")
-    sp.set_defaults(fn=cmd_isoclasses)
+    sp.set_defaults(fn="cmd_isoclasses")
 
     sp = sub.add_parser("hallnum", help="one exact Hall number")
     common(sp, cache=True)
@@ -474,21 +476,21 @@ def build_parser():
     sp.add_argument("--N", required=True)
     sp.add_argument("--symbolic", action="store_true",
                     help="interpolate the Hall polynomial instead")
-    sp.set_defaults(fn=cmd_hallnum)
+    sp.set_defaults(fn="cmd_hallnum")
 
     sp = sub.add_parser("hallpoly", help="Hall polynomial by interpolation")
     common(sp)
     sp.add_argument("--L", required=True)
     sp.add_argument("--M", required=True)
     sp.add_argument("--N", required=True)
-    sp.set_defaults(fn=cmd_hallpoly)
+    sp.set_defaults(fn="cmd_hallpoly")
 
     sp = sub.add_parser("primitive", help="basis of the primitive subspace")
     common(sp)
     sp.add_argument("--d", required=True)
     sp.add_argument("--reg", action="store_true",
                     help="restrict to regular classes (k2 only)")
-    sp.set_defaults(fn=cmd_primitive)
+    sp.set_defaults(fn="cmd_primitive")
 
     sp = sub.add_parser("element", help="construct one named primitive element")
     sp.add_argument("--family", required=True,
@@ -502,7 +504,7 @@ def build_parser():
     sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--symbolic", action="store_true")
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.set_defaults(fn=cmd_element)
+    sp.set_defaults(fn="cmd_element")
 
     sp = sub.add_parser("verify", help="run verification checks")
     sp.add_argument("check", nargs="?", default=None)
@@ -511,7 +513,7 @@ def build_parser():
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--q", type=_parse_field_order, default=None)
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.set_defaults(fn=cmd_verify)
+    sp.set_defaults(fn="cmd_verify")
 
     sp = sub.add_parser("fourier", help="Fourier-transform checks")
     sp.add_argument("--check", default="a2",
@@ -520,17 +522,27 @@ def build_parser():
     sp.add_argument("--q", type=_parse_field_order, default=2)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.set_defaults(fn=cmd_fourier)
+    sp.set_defaults(fn="cmd_fourier")
 
     return p
 
 
+_PARSER = None
+
+
+def _parser():
+    """The argument parser, built on the first call and reused after."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args, out)
+        return globals()[args.fn](args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from types import MappingProxyType
 
 from .report import UsageError
 
@@ -45,72 +46,90 @@ def _frac(x) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class QPolynomial:
-    """Polynomial in q with rational coefficients (for counting formulas)."""
+    """Polynomial in q with rational coefficients (for counting formulas).
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators {exponent: int} over one positive
+    denominator, in lowest terms (the gcd of the denominator and every
+    numerator is 1), so equal polynomials have equal fields and a product
+    of integer polynomials is a plain integer convolution.  The property
+    coeffs gives a read-only {exponent: int | Fraction} view.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=None):
-        clean = {}
+        fracs = {}
         if coeffs:
             for k, c in coeffs.items():
                 c = _frac(c)
                 if c:
                     if k < 0:
                         raise ValueError("QPolynomial does not allow negative exponents")
-                    clean[int(k)] = c
-        self.coeffs = clean
+                    fracs[int(k)] = c
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
+        self._den = den
+
+    @property
+    def coeffs(self):
+        if self._den == 1:
+            return MappingProxyType(self._num)
+        den = self._den
+        return MappingProxyType({k: Fraction(c, den) for k, c in self._num.items()})
 
     @staticmethod
     def zero():
-        return QPolynomial()
+        return _qp({}, 1)
 
     @staticmethod
     def one():
-        return QPolynomial({0: 1})
+        return _qp({0: 1}, 1)
 
     @staticmethod
     def const(c):
-        return QPolynomial({0: _frac(c)})
+        return QPolynomial({0: c})
 
     @staticmethod
     def q(k: int = 1):
         return QPolynomial({k: 1})
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._num
 
     def degree(self):
-        return max(self.coeffs) if self.coeffs else -1
+        return max(self._num) if self._num else -1
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QPolynomial.const(other)
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
         other = _as_qp(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            out = dict(self._num)
+            items = other._num.items()
+        else:
+            out = {k: c * d2 for k, c in self._num.items()}
+            items = ((k, c * d1) for k, c in other._num.items())
+        for k, c in items:
+            s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
-        res = QPolynomial.__new__(QPolynomial)
-        res.coeffs = out
-        return res
+                del out[k]
+        return _qp(out, d1 if d1 == d2 else d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = QPolynomial.__new__(QPolynomial)
-        res.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return res
+        return _qp({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-_as_qp(other))
@@ -121,17 +140,12 @@ class QPolynomial:
     def __mul__(self, other):
         other = _as_qp(other)
         out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
+        get = out.get
+        for k2, c2 in other._num.items():
+            for k1, c1 in self._num.items():
                 k = k1 + k2
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        res = QPolynomial.__new__(QPolynomial)
-        res.coeffs = out
-        return res
+                out[k] = get(k, 0) + c1 * c2
+        return _qp({k: c for k, c in out.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -148,19 +162,20 @@ class QPolynomial:
         return result
 
     def evaluate(self, q0) -> Fraction:
-        total = Fraction(0)
         x = Fraction(q0)
-        for k, c in self.coeffs.items():
-            total += c * x ** k
-        return total
+        if x.denominator == 1:
+            x = x.numerator
+            return Fraction(sum(c * x ** k for k, c in self._num.items()), self._den)
+        return sum((c * x ** k for k, c in self._num.items()), Fraction(0)) / self._den
 
     def render(self) -> str:
         """Terms by descending exponent, e.g. '1/4*q^4-1/4*q^2' or '-q+1'."""
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[k]
+        for k in sorted(coeffs, reverse=True):
+            c = coeffs[k]
             if k == 0:
                 term = str(c) if c > 0 else f"-{-c}"
             else:
@@ -181,6 +196,23 @@ class QPolynomial:
 
     def __repr__(self):
         return f"QPolynomial({self.render()})"
+
+
+def _qp(num: dict, den: int) -> QPolynomial:
+    """The polynomial num/den from nonzero integer numerators and den > 0.
+
+    One gcd over den and the numerators brings it to lowest terms; an
+    integer polynomial (den == 1) skips it.
+    """
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    x = object.__new__(QPolynomial)
+    x._num = num
+    x._den = den
+    return x
 
 
 def _as_qp(x) -> QPolynomial:
@@ -559,6 +591,8 @@ class CycloSqrt:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, SqrtExt)):  # scales each coordinate
+            return CycloSqrt(self.p, self.base, [c * other for c in self.coords])
         o = self._coerce(other)
         if o is None:
             return NotImplemented

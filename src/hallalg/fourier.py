@@ -132,57 +132,76 @@ def _iter_matrices(q: int, rows: int, cols: int):
         yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
 
 
-def _pairing_code(F: FieldSpec, y_mats, yp_mats):
-    """sum of tr(C D) over the reversed arrows, as sum_{i,j} C[i][j] D[j][i]."""
-    s = 0
-    for C, D in zip(y_mats, yp_mats):
-        for i, row in enumerate(C):
-            for j, c in enumerate(row):
-                d = D[j][i]
-                if c and d:
-                    s = F.add(s, F.mul(c, d))
-    return s
-
-
 def transform_value_at_point(f: HallElement, spec: ReversalSpec,
                              src_engine: BruteForceEngine, point, grade,
                              conjugate: bool = False) -> CycloSqrt:
-    """Value of the transformed function at one explicit target point."""
+    """Value of the transformed function at one explicit target point.
+
+    The fiber over the point's fixed entries x is walked on flat code
+    tuples: each y of product(range(q), repeat=dim Y) is written into the
+    y slots of one template, and the pairing sum_E tr(C D) is a dot
+    product of y with weights read once from y'.  Coefficients are summed
+    per pairing code c first, so the value is sum_c psi(c) S_c.
+    """
     F = src_engine.field
     q0 = src_engine.q0
-    rev = spec.reversed_indices
-    rev_set = set(rev)
+    rev_set = set(spec.reversed_indices)
+    arrows = spec.source.arrows
     d = tuple(grade)
-    dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(spec.source.arrows)
-                if i in rev_set)
+    dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(arrows) if i in rev_set)
     if q0 ** dim_y > _FIBER_CAP:
         raise ValueError("fiber too large for the transform")
-    psi = _psi_factory(F, q0, conjugate)
-    data = src_engine.grade_data(d)
-    coeff_of_orbit = {cls.key: coeff for cls, coeff in f.terms.items()}
-    zero = CycloSqrt.zero(F.p, q0)
+    if len(point) != len(arrows):
+        raise ValueError("point does not belong to the target variety")
 
-    x_parts = {i: point[i] for i in range(len(spec.source.arrows)) if i not in rev_set}
-    yp_mats = [point[i] for i in rev]
-    y_shapes = [(d[h], d[t]) for i, (t, h) in enumerate(spec.source.arrows)
-                if i in rev_set]
-    total = zero
-    for y_choice in product(*[_iter_matrices(q0, r, c) for (r, c) in y_shapes]):
-        src_point = []
-        yi = 0
-        for i in range(len(spec.source.arrows)):
-            if i in rev_set:
-                src_point.append(y_choice[yi])
-                yi += 1
-            else:
-                src_point.append(x_parts[i])
-        orbit = data.orbit_of.get(src_engine._flatten(src_point, d))
+    # template of the source point, the y slots as runs, and y' weights
+    template = []
+    runs = []
+    weights = []
+    for i, ((t, h), X) in enumerate(zip(arrows, point)):
+        rows, cols = d[h], d[t]
+        reversed_arrow = i in rev_set
+        shape = (cols, rows) if reversed_arrow else (rows, cols)
+        if len(X) != shape[0] or any(len(row) != shape[1] for row in X):
+            raise ValueError("point does not belong to the target variety")
+        if reversed_arrow:
+            runs.append((len(template), len(template) + rows * cols,
+                         len(weights), len(weights) + rows * cols))
+            weights += [X[c][r] for r in range(rows) for c in range(cols)]
+            template += [0] * (rows * cols)
+        else:
+            for row in X:
+                template.extend(row)
+
+    # pairing code of every y, in the order product() yields them
+    add = [[F.add(a, b) for b in range(q0)] for a in range(q0)]
+    codes = [0]
+    for w in weights:
+        times_w = [F.mul(w, y) for y in range(q0)]
+        codes = [add[c][wy] for c in codes for wy in times_w]
+
+    data = src_engine.grade_data(d)
+    coeff_of_key = {cls.key: coeff for cls, coeff in f.terms.items()}
+    coeff_of_orbit = [coeff_of_key.get(cls.key) for cls in data.classes]
+    orbit_of = data.orbit_of
+    sums = {}
+    for code, y in zip(codes, product(range(q0), repeat=dim_y)):
+        for lo, hi, ylo, yhi in runs:
+            template[lo:hi] = y[ylo:yhi]
+        orbit = orbit_of.get(tuple(template))
         if orbit is None:
             continue
-        coeff = coeff_of_orbit.get(data.classes[orbit].key)
+        coeff = coeff_of_orbit[orbit]
         if coeff is None:
             continue
-        total = total + coeff * psi(_pairing_code(F, y_choice, yp_mats))
+        prev = sums.get(code)
+        sums[code] = coeff if prev is None else prev + coeff
+
+    psi = _psi_factory(F, q0, conjugate)
+    total = CycloSqrt.zero(F.p, q0)
+    for code, s in sums.items():
+        if s:
+            total = total + s * psi(code)
     return total * v_power(-dim_y, q0)
 
 

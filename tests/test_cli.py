@@ -472,3 +472,58 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """main builds the parser once per process; calls share nothing else."""
+
+    def test_cache_dir_does_not_leak_into_the_next_call(self, tmp_path, monkeypatch):
+        cache_dir, workdir = tmp_path / "cache", tmp_path / "work"
+        cache_dir.mkdir()
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        base = ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "1,1"]
+        code1, cold = run_cli(base + ["--cache-dir", str(cache_dir), "--format", "json"])
+        written = sorted(os.listdir(cache_dir))
+        assert code1 == 0 and written
+        for name in written:
+            os.remove(cache_dir / name)
+        code2, plain = run_cli(base)
+        assert code2 == 0
+        assert os.listdir(cache_dir) == [] and os.listdir(workdir) == []
+        assert plain.splitlines()[0].split() == ["class", "aut", "orbit_size"]
+        assert json.loads(cold) and plain != cold
+
+    def test_parser_is_built_once(self, monkeypatch):
+        from hallalg import cli
+
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for q in ("2", "3", "4", "2", "3"):
+            assert run_cli(["hallnum", "--quiver", "c1", "--q", q,
+                            "--L", "(1,1)", "--M", "(1)", "--N", "(1)"])[0] == 0
+        assert len(built) == 1
+
+    def test_patched_command_is_reached_after_the_parser_exists(self, monkeypatch):
+        from hallalg import cli
+
+        assert run_cli(["hallnum", "--quiver", "c1", "--q", "2",
+                        "--L", "(1,1)", "--M", "(1)", "--N", "(1)"]) == (0, "3\n")
+        seen = []
+
+        def fake(args, out):
+            seen.append(args.q)
+            out.write("patched\n")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_hallnum", fake)
+        assert run_cli(["hallnum", "--quiver", "c1", "--q", "3",
+                        "--L", "(1,1)", "--M", "(1)", "--N", "(1)"]) == (0, "patched\n")
+        assert seen == [3]

@@ -405,6 +405,140 @@ class TestSqrtExtAgainstReference:
             "a": ["0", "1/2"], "b": ["0", "1"]}
 
 
+# -- QPolynomial against a plain Fraction-dict reference -------------------------
+
+def qref(coeffs):
+    """{exponent: Fraction} with the zero terms dropped."""
+    return {int(k): Fraction(c) for k, c in coeffs.items() if c}
+
+
+def qref_add(f, g):
+    return qref({k: f.get(k, 0) + g.get(k, 0) for k in set(f) | set(g)})
+
+
+def qref_mul(f, g):
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return qref(out)
+
+
+def qref_render(f):
+    """The documented rendering: terms by descending exponent."""
+    out = ""
+    for k in sorted(f, reverse=True):
+        c = f[k]
+        mono = "" if k == 0 else ("q" if k == 1 else f"q^{k}")
+        if not mono:
+            term = str(abs(c))
+        elif abs(c) == 1:
+            term = mono
+        else:
+            term = f"{abs(c)}*{mono}"
+        out += ("-" if c < 0 else "+" if out else "") + term
+    return out or "0"
+
+
+_small_ints = st.integers(-20, 20)
+_qpolys = st.one_of(
+    st.dictionaries(st.integers(0, 6), _fractions, max_size=5),
+    st.dictionaries(st.integers(0, 6), _small_ints, max_size=5))
+
+
+class TestQPolynomialAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_qpolys, _qpolys)
+    def test_operations_match_reference(self, a, b):
+        x, y = QPolynomial(a), QPolynomial(b)
+        f, g = qref(a), qref(b)
+        assert x.coeffs == f and y.coeffs == g
+        assert (x + y).coeffs == qref_add(f, g)
+        assert (x - y).coeffs == qref_add(f, {k: -c for k, c in g.items()})
+        assert (-x).coeffs == {k: -c for k, c in f.items()}
+        assert (x * y).coeffs == qref_mul(f, g)
+        for result, want in ((x + y, qref_add(f, g)), (x * y, qref_mul(f, g))):
+            assert result == QPolynomial(want) and hash(result) == hash(QPolynomial(want))
+            assert result.degree() == (max(want) if want else -1)
+            assert result.is_zero() == (not want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_qpolys, st.integers(0, 4))
+    def test_powers(self, a, n):
+        want = {0: Fraction(1)}
+        for _ in range(n):
+            want = qref_mul(want, qref(a))
+        assert (QPolynomial(a) ** n).coeffs == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_qpolys, _scalars())
+    def test_rational_coercion_on_both_sides(self, a, k):
+        x, kx = QPolynomial(a), QPolynomial.const(k)
+        assert x + k == k + x == x + kx
+        assert x - k == x - kx and k - x == kx - x
+        assert x * k == k * x == x * kx
+        assert kx == k and kx == Fraction(k) and hash(kx) == hash(QPolynomial({0: Fraction(k)}))
+        assert (x == k) == (qref(a) == qref({0: k}))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_qpolys, _qpolys)
+    def test_equality_and_hash_agree(self, a, b):
+        x, y = QPolynomial(a), QPolynomial(b)
+        assert (x == y) == (qref(a) == qref(b))
+        if x == y:
+            assert hash(x) == hash(y)
+        # the same value reached two ways: reduced forms must coincide
+        w = (x + y) - y
+        assert w == x and hash(w) == hash(x)
+        assert hash(x) == hash(frozenset(qref(a).items()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_qpolys, st.one_of(st.integers(-6, 9), _fractions))
+    def test_evaluate_and_render(self, a, q0):
+        f = qref(a)
+        value = QPolynomial(a).evaluate(q0)
+        assert isinstance(value, Fraction)
+        assert value == sum((c * Fraction(q0) ** k for k, c in f.items()), Fraction(0))
+        assert QPolynomial(a).render() == qref_render(f)
+        assert repr(QPolynomial(a)) == f"QPolynomial({qref_render(f)})"
+
+    @settings(max_examples=50, deadline=None)
+    @given(_qpolys)
+    def test_coeffs_is_a_read_only_view(self, a):
+        x = QPolynomial(a)
+        with pytest.raises(TypeError):
+            x.coeffs[7] = 1
+        assert x.coeffs == qref(a)
+        assert all(type(c) in (int, Fraction) for c in x.coeffs.values())
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            QPolynomial({-1: 1})
+        with pytest.raises(ValueError):
+            QPolynomial({2: Fraction(1, 3), -2: 5})
+        assert QPolynomial({-1: 0}).is_zero()
+
+    def test_zero_terms_dropped(self):
+        x = QPolynomial({3: 0, 2: Fraction(0), 1: 4})
+        assert x.coeffs == {1: 4} and x.degree() == 1
+        assert (x - x).coeffs == {} and (x - x).degree() == -1
+        assert (QPolynomial({1: 1, 0: 1}) * QPolynomial({1: 1, 0: -1})).coeffs == {2: 1, 0: -1}
+
+    def test_cancelled_denominator_is_the_integer_polynomial(self):
+        half_q = QPolynomial({1: Fraction(1, 2)})
+        assert half_q * 2 == QPolynomial.q(1) and hash(half_q * 2) == hash(QPolynomial.q(1))
+        assert half_q + half_q == QPolynomial.q(1)
+        assert (half_q * 2).coeffs == {1: 1}
+        third = QPolynomial({2: Fraction(1, 3), 0: Fraction(2, 3)})
+        assert third * 3 - QPolynomial({0: 2}) == QPolynomial.q(2)
+
+    def test_non_rational_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            QPolynomial({1: 0.5})
+        with pytest.raises(TypeError):
+            QPolynomial.q(1) + 0.5
+
+
 class TestCycloSqrt:
     def test_zeta2_is_minus_one(self):
         assert CycloSqrt.zeta(2, 2, 1) == SqrtExt(2, -1, 0)

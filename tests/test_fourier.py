@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 
 from hallalg import gf
 from hallalg.coeffring import CycloSqrt, SqrtExt, v_power
 from hallalg.fourier import (
+    _FIBER_CAP,
     InvariantFunction,
     ReversalSpec,
     a2_image_check,
@@ -94,6 +97,128 @@ class TestTransformBasics:
                     HallElement.basis(src, np1), spec, src,
                     (gf.mat_identity(n),), (n, n))
                 assert val == v_power(-n, q0) * ((-1) ** n)
+
+
+# -- the flat fiber sum against the matrix-tuple loop it replaced -------------
+
+def _reference_matrices(q, rows, cols):
+    if rows * cols == 0:
+        yield tuple(() for _ in range(rows))
+        return
+    for flat in product(range(q), repeat=rows * cols):
+        yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
+
+
+def _reference_pairing_code(F, y_mats, yp_mats):
+    """sum of tr(C D) over the reversed arrows, as sum_{i,j} C[i][j] D[j][i]."""
+    s = 0
+    for C, D in zip(y_mats, yp_mats):
+        for i, row in enumerate(C):
+            for j, c in enumerate(row):
+                d = D[j][i]
+                if c and d:
+                    s = F.add(s, F.mul(c, d))
+    return s
+
+
+def reference_value_at_point(f, spec, src_engine, point, grade, conjugate=False):
+    """One source point of matrix tuples and one psi product per fiber point."""
+    F = src_engine.field
+    q0 = src_engine.q0
+    rev = spec.reversed_indices
+    rev_set = set(rev)
+    d = tuple(grade)
+    dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(spec.source.arrows)
+                if i in rev_set)
+    sign = -1 if conjugate else 1
+    data = src_engine.grade_data(d)
+    coeff_of_orbit = {cls.key: coeff for cls, coeff in f.terms.items()}
+    x_parts = {i: point[i] for i in range(len(spec.source.arrows)) if i not in rev_set}
+    yp_mats = [point[i] for i in rev]
+    y_shapes = [(d[h], d[t]) for i, (t, h) in enumerate(spec.source.arrows)
+                if i in rev_set]
+    total = CycloSqrt.zero(F.p, q0)
+    for y_choice in product(*[_reference_matrices(q0, r, c) for (r, c) in y_shapes]):
+        src_point = []
+        yi = 0
+        for i in range(len(spec.source.arrows)):
+            if i in rev_set:
+                src_point.append(y_choice[yi])
+                yi += 1
+            else:
+                src_point.append(x_parts[i])
+        orbit = data.orbit_of.get(src_engine._flatten(src_point, d))
+        if orbit is None:
+            continue
+        coeff = coeff_of_orbit.get(data.classes[orbit].key)
+        if coeff is None:
+            continue
+        code = _reference_pairing_code(F, y_choice, yp_mats)
+        total = total + coeff * CycloSqrt.zeta(F.p, q0, sign * gf.trace_to_prime(F, code))
+    return total * v_power(-dim_y, q0)
+
+
+_BOX_GRADES = [(a, b) for a in range(3) for b in range(3)]
+
+
+class TestFlatFiberSumAgainstMatrixLoop:
+    @pytest.mark.parametrize("q0", (2, 3))
+    @pytest.mark.parametrize("make_spec", (kronecker_to_c2, a2_reversal),
+                             ids=("kronecker_to_c2", "a2_reversal"))
+    def test_every_basis_class_at_every_target_rep(self, make_spec, q0):
+        spec = make_spec()
+        src = get_brute_engine(spec.source, q0)
+        tgt = get_brute_engine(spec.target, q0)
+        compared = 0
+        for d in _BOX_GRADES:
+            dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(spec.source.arrows)
+                        if i in spec.reversed_indices)
+            if q0 ** dim_y > _FIBER_CAP:
+                continue
+            for cls in src.classes(d):
+                f = HallElement.basis(src, cls)
+                for rep in tgt.grade_data(d).reps:
+                    for conjugate in (False, True):
+                        got = transform_value_at_point(f, spec, src, rep, d, conjugate)
+                        want = reference_value_at_point(f, spec, src, rep, d, conjugate)
+                        assert got == want, (cls.render(), rep, conjugate)
+                        compared += 1
+        assert compared > 40
+
+    @pytest.mark.parametrize("q0", (2, 3))
+    def test_mixed_coefficients(self, q0):
+        # a combination of classes with different coefficients, summed per code
+        spec = kronecker_to_c2()
+        src = get_brute_engine(spec.source, q0)
+        tgt = get_brute_engine(spec.target, q0)
+        for n in (1, 2):
+            f = kron_pK2(src, n)
+            for rep in tgt.grade_data((n, n)).reps:
+                for conjugate in (False, True):
+                    assert (transform_value_at_point(f, spec, src, rep, (n, n), conjugate)
+                            == reference_value_at_point(f, spec, src, rep, (n, n), conjugate))
+
+    @pytest.mark.parametrize("point", [
+        (((1,),),),                      # one arrow short
+        (((1,),), ((0,),), ((0,),)),     # one arrow too many
+        (((1, 0),), ((0,),)),            # fixed entry x of the wrong shape
+        (((1,),), ((0,), (1,))),         # reversed entry y' of the wrong shape
+    ], ids=["short", "long", "bad-x", "bad-y'"])
+    def test_wrong_shaped_point_raises(self, point):
+        spec = kronecker_to_c2()
+        src = get_brute_engine(spec.source, 2)
+        f = HallElement.basis(src, src.classes((1, 1))[0])
+        with pytest.raises(ValueError):
+            transform_value_at_point(f, spec, src, point, (1, 1))
+
+    def test_fiber_cap(self):
+        spec = kronecker_to_c2()
+        src = get_brute_engine(spec.source, 2)
+        f = HallElement.zero(src)
+        n = 5  # dim Y = 25: 2^25 fiber points
+        point = (gf.mat_zero(n, n), gf.mat_zero(n, n))
+        with pytest.raises(ValueError, match="fiber too large"):
+            transform_value_at_point(f, spec, src, point, (n, n))
 
 
 class TestHomomorphism:
