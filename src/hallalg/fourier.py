@@ -15,6 +15,7 @@ quiver.  Values live in Q(zeta_p)(sqrt(q0)).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from . import gf
@@ -111,17 +112,25 @@ class InvariantFunction:
 def _psi_factory(field: FieldSpec, q0: int, conjugate: bool):
     p = field.p
     sign = -1 if conjugate else 1
-    cache = {}
+    values = {}
 
     def psi(code: int) -> CycloSqrt:
-        val = cache.get(code)
+        val = values.get(code)
         if val is None:
             t = gf.trace_to_prime(field, code)
             val = CycloSqrt.zeta(p, q0, sign * t)
-            cache[code] = val
+            values[code] = val
         return val
 
     return psi
+
+
+@cache
+def _field_tables(field: FieldSpec):
+    """The field's sums and products as tables indexed [a][b] by codes."""
+    codes = range(field.q)
+    return (tuple(tuple(field.add(a, b) for b in codes) for a in codes),
+            tuple(tuple(field.mul(a, b) for b in codes) for a in codes))
 
 
 def _iter_matrices(q: int, rows: int, cols: int):
@@ -174,11 +183,10 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
                 template.extend(row)
 
     # pairing code of every y, in the order product() yields them
-    add = [[F.add(a, b) for b in range(q0)] for a in range(q0)]
+    add, mul = _field_tables(F)
     codes = [0]
     for w in weights:
-        times_w = [F.mul(w, y) for y in range(q0)]
-        codes = [add[c][wy] for c in codes for wy in times_w]
+        codes = [add[c][wy] for c in codes for wy in mul[w]]
 
     data = src_engine.grade_data(d)
     coeff_of_key = {cls.key: coeff for cls, coeff in f.terms.items()}
