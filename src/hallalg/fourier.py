@@ -15,7 +15,6 @@ quiver.  Values live in Q(zeta_p)(sqrt(q0)).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import product
 
 from . import gf
@@ -125,14 +124,6 @@ def _psi_factory(field: FieldSpec, q0: int, conjugate: bool):
     return psi
 
 
-@cache
-def _field_tables(field: FieldSpec):
-    """The field's sums and products as tables indexed [a][b] by codes."""
-    codes = range(field.q)
-    return (tuple(tuple(field.add(a, b) for b in codes) for a in codes),
-            tuple(tuple(field.mul(a, b) for b in codes) for a in codes))
-
-
 def _iter_matrices(q: int, rows: int, cols: int):
     if rows * cols == 0:
         yield tuple(() for _ in range(rows))
@@ -183,7 +174,7 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
                 template.extend(row)
 
     # pairing code of every y, in the order product() yields them
-    add, mul = _field_tables(F)
+    add, _, mul = gf.field_tables(F)
     codes = [0]
     for w in weights:
         codes = [add[c][wy] for c in codes for wy in mul[w]]

@@ -13,8 +13,11 @@ representation engines need.
 
 from __future__ import annotations
 
+from functools import cache
+
 __all__ = [
     "FieldSpec",
+    "field_tables",
     "trace_to_prime",
 ]
 
@@ -266,6 +269,15 @@ def trace_to_prime(spec: FieldSpec, code: int) -> int:
     return vec[0]
 
 
+@cache
+def field_tables(F: FieldSpec):
+    """(add, sub, mul): the q x q tables of a + b, a - b and a * b on field
+    codes, indexed [a][b] and built once per field."""
+    codes = range(F.q)
+    return tuple(tuple(tuple(op(a, b) for b in codes) for a in codes)
+                 for op in (F.add, F.sub, F.mul))
+
+
 # ---------------------------------------------------------------------------
 # Dense matrices over a FieldSpec (tuples of row tuples of codes)
 # ---------------------------------------------------------------------------
@@ -281,18 +293,16 @@ def mat_identity(n: int):
 def mat_mul(F: FieldSpec, A, B):
     if not A or not B:
         return tuple(() for _ in A) if A else ()
-    n, k = len(A), len(A[0])
-    m = len(B[0]) if B else 0
+    add, _, mul = field_tables(F)
+    cols = tuple(zip(*B))
     out = []
-    for i in range(n):
+    for Ai in A:
         row = []
-        Ai = A[i]
-        for j in range(m):
+        for col in cols:
             s = 0
-            for t in range(k):
-                a = Ai[t]
+            for a, b in zip(Ai, col):
                 if a:
-                    s = F.add(s, F.mul(a, B[t][j]))
+                    s = add[s][mul[a][b]]
             row.append(s)
         out.append(tuple(row))
     return tuple(out)

@@ -29,7 +29,6 @@ from .report import InternalCheckError, UsageError
 _VECTOR_CACHE: dict = {}
 _SUBSPACE_CACHE: dict = {}
 _POSITION_CACHE: dict = {}
-_FIELD_TABLES: dict = {}
 
 __all__ = [
     "Quiver",
@@ -264,17 +263,6 @@ class IsoClass:
 # the product of the per-vertex gf.subspaces lists (all dimensions, in
 # order); it fixes the order of a table's keys, whatever walk found it.
 
-def _field_tables(F: FieldSpec):
-    """(add, sub, mul): the q x q tables of a + b, a - b and a * b on field codes."""
-    tables = _FIELD_TABLES.get(F.q)
-    if tables is None:
-        codes = range(F.q)
-        tables = _FIELD_TABLES[F.q] = tuple(
-            tuple(tuple(op(a, b) for b in codes) for a in codes)
-            for op in (F.add, F.sub, F.mul))
-    return tables
-
-
 def _vector_cache(F: FieldSpec, n: int):
     """(vectors, leads) of F^n, built once per (q, n).
 
@@ -351,7 +339,7 @@ def _subspace_cache(F: FieldSpec, n: int):
 
 def _image_codes(F: FieldSpec, X, tail_vectors):
     """The code of X u for every tail vector u, indexed by the code of u."""
-    add, _, mul = _field_tables(F)
+    add, _, mul = gf.field_tables(F)
     q = F.q
     out = []
     for u in tail_vectors:
@@ -429,7 +417,7 @@ def _product_walk(F, quiver, dims, vectors, images):
     a vertex's choice being tested against every arrow whose ends are
     both chosen.
     """
-    _, sub, mul = _field_tables(F)
+    _, sub, mul = gf.field_tables(F)
     lists = [_subspace_cache(F, n) for n in dims]
     leads = [_vector_cache(F, n)[1] for n in dims]
     # the arrows tested when vertex i is chosen: (image, tail, head)
@@ -472,7 +460,7 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
     so each vertex is filtered alone.  Every U visited is a submodule.
     """
     q = F.q
-    _, sub, mul = _field_tables(F)
+    _, sub, mul = gf.field_tables(F)
     ops = (F.inv, lambda a, b: mul[a][b], lambda a, b: sub[a][b])
     nv = quiver.nv
     out = [None] * nv
@@ -582,22 +570,22 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
     return ((position, U) for position, U, _ in submodules(full))
 
 
-def _submodule_table(F, quiver, mats, dims, classify, walk):
+def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
     """Count the submodules of a point by (quotient class, sub class).
 
     walk(F, quiver, dims, vectors, images) yields (position, choice) once
     for every submodule.  classify(mats, dims) must return a hashable
-    class key; it is called once per distinct point.  The returned dict
-    maps (quot_key, sub_key) -> number of submodules, which is the Hall
-    number F^L_{quot, sub}, with keys ordered by the first position at
-    which they occur.
+    class key.  classes is the engine's memo (mats, dims) -> class key,
+    kept across all its tables, so classify is called once per distinct
+    point per engine.  The returned dict maps (quot_key, sub_key) ->
+    number of submodules, which is the Hall number F^L_{quot, sub}, with
+    keys ordered by the first position at which they occur.
     """
-    _, sub, mul = _field_tables(F)
+    _, sub, mul = gf.field_tables(F)
     vectors = [_vector_cache(F, n)[0] for n in dims]
     images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
     counts = {}
     first = {}
-    classes = {}
 
     def class_key(point):
         key = classes.get(point)
@@ -692,6 +680,7 @@ class NilpotentCyclicEngine:
         self.engine_id = f"C{r}^0|q:{q0}"
         self._classes = {}
         self._subtables = {}
+        self._point_classes = {}
         self._aut = {}
         # basis products and coproducts, filled by hallcore
         self._products = {}
@@ -879,7 +868,7 @@ class NilpotentCyclicEngine:
         tuples = prod(_position_table(self.q0, n)[0] for n in dims)
         walk = _product_walk if tuples <= PRODUCT_WALK_TUPLES else _nilpotent_walk
         table = _submodule_table(
-            self.field, self.quiver, mats, dims,
+            self.field, self.quiver, mats, dims, self._point_classes,
             lambda m, d: self.class_of_point(m, d).key, walk)
         self._subtables[c.key] = table
         return table
@@ -944,7 +933,9 @@ class BruteForceEngine:
         tag = "|nil" if nilpotent else ""
         self.engine_id = f"Q:{quiver.name}{tag}|q:{q0}"
         self._grades = {}
+        self._generator_cache = {}
         self._subtables = {}
+        self._point_classes = {}
         self._decomp = {}
         # basis products and coproducts, filled by hallcore
         self._products = {}
@@ -1022,21 +1013,26 @@ class BruteForceEngine:
         whose tail is the vertex, "column l -= v * column k" (column k
         *= 1/v if k == l).  A loop gets the row update first.  An update
         (dst, src, table) sets x[dst] = table[x[dst]][x[src]].
-        Generators that move no entry are left out.
+        Generators that move no entry are left out.  The tuple is built
+        once per grade and shared, so callers only iterate it.
         """
+        d = tuple(d)
+        if d in self._generator_cache:
+            return self._generator_cache[d]
         F = self.field
+        add, sub, mul = gf.field_tables(F)
         codes = range(self.q0)
         tables = {}
 
         def axpy(v):  # y, x -> y + v*x
             if ("axpy", v) not in tables:
-                tables["axpy", v] = tuple(tuple(F.add(y, F.mul(v, x)) for x in codes)
+                tables["axpy", v] = tuple(tuple(add[y][mul[v][x]] for x in codes)
                                           for y in codes)
             return tables["axpy", v]
 
         def scale(v):  # y -> v*y, with src == dst
             if ("scale", v) not in tables:
-                tables["scale", v] = tuple((F.mul(v, y),) * self.q0 for y in codes)
+                tables["scale", v] = tuple((mul[v][y],) * self.q0 for y in codes)
             return tables["scale", v]
 
         blocks = []
@@ -1057,11 +1053,12 @@ class BruteForceEngine:
                         updates += [(off + k * cols + c, off + l * cols + c, table)
                                     for c in range(cols)]
                     if t == i:
-                        table = scale(F.inv(v)) if k == l else axpy(F.neg(v))
+                        table = scale(F.inv(v)) if k == l else axpy(sub[0][v])
                         updates += [(off + r * cols + l, off + r * cols + k, table)
                                     for r in range(rows)]
                 if updates:
                     gens.append(tuple(updates))
+        gens = self._generator_cache[d] = tuple(gens)
         return gens
 
     def _act(self, gen, x):
@@ -1219,7 +1216,7 @@ class BruteForceEngine:
             return self._subtables[key]
         mats, dims = self.rep_point(c)
         table = _submodule_table(
-            self.field, self.quiver, mats, dims,
+            self.field, self.quiver, mats, dims, self._point_classes,
             lambda m, d: (tuple(d), self.class_of_point(m, d).key), _product_walk)
         self._subtables[key] = table
         return table

@@ -205,3 +205,55 @@ class TestEliminationKernelAgainstBruteForce:
         else:
             with pytest.raises(ZeroDivisionError):
                 gf.mat_inverse(F, A)
+
+
+MAT_MUL_FIELDS = (2, 3, 4, 5, 8, 9)
+
+
+def _mat_mul_by_field_methods(F, A, B):
+    """A B with FieldSpec.add and FieldSpec.mul, entry by entry."""
+    cols = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(cols):
+            s = 0
+            for t, a in enumerate(row):
+                s = F.add(s, F.mul(a, B[t][j]))
+            out_row.append(s)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+@st.composite
+def _mat_mul_operands(draw):
+    """(F, A, B): A is n x k and B is k x m over GF(q), any of n, k, m zero."""
+    q = draw(st.sampled_from(MAT_MUL_FIELDS), label="q")
+    n, k, m = (draw(st.integers(0, 4), label=name) for name in "nkm")
+    entry = st.integers(0, q - 1)
+
+    def matrix(rows, cols):
+        return tuple(draw(st.tuples(*[entry] * cols)) for _ in range(rows))
+
+    return FieldSpec.from_order(q), matrix(n, k), matrix(k, m)
+
+
+class TestMatMulAgainstFieldMethods:
+    @pytest.mark.parametrize("q", MAT_MUL_FIELDS)
+    def test_field_tables_match_methods(self, q):
+        F = FieldSpec.from_order(q)
+        add, sub, mul = gf.field_tables(F)
+        assert gf.field_tables(F) is gf.field_tables(FieldSpec.from_order(q))
+        for a, b in product(range(q), repeat=2):
+            assert (add[a][b], sub[a][b], mul[a][b]) == (F.add(a, b), F.sub(a, b),
+                                                         F.mul(a, b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mat_mul_operands())
+    @example((FieldSpec.from_order(4), (), ()))
+    @example((FieldSpec.from_order(4), ((), ()), ()))
+    @example((FieldSpec.from_order(9), ((1, 2),), ((), ())))
+    @example((FieldSpec.from_order(8), ((7, 5), (3, 6)), ((2, 4, 1), (5, 7, 3))))
+    def test_product(self, FAB):
+        F, A, B = FAB
+        assert gf.mat_mul(F, A, B) == _mat_mul_by_field_methods(F, A, B)

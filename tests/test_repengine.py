@@ -444,7 +444,7 @@ class TestSubmoduleWalkOnRandomMultisegments:
         expected = list(_reference_table(engine, mats, dims, classify).items())
         assert list(engine.sub_table(c).items()) == expected, c.render()
         walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
-                                            classify, repengine._nilpotent_walk)
+                                            {}, classify, repengine._nilpotent_walk)
         assert list(walked.items()) == expected, c.render()
 
     @pytest.mark.parametrize("r,q0,d", [(1, 3, (5,)), (1, 2, (6,)), (1, 4, (5,)),
@@ -461,8 +461,79 @@ class TestSubmoduleWalkOnRandomMultisegments:
         for c in engine.classes(d):
             mats, dims = engine.rep_point(c)
             walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
-                                                classify, repengine._product_walk)
+                                                {}, classify, repengine._product_walk)
             assert list(engine.sub_table(c).items()) == list(walked.items()), c.render()
+
+
+_MEMO_CELLS = [
+    # (engine factory, grades built first, grade compared); C1 n=5 at q=3
+    # walks T(U), the others walk the product of subspace lists
+    (lambda: NilpotentCyclicEngine(1, 3), [(3,), (4,)], (5,)),
+    (lambda: NilpotentCyclicEngine(2, 3), [(1, 1), (2, 1), (1, 2)], (2, 2)),
+    (lambda: NilpotentCyclicEngine(3, 2), [(1, 1, 1), (2, 1, 1), (1, 2, 1)], (2, 2, 1)),
+    (lambda: BruteForceEngine(kronecker_quiver(), 2), [(1, 1), (2, 1), (1, 2)], (2, 2)),
+]
+
+
+def _count_classifications(engine):
+    """Record the points the engine's class_of_point is called on."""
+    calls = []
+    original = engine.class_of_point
+
+    def counted(mats, dims):
+        calls.append((mats, tuple(dims)))
+        return original(mats, dims)
+
+    engine.class_of_point = counted
+    return calls
+
+
+class TestPointClassMemo:
+    """Each engine keeps one point -> class memo over all its tables."""
+
+    @pytest.mark.parametrize("make,warm,d", _MEMO_CELLS,
+                             ids=["C1-q3-(5,)", "C2-q3-(2,2)", "C3-q2-(2,2,1)",
+                                  "K2-q2-(2,2)"])
+    def test_warm_engine_matches_fresh_engine(self, make, warm, d):
+        engine = make()
+        for grade in warm:
+            for c in engine.classes(grade):
+                engine.sub_table(c)
+        assert engine._point_classes
+        for i, c in enumerate(engine.classes(d)):
+            fresh = make()
+            expected = fresh.sub_table(fresh.classes(d)[i])
+            assert list(engine.sub_table(c).items()) == list(expected.items()), c.render()
+
+    @pytest.mark.parametrize("make,d", [
+        (lambda: NilpotentCyclicEngine(1, 2), (2,)),
+        (lambda: NilpotentCyclicEngine(2, 3), (1, 1)),
+        (lambda: BruteForceEngine(kronecker_quiver(), 2), (1, 1)),
+    ], ids=["C1-q2", "C2-q3", "K2-q2"])
+    def test_one_classification_per_distinct_point(self, make, d):
+        alone = make()
+        alone_calls = _count_classifications(alone)
+        alone.sub_table(alone.classes(d)[1])
+        engine = make()
+        calls = _count_classifications(engine)
+        first, second = engine.classes(d)[:2]
+        engine.sub_table(first)
+        first_points = set(calls)
+        assert first_points & set(alone_calls), "the two tables share no point"
+        engine.sub_table(second)
+        assert len(calls) == len(set(calls))
+        assert set(calls[len(first_points):]) == set(alone_calls) - first_points
+
+    def test_engines_of_different_q_keep_their_own_classes(self):
+        for q0 in (3, 2):
+            engine = BruteForceEngine(kronecker_quiver(), q0)
+            classify = lambda m, dims: (tuple(dims), engine.class_of_point(m, dims).key)
+            for d in ((1, 1), (2, 1), (1, 2)):
+                for c in engine.classes(d):
+                    mats, dims = engine.rep_point(c)
+                    expected = _reference_table(engine, mats, dims, classify)
+                    assert list(engine.sub_table(c).items()) == list(expected.items()), \
+                        (q0, c.render())
 
 
 class TestHomAndSocle:
