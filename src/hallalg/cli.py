@@ -47,6 +47,8 @@ from .report import UsageError
 from .suite import CHECK_RUNNERS, run_all
 
 CACHE_VERSION = f"hallalg-{__version__}-cache-1"
+# 128 + SIGPIPE: the status a shell gives a writer whose reader went away
+EXIT_BROKEN_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +544,17 @@ def main(argv=None, out=None):
     out = out or sys.stdout
     args = _parser().parse_args(argv)
     try:
-        return globals()[args.fn](args, out)
+        code = globals()[args.fn](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Point stdout
+        # at devnull so the flush at interpreter shutdown cannot raise
+        # again, and exit as a shell reports a process ended by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

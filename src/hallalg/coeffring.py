@@ -540,11 +540,6 @@ class CycloSqrt:
         """True when the value lies in Q(sqrt(base)), i.e. has no zeta part."""
         return all(c.is_zero() for c in self.coords[1:])
 
-    def as_sqrtext(self) -> SqrtExt:
-        if not self.is_sqrtext():
-            raise ValueError("value has a nontrivial cyclotomic part")
-        return self.coords[0]
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -248,11 +248,6 @@ def _second_orbit_point(engine: BruteForceEngine, rep, grade):
 # Verification suites
 # ---------------------------------------------------------------------------
 
-def _grades_up_to(box, nv):
-    ranges = [range(b + 1) for b in box]
-    return [combo for combo in product(*ranges)]
-
-
 def check_homomorphism(spec: ReversalSpec, q0: int, grade_pairs) -> VerificationReport:
     """Phi(f * g) = Phi(f) * Phi(g) on all basis pairs at the given grades."""
     grade_pairs = [(tuple(d1), tuple(d2)) for d1, d2 in grade_pairs]

@@ -391,9 +391,10 @@ def mat_kernel_basis(F: FieldSpec, A):
 
 
 def mat_trace(F: FieldSpec, A) -> int:
+    add = field_tables(F)[0]
     t = 0
-    for i in range(len(A)):
-        t = F.add(t, A[i][i])
+    for i, row in enumerate(A):
+        t = add[t][row[i]]
     return t
 
 

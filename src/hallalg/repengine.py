@@ -136,10 +136,6 @@ def add_dim(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
 
-def sub_dim(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
 # ---------------------------------------------------------------------------
 # Multisegments (nilpotent cyclic classes)
 # ---------------------------------------------------------------------------
@@ -919,8 +915,11 @@ class BruteForceEngine:
     Points are flat tuples of field codes, the arrows' matrices row by
     row in arrow order; representatives are handed out as one matrix per
     arrow.  Orbits are found by closure under compiled generators of
-    prod_i GL(V_i), scanning points in lexicographic order so
-    representatives and indices are deterministic.
+    prod_i GL(V_i).  Each orbit's representative is its lexicographically
+    least point, and orbits are indexed in the order of those points, so
+    representatives and indices are deterministic.  With the nilpotent
+    restriction the closure starts only from the nilpotent patterns'
+    points (see _nilpotent_patterns), not from the whole variety.
     """
 
     def __init__(self, quiver: Quiver, q0: int, nilpotent: bool = False):
@@ -972,31 +971,88 @@ class BruteForceEngine:
             pos += rows * cols
         return tuple(mats)
 
-    def _iter_points(self, d):
-        """Every flat point in lexicographic order."""
-        return product(range(self.q0), repeat=self._entry_count(d))
+    def _blocks(self, d):
+        """(tail, head, rows, cols, offset) of each arrow's block of a flat point."""
+        blocks = []
+        pos = 0
+        for (t, h), (rows, cols) in zip(self.quiver.arrows, self._shapes(d)):
+            blocks.append((t, h, rows, cols, pos))
+            pos += rows * cols
+        return blocks
 
-    def _is_nilpotent_point(self, mats, d):
-        """The cycle composite M at vertex 0 must satisfy M^(d_0) = 0.
+    def _point_bound(self, d):
+        """An upper bound on the points grade_data stores.
 
-        The cycle passes every vertex, so a zero dimension anywhere makes
-        M zero.  A nonzero trace rules M out at once; otherwise M is
-        squared ceil(log2 d_0) times.
+        On the nilpotent Jordan quiver it is exact: q^(n^2 - n) nilpotent
+        n x n matrices (Fine--Herstein).  Elsewhere it is the whole variety.
         """
-        if 0 in d:
-            return True
-        F = self.field
-        n = d[0]
-        M = mats[0]
-        for X in mats[1:]:
-            M = gf.mat_mul(F, X, M)
-        if gf.mat_trace(F, M):
-            return False
-        power = 1
-        while power < n:
-            M = gf.mat_mul(F, M, M)
-            power *= 2
-        return not any(any(row) for row in M)
+        if self.nilpotent and self.quiver.nv == 1:
+            n = d[0]
+            return self.q0 ** (n * n - n)
+        return self.q0 ** self._entry_count(d)
+
+    def _nilpotent_patterns(self, d):
+        """The maximal coordinate patterns that meet every nilpotent orbit.
+
+        A nilpotent representation has a composition series, and in a
+        basis adapted to it every arrow sends each basis vector into the
+        span of the earlier ones.  An order of the basis is an
+        interleaving of the vertex bases; it allows entry (r, c) of an
+        arrow t -> h when basis vector r of h comes before basis vector c
+        of t.  A pattern is the sorted tuple of the flat indices it
+        allows.  The Jordan quiver has one interleaving, whose pattern is
+        the strictly upper-triangular matrices.
+        """
+        blocks = self._blocks(d)
+        total = sum(d)
+        left = list(d)
+        order = []
+        patterns = set()
+
+        def interleave():
+            if len(order) == total:
+                pos = [[] for _ in d]
+                for k, v in enumerate(order):
+                    pos[v].append(k)
+                patterns.add(tuple(off + r * cols + c
+                                   for t, h, rows, cols, off in blocks
+                                   for r in range(rows) for c in range(cols)
+                                   if pos[h][r] < pos[t][c]))
+                return
+            for v, k in enumerate(left):
+                if k:
+                    left[v] -= 1
+                    order.append(v)
+                    interleave()
+                    order.pop()
+                    left[v] += 1
+
+        interleave()
+        kept = {}
+        for pattern in sorted(patterns, key=lambda p: (-len(p), p)):
+            allowed = frozenset(pattern)
+            if not any(allowed <= other for other in kept.values()):
+                kept[pattern] = allowed
+        return list(kept)
+
+    def _iter_points(self, d):
+        """The points orbit closure starts from, each at least once.
+
+        Without the nilpotent restriction this is every flat point in
+        lexicographic order.  With it, the points supported on the
+        nilpotent patterns: q^(n(n-1)/2) strictly upper-triangular seeds
+        on the Jordan quiver instead of q^(n^2) points.
+        """
+        if not self.nilpotent:
+            yield from product(range(self.q0), repeat=self._entry_count(d))
+            return
+        zero = [0] * self._entry_count(d)
+        for pattern in self._nilpotent_patterns(d):
+            for values in product(range(self.q0), repeat=len(pattern)):
+                point = zero[:]
+                for i, v in zip(pattern, values):
+                    point[i] = v
+                yield tuple(point)
 
     def group_order(self, d) -> int:
         out = 1
@@ -1035,11 +1091,7 @@ class BruteForceEngine:
                 tables["scale", v] = tuple((mul[v][y],) * self.q0 for y in codes)
             return tables["scale", v]
 
-        blocks = []
-        pos = 0
-        for (t, h), (rows, cols) in zip(self.quiver.arrows, self._shapes(d)):
-            blocks.append((t, h, rows, cols, pos))
-            pos += rows * cols
+        blocks = self._blocks(d)
         gens = []
         for i, n in enumerate(d):
             for g in gf.gl_generators(F, n):
@@ -1075,20 +1127,19 @@ class BruteForceEngine:
             raise UsageError(
                 f"total dimension {sum(d)} exceeds the brute-force cap "
                 f"{BRUTE_TOTAL_DIM_CAP}")
-        if self.q0 ** self._entry_count(d) > POINT_CAP:
+        if self._point_bound(d) > POINT_CAP:
             raise UsageError("representation variety exceeds the point cap")
         gens = self._generators(d)
         orbit_of = {}
-        reps = []
+        least = []
         sizes = []
         for point in self._iter_points(d):
             if point in orbit_of:
                 continue
-            if self.nilpotent and not self._is_nilpotent_point(self._unflatten(point, d), d):
-                continue
-            idx = len(reps)
+            idx = len(least)
             orbit_of[point] = idx
             queue = [point]
+            low = point
             size = 1
             while queue:
                 x = queue.pop()
@@ -1098,8 +1149,21 @@ class BruteForceEngine:
                         orbit_of[y] = idx
                         size += 1
                         queue.append(y)
-            reps.append(self._unflatten(point, d))
+                        if y < low:
+                            low = y
+            least.append(low)
             sizes.append(size)
+        # Index the orbits by their least points, as a lexicographic scan
+        # of the whole variety meets them; a full scan is already in order.
+        order = sorted(range(len(least)), key=least.__getitem__)
+        if order != list(range(len(order))):
+            rank = [0] * len(order)
+            for new, old in enumerate(order):
+                rank[old] = new
+            orbit_of = {point: rank[idx] for point, idx in orbit_of.items()}
+            least = [least[old] for old in order]
+            sizes = [sizes[old] for old in order]
+        reps = [self._unflatten(point, d) for point in least]
         classes = [IsoClass(self.engine_id, "orbit", d, i) for i in range(len(reps))]
         data = _GradeData(classes, orbit_of, reps, sizes)
         self._grades[d] = data

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -453,6 +455,26 @@ class TestExitCodes:
     ])
     def test_absent_count_flag_takes_its_default(self, argv, expected):
         assert run_cli(argv) == (0, expected)
+
+
+class TestClosedStdout:
+    def test_reader_that_exits_at_once(self):
+        """A closed stdout is not an internal fault: no traceback, no exit 3."""
+        import hallalg
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hallalg.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hallalg.cli", "isoclasses", "--quiver", "k2",
+             "--q", "2", "--d", "2,2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader exits before the first write
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert code != 3
+        assert code == 141
+        assert "Traceback" not in err and "internal inconsistency" not in err
 
 
 class TestFlags:

@@ -257,3 +257,30 @@ class TestMatMulAgainstFieldMethods:
     def test_product(self, FAB):
         F, A, B = FAB
         assert gf.mat_mul(F, A, B) == _mat_mul_by_field_methods(F, A, B)
+
+
+class TestMatTraceAgainstFieldMethods:
+    @staticmethod
+    def _trace_by_field_methods(F, A):
+        t = 0
+        for i, row in enumerate(A):
+            t = F.add(t, row[i])
+        return t
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 5))
+    def test_every_small_matrix(self, q):
+        F = FieldSpec.from_order(q)
+        for n in range(3):
+            for flat in product(range(q), repeat=n * n):
+                A = tuple(flat[r * n:(r + 1) * n] for r in range(n))
+                assert gf.mat_trace(F, A) == self._trace_by_field_methods(F, A)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((2, 3, 4, 5)).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(0, 5).flatmap(
+            lambda n: st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                               min_size=n, max_size=n)))))
+    def test_square_matrices(self, qA):
+        q, A = qA
+        F = FieldSpec.from_order(q)
+        assert gf.mat_trace(F, A) == self._trace_by_field_methods(F, A)

@@ -150,6 +150,26 @@ class TestOrbitPartition:
             assert all(x == 0 for row in P for x in row)
 
 
+def _is_nilpotent_cycle(F, mats, d):
+    """The cycle composite M at vertex 0 satisfies M^(d_0) = 0; a zero
+    dimension anywhere breaks the cycle.  A nonzero trace rules M out at
+    once, otherwise M is squared until its power reaches d_0."""
+    from hallalg import gf
+
+    if 0 in d:
+        return True
+    M = mats[0]
+    for X in mats[1:]:
+        M = gf.mat_mul(F, X, M)
+    if gf.mat_trace(F, M):
+        return False
+    power = 1
+    while power < d[0]:
+        M = gf.mat_mul(F, M, M)
+        power *= 2
+    return not any(any(row) for row in M)
+
+
 def _group_orbit_partition(engine, d):
     """Orbit partition of E_d by applying every element of prod_i GL(d_i).
 
@@ -175,16 +195,6 @@ def _group_orbit_partition(engine, d):
         group.append([(g, gf.mat_inverse(F, g)) for g in invertible])
     group = list(product(*group))
 
-    def nilpotent(mats):
-        n = d[0]
-        M = gf.mat_identity(n)
-        for X in mats:
-            M = gf.mat_mul(F, X, M)
-        P = gf.mat_identity(n)
-        for _ in range(n):
-            P = gf.mat_mul(F, P, M)
-        return not any(any(row) for row in P)
-
     def flat_of(mats):
         return tuple(x for X in mats for row in X for x in row)
 
@@ -197,7 +207,7 @@ def _group_orbit_partition(engine, d):
             mats.append(matrix(flat[pos:pos + rows * cols], rows, cols))
             pos += rows * cols
         mats = tuple(mats)
-        if engine.nilpotent and not nilpotent(mats):
+        if engine.nilpotent and not _is_nilpotent_cycle(F, mats, d):
             continue
         orbit = set()
         for elem in group:
@@ -245,6 +255,73 @@ class TestOrbitClosureAgainstGroup:
         engine = BruteForceEngine(kronecker_quiver(), 2)
         with pytest.raises(ValueError):
             engine.class_of_point((((0, 0),), ((0, 0),)), (1, 2))
+
+
+def _lexicographic_scan(engine, d):
+    """The nilpotent orbit partition as a scan of the whole variety finds it.
+
+    Every flat point in lexicographic order; a non-nilpotent point is
+    skipped, and an unseen nilpotent point closes its orbit under the
+    engine's generators and is that orbit's representative.  Returns
+    (orbit_of, reps, sizes).
+    """
+    F = engine.field
+    gens = engine._generators(d)
+    orbit_of, reps, sizes = {}, [], []
+    for point in product(range(F.q), repeat=engine._entry_count(d)):
+        if point in orbit_of or not _is_nilpotent_cycle(F, engine._unflatten(point, d), d):
+            continue
+        idx = len(reps)
+        orbit_of[point] = idx
+        queue = [point]
+        size = 1
+        while queue:
+            x = queue.pop()
+            for gen in gens:
+                y = engine._act(gen, x)
+                if y not in orbit_of:
+                    orbit_of[y] = idx
+                    size += 1
+                    queue.append(y)
+        reps.append(engine._unflatten(point, d))
+        sizes.append(size)
+    return orbit_of, reps, sizes
+
+
+_SEEDED_CELLS = (
+    [(1, 2, (n,)) for n in range(5)] + [(1, 3, (n,)) for n in range(4)] + [(1, 4, (3,))]
+    + [(2, 2, d) for d in ((1, 0), (0, 3), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2))]
+    + [(2, 3, (2, 2)), (3, 2, (1, 1, 1)), (3, 2, (2, 2, 1)), (3, 3, (1, 1, 1)),
+       (4, 2, (1, 1, 1, 1))]
+)
+
+
+class TestSeededNilpotentOrbits:
+    @pytest.mark.parametrize("r,q0,d", _SEEDED_CELLS)
+    def test_matches_lexicographic_scan(self, r, q0, d):
+        engine = BruteForceEngine(cyclic_quiver(r), q0, nilpotent=True)
+        data = engine.grade_data(d)
+        orbit_of, reps, sizes = _lexicographic_scan(engine, d)
+        assert data.reps == reps
+        assert data.sizes == sizes
+        assert data.orbit_of == orbit_of
+
+    def test_jordan_seeds_are_strictly_upper_triangular(self):
+        engine = BruteForceEngine(jordan_quiver(), 3, nilpotent=True)
+        seeds = list(engine._iter_points((3,)))
+        assert seeds == sorted(seeds) and len(seeds) == 3 ** 3
+        assert all(X[r][c] == 0 for seed in seeds for (X,) in [engine._unflatten(seed, (3,))]
+                   for r in range(3) for c in range(r + 1))
+
+    def test_point_cap_counts_nilpotent_matrices(self):
+        # q^(n^2 - n) nilpotent matrices (Fine--Herstein): 3^12 fits under
+        # the cap although the variety has 3^16 points, and 2^20 does not
+        assert BruteForceEngine(jordan_quiver(), 3, nilpotent=True)._point_bound((4,)) == 3 ** 12
+        engine = BruteForceEngine(jordan_quiver(), 2, nilpotent=True)
+        with pytest.raises(ValueError, match="point cap"):
+            engine.grade_data((5,))
+        with pytest.raises(ValueError, match="point cap"):
+            BruteForceEngine(jordan_quiver(), 3).grade_data((4,))
 
 
 class TestAutOrders:
