@@ -17,7 +17,8 @@ Dimension vectors are plain tuples.  All computations are exact.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import cache
+from itertools import product
 from math import prod
 
 from . import gf
@@ -25,10 +26,6 @@ from .coeffring import QPolynomial, interpolate_q
 from .gf import FieldSpec
 from .partitions import Partition
 from .report import InternalCheckError, UsageError
-
-_VECTOR_CACHE: dict = {}
-_SUBSPACE_CACHE: dict = {}
-_POSITION_CACHE: dict = {}
 
 __all__ = [
     "Quiver",
@@ -255,23 +252,18 @@ class IsoClass:
 # product(range(q), repeat=n).  A table maps every tail code through
 # every arrow once.  A subspace is handed around as the entry (basis,
 # codes, pivots, nonpivots) of its RREF basis, and a tuple of subspaces,
-# one per vertex, as a choice.  The position of a choice is its index in
-# the product of the per-vertex gf.subspaces lists (all dimensions, in
-# order); it fixes the order of a table's keys, whatever walk found it.
+# one per vertex, as a choice.  A table is a multiset of counts: the
+# order of its keys is unspecified.
 
+@cache
 def _vector_cache(F: FieldSpec, n: int):
     """(vectors, leads) of F^n, built once per (q, n).
 
     vectors[c] is the vector with code c and leads[c] the column of its
     first nonzero entry (n for the zero vector).
     """
-    key = (F.q, n)
-    cached = _VECTOR_CACHE.get(key)
-    if cached is None:
-        vectors = list(product(range(F.q), repeat=n))
-        leads = [next((j for j, x in enumerate(v) if x), n) for v in vectors]
-        cached = _VECTOR_CACHE[key] = (vectors, leads)
-    return cached
+    vectors = list(product(range(F.q), repeat=n))
+    return vectors, [next((j for j, x in enumerate(v) if x), n) for v in vectors]
 
 
 def _code(q, row):
@@ -281,56 +273,41 @@ def _code(q, row):
     return code
 
 
-def _position_table(q: int, n: int):
-    """(count, pivot_sets): the number of subspaces of F^n and, per pivot
-    tuple, (start, free, pivots, nonpivots).  start is the index of the
-    pivot set's first subspace in the gf.subspaces order, free the (row,
-    column) entries that gf.subspaces runs through, the last one fastest,
-    and pivots and nonpivots the tuples every entry with these pivots
-    shares."""
-    key = (q, n)
-    cached = _POSITION_CACHE.get(key)
-    if cached is None:
-        pivot_sets = {}
-        count = 0
-        for k in range(n + 1):
-            for pivots in combinations(range(n), k):
-                free = tuple((i, c) for i in range(k) for c in range(pivots[i] + 1, n)
-                             if c not in pivots)
-                pivot_sets[pivots] = (count, free, pivots,
-                                      tuple(c for c in range(n) if c not in pivots))
-                count += q ** len(free)
-        cached = _POSITION_CACHE[key] = (count, pivot_sets)
-    return cached
+def _subspace_count(q: int, n: int) -> int:
+    """The number of subspaces of F_q^n, the Galois number G_n, from
+    G_0 = 1, G_1 = 2 and G_{k+1} = 2 G_k + (q^k - 1) G_{k-1}."""
+    before, count = 0, 1
+    for k in range(n):
+        before, count = count, 2 * count + (q ** k - 1) * before
+    return count
 
 
-def _entry(q, n, rows, codes, pivots):
-    """(index in the F^n subspace list, entry) of an RREF basis."""
-    start, free, pivots, nonpivots = _position_table(q, n)[1][pivots]
-    index = 0
-    for i, c in free:
-        index = index * q + rows[i][c]
-    return start + index, (rows, codes, pivots, nonpivots)
+@cache
+def _pivot_pair(n: int, pivots: tuple):
+    """(pivots, nonpivots): the tuples every entry of F^n with these
+    pivots shares."""
+    return pivots, tuple(c for c in range(n) if c not in pivots)
 
 
+def _entry(n, rows, codes, pivots):
+    """The entry of an RREF basis of a subspace of F^n."""
+    return (rows, codes) + _pivot_pair(n, pivots)
+
+
+@cache
 def _subspace_cache(F: FieldSpec, n: int):
     """Every subspace of F^n as an entry, by dimension in gf.subspaces
     order, built once per (q, n); the basis rows are the same tuple
     objects as in the vector list."""
-    key = (F.q, n)
-    cached = _SUBSPACE_CACHE.get(key)
-    if cached is None:
-        vectors = _vector_cache(F, n)[0]
-        code_of = {v: c for c, v in enumerate(vectors)}
-        pivot_sets = _position_table(F.q, n)[1]
-        cached = _SUBSPACE_CACHE[key] = []
-        for k in range(n + 1):
-            for basis in gf.subspaces(F, n, k):
-                codes = tuple(map(code_of.__getitem__, basis))
-                pivots = tuple(row.index(1) for row in basis)
-                cached.append((tuple(map(vectors.__getitem__, codes)), codes)
-                              + pivot_sets[pivots][2:])
-    return cached
+    vectors = _vector_cache(F, n)[0]
+    code_of = {v: c for c, v in enumerate(vectors)}
+    out = []
+    for k in range(n + 1):
+        for basis in gf.subspaces(F, n, k):
+            codes = tuple(map(code_of.__getitem__, basis))
+            out.append(_entry(n, tuple(map(vectors.__getitem__, codes)), codes,
+                              tuple(row.index(1) for row in basis)))
+    return out
 
 
 def _image_codes(F: FieldSpec, X, tail_vectors):
@@ -407,7 +384,7 @@ def _sub_quotient_point(arrows, vectors, images, choice, sub, mul):
 
 
 def _product_walk(F, quiver, dims, vectors, images):
-    """(position, choice) for every stable subspace tuple of a point.
+    """The choice of every stable subspace tuple of a point.
 
     Subspace tuples are walked in product order of the per-vertex lists,
     a vertex's choice being tested against every arrow whose ends are
@@ -421,12 +398,11 @@ def _product_walk(F, quiver, dims, vectors, images):
               if max(t, h) == i] for i in range(quiver.nv)]
     choice = [None] * quiver.nv
 
-    def walk(i, position):
+    def walk(i):
         if i == quiver.nv:
-            yield position, tuple(choice)
+            yield tuple(choice)
             return
-        position *= len(lists[i])
-        for index, entry in enumerate(lists[i]):
+        for entry in lists[i]:
             choice[i] = entry
             for image, t, h in tests[i]:
                 basis, _, pivots, _ = choice[h]
@@ -434,15 +410,14 @@ def _product_walk(F, quiver, dims, vectors, images):
                                basis, pivots, sub, mul):
                     break
             else:
-                yield from walk(i + 1, position + index)
+                yield from walk(i + 1)
 
-    return walk(0, 0)
+    return walk(0)
 
 
 def _nilpotent_walk(F, quiver, dims, vectors, images):
-    """(position, choice) for every submodule of a point of a quiver in
-    which each vertex has one outgoing arrow, the arrows acting
-    nilpotently.
+    """The choice of every submodule of a point of a quiver in which each
+    vertex has one outgoing arrow, the arrows acting nilpotently.
 
     With T the arrow maps, a graded subspace U is a submodule iff
     T(U) is inside U.  So a submodule U of a submodule S lies between
@@ -462,9 +437,6 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
     out = [None] * nv
     for a, (t, h) in enumerate(quiver.arrows):
         out[t] = (a, h)
-    strides = [1] * nv
-    for i in range(nv - 2, -1, -1):
-        strides[i] = strides[i + 1] * _position_table(q, dims[i + 1])[0]
 
     def reduce(rows, n):
         """The RREF basis (tuples) and pivots of the span of rows in F^n."""
@@ -476,13 +448,13 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
         return vectors[h][images[a][_code(q, row)]]
 
     def lifts(i, level, V, TV):
-        """(index, entry) for every U_i between V_i and P_i that X_i maps
-        onto V_j modulo X_i(V_i) = TV_j."""
+        """The entry of every U_i between V_i and P_i that X_i maps onto
+        V_j modulo X_i(V_i) = TV_j."""
         n, (_, h) = dims[i], out[i]
         kernel, section, image_pivots = level
-        V_rows, V_codes, V_pivots, _ = V[i]
+        V_rows, _, V_pivots, _ = V[i]
         if len(kernel) + len(V[h][0]) == len(V_rows):  # P_i = V_i, so U_i = V_i
-            yield _entry(q, n, V_rows, V_codes, V_pivots)
+            yield V[i]
             return
         # P_i = ker X_i + a preimage of V_j; the coordinates of a vector
         # of X_i(S_i) on its RREF basis are its entries in the pivot columns
@@ -496,7 +468,7 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
         R_rows, _, R_pivots, _ = TV[h]
         coords = [p for p in V[h][2] if p not in R_pivots]
         e = len(coords)
-        candidates = enumerate(_subspace_cache(F, m))
+        candidates = _subspace_cache(F, m)
         if e:
             Y = [_residue(image(i, c), R_rows, R_pivots, sub, mul) for c in C_rows]
             to_e = _image_codes(F, tuple(tuple(y[p] for y in Y) for p in coords),
@@ -508,12 +480,12 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
                 return len(hits) >= e and (e == 1 or len(
                     reduce([vectors_e[c] for c in hits], e)[1]) == e)
 
-            candidates = (pair for pair in candidates if onto(pair[1][1]))
+            candidates = (W for W in candidates if onto(W[1]))
         if not V_rows and m == n:  # C is the identity, so U = W
             yield from candidates
             return
         lift = _image_codes(F, tuple(zip(*C_rows)), _vector_cache(F, m)[0])
-        for _, (_, W_codes, W_pivots, _) in candidates:
+        for _, W_codes, W_pivots, _ in candidates:
             # W C is in RREF, with pivots in C's pivot columns and zeros in
             # V_i's; clearing those columns from V_i's rows leaves them in
             # RREF too
@@ -524,15 +496,15 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
                            + [(p, _code(q, _residue(v, L_rows, L_pivots, sub, mul)))
                               for p, v in zip(V_pivots, V_rows)])
             codes = tuple(c for _, c in pairs)
-            yield _entry(q, n, tuple(vectors[i][c] for c in codes), codes,
+            yield _entry(n, tuple(vectors[i][c] for c in codes), codes,
                          tuple(p for p, _ in pairs))
 
     def submodules(S):
-        """(position, U, T(U)) for every submodule U of S, a tuple of
-        per-vertex (RREF rows, pivots) spanning a submodule."""
+        """(U, T(U)) for every submodule U of S, a tuple of per-vertex
+        (RREF rows, pivots) spanning a submodule."""
         if not any(rows for rows, _ in S):
-            zero = tuple(_entry(q, n, (), (), ())[1] for n in dims)
-            yield 0, zero, zero
+            zero = tuple(_entry(n, (), (), ()) for n in dims)
+            yield zero, zero
             return
         # per vertex: T(S) at the head, and ker X_i and a section of X_i on S_i
         TS = [None] * nv
@@ -549,39 +521,37 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
             levels[i] = (lifted[len(pivots):], tuple(zip(*lifted[:len(pivots)])), pivots)
         if sum(len(p) for _, p in TS) == sum(len(p) for _, p in S):
             raise InternalCheckError("point identification failed (non-nilpotent input?)")
-        for _, V, TV in submodules(tuple(TS)):
+        for V, TV in submodules(tuple(TS)):
             # the top vertex streams; the others' choices are listed
-            rest = [(0, ())]
+            rest = [()]
             for i in range(nv - 1, 0, -1):
-                rest = [(index * strides[i] + offset, (entry,) + tail)
-                        for index, entry in lifts(i, levels[i], V, TV)
-                        for offset, tail in rest]
-            for index, entry in lifts(0, levels[0], V, TV):
-                position = index * strides[0]
-                for offset, tail in rest:
-                    yield position + offset, (entry,) + tail, V
+                rest = [(entry,) + tail for entry in lifts(i, levels[i], V, TV)
+                        for tail in rest]
+            for entry in lifts(0, levels[0], V, TV):
+                for tail in rest:
+                    yield (entry,) + tail, V
 
     full = tuple((tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
                   tuple(range(n))) for n in dims)
-    return ((position, U) for position, U, _ in submodules(full))
+    return (U for U, _ in submodules(full))
 
 
 def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
     """Count the submodules of a point by (quotient class, sub class).
 
-    walk(F, quiver, dims, vectors, images) yields (position, choice) once
-    for every submodule.  classify(mats, dims) must return a hashable
-    class key.  classes is the engine's memo (mats, dims) -> class key,
-    kept across all its tables, so classify is called once per distinct
-    point per engine.  The returned dict maps (quot_key, sub_key) ->
-    number of submodules, which is the Hall number F^L_{quot, sub}, with
-    keys ordered by the first position at which they occur.
+    walk(F, quiver, dims, vectors, images) yields the choice of every
+    submodule once.  classify(mats, dims) must return a hashable class
+    key.  classes is the engine's memo (mats, dims) -> class key, kept
+    across all its tables, so classify is called once per distinct point
+    per engine.  The returned dict maps (quot_key, sub_key) -> number of
+    submodules, which is the Hall number F^L_{quot, sub}.
     """
+    if any(F.q ** n > POINT_CAP for n in dims):
+        raise UsageError(f"vector space F_{F.q}^{max(dims)} exceeds the point cap")
     _, sub, mul = gf.field_tables(F)
     vectors = [_vector_cache(F, n)[0] for n in dims]
     images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
     counts = {}
-    first = {}
 
     def class_key(point):
         key = classes.get(point)
@@ -589,18 +559,12 @@ def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
             key = classes[point] = classify(*point)
         return key
 
-    for position, choice in walk(F, quiver, dims, vectors, images):
+    for choice in walk(F, quiver, dims, vectors, images):
         sub_mats, sub_dims, quot_mats, quot_dims = _sub_quotient_point(
             quiver.arrows, vectors, images, choice, sub, mul)
         key = (class_key((quot_mats, quot_dims)), class_key((sub_mats, sub_dims)))
-        if key in counts:
-            counts[key] += 1
-            if position < first[key]:
-                first[key] = position
-        else:
-            counts[key] = 1
-            first[key] = position
-    return {key: counts[key] for key in sorted(counts, key=first.__getitem__)}
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def _hom_space_basis(F, quiver, matsM, dimsM, matsN, dimsN):
@@ -861,7 +825,7 @@ class NilpotentCyclicEngine:
         if c.key in self._subtables:
             return self._subtables[c.key]
         mats, dims = self.rep_point(c)
-        tuples = prod(_position_table(self.q0, n)[0] for n in dims)
+        tuples = prod(_subspace_count(self.q0, n) for n in dims)
         walk = _product_walk if tuples <= PRODUCT_WALK_TUPLES else _nilpotent_walk
         table = _submodule_table(
             self.field, self.quiver, mats, dims, self._point_classes,

@@ -47,7 +47,7 @@ from .repengine import (
 )
 from .report import VerificationReport, timed_report
 
-__all__ = ["CRITERIA", "run_criterion", "run_all", "CHECK_RUNNERS"]
+__all__ = ["CRITERIA", "run_all", "CHECK_RUNNERS"]
 
 
 def _aggregate(name, params, reports):
@@ -232,13 +232,6 @@ CRITERIA = (
 )
 
 
-def run_criterion(number: int) -> VerificationReport:
-    for num, _, fn in CRITERIA:
-        if num == number:
-            return fn()
-    raise ValueError(f"no criterion {number}")
-
-
 def run_all():
     """Run every criterion; results are ordered by criterion number."""
     return [(num, name, fn()) for num, name, fn in CRITERIA]
@@ -246,40 +239,15 @@ def run_all():
 
 # Individual check runners for the CLI (beyond whole criteria).
 
-def _run_xi(args):
-    if args.get("n") is not None:
-        return verify_xi_identity(args["n"])
-    return criterion_xi()
+def _cell_or_criterion(cell, criterion, *names):
+    """Run cell on the named arguments when every one is given, else the
+    whole criterion."""
 
+    def run(args):
+        values = [args.get(name) for name in names]
+        return criterion() if None in values else cell(*values)
 
-def _run_autsum(args):
-    if args.get("n") is not None:
-        return verify_aut_sum_identities(args["n"])
-    return criterion_autsum()
-
-
-def _run_pairing(args):
-    if args.get("n") is not None and args.get("r") is not None and args.get("q") is not None:
-        return verify_key_pairing(args["r"], args["n"], args["q"])
-    return criterion_pairing()
-
-
-def _run_central(args):
-    if args.get("n") is not None and args.get("r") is not None and args.get("q") is not None:
-        return central_family_check(args["r"], args["n"], args["q"])
-    return criterion_central()
-
-
-def _run_kernel(args):
-    if args.get("n") is not None and args.get("q") is not None:
-        return kernel_theorem_check(args["n"], args["q"])
-    return criterion_kernel()
-
-
-def _run_basis(args):
-    if args.get("n") is not None and args.get("q") is not None:
-        return difference_basis_check(args["n"], args["q"])
-    return criterion_basis()
+    return run
 
 
 def _run_lemma_route(args):
@@ -289,16 +257,16 @@ def _run_lemma_route(args):
 
 CHECK_RUNNERS = {
     "alambda": lambda args: criterion_alambda(),
-    "xi": _run_xi,
-    "autsum": _run_autsum,
+    "xi": _cell_or_criterion(verify_xi_identity, criterion_xi, "n"),
+    "autsum": _cell_or_criterion(verify_aut_sum_identities, criterion_autsum, "n"),
     "primitivity": lambda args: criterion_primitivity(),
-    "central": _run_central,
-    "pairing": _run_pairing,
+    "central": _cell_or_criterion(central_family_check, criterion_central, "r", "n", "q"),
+    "pairing": _cell_or_criterion(verify_key_pairing, criterion_pairing, "r", "n", "q"),
     "explicit": lambda args: criterion_explicit(),
     "glsum": lambda args: criterion_glsum(),
     "fourier": lambda args: criterion_fourier(),
-    "kernel": _run_kernel,
-    "basis": _run_basis,
+    "kernel": _cell_or_criterion(kernel_theorem_check, criterion_kernel, "n", "q"),
+    "basis": _cell_or_criterion(difference_basis_check, criterion_basis, "n", "q"),
     "bialgebra": lambda args: criterion_bialgebra(),
     "lemma-route": _run_lemma_route,
 }

@@ -114,6 +114,26 @@ class TestHallNum:
                            "--L", "(1)", "--M", "(1)", "--N", "(1)"])
         assert code == 2
 
+    def test_vector_space_past_the_point_cap_exits_2(self):
+        """F_1024^3 has about 1.07e9 vectors: the table is refused before
+        any is listed.  The child's address space is capped, so a table
+        that does list them fails at once instead of exhausting memory."""
+        import resource
+
+        import hallalg
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hallalg.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hallalg.cli", "hallnum", "--quiver", "c1",
+             "--q", "1024", "--L", "(2,1)", "--M", "(1,1)", "--N", "(1)"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert "point cap" in proc.stderr
+
 
 class TestHallPoly:
     def test_lines_polynomial(self):

@@ -482,7 +482,7 @@ class TestSubmoduleTableAgainstReference:
         for c in engine.classes(d):
             mats, dims = engine.rep_point(c)
             expected = _reference_table(engine, mats, dims, classify)
-            assert list(engine.sub_table(c).items()) == list(expected.items()), c.render()
+            assert engine.sub_table(c) == expected, c.render()
 
     @pytest.mark.parametrize("quiver,q0,d", _BRUTE_TABLE_CELLS,
                              ids=[f"{qv.name}-q{q0}-{d}" for qv, q0, d in _BRUTE_TABLE_CELLS])
@@ -492,7 +492,7 @@ class TestSubmoduleTableAgainstReference:
         for c in engine.classes(d):
             mats, dims = engine.rep_point(c)
             expected = _reference_table(engine, mats, dims, classify)
-            assert list(engine.sub_table(c).items()) == list(expected.items()), c.render()
+            assert engine.sub_table(c) == expected, c.render()
 
 
 class TestSubmoduleWalkOnRandomMultisegments:
@@ -503,7 +503,7 @@ class TestSubmoduleWalkOnRandomMultisegments:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_items_in_order(self, data):
+    def test_counts_match_the_reference(self, data):
         from hallalg import repengine
 
         r = data.draw(st.sampled_from((1, 2, 3)), label="r")
@@ -518,11 +518,11 @@ class TestSubmoduleWalkOnRandomMultisegments:
         c = engine.make_class(segments)
         mats, dims = engine.rep_point(c)
         classify = lambda m, d: engine.class_of_point(m, d).key
-        expected = list(_reference_table(engine, mats, dims, classify).items())
-        assert list(engine.sub_table(c).items()) == expected, c.render()
+        expected = _reference_table(engine, mats, dims, classify)
+        assert engine.sub_table(c) == expected, c.render()
         walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
                                             {}, classify, repengine._nilpotent_walk)
-        assert list(walked.items()) == expected, c.render()
+        assert walked == expected, c.render()
 
     @pytest.mark.parametrize("r,q0,d", [(1, 3, (5,)), (1, 2, (6,)), (1, 4, (5,)),
                                         (2, 2, (4, 3))])
@@ -539,7 +539,39 @@ class TestSubmoduleWalkOnRandomMultisegments:
             mats, dims = engine.rep_point(c)
             walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
                                                 {}, classify, repengine._product_walk)
-            assert list(engine.sub_table(c).items()) == list(walked.items()), c.render()
+            assert engine.sub_table(c) == walked, c.render()
+
+
+class TestSubspaceLists:
+    @pytest.mark.parametrize("q0,n", [(q0, n) for q0 in (2, 3, 4, 5)
+                                      for n in range(6 if q0 < 4 else 5)])
+    def test_count_is_the_list_length(self, q0, n):
+        from hallalg import repengine
+        from hallalg.gf import FieldSpec
+
+        assert repengine._subspace_count(q0, n) == len(
+            repengine._subspace_cache(FieldSpec.from_order(q0), n))
+
+    def test_counts_quoted_at_the_walk_threshold(self):
+        from hallalg import repengine
+
+        assert repengine._subspace_count(2, 5) == 374
+        assert repengine._subspace_count(3, 5) == 2664
+
+    def test_entries_share_their_pivot_tuples(self):
+        from hallalg import repengine
+        from hallalg.gf import FieldSpec
+
+        shared = {}
+        for q0 in (2, 3):
+            for _, _, pivots, nonpivots in repengine._subspace_cache(
+                    FieldSpec.from_order(q0), 4):
+                first = shared.setdefault(pivots, (pivots, nonpivots))
+                assert first[0] is pivots and first[1] is nonpivots
+        assert len(shared) == 16
+        _, _, pivots, nonpivots = repengine._entry(4, (), (), ())
+        assert (pivots, nonpivots) == ((), (0, 1, 2, 3))
+        assert shared[()][0] is pivots and shared[()][1] is nonpivots
 
 
 _MEMO_CELLS = [
@@ -580,7 +612,7 @@ class TestPointClassMemo:
         for i, c in enumerate(engine.classes(d)):
             fresh = make()
             expected = fresh.sub_table(fresh.classes(d)[i])
-            assert list(engine.sub_table(c).items()) == list(expected.items()), c.render()
+            assert engine.sub_table(c) == expected, c.render()
 
     @pytest.mark.parametrize("make,d", [
         (lambda: NilpotentCyclicEngine(1, 2), (2,)),
@@ -609,7 +641,7 @@ class TestPointClassMemo:
                 for c in engine.classes(d):
                     mats, dims = engine.rep_point(c)
                     expected = _reference_table(engine, mats, dims, classify)
-                    assert list(engine.sub_table(c).items()) == list(expected.items()), \
+                    assert engine.sub_table(c) == expected, \
                         (q0, c.render())
 
 
