@@ -273,7 +273,7 @@ def cmd_hallnum(args, out):
     L = _parse_cyclic_class(args.L, r)
     M = _parse_cyclic_class(args.M, r)
     N = _parse_cyclic_class(args.N, r)
-    if getattr(args, "symbolic", False):
+    if args.symbolic:
         poly = hall_polynomial(r, L, M, N)
         out.write(poly.render() + "\n" if args.format != "json" else
                   json.dumps({"polynomial": poly.render()}, sort_keys=True) + "\n")
@@ -341,7 +341,7 @@ def cmd_primitive(args, out):
 def cmd_element(args, out):
     """Construct one named primitive element and print it."""
     from .primitives import (
-        PrimitiveSpec, c_central, kron_p0, kron_pinf, kron_pK2,
+        c_central, kron_p0, kron_pinf, kron_pK2,
         kronecker_tubes, p_cyclic, p_jordan, p_jordan_symbolic,
         tube_primitive, x_element,
     )
@@ -351,10 +351,9 @@ def cmd_element(args, out):
     deg = _positive(args.deg, 1, "--deg")
     if family == "jordan_pn":
         if args.symbolic:
-            spec = PrimitiveSpec(family, n=n)
             rows = [{"class": f"I{list(lam.parts)}", "coeff": poly.render()}
                     for lam, poly in p_jordan_symbolic(n)]
-            out.write(json.dumps({"family": spec.family, "n": n, "terms": rows},
+            out.write(json.dumps({"family": family, "n": n, "terms": rows},
                                  sort_keys=True) + "\n")
             return 0
         elt = p_jordan(get_nilpotent_engine(1, args.q), n)
@@ -362,7 +361,6 @@ def cmd_element(args, out):
         r = 2 if args.r is None else args.r
         if r < 2:
             raise UsageError("cyclic families need --r >= 2")
-        PrimitiveSpec(family, r=r, n=n, q0=args.q)
         engine = get_nilpotent_engine(r, args.q)
         builder = {"cyclic_cn": c_central, "cyclic_xn": x_element,
                    "cyclic_pnr": p_cyclic}[family]

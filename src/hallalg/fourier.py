@@ -34,7 +34,6 @@ from .report import InternalCheckError, UsageError, VerificationReport, timed_re
 
 __all__ = [
     "ReversalSpec",
-    "InvariantFunction",
     "a2_reversal",
     "kronecker_to_c2",
     "fourier_transform",
@@ -79,29 +78,6 @@ def a2_reversal() -> ReversalSpec:
 def kronecker_to_c2() -> ReversalSpec:
     """Kronecker quiver with the second arrow reversed, giving the 2-cycle."""
     return ReversalSpec(kronecker_quiver(), [1], cyclic_quiver(2))
-
-
-class InvariantFunction:
-    """A grade-homogeneous invariant function stored on isoclasses."""
-
-    __slots__ = ("element", "grade")
-
-    def __init__(self, element: HallElement, grade):
-        self.element = element
-        self.grade = tuple(grade)
-
-    def value(self, cls):
-        return self.element.coefficient(cls)
-
-    def to_json_dict(self):
-        terms = []
-        engine = self.element.engine
-        for cls in self.element.support():
-            coeff = self.element.terms[cls]
-            if isinstance(coeff, SqrtExt):
-                coeff = CycloSqrt.from_scalar(engine.field.p, engine.q0, coeff)
-            terms.append({"class": cls.render(), "coeff": coeff.to_json()})
-        return {"grade": list(self.grade), "terms": terms}
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +182,13 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
 
 def fourier_transform(f: HallElement, spec: ReversalSpec,
                       src_engine: BruteForceEngine, tgt_engine: BruteForceEngine,
-                      conjugate: bool = False,
-                      check_invariance: bool = True,
-                      grade=None) -> InvariantFunction:
+                      conjugate: bool = False, grade=None) -> HallElement:
     """Transform a homogeneous Hall element into the reversed quiver's algebra.
 
-    The output is represented on target isoclasses; with
-    check_invariance the value is recomputed at a second point of every
-    orbit of size > 1 and a mismatch raises InternalCheckError.  The zero
-    function transforms to zero but needs an explicit grade.
+    The output is represented on target isoclasses; the value is
+    recomputed at a second point of every orbit of size > 1 and a
+    mismatch raises InternalCheckError.  The zero function transforms to
+    zero but needs an explicit grade.
     """
     grade = f.grade() if f.terms else (tuple(grade) if grade is not None else None)
     if grade is None:
@@ -223,7 +197,7 @@ def fourier_transform(f: HallElement, spec: ReversalSpec,
     terms = {}
     for idx, rep in enumerate(tgt_data.reps):
         val = transform_value_at_point(f, spec, src_engine, rep, grade, conjugate)
-        if check_invariance and tgt_data.sizes[idx] > 1:
+        if tgt_data.sizes[idx] > 1:
             other = _second_orbit_point(tgt_engine, rep, grade)
             val2 = transform_value_at_point(f, spec, src_engine, other, grade,
                                             conjugate)
@@ -232,7 +206,7 @@ def fourier_transform(f: HallElement, spec: ReversalSpec,
                     "transformed function is not constant on an orbit")
         if not val.is_zero():
             terms[tgt_data.classes[idx]] = val
-    return InvariantFunction(HallElement(tgt_engine, terms), grade)
+    return HallElement(tgt_engine, terms)
 
 
 def _second_orbit_point(engine: BruteForceEngine, rep, grade):
@@ -263,7 +237,7 @@ def check_homomorphism(spec: ReversalSpec, q0: int, grade_pairs) -> Verification
                 cached = transform_cache.get(cls)
                 if cached is None:
                     cached = fourier_transform(
-                        HallElement.basis(src, cls), spec, src, tgt).element
+                        HallElement.basis(src, cls), spec, src, tgt)
                     transform_cache[cls] = cached
                 out = out + cached.scale(coeff)
             return out
@@ -319,8 +293,8 @@ def a2_image_check(q0: int) -> VerificationReport:
             p2_t: -v_power(-1, q0),
             ss_t: v_power(1, q0) - v_power(-1, q0),
         })
-        if image.element != expected:
-            return False, image.element.render(), expected.render(), "image mismatch"
+        if image != expected:
+            return False, image.render(), expected.render(), "image mismatch"
         # evaluations ([nP1])^ at [nP2'] for n <= 2
         for n in (1, 2):
             npoint_src = src.class_of_point((gf.mat_identity(n),), (n, n))
@@ -348,12 +322,11 @@ def double_transform_check(q0: int) -> VerificationReport:
             for cls in src.classes(d):
                 f = HallElement.basis(src, cls)
                 once = fourier_transform(f, spec, src, tgt)
-                twice = fourier_transform(once.element, back, tgt, src,
-                                          conjugate=True)
-                plus = twice.element == _embed_cyclo(f)
-                minus = twice.element == _embed_cyclo(f.scale(-1))
+                twice = fourier_transform(once, back, tgt, src, conjugate=True)
+                plus = twice == _embed_cyclo(f)
+                minus = twice == _embed_cyclo(f.scale(-1))
                 if not (plus or minus):
-                    return (False, twice.element.render(), f.render(),
+                    return (False, twice.render(), f.render(),
                             f"no +-1 rescaling at {cls.render()}")
         return True, "double transform", "+-1 rescaling", ""
 
@@ -378,7 +351,7 @@ def transform_primitive_check(q0: int) -> VerificationReport:
         tgt = get_brute_engine(spec.target, q0)
         image = fourier_transform(kron_pK2(src, 1), spec, src, tgt)
         # membership in the primitive subspace, over the cyclotomic scalars
-        ok = in_span(primitive_subspace(tgt, (1, 1)), image.element)
+        ok = in_span(primitive_subspace(tgt, (1, 1)), image)
         return ok, "transformed primitive", "primitive subspace", ""
 
     return timed_report("fourier-prim", {"q": q0}, run)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
+from itertools import product
 
 from . import gf
 from .coeffring import CycloSqrt, SqrtExt, v_power
-from .repengine import IsoClass, add_dim, euler_form
+from .repengine import IsoClass, add_dim, euler_form, kronecker_regular_classes
 from .report import timed_report
 
 __all__ = [
@@ -47,22 +48,64 @@ def _coerce_coeff(engine, c):
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
-class HallElement:
-    """Finite formal linear combination of isoclasses of one engine."""
+class _Combination:
+    """Finite formal linear combination over one engine: a dict from keys
+    to nonzero coefficients in the engine's scalars."""
 
     __slots__ = ("engine", "terms")
 
     def __init__(self, engine, terms=None):
         clean = {}
         if terms:
-            for cls, coeff in terms.items():
+            for key, coeff in terms.items():
                 coeff = _coerce_coeff(engine, coeff)
                 if not coeff.is_zero():
-                    if cls.engine_id != engine.engine_id:
-                        raise ValueError("isoclass belongs to a different engine")
-                    clean[cls] = coeff
+                    clean[key] = coeff
         self.engine = engine
         self.terms = clean
+
+    def _with_terms(self, terms):
+        """An element of the same type and engine with already clean terms."""
+        res = object.__new__(type(self))
+        res.engine = self.engine
+        res.terms = terms
+        return res
+
+    def is_zero(self):
+        return not self.terms
+
+    def coefficient(self, key):
+        return self.terms.get(key, SqrtExt.zero(self.engine.q0))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.engine.engine_id == other.engine.engine_id and self.terms == other.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _acc(out, key, coeff)
+        return self._with_terms(out)
+
+    def __neg__(self):
+        return self._with_terms({k: -x for k, x in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class HallElement(_Combination):
+    """Finite formal linear combination of isoclasses of one engine."""
+
+    __slots__ = ()
+
+    def __init__(self, engine, terms=None):
+        super().__init__(engine, terms)
+        if any(cls.engine_id != engine.engine_id for cls in self.terms):
+            raise ValueError("isoclass belongs to a different engine")
 
     @staticmethod
     def zero(engine):
@@ -76,9 +119,6 @@ class HallElement:
     def unit(engine):
         return HallElement.basis(engine, engine.zero_class())
 
-    def is_zero(self):
-        return not self.terms
-
     def grades(self):
         return sorted({c.grade for c in self.terms})
 
@@ -88,39 +128,6 @@ class HallElement:
             raise ValueError("element is not homogeneous")
         return gs[0]
 
-    def coefficient(self, cls: IsoClass):
-        return self.terms.get(cls, SqrtExt.zero(self.engine.q0))
-
-    def __eq__(self, other):
-        if not isinstance(other, HallElement):
-            return NotImplemented
-        return self.engine.engine_id == other.engine.engine_id and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, HallElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for cls, coeff in other.terms.items():
-            cur = out.get(cls)
-            s = coeff if cur is None else cur + coeff
-            if s.is_zero():
-                out.pop(cls, None)
-            else:
-                out[cls] = s
-        res = HallElement.__new__(HallElement)
-        res.engine = self.engine
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = HallElement.__new__(HallElement)
-        res.engine = self.engine
-        res.terms = {c: -x for c, x in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
         c = _coerce_coeff(self.engine, c) if not isinstance(c, (int, Fraction)) else c
         out = {}
@@ -128,10 +135,7 @@ class HallElement:
             s = coeff * c
             if not s.is_zero():
                 out[cls] = s
-        res = HallElement.__new__(HallElement)
-        res.engine = self.engine
-        res.terms = out
-        return res
+        return self._with_terms(out)
 
     def __mul__(self, other):
         if isinstance(other, HallElement):
@@ -152,7 +156,7 @@ class HallElement:
     def to_json_dict(self):
         gs = self.grades()
         out = {"grade": list(gs[0]) if len(gs) == 1 else [list(g) for g in gs],
-               "terms": [{"class": c.render(), "coeff": _coeff_str(x)}
+               "terms": [{"class": c.render(), "coeff": x.render()}
                          for c, x in sorted(self.terms.items(),
                                             key=lambda kv: kv[0].sort_key())]}
         return out
@@ -165,65 +169,17 @@ class HallElement:
             return "0"
         bits = []
         for c in self.support():
-            bits.append(f"({_coeff_str(self.terms[c])})*[{c.render()}]")
+            bits.append(f"({self.terms[c].render()})*[{c.render()}]")
         return " + ".join(bits)
 
     def __repr__(self):
         return f"HallElement({self.render()})"
 
 
-def _coeff_str(x):
-    return x.render()
-
-
-class TensorElement:
+class TensorElement(_Combination):
     """Sparse element of H ox H: map (class, class) -> coefficient."""
 
-    __slots__ = ("engine", "terms")
-
-    def __init__(self, engine, terms=None):
-        clean = {}
-        if terms:
-            for pair, coeff in terms.items():
-                coeff = _coerce_coeff(engine, coeff)
-                if not coeff.is_zero():
-                    clean[pair] = coeff
-        self.engine = engine
-        self.terms = clean
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.engine.engine_id == other.engine.engine_id and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for pair, coeff in other.terms.items():
-            cur = out.get(pair)
-            s = coeff if cur is None else cur + coeff
-            if s.is_zero():
-                out.pop(pair, None)
-            else:
-                out[pair] = s
-        res = TensorElement.__new__(TensorElement)
-        res.engine = self.engine
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = TensorElement.__new__(TensorElement)
-        res.engine = self.engine
-        res.terms = {p: -x for p, x in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def coefficient(self, pair):
-        return self.terms.get(pair, SqrtExt.zero(self.engine.q0))
+    __slots__ = ()
 
     def __repr__(self):
         bits = [f"({x.render()})*[{a.render()}]ox[{b.render()}]"
@@ -351,7 +307,6 @@ def one_d(engine, d) -> HallElement:
 
 def one_reg(engine, n: int) -> HallElement:
     """Sum of the regular Kronecker classes at dimension vector (n, n)."""
-    from .repengine import kronecker_regular_classes
     return HallElement(engine, {c: 1 for c in kronecker_regular_classes(engine, n)})
 
 
@@ -446,6 +401,13 @@ def rank_of_elements(elements) -> int:
     return len(sqrtext_rref(_coefficient_columns(elements, zero), len(elements))[1])
 
 
+def _classes_up_to(engine, bound):
+    """Every class of total dimension at most bound, by total dimension."""
+    grades = sorted((d for d in product(range(bound + 1), repeat=engine.quiver.nv)
+                     if sum(d) <= bound), key=sum)
+    return [c for d in grades for c in engine.classes(d)]
+
+
 def adjointness_check(engine, total_dim_bound: int):
     """Verify {xy, z} = {x ox y, Delta z} on all basis triples in range.
 
@@ -456,40 +418,26 @@ def adjointness_check(engine, total_dim_bound: int):
 
     def run():
         checked = 0
-        for d_total in range(0, total_dim_bound + 1):
-            for dm in _grades_with_total(engine, d_total):
-                for dn_total in range(0, total_dim_bound - d_total + 1):
-                    for dn in _grades_with_total(engine, dn_total):
-                        target = add_dim(dm, dn)
-                        if sum(target) > total_dim_bound:
-                            continue
-                        for M in engine.classes(dm):
-                            xM = HallElement.basis(engine, M)
-                            for N in engine.classes(dn):
-                                xN = HallElement.basis(engine, N)
-                                prod = multiply(xM, xN)
-                                for L in engine.classes(target):
-                                    xL = HallElement.basis(engine, L)
-                                    lhs = green_form(prod, xL)
-                                    rhs = tensor_green_form(xM, xN, comultiply(xL))
-                                    if lhs != rhs:
-                                        return (False, lhs.render(), rhs.render(),
-                                                f"triple {M.render()},{N.render()},{L.render()}")
-                                    checked += 1
+        classes = _classes_up_to(engine, total_dim_bound)
+        for M in classes:
+            xM = HallElement.basis(engine, M)
+            for N in classes:
+                if sum(M.grade) + sum(N.grade) > total_dim_bound:
+                    break
+                xN = HallElement.basis(engine, N)
+                prod = multiply(xM, xN)
+                for L in engine.classes(add_dim(M.grade, N.grade)):
+                    xL = HallElement.basis(engine, L)
+                    lhs = green_form(prod, xL)
+                    rhs = tensor_green_form(xM, xN, comultiply(xL))
+                    if lhs != rhs:
+                        return (False, lhs.render(), rhs.render(),
+                                f"triple {M.render()},{N.render()},{L.render()}")
+                    checked += 1
         return True, f"{checked} triples", f"{checked} triples", ""
 
     return timed_report("adjointness", {"engine": engine.engine_id,
                                         "bound": total_dim_bound}, run)
-
-
-def _grades_with_total(engine, total):
-    from itertools import product as iproduct
-    nv = engine.quiver.nv
-    out = []
-    for combo in iproduct(range(total + 1), repeat=nv):
-        if sum(combo) == total:
-            out.append(combo)
-    return out
 
 
 def associativity_check(engine, total_dim_bound: int):
@@ -497,27 +445,25 @@ def associativity_check(engine, total_dim_bound: int):
 
     def run():
         checked = 0
-        for t1 in range(0, total_dim_bound + 1):
-            for d1 in _grades_with_total(engine, t1):
-                basis1 = engine.classes(d1)
-                for t2 in range(0, total_dim_bound - t1 + 1):
-                    for d2 in _grades_with_total(engine, t2):
-                        basis2 = engine.classes(d2)
-                        for t3 in range(0, total_dim_bound - t1 - t2 + 1):
-                            for d3 in _grades_with_total(engine, t3):
-                                for A in basis1:
-                                    xa = HallElement.basis(engine, A)
-                                    for B in basis2:
-                                        xb = HallElement.basis(engine, B)
-                                        ab = multiply(xa, xb)
-                                        for C in engine.classes(d3):
-                                            xc = HallElement.basis(engine, C)
-                                            lhs = multiply(ab, xc)
-                                            rhs = multiply(xa, multiply(xb, xc))
-                                            if lhs != rhs:
-                                                return (False, lhs.render(), rhs.render(),
-                                                        f"{A.render()},{B.render()},{C.render()}")
-                                            checked += 1
+        classes = _classes_up_to(engine, total_dim_bound)
+        for A in classes:
+            xa = HallElement.basis(engine, A)
+            for B in classes:
+                t2 = sum(A.grade) + sum(B.grade)
+                if t2 > total_dim_bound:
+                    break
+                xb = HallElement.basis(engine, B)
+                ab = multiply(xa, xb)
+                for C in classes:
+                    if t2 + sum(C.grade) > total_dim_bound:
+                        break
+                    xc = HallElement.basis(engine, C)
+                    lhs = multiply(ab, xc)
+                    rhs = multiply(xa, multiply(xb, xc))
+                    if lhs != rhs:
+                        return (False, lhs.render(), rhs.render(),
+                                f"{A.render()},{B.render()},{C.render()}")
+                    checked += 1
         return True, f"{checked} triples", f"{checked} triples", ""
 
     return timed_report("associativity",
@@ -529,22 +475,20 @@ def coassociativity_check(engine, total_dim_bound: int):
 
     def run():
         checked = 0
-        for total in range(0, total_dim_bound + 1):
-            for d in _grades_with_total(engine, total):
-                for L in engine.classes(d):
-                    delta = comultiply(HallElement.basis(engine, L))
-                    left = {}
-                    right = {}
-                    for (X, Y), c in delta.terms.items():
-                        for (A, B), c2 in comultiply(
-                                HallElement.basis(engine, X)).terms.items():
-                            _acc(left, (A, B, Y), c * c2)
-                        for (A, B), c2 in comultiply(
-                                HallElement.basis(engine, Y)).terms.items():
-                            _acc(right, (X, A, B), c * c2)
-                    if left != right:
-                        return False, "(Delta ox id)Delta", "(id ox Delta)Delta", L.render()
-                    checked += 1
+        for L in _classes_up_to(engine, total_dim_bound):
+            delta = comultiply(HallElement.basis(engine, L))
+            left = {}
+            right = {}
+            for (X, Y), c in delta.terms.items():
+                for (A, B), c2 in comultiply(
+                        HallElement.basis(engine, X)).terms.items():
+                    _acc(left, (A, B, Y), c * c2)
+                for (A, B), c2 in comultiply(
+                        HallElement.basis(engine, Y)).terms.items():
+                    _acc(right, (X, A, B), c * c2)
+            if left != right:
+                return False, "(Delta ox id)Delta", "(id ox Delta)Delta", L.render()
+            checked += 1
         return True, f"{checked} classes", f"{checked} classes", ""
 
     return timed_report("coassociativity",

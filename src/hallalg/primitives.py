@@ -14,6 +14,7 @@ from .coeffring import QPolynomial, v_power
 from .hallcore import (
     HallElement,
     TensorElement,
+    _acc,
     comultiply,
     green_form,
     in_span,
@@ -33,6 +34,7 @@ from .repengine import (
     get_brute_engine,
     get_nilpotent_engine,
     is_regular_kronecker,
+    kronecker_cap,
     kronecker_point_infty,
     kronecker_point_zero,
     kronecker_quiver,
@@ -40,7 +42,6 @@ from .repengine import (
 from .report import InternalCheckError, UsageError, VerificationReport, timed_report
 
 __all__ = [
-    "PrimitiveSpec",
     "jordan_primitive_coeff",
     "p_jordan",
     "p_jordan_symbolic",
@@ -62,28 +63,6 @@ __all__ = [
     "difference_basis_check",
     "xi_partition_sum_value",
 ]
-
-_FAMILIES = {
-    "jordan_pn", "cyclic_cn", "cyclic_xn", "cyclic_pnr",
-    "tube_pm", "kron_p0", "kron_pinf",
-}
-
-
-class PrimitiveSpec:
-    """A request for one named primitive element family."""
-
-    __slots__ = ("family", "params")
-
-    def __init__(self, family: str, **params):
-        if family not in _FAMILIES:
-            raise ValueError(f"unknown primitive family {family!r}")
-        self.family = family
-        self.params = params
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"PrimitiveSpec({self.family}, {args})"
-
 
 # ---------------------------------------------------------------------------
 # Partition coefficient prod_{s=1}^{len-1} (1 - q^(s e))
@@ -225,8 +204,7 @@ def kron_tube_classes(engine: BruteForceEngine, n: int, infinity: bool) -> dict:
 def _check_kron_cap(engine, n):
     if engine.quiver != kronecker_quiver():
         raise ValueError("needs a Kronecker engine")
-    cap = 3 if engine.q0 == 2 else 2
-    if not 1 <= n <= cap:
+    if not 1 <= n <= kronecker_cap(engine.q0):
         raise UsageError(f"n={n} outside the supported range for q={engine.q0}")
 
 
@@ -456,10 +434,7 @@ def central_family_check(r: int, n: int, q0: int) -> VerificationReport:
             cns = c_central(engine, n - s)
             for A, ca in cs.terms.items():
                 for B, cb in cns.terms.items():
-                    pair = (A, B)
-                    val = ca * cb
-                    cur = expected.get(pair)
-                    expected[pair] = val if cur is None else cur + val
+                    _acc(expected, (A, B), ca * cb)
         ok = delta == TensorElement(engine, expected)
         return ok, "Delta(c_n)", "sum c_s ox c_(n-s)", ""
 

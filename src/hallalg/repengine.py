@@ -48,6 +48,7 @@ __all__ = [
     "kronecker_point_zero",
     "kronecker_point_infty",
     "is_regular_kronecker",
+    "kronecker_cap",
     "kronecker_regular_classes",
 ]
 
@@ -298,7 +299,10 @@ def _entry(n, rows, codes, pivots):
 def _subspace_cache(F: FieldSpec, n: int):
     """Every subspace of F^n as an entry, by dimension in gf.subspaces
     order, built once per (q, n); the basis rows are the same tuple
-    objects as in the vector list."""
+    objects as in the vector list.  Past POINT_CAP subspaces the list is
+    refused before any is built."""
+    if _subspace_count(F.q, n) > POINT_CAP:
+        raise UsageError(f"the subspaces of F_{F.q}^{n} exceed the point cap")
     vectors = _vector_cache(F, n)[0]
     code_of = {v: c for c, v in enumerate(vectors)}
     out = []
@@ -1457,11 +1461,16 @@ def is_regular_kronecker(engine: BruteForceEngine, c: IsoClass) -> bool:
     return all(p.grade[0] == p.grade[1] for p in engine.decompose(c))
 
 
+def kronecker_cap(q0: int) -> int:
+    """The largest n for which the Kronecker classes at (n, n) are listed."""
+    return 3 if q0 == 2 else 2
+
+
 def kronecker_regular_classes(engine: BruteForceEngine, n: int) -> list:
     """All regular classes at dimension vector (n, n)."""
     if engine.quiver != kronecker_quiver():
         raise ValueError("engine is not a Kronecker engine")
-    cap = 3 if engine.q0 == 2 else 2
+    cap = kronecker_cap(engine.q0)
     if n > cap:
         raise UsageError(f"regular classification capped at n={cap} for q={engine.q0}")
     return [c for c in engine.classes((n, n)) if is_regular_kronecker(engine, c)]

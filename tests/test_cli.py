@@ -114,10 +114,11 @@ class TestHallNum:
                            "--L", "(1)", "--M", "(1)", "--N", "(1)"])
         assert code == 2
 
-    def test_vector_space_past_the_point_cap_exits_2(self):
-        """F_1024^3 has about 1.07e9 vectors: the table is refused before
-        any is listed.  The child's address space is capped, so a table
-        that does list them fails at once instead of exhausting memory."""
+    @staticmethod
+    def _run_capped(argv):
+        """Run the CLI in a child whose address space is capped at 1 GiB, so
+        a table that does list past a cap fails at once instead of
+        exhausting memory."""
         import resource
 
         import hallalg
@@ -126,13 +127,27 @@ class TestHallNum:
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(hallalg.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hallalg.cli", "hallnum", "--quiver", "c1",
-             "--q", "1024", "--L", "(2,1)", "--M", "(1,1)", "--N", "(1)"],
+        return subprocess.run(
+            [sys.executable, "-m", "hallalg.cli", *argv],
             capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
             env=dict(os.environ, PYTHONPATH=src))
+
+    def test_vector_space_past_the_point_cap_exits_2(self):
+        """F_1024^3 has about 1.07e9 vectors: the table is refused before
+        any is listed."""
+        proc = self._run_capped(["hallnum", "--quiver", "c1", "--q", "1024",
+                                 "--L", "(2,1)", "--M", "(1,1)", "--N", "(1)"])
         assert proc.returncode == 2
         assert "point cap" in proc.stderr
+
+    def test_subspaces_past_the_point_cap_exit_2(self):
+        """A semisimple L of size 6 lists every subspace of F_5^6, 3.6e6 of
+        them: the list is refused before it is built."""
+        proc = self._run_capped(["hallnum", "--quiver", "c1", "--q", "5",
+                                 "--L", "(1,1,1,1,1,1)", "--M", "(1,1,1)",
+                                 "--N", "(1,1,1)"])
+        assert proc.returncode == 2
+        assert "subspaces of F_5^6 exceed the point cap" in proc.stderr
 
 
 class TestHallPoly:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,7 @@ from hallalg.coeffring import CycloSqrt, SqrtExt, v_power
 from hallalg.hallcore import (
     HallElement,
     TensorElement,
-    _grades_with_total,
+    _classes_up_to,
     adjointness_check,
     associativity_check,
     coassociativity_check,
@@ -250,6 +251,58 @@ class TestStructureChecks:
     def test_adjointness_small(self, c1):
         assert adjointness_check(c1, 3).passed
 
+    @pytest.mark.parametrize("name,counts", [
+        ("C1", (86, 12, 143)), ("C2", (447, 38, 843)), ("K2", (561, 49, 1689))])
+    def test_checks_cover_every_triple_in_range(self, name, counts):
+        # the number of basis triples (classes) with total dimension <= 4,
+        # as the checks counted them grade by grade
+        engine = _FRESH_ENGINES[name]()
+        reports = [check(engine, 4) for check in
+                   (associativity_check, coassociativity_check, adjointness_check)]
+        assert all(r.passed for r in reports)
+        assert tuple(int(r.lhs.split()[0]) for r in reports) == counts
+
+    def test_classes_up_to_by_total_dimension(self, c2):
+        classes = _classes_up_to(c2, 3)
+        totals = [sum(c.grade) for c in classes]
+        assert totals == sorted(totals) and totals[-1] == 3
+        assert set(classes) == {c for d in product(range(4), repeat=2)
+                                if sum(d) <= 3 for c in c2.classes(d)}
+        assert len(classes) == len(set(classes))
+
+
+class TestLinearCombinations:
+    """HallElement and TensorElement share cleaning, equality and
+    arithmetic; neither adds to or equals the other."""
+
+    def test_tensor_plus_hall_element_raises(self, c1):
+        t = comultiply(HallElement.basis(c1, c1.simple(0)))
+        x = HallElement.basis(c1, c1.simple(0))
+        with pytest.raises(TypeError):
+            t + x
+        with pytest.raises(TypeError):
+            x + t
+        with pytest.raises(TypeError):
+            t - x
+        assert t != x and x != t
+
+    def test_tensor_arithmetic_cleans_zeros(self, c1):
+        zero, S = c1.zero_class(), c1.simple(0)
+        a = TensorElement(c1, {(S, zero): 1, (zero, S): 0})
+        b = TensorElement(c1, {(S, zero): -1, (zero, S): 2})
+        assert list(a.terms) == [(S, zero)]
+        assert list((a + b).terms) == [(zero, S)]
+        assert (a - a).is_zero() and (a + b) - b == a
+        assert -(-b) == b
+        assert (a + b).coefficient((S, zero)) == 0
+        assert isinstance(a + b, TensorElement) and isinstance(-a, TensorElement)
+
+    def test_foreign_isoclass_rejected(self, c1, c2):
+        with pytest.raises(ValueError):
+            HallElement(c1, {c2.simple(0): 1})
+        # a zero coefficient is dropped before the check
+        assert HallElement(c1, {c2.simple(0): 0}).is_zero()
+
 
 class TestLinearAlgebraHelpers:
     def test_in_span(self, k2):
@@ -306,11 +359,6 @@ _FRESH_ENGINES = {
     "C2": lambda: NilpotentCyclicEngine(2, 2),
     "K2": lambda: BruteForceEngine(kronecker_quiver(), 2),
 }
-
-
-def _classes_up_to(engine, bound):
-    return [c for t in range(bound + 1) for d in _grades_with_total(engine, t)
-            for c in engine.classes(d)]
 
 
 class TestMemoizedMaps:

@@ -15,7 +15,6 @@ from hallalg.hallcore import (
 )
 from hallalg.partitions import Partition, partitions_of
 from hallalg.primitives import (
-    PrimitiveSpec,
     c_central,
     difference_basis_check,
     jordan_primitive_coeff,
@@ -355,13 +354,3 @@ class TestFullCyclicPrimitiveBasis:
         assert len(basis) == 2
         assert rank_of_elements([p1, ex]) == 2
         assert in_span(basis, p1) and in_span(basis, ex)
-
-
-class TestPrimitiveSpec:
-    def test_known_families(self):
-        spec = PrimitiveSpec("cyclic_pnr", r=2, n=1, q0=3)
-        assert spec.family == "cyclic_pnr"
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            PrimitiveSpec("mystery")

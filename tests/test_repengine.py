@@ -558,6 +558,22 @@ class TestSubspaceLists:
         assert repengine._subspace_count(2, 5) == 374
         assert repengine._subspace_count(3, 5) == 2664
 
+    def test_list_past_the_point_cap_is_refused_before_listing(self, monkeypatch):
+        """F_5^6 has 3,583,232 subspaces: the list is refused before a
+        single vector or subspace is built."""
+        from hallalg import repengine
+        from hallalg.gf import FieldSpec
+        from hallalg.report import UsageError
+
+        def no_listing(*args):
+            raise AssertionError("listed vectors past the subspace cap")
+
+        monkeypatch.setattr(repengine, "_vector_cache", no_listing)
+        assert repengine._subspace_count(4, 6) <= repengine.POINT_CAP
+        assert repengine._subspace_count(5, 6) == 3583232 > repengine.POINT_CAP
+        with pytest.raises(UsageError, match="point cap"):
+            repengine._subspace_cache(FieldSpec.from_order(5), 6)
+
     def test_entries_share_their_pivot_tuples(self):
         from hallalg import repengine
         from hallalg.gf import FieldSpec
