@@ -46,7 +46,7 @@ from .repengine import (
 from .report import UsageError
 from .suite import CHECK_RUNNERS, run_all
 
-CACHE_VERSION = f"hallalg-{__version__}-cache-1"
+CACHE_VERSION = f"hallalg-{__version__}-cache-2"
 # 128 + SIGPIPE: the status a shell gives a writer whose reader went away
 EXIT_BROKEN_PIPE = 141
 
@@ -194,8 +194,6 @@ def _compute_class_rows(engine, d):
         row = {"class": cls.render(), "aut": engine.aut_order(cls)}
         if hasattr(engine, "orbit_size"):
             row["orbit_size"] = engine.orbit_size(cls)
-            mats, _ = engine.rep_point(cls)
-            row["rep"] = [[list(r) for r in m] for m in mats]
         rows.append(row)
     return rows
 
@@ -259,9 +257,8 @@ def cmd_isoclasses(args, out):
     nv = selector[1] if selector[0] == "nil" else selector[1].nv
     d = _parse_dimvec(args.d, nv)
     data, _ = _grade_cache(selector, args.q, d, args.cache_dir)
-    rows = [{k: v for k, v in row.items() if k != "rep"} for row in data["classes"]]
-    _emit_rows(rows, ["class", "aut"] + (["orbit_size"] if selector[0] == "brute" else []),
-               args.format, out)
+    columns = ["class", "aut"] + (["orbit_size"] if selector[0] == "brute" else [])
+    _emit_rows(data["classes"], columns, args.format, out)
     return 0
 
 

@@ -231,7 +231,7 @@ def check_homomorphism(spec: ReversalSpec, q0: int, grade_pairs) -> Verification
         tgt = get_brute_engine(spec.target, q0)
         transform_cache = {}
 
-        def phi(element: HallElement, grade) -> HallElement:
+        def phi(element: HallElement) -> HallElement:
             out = HallElement.zero(tgt)
             for cls, coeff in element.terms.items():
                 cached = transform_cache.get(cls)
@@ -246,11 +246,11 @@ def check_homomorphism(spec: ReversalSpec, q0: int, grade_pairs) -> Verification
         for d1, d2 in grade_pairs:
             for M in src.classes(d1):
                 fM = HallElement.basis(src, M)
-                phiM = phi(fM, d1)
+                phiM = phi(fM)
                 for N in src.classes(d2):
                     fN = HallElement.basis(src, N)
-                    lhs = phi(multiply(fM, fN), tuple(a + b for a, b in zip(d1, d2)))
-                    rhs = multiply(phiM, phi(fN, d2))
+                    lhs = phi(multiply(fM, fN))
+                    rhs = multiply(phiM, phi(fN))
                     if lhs != rhs:
                         return (False, f"Phi([{M.render()}]*[{N.render()}])",
                                 "product of transforms", "mismatch")

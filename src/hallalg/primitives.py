@@ -35,11 +35,11 @@ from .repengine import (
     get_nilpotent_engine,
     is_regular_kronecker,
     kronecker_cap,
-    kronecker_point_infty,
-    kronecker_point_zero,
+    kronecker_points,
     kronecker_quiver,
+    kronecker_tube_class,
 )
-from .report import InternalCheckError, UsageError, VerificationReport, timed_report
+from .report import UsageError, VerificationReport, timed_report
 
 __all__ = [
     "jordan_primitive_coeff",
@@ -49,11 +49,11 @@ __all__ = [
     "x_element",
     "p_cyclic",
     "p_tube_homog",
-    "kron_tube_classes",
     "kron_p0",
     "kron_pinf",
     "kron_pK2",
     "KroneckerTube",
+    "kronecker_tube",
     "kronecker_tubes",
     "verify_xi_identity",
     "verify_aut_sum_identities",
@@ -68,13 +68,8 @@ __all__ = [
 # Partition coefficient prod_{s=1}^{len-1} (1 - q^(s e))
 # ---------------------------------------------------------------------------
 
-def jordan_primitive_coeff(lam: Partition, e: int = 1, q0=None):
+def jordan_primitive_coeff(lam: Partition, e: int = 1) -> QPolynomial:
     """The coefficient of [I_lambda]: prod_{s=1}^{len(lambda)-1} (1 - q^(s e))."""
-    if q0 is not None:
-        out = Fraction(1)
-        for s in range(1, lam.length()):
-            out *= 1 - Fraction(q0) ** (s * e)
-        return out
     out = QPolynomial.one()
     for s in range(1, lam.length()):
         out = out * QPolynomial({0: 1, s * e: -1})
@@ -94,7 +89,7 @@ def p_jordan(engine: NilpotentCyclicEngine, n: int) -> HallElement:
         raise ValueError("need n >= 1")
     terms = {}
     for lam in partitions_of(n):
-        terms[_jordan_class(engine, lam)] = jordan_primitive_coeff(lam, q0=engine.q0)
+        terms[_jordan_class(engine, lam)] = jordan_primitive_coeff(lam).evaluate(engine.q0)
     return HallElement(engine, terms)
 
 
@@ -186,19 +181,8 @@ def p_tube_homog(engine, e_deg: int, m: int, classes_by_partition) -> HallElemen
         if key not in classes_by_partition:
             raise ValueError(f"missing tube class for partition {key}")
         terms[classes_by_partition[key]] = jordan_primitive_coeff(
-            lam, e=e_deg, q0=engine.q0)
+            lam, e=e_deg).evaluate(engine.q0)
     return HallElement(engine, terms)
-
-
-def kron_tube_classes(engine: BruteForceEngine, n: int, infinity: bool) -> dict:
-    """Classes of I_lambda(0) or I_lambda(infinity) for all lambda |- n."""
-    _check_kron_cap(engine, n)
-    out = {}
-    for lam in partitions_of(n):
-        cls = (kronecker_point_infty(engine, lam) if infinity
-               else kronecker_point_zero(engine, lam))
-        out[lam.parts] = cls
-    return out
 
 
 def _check_kron_cap(engine, n):
@@ -210,12 +194,14 @@ def _check_kron_cap(engine, n):
 
 def kron_p0(engine: BruteForceEngine, n: int) -> HallElement:
     """Tube primitive at the point 0: matrix pairs (I, J_lambda)."""
-    return p_tube_homog(engine, 1, n, kron_tube_classes(engine, n, infinity=False))
+    _check_kron_cap(engine, n)
+    return tube_primitive(engine, kronecker_tube(engine, (0, 1), n), n)
 
 
 def kron_pinf(engine: BruteForceEngine, n: int) -> HallElement:
     """Tube primitive at the point infinity: matrix pairs (J_lambda, I)."""
-    return p_tube_homog(engine, 1, n, kron_tube_classes(engine, n, infinity=True))
+    _check_kron_cap(engine, n)
+    return tube_primitive(engine, kronecker_tube(engine, None, n), n)
 
 
 def kron_pK2(engine: BruteForceEngine, n: int) -> HallElement:
@@ -225,89 +211,40 @@ def kron_pK2(engine: BruteForceEngine, n: int) -> HallElement:
 
 
 # ---------------------------------------------------------------------------
-# Tube identification on the Kronecker quiver
+# Kronecker tubes at the closed points of P^1
 # ---------------------------------------------------------------------------
 
 class KroneckerTube:
-    """A homogeneous tube: its quasi-simple class, degree, and the classes
+    """A homogeneous tube: its closed point (see kronecker_points), the
+    point's degree, the quasi-simple class E_x = I_(1)(x), and the classes
     of the modules I_lambda(x) indexed by partitions."""
 
-    __slots__ = ("simple", "degree", "classes")
+    __slots__ = ("point", "degree", "simple", "classes")
 
-    def __init__(self, simple: IsoClass, degree: int, classes: dict):
-        self.simple = simple
+    def __init__(self, point, degree: int, simple: IsoClass, classes: dict):
+        self.point = point
         self.degree = degree
+        self.simple = simple
         self.classes = classes
 
     def __repr__(self):
         return f"KroneckerTube(deg={self.degree}, simple={self.simple.render()})"
 
 
-def _regular_simples_of_degree(engine: BruteForceEngine, d: int):
-    """Regular quasi-simples at (d, d): indecomposable regular classes with
-    no proper nonzero regular submodule of square dimension vector."""
-    out = []
-    for cls in engine.classes((d, d)):
-        if not engine.is_indecomposable(cls):
-            continue
-        has_regular_sub = False
-        for (_, sub_key), count in engine.sub_table(cls).items():
-            if not count:
-                continue
-            sub_grade = sub_key[0]
-            total = sum(sub_grade)
-            if total == 0 or total == 2 * d:
-                continue
-            if sub_grade[0] != sub_grade[1]:
-                continue
-            sub_cls = engine.class_from_key(sub_key)
-            if is_regular_kronecker(engine, sub_cls):
-                has_regular_sub = True
-                break
-        if not has_regular_sub:
-            out.append(cls)
-    return out
-
-
-def _quasi_length_classes(engine: BruteForceEngine, simple: IsoClass, m: int):
-    """E_x[1..m] inside the tube of a degree-d quasi-simple E_x."""
-    d = simple.grade[0]
-    chain = [simple]
-    for j in range(2, m + 1):
-        grade = (j * d, j * d)
-        found = None
-        for cls in engine.classes(grade):
-            if not engine.is_indecomposable(cls):
-                continue
-            if engine.hall_number(cls, simple, chain[-1]):
-                if found is not None:
-                    raise InternalCheckError("tube extension is not unique")
-                found = cls
-        if found is None:
-            raise InternalCheckError("missing tube extension class")
-        chain.append(found)
-    return chain
+def kronecker_tube(engine: BruteForceEngine, x, m: int) -> KroneckerTube:
+    """The tube at the closed point x, with I_lambda(x) for every lambda |- m."""
+    degree = 1 if x is None else len(x) - 1
+    classes = {lam.parts: kronecker_tube_class(engine, x, lam) for lam in partitions_of(m)}
+    return KroneckerTube(x, degree, kronecker_tube_class(engine, x, Partition((1,))), classes)
 
 
 def kronecker_tubes(engine: BruteForceEngine, n: int):
-    """All tubes with deg(x) | n, with I_lambda(x) classes resolved up to
-    quasi-length n/deg(x).  Sorted by (degree, quasi-simple key)."""
+    """The tubes at the closed points x with deg(x) | n, with I_lambda(x)
+    resolved for lambda |- n/deg(x).  Sorted by (degree, quasi-simple key)."""
     _check_kron_cap(engine, n)
-    tubes = []
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        m = n // d
-        for simple in _regular_simples_of_degree(engine, d):
-            chain = _quasi_length_classes(engine, simple, m)
-            classes = {}
-            for lam in partitions_of(m):
-                parts = [chain[part - 1] for part in lam]
-                if len(parts) == 1:
-                    classes[lam.parts] = parts[0]
-                else:
-                    classes[lam.parts] = engine.direct_sum_class(parts)
-            tubes.append(KroneckerTube(simple, d, classes))
+    tubes = [kronecker_tube(engine, x, n // d)
+             for d in range(1, n + 1) if n % d == 0
+             for x in kronecker_points(engine.q0, d)]
     tubes.sort(key=lambda t: (t.degree, t.simple.sort_key()))
     return tubes
 
@@ -349,7 +286,7 @@ def xi_partition_sum_value(n: int, q0) -> Fraction:
     """sum_{lambda |- n} prod(1 - q^s) / a_lambda(q) at a numeric q."""
     total = Fraction(0)
     for lam in partitions_of(n):
-        total += jordan_primitive_coeff(lam, q0=q0) / a_lambda(lam, q0)
+        total += jordan_primitive_coeff(lam).evaluate(q0) / a_lambda(lam, q0)
     return total
 
 
@@ -489,7 +426,7 @@ def kernel_theorem_check(n: int, q0: int) -> VerificationReport:
     return timed_report("kernel", {"n": n, "q": q0}, run)
 
 
-def difference_basis_check(n: int, q0: int, anchor_index: int = 0) -> VerificationReport:
+def difference_basis_check(n: int, q0: int) -> VerificationReport:
     """The differences p_m(x) - p_t(y) over tubes with t*deg(y) = n form a
     basis of the full primitive space at (n, n)."""
     if not (1 <= n <= 2 and q0 in (2, 3)) or (n == 2 and q0 != 2):
@@ -498,9 +435,7 @@ def difference_basis_check(n: int, q0: int, anchor_index: int = 0) -> Verificati
     def run():
         engine = get_brute_engine(kronecker_quiver(), q0)
         tubes = kronecker_tubes(engine, n)
-        if not 0 <= anchor_index < len(tubes):
-            return False, "anchor", "tubes", f"anchor {anchor_index} out of range"
-        anchor = tubes[anchor_index]
+        anchor = tubes[0]
         p_anchor = tube_primitive(engine, anchor, n // anchor.degree)
         diffs = []
         for tube in tubes:

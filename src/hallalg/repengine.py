@@ -1,7 +1,7 @@
 """Module-category engines for quiver representations over finite fields.
 
 Two engines feed the Hall algebra layer with isoclass lists, automorphism
-orders, Hall numbers, Hom dimensions, socles and Krull-Schmidt data:
+orders, Hall numbers, Hom dimensions and socles:
 
   * NilpotentCyclicEngine: nilpotent representations of the cyclic quiver
     with r vertices, classified by multisegments.  Isomorphism testing is
@@ -45,8 +45,8 @@ __all__ = [
     "parse_multisegment",
     "jordan_block",
     "jordan_matrix",
-    "kronecker_point_zero",
-    "kronecker_point_infty",
+    "kronecker_points",
+    "kronecker_tube_class",
     "is_regular_kronecker",
     "kronecker_cap",
     "kronecker_regular_classes",
@@ -59,7 +59,6 @@ BRUTE_TOTAL_DIM_CAP = 8
 # subspaces of F_2^5, 3.8 against 1.9 ms over the 2,664 of F_3^5).
 PRODUCT_WALK_TUPLES = 1000
 POINT_CAP = 10 ** 6
-END_ENUM_CAP = 2 ** 16
 
 
 class Quiver:
@@ -813,15 +812,6 @@ class NilpotentCyclicEngine:
         mats, dims = self.rep_point(c)
         return _socle_from_point(self.field, self.quiver, mats, dims)
 
-    def is_indecomposable(self, c: IsoClass) -> bool:
-        return len(c.key) == 1 and c.key[0][1] == 1
-
-    def decompose(self, c: IsoClass) -> list:
-        out = []
-        for (seg, m) in c.key:
-            out.extend([self.make_class(((seg, 1),))] * m)
-        return out
-
     # -- Hall numbers ----------------------------------------------------------
 
     def sub_table(self, c: IsoClass) -> dict:
@@ -903,7 +893,6 @@ class BruteForceEngine:
         self._generator_cache = {}
         self._subtables = {}
         self._point_classes = {}
-        self._decomp = {}
         # basis products and coproducts, filled by hallcore
         self._products = {}
         self._coproducts = {}
@@ -1211,7 +1200,7 @@ class BruteForceEngine:
         recurse(0, zero_flat)
         return count
 
-    def _orbit_size_of_point(self, mats, d, cap: int = 500000):
+    def _orbit_size_of_point(self, mats, d):
         gens = self._generators(d)
         point = self._flatten(mats, d)
         seen = {point}
@@ -1222,8 +1211,8 @@ class BruteForceEngine:
                 y = self._act(gen, x)
                 if y not in seen:
                     seen.add(y)
-                    if len(seen) > cap:
-                        raise ValueError("orbit closure exceeds the point cap")
+                    if len(seen) > POINT_CAP:
+                        raise UsageError("orbit closure exceeds the point cap")
                     queue.append(y)
         return len(seen)
 
@@ -1262,7 +1251,7 @@ class BruteForceEngine:
         grade, idx = key
         return self.grade_data(grade).classes[idx]
 
-    # -- Krull-Schmidt ---------------------------------------------------------------
+    # -- distinguished classes -----------------------------------------------------
 
     def zero_class(self) -> IsoClass:
         d = (0,) * self.quiver.nv
@@ -1272,128 +1261,8 @@ class BruteForceEngine:
         d = tuple(1 if j == i else 0 for j in range(self.quiver.nv))
         return self.classes(d)[0]
 
-    def direct_sum_class(self, parts) -> IsoClass:
-        """Class of the block-diagonal direct sum of the given classes."""
-        F = self.field
-        points = [self.rep_point(c) for c in parts]
-        dims = tuple(sum(p[1][i] for p in points) for i in range(self.quiver.nv))
-        mats = []
-        for a_idx, (t, h) in enumerate(self.quiver.arrows):
-            M = [[0] * dims[t] for _ in range(dims[h])]
-            ro = co = 0
-            for pmats, pdims in points:
-                X = pmats[a_idx]
-                for rr in range(pdims[h]):
-                    for cc in range(pdims[t]):
-                        M[ro + rr][co + cc] = X[rr][cc]
-                ro += pdims[h]
-                co += pdims[t]
-            mats.append(tuple(tuple(r_) for r_ in M))
-        return self.class_of_point(tuple(mats), dims)
-
-    def _decomposition_map(self, d) -> dict:
-        """Map class -> multiset of indecomposable summands, for grade d."""
-        d = tuple(d)
-        if d in self._decomp:
-            return self._decomp[d]
-        smaller = []
-        for dd in _proper_subgrades(d):
-            for c in self.indecomposables(dd):
-                smaller.append(c)
-        hit = {}
-
-        def assemble(idx, remaining, acc):
-            if not any(remaining):
-                if len(acc) >= 2:
-                    cls = self.direct_sum_class(acc)
-                    key = (cls.grade, cls.key)
-                    if key not in hit:
-                        hit[key] = list(acc)
-                return
-            if idx == len(smaller):
-                return
-            c = smaller[idx]
-            max_mult = min((rem // g if g else 10 ** 9)
-                           for rem, g in zip(remaining, c.grade) if g)
-            for m in range(max_mult, -1, -1):
-                new_rem = tuple(rem - m * g for rem, g in zip(remaining, c.grade))
-                if min(new_rem) < 0:
-                    continue
-                assemble(idx + 1, new_rem, acc + [c] * m)
-
-        assemble(0, d, [])
-        self._decomp[d] = hit
-        return hit
-
-    def decompose(self, c: IsoClass) -> list:
-        """Krull-Schmidt decomposition into indecomposable classes."""
-        if sum(c.grade) == 0:
-            return []
-        hit = self._decomposition_map(c.grade)
-        found = hit.get((c.grade, c.key))
-        if found is not None:
-            return list(found)
-        return [c]
-
-    def is_indecomposable(self, c: IsoClass) -> bool:
-        if sum(c.grade) == 0:
-            return False
-        return len(self.decompose(c)) == 1
-
-    def is_indecomposable_by_idempotents(self, c: IsoClass) -> bool:
-        """Indecomposable iff End(M) has exactly two idempotents (0 and 1)."""
-        if sum(c.grade) == 0:
-            return False
-        mats, dims = self.rep_point(c)
-        F = self.field
-        basis, _ = _hom_space_basis(self.field, self.quiver, mats, dims, mats, dims)
-        h = len(basis)
-        if self.q0 ** h > END_ENUM_CAP:
-            raise ValueError(
-                "endomorphism space too large to enumerate; use smaller parameters")
-        count = 0
-        for endo in _iter_hom_combinations(F, basis, dims, dims):
-            if all(gf.mat_mul(F, f, f) == f for f in endo):
-                count += 1
-                if count > 2:
-                    return False
-        return count == 2
-
-    def indecomposables(self, d) -> list:
-        return [c for c in self.classes(d) if self.is_indecomposable(c)]
-
     def delta(self) -> tuple:
         return (1,) * self.quiver.nv
-
-
-def _proper_subgrades(d):
-    """All nonzero grades componentwise <= d, excluding d itself."""
-    ranges = [range(x + 1) for x in d]
-    for combo in product(*ranges):
-        if any(combo) and combo != d:
-            yield combo
-
-
-def _iter_hom_combinations(F, basis, dimsM, dimsN):
-    """All F-linear combinations of a Hom-space basis, as matrix tuples."""
-    h = len(basis)
-    if h == 0:
-        yield tuple(gf.mat_zero(dimsN[i], dimsM[i]) for i in range(len(dimsM)))
-        return
-    for coeffs in product(range(F.q), repeat=h):
-        acc = [
-            [[0] * dimsM[i] for _ in range(dimsN[i])] for i in range(len(dimsM))
-        ]
-        for coef, elem in zip(coeffs, basis):
-            if not coef:
-                continue
-            for i, mat in enumerate(elem):
-                for a in range(dimsN[i]):
-                    row = mat[a]
-                    for b in range(dimsM[i]):
-                        if row[b]:
-                            acc[i][a][b] = F.add(acc[i][a][b], F.mul(coef, row[b]))
-        yield tuple(tuple(tuple(r) for r in m) for m in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -1426,39 +1295,88 @@ def jordan_block(n: int):
     return tuple(tuple(1 if j == i - 1 else 0 for j in range(n)) for i in range(n))
 
 
-def jordan_matrix(lam: Partition):
-    """Block-diagonal nilpotent matrix J_lambda."""
-    n = lam.size()
+def _block_diagonal(blocks):
+    """The square block-diagonal matrix of the given square blocks."""
+    n = sum(len(blk) for blk in blocks)
     M = [[0] * n for _ in range(n)]
     off = 0
-    for part in lam:
-        blk = jordan_block(part)
-        for i in range(part):
-            for j in range(part):
-                M[off + i][off + j] = blk[i][j]
-        off += part
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            M[off + i][off:off + len(row)] = row
+        off += len(blk)
     return tuple(tuple(r) for r in M)
 
 
-def kronecker_point_zero(engine: BruteForceEngine, lam: Partition):
-    """The K2 point (I_n, J_lambda) and its class."""
-    n = lam.size()
-    mats = (gf.mat_identity(n), jordan_matrix(lam))
-    return engine.class_of_point(mats, (n, n))
+def jordan_matrix(lam: Partition):
+    """Block-diagonal nilpotent matrix J_lambda."""
+    return _block_diagonal([jordan_block(part) for part in lam])
 
 
-def kronecker_point_infty(engine: BruteForceEngine, lam: Partition):
-    """The K2 point (J_lambda, I_n) and its class."""
-    n = lam.size()
-    mats = (jordan_matrix(lam), gf.mat_identity(n))
+def kronecker_points(q0: int, d: int) -> list:
+    """The closed points of P^1(F_q) of degree d.
+
+    A finite point is a monic irreducible f over F_q, given by its
+    coefficient codes (f_0, ..., f_{d-1}, 1); None is the point infinity,
+    of degree 1.  Precondition: d <= 3, so that a polynomial without a
+    root in F_q is irreducible.
+    """
+    if not 1 <= d <= 3:
+        raise ValueError("closed points are listed up to degree 3")
+    add, _, mul = gf.field_tables(FieldSpec.from_order(q0))
+
+    def has_root(f):
+        for a in range(q0):
+            value = 0
+            for c in reversed(f):
+                value = add[mul[value][a]][c]
+            if not value:
+                return True
+        return False
+
+    monic = [f + (1,) for f in product(range(q0), repeat=d)]
+    if d == 1:
+        return [None] + monic
+    return [f for f in monic if not has_root(f)]
+
+
+def kronecker_tube_class(engine: BruteForceEngine, x, lam: Partition) -> IsoClass:
+    """The class of I_lambda(x) in the tube at the closed point x.
+
+    At a finite point f it is the K2 point (I, C(f^lambda_1) + C(f^lambda_2)
+    + ...), a block sum of companion matrices with ones below the
+    diagonal, so that C(x^k) is jordan_block(k).  At infinity it is
+    (J_lambda, I).
+    """
+    if x is None:
+        A = jordan_matrix(lam)
+    else:
+        add, sub, mul = gf.field_tables(engine.field)
+        powers = [(1,)]
+        for _ in range(max(lam)):
+            g = [0] * (len(powers[-1]) + len(x) - 1)
+            for i, a in enumerate(powers[-1]):
+                for j, b in enumerate(x):
+                    g[i + j] = add[g[i + j]][mul[a][b]]
+            powers.append(g)
+
+        def companion(g):
+            n = len(g) - 1
+            return tuple(tuple(sub[0][g[i]] if j == n - 1 else int(j == i - 1)
+                               for j in range(n)) for i in range(n))
+
+        A = _block_diagonal([companion(powers[part]) for part in lam])
+    n = len(A)
+    mats = (A, gf.mat_identity(n)) if x is None else (gf.mat_identity(n), A)
     return engine.class_of_point(mats, (n, n))
 
 
 def is_regular_kronecker(engine: BruteForceEngine, c: IsoClass) -> bool:
-    """Regular = every indecomposable summand has a square dimension vector."""
-    if sum(c.grade) == 0:
-        return True
-    return all(p.grade[0] == p.grade[1] for p in engine.decompose(c))
+    """Regular = semistable of slope 1/2: the grade is square and no
+    submodule U has dim U_0 > dim U_1 (vertex 0 is the source)."""
+    if c.grade[0] != c.grade[1]:
+        return False
+    return all(sub_grade[0] <= sub_grade[1]
+               for _, (sub_grade, _) in engine.sub_table(c))
 
 
 def kronecker_cap(q0: int) -> int:

@@ -344,6 +344,29 @@ class TestCache:
         assert code2 == 0
         assert warm == cold  # stale entry was ignored and rebuilt
 
+    def test_fresh_file_holds_no_rep(self, tmp_path):
+        args = ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "2,1",
+                "--cache-dir", str(tmp_path), "--format", "json"]
+        assert run_cli(args)[0] == 0
+        data = json.loads((tmp_path / "k2_q2_d2-1.json").read_text())
+        assert data["version"].endswith("-cache-2")
+        assert data["classes"] and all(set(row) == {"class", "aut", "orbit_size"}
+                                       for row in data["classes"])
+
+    def test_cache_1_file_is_ignored(self, tmp_path):
+        args = ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "1,1",
+                "--cache-dir", str(tmp_path), "--format", "json"]
+        code, cold = run_cli(args)
+        path = tmp_path / "k2_q2_d1-1.json"
+        data = json.loads(path.read_text())
+        data["version"] = data["version"].replace("-cache-2", "-cache-1")
+        for row in data["classes"]:
+            row["aut"] += 1
+            row["rep"] = [[[0]], [[0]]]
+        path.write_text(json.dumps(data))
+        assert run_cli(args) == (code, cold) == (0, cold)
+        assert json.loads(path.read_text())["version"].endswith("-cache-2")
+
     def test_non_object_cache_file_is_rebuilt(self, tmp_path):
         args = ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "1,1",
                 "--cache-dir", str(tmp_path), "--format", "json"]

@@ -13,7 +13,8 @@ from hallalg.hallcore import (
     one_reg,
     primitive_subspace,
 )
-from hallalg.partitions import Partition, partitions_of
+from hallalg.gf import mat_identity
+from hallalg.partitions import Partition, partitions_of, phi_irreducible_count
 from hallalg.primitives import (
     c_central,
     difference_basis_check,
@@ -22,7 +23,7 @@ from hallalg.primitives import (
     kron_p0,
     kron_pinf,
     kron_pK2,
-    kron_tube_classes,
+    kronecker_tube,
     kronecker_tubes,
     p_cyclic,
     p_jordan,
@@ -35,7 +36,14 @@ from hallalg.primitives import (
     x_element,
     xi_partition_sum_value,
 )
-from hallalg.repengine import get_brute_engine, get_nilpotent_engine, kronecker_quiver
+from hallalg.repengine import (
+    get_brute_engine,
+    get_nilpotent_engine,
+    is_regular_kronecker,
+    jordan_matrix,
+    kronecker_quiver,
+    kronecker_tube_class,
+)
 
 
 class TestJordanFamily:
@@ -139,7 +147,7 @@ class TestCyclicPrimitives:
         for lam in partitions_of(2):
             cls = engine.make_class(tuple(
                 ((0, part * 2), mult) for part, mult in lam.exponential().items()))
-            assert p2.coefficient(cls) == jordan_primitive_coeff(lam, q0=q0)
+            assert p2.coefficient(cls) == jordan_primitive_coeff(lam).evaluate(q0)
 
 
 class TestTubePrimitives:
@@ -185,21 +193,72 @@ class TestTubePrimitives:
 
 
 def _tube_members(engine, tube, m):
-    """All direct sums from the tube with quasi-length total <= m."""
-    members = set()
-    for j in range(1, m + 1):
-        for lam in partitions_of(j):
-            cls = tube.classes.get(lam.parts)
-            if cls is not None:
-                members.add(cls)
-    # sums of smaller quasi-lengths also live in the tube's subcategory
-    chain = [tube.classes.get((j,)) for j in range(1, m + 1)]
-    for a in chain:
-        for b in chain:
-            if a is not None and b is not None and \
-                    sum(a.grade) + sum(b.grade) <= 2 * m * tube.degree:
-                members.add(engine.direct_sum_class([a, b]))
-    return members
+    """The classes I_lambda(x) at the tube's point with |lambda| <= m."""
+    return {kronecker_tube_class(engine, tube.point, lam)
+            for j in range(1, m + 1) for lam in partitions_of(j)}
+
+
+# (q, n) cells of the tube checks; n = 3 is listed at q = 2 only (kronecker_cap)
+TUBE_CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
+
+
+def _is_power_of(q0, k):
+    while k > 1 and k % q0 == 0:
+        k //= q0
+    return k == 1
+
+
+class TestTubesFromPoints:
+    @pytest.mark.parametrize("q0,n", TUBE_CELLS)
+    def test_one_tube_per_closed_point(self, q0, n):
+        tubes = kronecker_tubes(get_brute_engine(kronecker_quiver(), q0), n)
+        degrees = [t.degree for t in tubes]
+        assert degrees == sorted(degrees)
+        for d in range(1, n + 1):
+            expected = phi_irreducible_count(d, q0) + (d == 1) if n % d == 0 else 0
+            assert degrees.count(d) == expected
+
+    @pytest.mark.parametrize("q0,n", TUBE_CELLS)
+    def test_tube_classes_are_regular_and_distinct(self, q0, n):
+        engine = get_brute_engine(kronecker_quiver(), q0)
+        tubes = kronecker_tubes(engine, n)
+        classes = [c for t in tubes for c in t.classes.values()]
+        assert len(set(classes)) == len(classes)
+        assert all(is_regular_kronecker(engine, c) for c in classes + [t.simple for t in tubes])
+
+    @pytest.mark.parametrize("q0,n", TUBE_CELLS)
+    def test_quasi_simple_has_no_proper_regular_submodule(self, q0, n):
+        engine = get_brute_engine(kronecker_quiver(), q0)
+        for tube in kronecker_tubes(engine, n):
+            E = tube.simple
+            for _, (grade, key) in engine.sub_table(E):
+                if 0 < sum(grade) < sum(E.grade):
+                    assert not is_regular_kronecker(engine, engine.class_from_key((grade, key)))
+
+    @pytest.mark.parametrize("q0,n", TUBE_CELLS)
+    def test_quasi_length_grows_by_the_quasi_simple(self, q0, n):
+        engine = get_brute_engine(kronecker_quiver(), q0)
+        for tube in kronecker_tubes(engine, n):
+            chain = [kronecker_tube_class(engine, tube.point, Partition((j,)))
+                     for j in range(1, n // tube.degree + 1)]
+            assert chain[0] == tube.simple
+            for shorter, longer in zip(chain, chain[1:]):
+                assert engine.hall_number(longer, tube.simple, shorter) > 0
+
+    @pytest.mark.parametrize("q0,n", TUBE_CELLS)
+    def test_indecomposable_has_local_endomorphism_ring(self, q0, n):
+        # End local with residue field F_(q^e) and radical of dimension r:
+        # q^(e + r) - |Aut| = q^(e + r) - (q^e - 1) q^r = q^r
+        engine = get_brute_engine(kronecker_quiver(), q0)
+        for tube in kronecker_tubes(engine, n):
+            cls = tube.classes[(n // tube.degree,)]
+            assert _is_power_of(q0, q0 ** engine.dim_end(cls) - engine.aut_order(cls))
+
+    def test_split_module_fails_the_local_test(self):
+        # End(I_(1,1)(0)) is the matrix ring M_2(F_2): 2^4 - 6 = 10
+        engine = get_brute_engine(kronecker_quiver(), 2)
+        cls = kronecker_tube(engine, (0, 1), 2).classes[(1, 1)]
+        assert not _is_power_of(2, 2 ** engine.dim_end(cls) - engine.aut_order(cls))
 
 
 class TestKroneckerPrimitives:
@@ -236,7 +295,6 @@ class TestKroneckerPrimitives:
         # keeps it primitive for the restricted coproduct
         engine = get_brute_engine(kronecker_quiver(), 2)
         p = kron_pK2(engine, 1)
-        from hallalg.repengine import is_regular_kronecker
         reg = lambda c: is_regular_kronecker(engine, c)
         restricted = p.restrict(reg)
         delta = comultiply(restricted, predicate=reg)
@@ -249,9 +307,17 @@ class TestKroneckerPrimitives:
         assert delta == TensorElement(engine, expected)
 
     def test_tube_classes_match_constructors(self):
+        # the tubes at 0 and infinity hold the points (I, J_lambda) and (J_lambda, I)
         engine = get_brute_engine(kronecker_quiver(), 2)
-        zero_classes = kron_tube_classes(engine, 2, infinity=False)
-        assert set(zero_classes) == {(2,), (1, 1)}
+        tubes = kronecker_tubes(engine, 2)
+        for x, point in (((0, 1), lambda J, I: (I, J)), (None, lambda J, I: (J, I))):
+            tube = kronecker_tube(engine, x, 2)
+            assert tube.degree == 1
+            assert tube.classes == {
+                lam.parts: engine.class_of_point(point(jordan_matrix(lam), mat_identity(2)),
+                                                 (2, 2))
+                for lam in partitions_of(2)}
+            assert [t.classes for t in tubes if t.point == x] == [tube.classes]
 
     def test_cap_validation(self):
         engine = get_brute_engine(kronecker_quiver(), 3)
@@ -317,21 +383,15 @@ class TestMainTheoremChecks:
     def test_dimensions_n1(self):
         # q = 2: three degree-1 points, dim regular-primitive 3, full 2
         engine = get_brute_engine(kronecker_quiver(), 2)
-        from hallalg.repengine import is_regular_kronecker
         reg = lambda c: is_regular_kronecker(engine, c)
         assert len(primitive_subspace(engine, (1, 1))) == 2
         assert len(primitive_subspace(engine, (1, 1), predicate=reg)) == 3
 
     def test_dimensions_n2_q2(self):
         engine = get_brute_engine(kronecker_quiver(), 2)
-        from hallalg.repengine import is_regular_kronecker
         reg = lambda c: is_regular_kronecker(engine, c)
         assert len(primitive_subspace(engine, (2, 2))) == 3  # phi_1 + phi_2
         assert len(primitive_subspace(engine, (2, 2), predicate=reg)) == 4
-
-    def test_anchor_out_of_range(self):
-        rep = difference_basis_check(1, 2, anchor_index=99)
-        assert not rep.passed
 
 
 class TestFullCyclicPrimitiveBasis:

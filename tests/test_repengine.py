@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallalg.coeffring import interpolate_q
-from hallalg.partitions import Partition, partitions_of
+from hallalg.gf import mat_identity
+from hallalg.partitions import Partition, a_lambda, partitions_of, phi_irreducible_count
 from hallalg.repengine import (
     BruteForceEngine,
     NilpotentCyclicEngine,
@@ -19,10 +20,10 @@ from hallalg.repengine import (
     is_regular_kronecker,
     jordan_matrix,
     jordan_quiver,
-    kronecker_point_infty,
-    kronecker_point_zero,
+    kronecker_points,
     kronecker_quiver,
     kronecker_regular_classes,
+    kronecker_tube_class,
     multisegment_str,
     parse_multisegment,
 )
@@ -347,6 +348,20 @@ class TestAutOrders:
                 mats, dims = engine.rep_point(c)
                 assert engine.aut_order(c) == brute.aut_order_point(mats, dims), \
                     (r, q0, c.render())
+
+    def test_orbit_path_is_bounded_by_the_point_cap(self, monkeypatch):
+        """End(I_(2,1,1,1)) has dimension 17 > 13 at q = 2, so its Aut order
+        comes from closing the orbit of 9,999,360 / 21,504 = 465 points."""
+        from hallalg import repengine
+        from hallalg.report import UsageError
+
+        lam = Partition((2, 1, 1, 1))
+        engine = BruteForceEngine(jordan_quiver(), 2, nilpotent=True)
+        point = (jordan_matrix(lam),)
+        assert engine.aut_order_point(point, (5,)) == a_lambda(lam, 2) == 21504
+        monkeypatch.setattr(repengine, "POINT_CAP", 100)
+        with pytest.raises(UsageError, match="point cap"):
+            engine.aut_order_point(point, (5,))
 
 
 class TestHallNumbers:
@@ -696,35 +711,6 @@ class TestHomAndSocle:
                 assert engine.socle(c) == engine.socle_solve(c)
 
 
-class TestDecomposition:
-    def test_segment_indecomposable(self):
-        c2 = get_nilpotent_engine(2, 2)
-        assert c2.is_indecomposable(c2.segment_class(0, 2))
-        assert c2.decompose(c2.make_class((((0, 1), 1), ((1, 1), 1)))) == \
-            [c2.simple(0), c2.simple(1)]
-
-    def test_kronecker_regular_simple_indecomposable(self):
-        engine = get_brute_engine(kronecker_quiver(), 2)
-        # the class of the pair (1, 1) at (1,1) is a regular simple
-        cls = engine.class_of_point((((1,),), ((1,),)), (1, 1))
-        assert engine.is_indecomposable(cls)
-        assert engine.is_indecomposable_by_idempotents(cls)
-
-    def test_split_semisimple(self):
-        engine = get_brute_engine(kronecker_quiver(), 2)
-        zero_pt = engine.class_of_point((((0,),), ((0,),)), (1, 1))
-        parts = engine.decompose(zero_pt)
-        assert sorted(p.grade for p in parts) == [(0, 1), (1, 0)]
-        assert not engine.is_indecomposable_by_idempotents(zero_pt)
-
-    def test_idempotent_criterion_agrees(self):
-        engine = get_brute_engine(kronecker_quiver(), 2)
-        for d in ((1, 1), (2, 1)):
-            for c in engine.classes(d):
-                assert engine.is_indecomposable(c) == \
-                    engine.is_indecomposable_by_idempotents(c)
-
-
 class TestKroneckerHelpers:
     def test_regular_count_q2(self):
         engine = get_brute_engine(kronecker_quiver(), 2)
@@ -739,13 +725,58 @@ class TestKroneckerHelpers:
 
     def test_matrix_constructors(self):
         engine = get_brute_engine(kronecker_quiver(), 2)
-        lam = Partition((1,))
-        e0 = kronecker_point_zero(engine, lam)
-        einf = kronecker_point_infty(engine, lam)
-        assert e0 != einf
-        assert is_regular_kronecker(engine, e0)
-        assert is_regular_kronecker(engine, einf)
-        assert engine.is_indecomposable(e0)
+        lam = Partition((2, 1))
+        J, I = jordan_matrix(lam), mat_identity(3)
+        zero = kronecker_tube_class(engine, (0, 1), lam)
+        infinity = kronecker_tube_class(engine, None, lam)
+        assert zero == engine.class_of_point((I, J), (3, 3))
+        assert infinity == engine.class_of_point((J, I), (3, 3))
+        assert zero != infinity
+        assert is_regular_kronecker(engine, zero)
+        assert is_regular_kronecker(engine, infinity)
+
+    def test_companion_matrices(self):
+        # x^2 + x + 1 over F_2 gives C(f) = [[0, 1], [1, 1]]; x + 1 over F_3
+        # gives C((x + 1)^2) = C(x^2 + 2x + 1) = [[0, 2], [1, 1]]
+        k2 = get_brute_engine(kronecker_quiver(), 2)
+        assert kronecker_tube_class(k2, (1, 1, 1), Partition((1,))) == k2.class_of_point(
+            (mat_identity(2), ((0, 1), (1, 1))), (2, 2))
+        k3 = get_brute_engine(kronecker_quiver(), 3)
+        assert kronecker_tube_class(k3, (1, 1), Partition((2,))) == k3.class_of_point(
+            (mat_identity(2), ((0, 2), (1, 1))), (2, 2))
+
+    @pytest.mark.parametrize("q0", (2, 3, 4))
+    def test_closed_points(self, q0):
+        assert kronecker_points(q0, 1) == [None] + [(a, 1) for a in range(q0)]
+        for d in (2, 3):
+            assert len(kronecker_points(q0, d)) == phi_irreducible_count(d, q0)
+        with pytest.raises(ValueError):
+            kronecker_points(q0, 4)
+
+    def test_closed_points_q2(self):
+        assert kronecker_points(2, 2) == [(1, 1, 1)]
+        assert kronecker_points(2, 3) == [(1, 0, 1, 1), (1, 1, 0, 1)]
+
+    @pytest.mark.parametrize("q0,n,count", [(2, 1, 3), (2, 2, 10), (2, 3, 27), (3, 1, 4),
+                                            (3, 2, 17), (4, 1, 5), (4, 2, 26)])
+    def test_regular_count_is_the_tube_generating_function(self, q0, n, count):
+        # t^n coefficient of prod_d P(t^d)^(N_d), P the partition generating
+        # function, N_1 = q + 1 and N_d = phi_d(q): one tube per closed point
+        series = [1] + [0] * n
+        for d in range(1, n + 1):
+            for _ in range(q0 + 1 if d == 1 else phi_irreducible_count(d, q0)):
+                for k in range(d, n + 1, d):
+                    for i in range(k, n + 1):
+                        series[i] += series[i - k]
+        assert series[n] == count
+        engine = get_brute_engine(kronecker_quiver(), q0)
+        assert len(kronecker_regular_classes(engine, n)) == count
+
+    def test_regular_needs_a_square_grade(self):
+        engine = get_brute_engine(kronecker_quiver(), 2)
+        for d in ((1, 0), (0, 1), (2, 1), (1, 2)):
+            assert not any(is_regular_kronecker(engine, c) for c in engine.classes(d))
+        assert is_regular_kronecker(engine, engine.zero_class())
 
     def test_jordan_matrix(self):
         assert jordan_matrix(Partition((2, 1))) == ((0, 0, 0), (1, 0, 0), (0, 0, 0))
