@@ -30,6 +30,11 @@ from .fourier import (
 from .gf import FieldSpec
 from .hallcore import primitive_subspace
 from .partitions import parse_partition
+from .primitives import (
+    c_central, kron_p0, kron_pinf, kron_pK2,
+    kronecker_tubes, p_cyclic, p_jordan, p_jordan_symbolic,
+    tube_primitive, x_element,
+)
 from .repengine import (
     cyclic_quiver,
     a2_quiver,
@@ -337,11 +342,6 @@ def cmd_primitive(args, out):
 
 def cmd_element(args, out):
     """Construct one named primitive element and print it."""
-    from .primitives import (
-        c_central, kron_p0, kron_pinf, kron_pK2,
-        kronecker_tubes, p_cyclic, p_jordan, p_jordan_symbolic,
-        tube_primitive, x_element,
-    )
     family = args.family
     n = _positive(args.n, 1, "--n")
     m = _positive(args.m, 1, "--m")

@@ -23,6 +23,7 @@ from .gf import FieldSpec
 from .hallcore import HallElement, in_span, multiply, primitive_subspace
 from .primitives import kron_pK2, xi_partition_sum_value
 from .repengine import (
+    POINT_CAP,
     BruteForceEngine,
     Quiver,
     a2_quiver,
@@ -46,9 +47,6 @@ __all__ = [
     "double_transform_check",
     "transform_primitive_check",
 ]
-
-_FIBER_CAP = 10 ** 6
-
 
 class ReversalSpec:
     """Source quiver, subset of arrows to reverse, and the derived target."""
@@ -125,8 +123,9 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
     arrows = spec.source.arrows
     d = tuple(grade)
     dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(arrows) if i in rev_set)
-    if q0 ** dim_y > _FIBER_CAP:
-        raise ValueError("fiber too large for the transform")
+    if q0 ** dim_y > POINT_CAP:
+        raise UsageError(f"fiber too large for the transform: {q0}^{dim_y} points "
+                         "exceed the point cap")
     if len(point) != len(arrows):
         raise ValueError("point does not belong to the target variety")
 
@@ -150,7 +149,7 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
                 template.extend(row)
 
     # pairing code of every y, in the order product() yields them
-    add, _, mul = gf.field_tables(F)
+    add, _, mul, _ = F.tables
     codes = [0]
     for w in weights:
         codes = [add[c][wy] for c in codes for wy in mul[w]]

@@ -13,15 +13,12 @@ representation engines need.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cached_property
 
 __all__ = [
     "FieldSpec",
-    "field_tables",
     "trace_to_prime",
 ]
-
-_TABLE_CAP = 64
 
 
 def _factor_prime_power(q: int):
@@ -111,7 +108,8 @@ def _poly_divides(div, poly, p):
 
 
 class FieldSpec:
-    """Immutable description of GF(p^e) with precomputed arithmetic."""
+    """Immutable description of GF(p^e); its arithmetic is read from
+    `tables`, built on first use."""
 
     _cache: dict = {}
 
@@ -120,10 +118,6 @@ class FieldSpec:
         self.e = e
         self.q = p ** e
         self.modulus = self._find_modulus(p, e)
-        self._mul_table = None
-        self._inv_table = None
-        if self.q <= _TABLE_CAP and e > 1:
-            self._build_tables()
 
     @staticmethod
     def from_order(q: int) -> "FieldSpec":
@@ -136,39 +130,33 @@ class FieldSpec:
 
     @staticmethod
     def _find_modulus(p, e):
-        if e == 1:
-            return (0, 1)  # x, a formal placeholder for the prime field
+        """The least monic irreducible of degree e; x for the prime field."""
         for code in range(p ** e):
             poly = _decode_poly(code, e, p) + (1,)
             if _is_irreducible(poly, p):
                 return poly
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
-    def _build_tables(self):
-        q, p, e = self.q, self.p, self.e
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            va = _decode_poly(a, e, p)
-            for b in range(a, q):
-                vb = _decode_poly(b, e, p)
-                prod = _poly_mod_mul(va, vb, self.modulus, p)
-                c = self._encode(prod)
-                mul[a][b] = c
-                mul[b][a] = c
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._mul_table = mul
-        self._inv_table = inv
+    @cached_property
+    def tables(self):
+        """(add, sub, mul, inv): a + b, a - b and a * b on field codes as
+        q x q tables indexed [a][b], and a^(-1) indexed [a] (0 at 0).
 
-    def _encode(self, vec):
-        code = 0
-        for c in reversed(vec):
-            code = code * self.p + c
-        return code
+        Built on the first read, so a field whose order only gets checked
+        against a cap never pays q^2 work or memory.
+        """
+        p = self.p
+        digits = [self.decode(a) for a in range(self.q)]
+        code = {v: a for a, v in enumerate(digits)}.__getitem__
+
+        def table(op):
+            return tuple(tuple(code(op(u, v)) for v in digits) for u in digits)
+
+        add = table(lambda u, v: tuple((x + y) % p for x, y in zip(u, v)))
+        sub = table(lambda u, v: tuple((x - y) % p for x, y in zip(u, v)))
+        mul = table(lambda u, v: _poly_mod_mul(u, v, self.modulus, p))
+        inv = (0,) + tuple(row.index(1) for row in mul[1:])
+        return add, sub, mul, inv
 
     def decode(self, code: int):
         return _decode_poly(code, self.e, self.p)
@@ -176,70 +164,38 @@ class FieldSpec:
     # -- arithmetic on codes -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += ((a % p) + (b % p)) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += (-(a % p)) % p * mult
-            a //= p
-            mult *= p
-        return out
+        return self.tables[0][a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.tables[1][a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._encode(_poly_mod_mul(
-            self.decode(a), self.decode(b), self.modulus, self.p))
+        return self.tables[2][a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.power(a, self.q - 2)
+        return self.tables[3][a]
 
     def power(self, a: int, n: int) -> int:
+        mul = self.tables[2]
         result = 1
         while n:
             if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
+                result = mul[result][a]
+            a = mul[a][a]
             n >>= 1
         return result
 
-    def elements(self):
-        return range(self.q)
-
     def multiplicative_generator(self) -> int:
         """A generator of the cyclic group GF(q)^*."""
+        mul = self.tables[2]
         order = self.q - 1
         for g in range(1, self.q):
             acc = g
             k = 1
             while acc != 1:
-                acc = self.mul(acc, g)
+                acc = mul[acc][g]
                 k += 1
             if k == order:
                 return g
@@ -258,24 +214,16 @@ class FieldSpec:
 def trace_to_prime(spec: FieldSpec, code: int) -> int:
     """Tr(x) = x + x^p + ... + x^(p^(e-1)) of the element x with this code,
     returned as an element of GF(p)."""
+    add = spec.tables[0]
     total = 0
     acc = code
     for _ in range(spec.e):
-        total = spec.add(total, acc)
+        total = add[total][acc]
         acc = spec.power(acc, spec.p)
     vec = spec.decode(total)
     if any(vec[1:]):
         raise RuntimeError("trace landed outside the prime subfield")  # unreachable
     return vec[0]
-
-
-@cache
-def field_tables(F: FieldSpec):
-    """(add, sub, mul): the q x q tables of a + b, a - b and a * b on field
-    codes, indexed [a][b] and built once per field."""
-    codes = range(F.q)
-    return tuple(tuple(tuple(op(a, b) for b in codes) for a in codes)
-                 for op in (F.add, F.sub, F.mul))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +241,7 @@ def mat_identity(n: int):
 def mat_mul(F: FieldSpec, A, B):
     if not A or not B:
         return tuple(() for _ in A) if A else ()
-    add, _, mul = field_tables(F)
+    add, _, mul, _ = F.tables
     cols = tuple(zip(*B))
     out = []
     for Ai in A:
@@ -391,7 +339,7 @@ def mat_kernel_basis(F: FieldSpec, A):
 
 
 def mat_trace(F: FieldSpec, A) -> int:
-    add = field_tables(F)[0]
+    add = F.tables[0]
     t = 0
     for i, row in enumerate(A):
         t = add[t][row[i]]

@@ -315,7 +315,7 @@ def _subspace_cache(F: FieldSpec, n: int):
 
 def _image_codes(F: FieldSpec, X, tail_vectors):
     """The code of X u for every tail vector u, indexed by the code of u."""
-    add, _, mul = gf.field_tables(F)
+    add, _, mul, _ = F.tables
     q = F.q
     out = []
     for u in tail_vectors:
@@ -393,7 +393,7 @@ def _product_walk(F, quiver, dims, vectors, images):
     a vertex's choice being tested against every arrow whose ends are
     both chosen.
     """
-    _, sub, mul = gf.field_tables(F)
+    _, sub, mul, _ = F.tables
     lists = [_subspace_cache(F, n) for n in dims]
     leads = [_vector_cache(F, n)[1] for n in dims]
     # the arrows tested when vertex i is chosen: (image, tail, head)
@@ -434,7 +434,7 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
     so each vertex is filtered alone.  Every U visited is a submodule.
     """
     q = F.q
-    _, sub, mul = gf.field_tables(F)
+    _, sub, mul, _ = F.tables
     ops = (F.inv, lambda a, b: mul[a][b], lambda a, b: sub[a][b])
     nv = quiver.nv
     out = [None] * nv
@@ -551,7 +551,7 @@ def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
     """
     if any(F.q ** n > POINT_CAP for n in dims):
         raise UsageError(f"vector space F_{F.q}^{max(dims)} exceeds the point cap")
-    _, sub, mul = gf.field_tables(F)
+    _, sub, mul, _ = F.tables
     vectors = [_vector_cache(F, n)[0] for n in dims]
     images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
     counts = {}
@@ -835,9 +835,6 @@ class NilpotentCyclicEngine:
     def class_from_key(self, key) -> IsoClass:
         return IsoClass(self.engine_id, "ms", ms_dim_vector(key, self.r), key)
 
-    def delta(self) -> tuple:
-        return (1,) * self.r
-
 
 def _socle_from_point(F, quiver, mats, dims):
     out = []
@@ -1033,7 +1030,7 @@ class BruteForceEngine:
         if d in self._generator_cache:
             return self._generator_cache[d]
         F = self.field
-        add, sub, mul = gf.field_tables(F)
+        add, sub, mul, inv = F.tables
         codes = range(self.q0)
         tables = {}
 
@@ -1062,7 +1059,7 @@ class BruteForceEngine:
                         updates += [(off + k * cols + c, off + l * cols + c, table)
                                     for c in range(cols)]
                     if t == i:
-                        table = scale(F.inv(v)) if k == l else axpy(sub[0][v])
+                        table = scale(inv[v]) if k == l else axpy(sub[0][v])
                         updates += [(off + r * cols + l, off + r * cols + k, table)
                                     for r in range(rows)]
                 if updates:
@@ -1225,10 +1222,6 @@ class BruteForceEngine:
     def dim_end(self, c: IsoClass) -> int:
         return self.hom_dim(c, c)
 
-    def socle(self, c: IsoClass) -> tuple:
-        mats, dims = self.rep_point(c)
-        return _socle_from_point(self.field, self.quiver, mats, dims)
-
     # -- Hall numbers --------------------------------------------------------------
 
     def sub_table(self, c: IsoClass) -> dict:
@@ -1260,9 +1253,6 @@ class BruteForceEngine:
     def simple(self, i: int) -> IsoClass:
         d = tuple(1 if j == i else 0 for j in range(self.quiver.nv))
         return self.classes(d)[0]
-
-    def delta(self) -> tuple:
-        return (1,) * self.quiver.nv
 
 
 # ---------------------------------------------------------------------------
@@ -1322,7 +1312,7 @@ def kronecker_points(q0: int, d: int) -> list:
     """
     if not 1 <= d <= 3:
         raise ValueError("closed points are listed up to degree 3")
-    add, _, mul = gf.field_tables(FieldSpec.from_order(q0))
+    add, _, mul, _ = FieldSpec.from_order(q0).tables
 
     def has_root(f):
         for a in range(q0):
@@ -1350,7 +1340,7 @@ def kronecker_tube_class(engine: BruteForceEngine, x, lam: Partition) -> IsoClas
     if x is None:
         A = jordan_matrix(lam)
     else:
-        add, sub, mul = gf.field_tables(engine.field)
+        add, sub, mul, _ = engine.field.tables
         powers = [(1,)]
         for _ in range(max(lam)):
             g = [0] * (len(powers[-1]) + len(x) - 1)

@@ -5,7 +5,6 @@ import pytest
 from hallalg import gf
 from hallalg.coeffring import CycloSqrt, SqrtExt, v_power
 from hallalg.fourier import (
-    _FIBER_CAP,
     ReversalSpec,
     a2_image_check,
     a2_reversal,
@@ -21,7 +20,8 @@ from hallalg.fourier import (
 )
 from hallalg.hallcore import HallElement, is_primitive, multiply
 from hallalg.primitives import kron_pK2
-from hallalg.repengine import cyclic_quiver, get_brute_engine, kronecker_quiver
+from hallalg.repengine import POINT_CAP, cyclic_quiver, get_brute_engine, kronecker_quiver
+from hallalg.report import UsageError
 
 
 class TestReversalSpec:
@@ -171,7 +171,7 @@ class TestFlatFiberSumAgainstMatrixLoop:
         for d in _BOX_GRADES:
             dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(spec.source.arrows)
                         if i in spec.reversed_indices)
-            if q0 ** dim_y > _FIBER_CAP:
+            if q0 ** dim_y > POINT_CAP:
                 continue
             for cls in src.classes(d):
                 f = HallElement.basis(src, cls)
@@ -217,6 +217,15 @@ class TestFlatFiberSumAgainstMatrixLoop:
         point = (gf.mat_zero(n, n), gf.mat_zero(n, n))
         with pytest.raises(ValueError, match="fiber too large"):
             transform_value_at_point(f, spec, src, point, (n, n))
+
+    def test_fiber_cap_is_a_usage_error(self):
+        """5^9 fiber points at q=5, (3,3): past POINT_CAP, a refused request
+        (exit 2 from the CLI), not an internal fault."""
+        spec = kronecker_to_c2()
+        src = get_brute_engine(spec.source, 5)
+        point = (gf.mat_zero(3, 3), gf.mat_zero(3, 3))
+        with pytest.raises(UsageError, match="point cap"):
+            transform_value_at_point(HallElement.zero(src), spec, src, point, (3, 3))
 
 
 class TestHomomorphism:

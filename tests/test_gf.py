@@ -47,9 +47,10 @@ class TestFieldAxioms:
         for a in range(q):
             assert F.add(a, 0) == a
             assert F.mul(a, 1) == a
-            assert F.add(a, F.neg(a)) == 0
+            assert F.add(a, F.sub(0, a)) == 0
             for b in range(q):
                 assert F.add(a, b) == F.add(b, a)
+                assert F.add(F.sub(a, b), b) == a
                 assert F.mul(a, b) == F.mul(b, a)
                 for c in range(q):
                     assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
@@ -239,14 +240,23 @@ def _mat_mul_operands(draw):
 
 
 class TestMatMulAgainstFieldMethods:
-    @pytest.mark.parametrize("q", MAT_MUL_FIELDS)
+    def test_tables_are_built_on_first_read(self):
+        F = FieldSpec.from_order(1024)
+        assert "tables" not in F.__dict__
+        G = FieldSpec.from_order(4)
+        assert G.tables is G.tables
+
+    @pytest.mark.parametrize("q", MAT_MUL_FIELDS + (16, 25, 27, 81))
     def test_field_tables_match_methods(self, q):
+        """The mul table is polynomial multiplication modulo F.modulus on
+        the decoded digits, and inv[a] is a's inverse in it."""
         F = FieldSpec.from_order(q)
-        add, sub, mul = gf.field_tables(F)
-        assert gf.field_tables(F) is gf.field_tables(FieldSpec.from_order(q))
+        _, _, mul, inv = F.tables
         for a, b in product(range(q), repeat=2):
-            assert (add[a][b], sub[a][b], mul[a][b]) == (F.add(a, b), F.sub(a, b),
-                                                         F.mul(a, b))
+            assert F.decode(mul[a][b]) == gf._poly_mod_mul(
+                F.decode(a), F.decode(b), F.modulus, F.p)
+        for a in range(1, q):
+            assert mul[a][inv[a]] == 1
 
     @settings(max_examples=300, deadline=None)
     @given(_mat_mul_operands())
