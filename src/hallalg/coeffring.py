@@ -331,9 +331,6 @@ class SqrtExt:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    def is_rational(self) -> bool:
-        return not self._b
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -319,16 +319,6 @@ def mat_is_invertible(F: FieldSpec, A) -> bool:
     return n == 0 or (len(A[0]) == n and mat_rank(F, A) == n)
 
 
-def mat_inverse(F: FieldSpec, A):
-    """A^(-1) as the right half of rref([A | I]); ZeroDivisionError if A is singular."""
-    n = len(A)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    rows, pivots = rref(aug, n, F.inv, F.mul, F.sub)
-    if len(pivots) < n:
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
 def mat_kernel_basis(F: FieldSpec, A):
     """Basis (list of tuples) of the right kernel {x : A x = 0}."""
     if not A:

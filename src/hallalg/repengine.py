@@ -17,7 +17,8 @@ Dimension vectors are plain tuples.  All computations are exact.
 
 from __future__ import annotations
 
-from functools import cache
+from collections import Counter
+from functools import cache, partial
 from itertools import product
 from math import prod
 
@@ -54,9 +55,13 @@ __all__ = [
 
 BRUTE_TOTAL_DIM_CAP = 8
 # A nilpotent table over at most this many subspace tuples tests every
-# tuple: below it the product walk costs less than the T-walk's linear
-# algebra per submodule (0.6 against 0.9 ms a table over the 374
-# subspaces of F_2^5, 3.8 against 1.9 ms over the 2,664 of F_3^5).
+# tuple (the product walk) instead of walking T(U).  Small tables, such
+# as a single hallnum query's, keep the product walk.  On C1 the walk over
+# T(U) already costs less at 212 and 374 tuples (0.7 against 1.2 ms and
+# 1.3 against 1.8 ms a cold table over F_3^4 and F_2^5; 2.8 against
+# 9.1 ms over the 2,664 of F_3^5, on a 2-vCPU host with Python 3.11),
+# so the threshold could come down once query latency is measured on
+# both walks.
 PRODUCT_WALK_TUPLES = 1000
 POINT_CAP = 10 ** 6
 
@@ -196,6 +201,32 @@ def hom_dim_segments(r: int, seg1, seg2) -> int:
     (i, l), (j, m) = seg1, seg2
     target = (j + m - i) % r
     return sum(1 for t in range(1, min(l, m) + 1) if t % r == target)
+
+
+def _hom_dim_multisegments(r: int, ms1, ms2) -> int:
+    return sum(m1 * m2 * hom_dim_segments(r, seg1, seg2)
+               for seg1, m1 in ms1 for seg2, m2 in ms2)
+
+
+def _multisegment_of_ranks(r: int, rank) -> tuple:
+    """The multisegment of a nilpotent representation of C_r from its
+    path ranks: rank[j] lists the ranks of the paths of 0, 1, 2, ...
+    arrows from vertex j while they are nonzero.  The segments with top
+    at i and length at least m number rank[i][m-1] - rank[i-1][m]."""
+    def at(j, l):
+        row = rank[j % r]
+        return row[l] if l < len(row) else 0
+
+    entries = []
+    for i in range(r):
+        longest = len(rank[i])
+        at_least = [at(i, m - 1) - at(i - 1, m) for m in range(1, longest + 2)]
+        entries += [((i, m), at_least[m - 1] - at_least[m]) for m in range(1, longest + 1)]
+    ms = ms_canonical(entries)
+    if (any(m < 0 for _, m in ms)
+            or ms_dim_vector(ms, r) != tuple(row[0] if row else 0 for row in rank)):
+        raise InternalCheckError("point identification failed (non-nilpotent input?)")
+    return ms
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +393,13 @@ def _rows(cols, select):
 
 
 def _sub_quotient_point(arrows, vectors, images, choice, sub, mul):
-    """Sub and quotient representations induced on a stable subspace tuple.
+    """The quotient and sub representations induced on a stable subspace tuple.
 
     choice[i] is the entry chosen at vertex i and images[a][c] the code
     of arrow a's image of tail vector c.  The coordinates of a vector of
     an RREF span are its pivot entries; the quotient keeps the non-pivot
-    coordinates of the residue.  Returns (sub_mats, sub_dims, quot_mats,
-    quot_dims).
+    coordinates of the residue.  Returns the pair of points
+    ((quot_mats, quot_dims), (sub_mats, sub_dims)).
     """
     q = len(sub)
     sub_mats = []
@@ -382,16 +413,16 @@ def _sub_quotient_point(arrows, vectors, images, choice, sub, mul):
         n_t = len(vectors[t][0])
         quot_mats.append(_rows([_residue(head[image[q ** (n_t - 1 - c)]], basis, pivots,
                                          sub, mul) for c in tail_nonpivots], nonpivots))
-    return (tuple(sub_mats), tuple(len(c[1]) for c in choice),
-            tuple(quot_mats), tuple(len(c[3]) for c in choice))
+    return ((tuple(quot_mats), tuple(len(c[3]) for c in choice)),
+            (tuple(sub_mats), tuple(len(c[1]) for c in choice)))
 
 
 def _product_walk(F, quiver, dims, vectors, images):
-    """The choice of every stable subspace tuple of a point.
+    """The (quotient point, sub point) pair of every submodule of a point.
 
     Subspace tuples are walked in product order of the per-vertex lists,
     a vertex's choice being tested against every arrow whose ends are
-    both chosen.
+    both chosen; each stable tuple is a submodule.
     """
     _, sub, mul, _ = F.tables
     lists = [_subspace_cache(F, n) for n in dims]
@@ -403,7 +434,7 @@ def _product_walk(F, quiver, dims, vectors, images):
 
     def walk(i):
         if i == quiver.nv:
-            yield tuple(choice)
+            yield _sub_quotient_point(quiver.arrows, vectors, images, choice, sub, mul)
             return
         for entry in lists[i]:
             choice[i] = entry
@@ -419,8 +450,9 @@ def _product_walk(F, quiver, dims, vectors, images):
 
 
 def _nilpotent_walk(F, quiver, dims, vectors, images):
-    """The choice of every submodule of a point of a quiver in which each
-    vertex has one outgoing arrow, the arrows acting nilpotently.
+    """The (quotient ranks, sub ranks) pair of every submodule of a point
+    of a quiver in which each vertex has one outgoing arrow, the arrows
+    acting nilpotently.
 
     With T the arrow maps, a graded subspace U is a submodule iff
     T(U) is inside U.  So a submodule U of a submodule S lies between
@@ -432,6 +464,15 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
     vertex with m = dim P_i/V_i, and keeps U when T(U) = V.  At vertex i,
     with X the arrow to j, that says X maps U_i onto V_j modulo X(V_i),
     so each vertex is filtered alone.  Every U visited is a submodule.
+
+    A rank table lists, per vertex j, the ranks of the paths of 0, 1, 2,
+    ... arrows from j while they are nonzero (_multisegment_of_ranks).
+    U's are read off V's: the path of l >= 1 arrows from j maps U_j
+    onto the path of l - 1 arrows from j + 1 applied to V_{j+1}.  The
+    quotient's come from U's pivots: the point's path images are tails
+    of its bases (rep_point orders them by height), and the path of l
+    arrows from j to v maps L/U onto (tail + U_v)/U_v, of dimension
+    |tail| minus the number of U_v's pivots inside the tail.
     """
     q = F.q
     _, sub, mul, _ = F.tables
@@ -440,6 +481,36 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
     out = [None] * nv
     for a, (t, h) in enumerate(quiver.arrows):
         out[t] = (a, h)
+
+    # cuts[j][l] = (v, c): the path of l arrows from j ends at v and its
+    # image is spanned by the unit vectors e_c, ..., e_{n_v - 1}, which
+    # have the codes q^k, k < n_v - c.  A point without that shape would
+    # be miscounted, so it is refused.
+    total = sum(dims)
+    cuts = []
+    for j in range(nv):
+        row, v = [], j
+        image = {q ** k for k in range(dims[j])}
+        while image:
+            if len(row) == total or image != {q ** k for k in range(len(image))}:
+                raise InternalCheckError(
+                    "point identification failed: a path image is not a tail of the basis")
+            row.append((v, dims[v] - len(image)))
+            a, v = out[v]
+            image = {images[a][c] for c in image} - {0}
+        cuts.append(row)
+
+    def quotient_ranks(pivots):
+        rank = []
+        for row in cuts:
+            ranks = []
+            for v, c in row:
+                x = dims[v] - c - sum(p >= c for p in pivots[v])
+                if not x:
+                    break
+                ranks.append(x)
+            rank.append(tuple(ranks))
+        return tuple(rank)
 
     def reduce(rows, n):
         """The RREF basis (tuples) and pivots of the span of rows in F^n."""
@@ -502,12 +573,18 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
             yield _entry(n, tuple(vectors[i][c] for c in codes), codes,
                          tuple(p for p, _ in pairs))
 
+    def ranked(i, entries, rank_V):
+        """Each entry U_i with the rank row of U at vertex i."""
+        above = rank_V[out[i][1]]
+        for entry in entries:
+            yield entry, ((len(entry[1]),) + above if entry[1] else ())
+
     def submodules(S):
-        """(U, T(U)) for every submodule U of S, a tuple of per-vertex
-        (RREF rows, pivots) spanning a submodule."""
+        """(U, T(U), rank table of U) for every submodule U of S, a tuple
+        of per-vertex (RREF rows, pivots) spanning a submodule."""
         if not any(rows for rows, _ in S):
             zero = tuple(_entry(n, (), (), ()) for n in dims)
-            yield zero, zero
+            yield zero, zero, ((),) * nv
             return
         # per vertex: T(S) at the head, and ker X_i and a section of X_i on S_i
         TS = [None] * nv
@@ -524,49 +601,55 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
             levels[i] = (lifted[len(pivots):], tuple(zip(*lifted[:len(pivots)])), pivots)
         if sum(len(p) for _, p in TS) == sum(len(p) for _, p in S):
             raise InternalCheckError("point identification failed (non-nilpotent input?)")
-        for V, TV in submodules(tuple(TS)):
+        for V, TV, rank_V in submodules(tuple(TS)):
             # the top vertex streams; the others' choices are listed
-            rest = [()]
+            rest = [((), ())]
             for i in range(nv - 1, 0, -1):
-                rest = [(entry,) + tail for entry in lifts(i, levels[i], V, TV)
-                        for tail in rest]
-            for entry in lifts(0, levels[0], V, TV):
-                for tail in rest:
-                    yield (entry,) + tail, V
+                rest = [((entry,) + tail, (row,) + rows)
+                        for entry, row in ranked(i, lifts(i, levels[i], V, TV), rank_V)
+                        for tail, rows in rest]
+            for entry, row in ranked(0, lifts(0, levels[0], V, TV), rank_V):
+                for tail, rows in rest:
+                    yield (entry,) + tail, V, (row,) + rows
 
     full = tuple((tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
                   tuple(range(n))) for n in dims)
-    return (U for U, _ in submodules(full))
+    quotients = {}
+    for U, _, rank in submodules(full):
+        pivots = tuple(entry[2] for entry in U)
+        quotient = quotients.get(pivots)
+        if quotient is None:
+            quotient = quotients[pivots] = quotient_ranks(pivots)
+        yield quotient, rank
 
 
 def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
     """Count the submodules of a point by (quotient class, sub class).
 
-    walk(F, quiver, dims, vectors, images) yields the choice of every
-    submodule once.  classify(mats, dims) must return a hashable class
-    key.  classes is the engine's memo (mats, dims) -> class key, kept
-    across all its tables, so classify is called once per distinct point
-    per engine.  The returned dict maps (quot_key, sub_key) -> number of
-    submodules, which is the Hall number F^L_{quot, sub}.
+    walk(F, quiver, dims, vectors, images) yields, once per submodule,
+    the pair (quotient invariant, sub invariant): hashable values that
+    each fix a class, such as a point (mats, dims) or a rank table.
+    classify(invariant) must return its class key.  classes is the
+    engine's memo invariant -> class key, kept across all its tables, so
+    classify is called once per distinct invariant per engine.  The
+    returned dict maps (quot_key, sub_key) -> number of submodules,
+    which is the Hall number F^L_{quot, sub}.
     """
     if any(F.q ** n > POINT_CAP for n in dims):
         raise UsageError(f"vector space F_{F.q}^{max(dims)} exceeds the point cap")
-    _, sub, mul, _ = F.tables
     vectors = [_vector_cache(F, n)[0] for n in dims]
     images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
     counts = {}
 
-    def class_key(point):
-        key = classes.get(point)
+    def class_key(invariant):
+        key = classes.get(invariant)
         if key is None:
-            key = classes[point] = classify(*point)
+            key = classes[invariant] = classify(invariant)
         return key
 
-    for choice in walk(F, quiver, dims, vectors, images):
-        sub_mats, sub_dims, quot_mats, quot_dims = _sub_quotient_point(
-            quiver.arrows, vectors, images, choice, sub, mul)
-        key = (class_key((quot_mats, quot_dims)), class_key((sub_mats, sub_dims)))
-        counts[key] = counts.get(key, 0) + 1
+    for (quot, sub), n in Counter(walk(F, quiver, dims, vectors, images)).items():
+        key = (class_key(quot), class_key(sub))
+        counts[key] = counts.get(key, 0) + n
     return counts
 
 
@@ -644,6 +727,7 @@ class NilpotentCyclicEngine:
         self._classes = {}
         self._subtables = {}
         self._point_classes = {}
+        self._rank_classes = {}
         self._aut = {}
         # basis products and coproducts, filled by hallcore
         self._products = {}
@@ -704,68 +788,50 @@ class NilpotentCyclicEngine:
     # -- explicit points -----------------------------------------------------
 
     def rep_point(self, c: IsoClass):
-        """Matrix realization of a multisegment class: one matrix per arrow."""
-        ms = c.key
+        """Matrix realization of a multisegment class: one matrix per arrow.
+
+        The basis of vertex v is the vectors (t, s) of the segments s
+        through v, t the height of v in s (1 at its top), in order of
+        height.  The image of a path of l arrows into v is then spanned
+        by the basis vectors of height > l, a tail of the basis, which
+        the walk over T(U) relies on.
+        """
         r = self.r
-        segments = []
-        for (i, l), m in ms:
-            segments.extend([(i, l)] * m)
-        index = [{} for _ in range(r)]
-        dims = [0] * r
-        for s_idx, (i, l) in enumerate(segments):
-            for t in range(1, l + 1):
-                v = (i + t - 1) % r
-                index[v][(s_idx, t)] = dims[v]
-                dims[v] += 1
+        segments = [seg for seg, m in c.key for _ in range(m)]
+        position = [{} for _ in range(r)]
+        for t, s_idx, v in sorted((t, s_idx, (i + t - 1) % r)
+                                  for s_idx, (i, l) in enumerate(segments)
+                                  for t in range(1, l + 1)):
+            position[v][t, s_idx] = len(position[v])
+        dims = tuple(map(len, position))
         mats = []
         for (t, h) in self.quiver.arrows:
             M = [[0] * dims[t] for _ in range(dims[h])]
-            for (s_idx, pos), col in index[t].items():
-                i, l = segments[s_idx]
-                if pos < l:
-                    row = index[h][(s_idx, pos + 1)]
-                    M[row][col] = 1
+            for (height, s_idx), col in position[t].items():
+                if height < segments[s_idx][1]:
+                    M[position[h][height + 1, s_idx]][col] = 1
             mats.append(tuple(tuple(r_) for r_ in M))
-        return tuple(mats), tuple(dims)
+        return tuple(mats), dims
 
     def class_of_point(self, mats, dims) -> IsoClass:
         """Identify the multisegment of a nilpotent point via path ranks."""
         F = self.field
         r = self.r
         total = sum(dims)
-        if total == 0:
-            return self.zero_class()
-        # rank[j][l] = rank of the composite of l arrows starting at vertex
-        # j: the dimension of its image, carried along as an RREF basis
-        # whose rows are mapped through one arrow at a time
-        rank = [[0] * (total + 1) for _ in range(r)]
+        # the rank of the composite of l arrows starting at vertex j is the
+        # dimension of its image, carried along as an RREF basis whose rows
+        # are mapped through one arrow at a time
+        rank = []
         for j in range(r):
-            image = gf.mat_identity(dims[j])
-            rank[j][0] = dims[j]
-            for l in range(1, total + 1):
-                if not image:
-                    break
-                X = mats[(j + l - 1) % r]
+            image, row = gf.mat_identity(dims[j]), []
+            while image and len(row) <= total:
+                row.append(len(image))
+                X = mats[(j + len(row) - 1) % r]
                 rows, pivots = gf.rref(gf.mat_mul(F, image, tuple(zip(*X))), len(X),
                                        F.inv, F.mul, F.sub)
                 image = rows[:len(pivots)]
-                rank[j][l] = len(pivots)
-        entries = []
-        for i in range(r):
-            prev = None
-            for m in range(1, total + 1):
-                at_least_m = rank[i][m - 1] - rank[(i - 1) % r][m]
-                if prev is not None:
-                    mult = prev - at_least_m
-                    if mult:
-                        entries.append((((i, m - 1), mult)))
-                prev = at_least_m
-            if prev:
-                entries.append((((i, total), prev)))
-        ms = ms_canonical(entries)
-        if ms_dim_vector(ms, r) != tuple(dims):
-            raise InternalCheckError("point identification failed (non-nilpotent input?)")
-        return IsoClass(self.engine_id, "ms", tuple(dims), ms)
+            rank.append(tuple(row))
+        return IsoClass(self.engine_id, "ms", tuple(dims), _multisegment_of_ranks(r, rank))
 
     # -- structured invariants -------------------------------------------------
 
@@ -773,18 +839,7 @@ class NilpotentCyclicEngine:
         return self.hom_dim(c, c)
 
     def hom_dim(self, c1: IsoClass, c2: IsoClass) -> int:
-        total = 0
-        for (seg1, m1) in c1.key:
-            for (seg2, m2) in c2.key:
-                total += m1 * m2 * hom_dim_segments(self.r, seg1, seg2)
-        return total
-
-    def hom_dim_solve(self, c1: IsoClass, c2: IsoClass) -> int:
-        """Hom dimension by solving the intertwining system (cross-check path)."""
-        m1, d1 = self.rep_point(c1)
-        m2, d2 = self.rep_point(c2)
-        basis, _ = _hom_space_basis(self.field, self.quiver, m1, d1, m2, d2)
-        return len(basis)
+        return _hom_dim_multisegments(self.r, c1.key, c2.key)
 
     def aut_order(self, c: IsoClass) -> int:
         """|Aut| = q^(dim End - sum m_c^2) * prod_c |GL_{m_c}(F_q)|."""
@@ -807,11 +862,6 @@ class NilpotentCyclicEngine:
             out[(i + l - 1) % self.r] += m
         return tuple(out)
 
-    def socle_solve(self, c: IsoClass) -> tuple:
-        """Socle as the joint kernel of the outgoing arrow maps (cross-check path)."""
-        mats, dims = self.rep_point(c)
-        return _socle_from_point(self.field, self.quiver, mats, dims)
-
     # -- Hall numbers ----------------------------------------------------------
 
     def sub_table(self, c: IsoClass) -> dict:
@@ -819,11 +869,14 @@ class NilpotentCyclicEngine:
         if c.key in self._subtables:
             return self._subtables[c.key]
         mats, dims = self.rep_point(c)
-        tuples = prod(_subspace_count(self.q0, n) for n in dims)
-        walk = _product_walk if tuples <= PRODUCT_WALK_TUPLES else _nilpotent_walk
-        table = _submodule_table(
-            self.field, self.quiver, mats, dims, self._point_classes,
-            lambda m, d: self.class_of_point(m, d).key, walk)
+        if prod(_subspace_count(self.q0, n) for n in dims) <= PRODUCT_WALK_TUPLES:
+            classes, classify, walk = (self._point_classes,
+                                       lambda point: self.class_of_point(*point).key,
+                                       _product_walk)
+        else:
+            classes, classify, walk = (self._rank_classes,
+                                       partial(_multisegment_of_ranks, self.r), _nilpotent_walk)
+        table = _submodule_table(self.field, self.quiver, mats, dims, classes, classify, walk)
         self._subtables[c.key] = table
         return table
 
@@ -834,20 +887,6 @@ class NilpotentCyclicEngine:
 
     def class_from_key(self, key) -> IsoClass:
         return IsoClass(self.engine_id, "ms", ms_dim_vector(key, self.r), key)
-
-
-def _socle_from_point(F, quiver, mats, dims):
-    out = []
-    for j in range(quiver.nv):
-        stacked = []
-        for a_idx, (t, _) in enumerate(quiver.arrows):
-            if t == j:
-                stacked.extend(mats[a_idx])
-        if not stacked:
-            out.append(dims[j])
-        else:
-            out.append(dims[j] - gf.mat_rank(F, tuple(stacked)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1231,7 +1270,7 @@ class BruteForceEngine:
         mats, dims = self.rep_point(c)
         table = _submodule_table(
             self.field, self.quiver, mats, dims, self._point_classes,
-            lambda m, d: (tuple(d), self.class_of_point(m, d).key), _product_walk)
+            lambda point: (point[1], self.class_of_point(*point).key), _product_walk)
         self._subtables[key] = table
         return table
 
@@ -1396,16 +1435,24 @@ def _hall_degree_bound(r: int, L, M, N) -> int:
 
     On the Jordan quiver it is Macdonald's n(lambda) - n(mu) - n(nu)
     (Symmetric Functions and Hall Polynomials, ch. II (4.3)), clamped at
-    0.  On C_r a submodule is a tuple of subspaces N_i of L_i, and the
-    Grassmannian of dim N_i-planes in L_i has a point count of degree
+    0.  On C_r two bounds hold and the smaller is taken, clamped at 0.
+    A submodule is a tuple of subspaces N_i of L_i, and the Grassmannian
+    of dim N_i-planes in L_i has a point count of degree
     dim N_i * (dim L_i - dim N_i), so sum_i dim M_i * dim N_i bounds it.
+    Riedtmann's formula F = |Ext^1(M,N)_L| a_L / (a_M a_N |Hom(M,N)|),
+    with |Ext^1(M,N)_L| <= q^(dim Ext^1(M,N)) and a_X of degree
+    dim End X, bounds it by dim End L - dim End M - dim End N - <M, N>.
     """
     if r == 1:
         def n_weight(ms):
             parts = sorted((l for (_, l), m in ms for _ in range(m)), reverse=True)
             return Partition(parts).n_weight()
         return max(0, n_weight(L) - n_weight(M) - n_weight(N))
-    return sum(m * n for m, n in zip(ms_dim_vector(M, r), ms_dim_vector(N, r)))
+    dim_M, dim_N = ms_dim_vector(M, r), ms_dim_vector(N, r)
+    grassmannian = sum(m * n for m, n in zip(dim_M, dim_N))
+    riedtmann = (_hom_dim_multisegments(r, L, L) - _hom_dim_multisegments(r, M, M)
+                 - _hom_dim_multisegments(r, N, N) - euler_form(cyclic_quiver(r), dim_M, dim_N))
+    return max(0, min(grassmannian, riedtmann))
 
 
 def hall_polynomial(r: int, L, M, N, degree_bound=None) -> QPolynomial:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -27,6 +29,7 @@ from hallalg.repengine import (
     multisegment_str,
     parse_multisegment,
 )
+from reference_impl import hom_dim_solve, mat_inverse, socle_solve
 
 
 class TestEulerForm:
@@ -139,6 +142,15 @@ class TestOrbitPartition:
                 seen.add(ms)
             assert len(seen) == len(structured.classes((n,)))
 
+    @pytest.mark.parametrize("r,n", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+    def test_a_point_with_a_nonzero_cycle_is_refused(self, r, n):
+        from hallalg.report import InternalCheckError
+
+        engine = NilpotentCyclicEngine(r, 2)
+        mats = (mat_identity(n),) * r
+        with pytest.raises(InternalCheckError, match="point identification failed"):
+            engine.class_of_point(mats, (n,) * r)
+
     def test_nilpotent_points_have_nilpotent_cycle(self):
         engine = get_brute_engine(cyclic_quiver(2), 2, nilpotent=True)
         from hallalg import gf
@@ -193,7 +205,7 @@ def _group_orbit_partition(engine, d):
         invertible = [g for g in (matrix(flat, n, n)
                                   for flat in product(range(F.q), repeat=n * n))
                       if gf.mat_is_invertible(F, g)]
-        group.append([(g, gf.mat_inverse(F, g)) for g in invertible])
+        group.append([(g, mat_inverse(F, g)) for g in invertible])
     group = list(product(*group))
 
     def flat_of(mats):
@@ -456,7 +468,7 @@ def _reference_table(engine, mats, dims, classify):
                           for c in range(n) if c not in pivots)
             frame = transpose(tuple(basis) + units, n)  # frame vectors as columns
             frames.append(frame)
-            inverses.append(gf.mat_inverse(F, frame))
+            inverses.append(mat_inverse(F, frame))
         sub_mats, quot_mats = [], []
         for X, (t, h) in zip(mats, arrows):
             n_t, n_h, k_t, k_h = dims[t], dims[h], len(bases[t]), len(bases[h])
@@ -535,8 +547,9 @@ class TestSubmoduleWalkOnRandomMultisegments:
         classify = lambda m, d: engine.class_of_point(m, d).key
         expected = _reference_table(engine, mats, dims, classify)
         assert engine.sub_table(c) == expected, c.render()
-        walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
-                                            {}, classify, repengine._nilpotent_walk)
+        walked = repengine._submodule_table(
+            engine.field, engine.quiver, mats, dims, {},
+            partial(repengine._multisegment_of_ranks, r), repengine._nilpotent_walk)
         assert walked == expected, c.render()
 
     @pytest.mark.parametrize("r,q0,d", [(1, 3, (5,)), (1, 2, (6,)), (1, 4, (5,)),
@@ -545,7 +558,7 @@ class TestSubmoduleWalkOnRandomMultisegments:
         from hallalg import repengine
 
         engine = NilpotentCyclicEngine(r, q0)
-        classify = lambda m, dims: engine.class_of_point(m, dims).key
+        classify = lambda point: engine.class_of_point(*point).key
         tuples = 1
         for n in d:
             tuples *= len(repengine._subspace_cache(engine.field, n))
@@ -555,6 +568,94 @@ class TestSubmoduleWalkOnRandomMultisegments:
             walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
                                                 {}, classify, repengine._product_walk)
             assert engine.sub_table(c) == walked, c.render()
+
+    @pytest.mark.parametrize("r,q0,d", [(1, 2, (6,)), (2, 2, (4, 3))])
+    def test_walk_over_T_U_builds_and_identifies_no_point(self, monkeypatch, r, q0, d):
+        from hallalg import repengine
+
+        def refused(*args):
+            raise AssertionError("a point was built or identified")
+
+        engine = NilpotentCyclicEngine(r, q0)
+        monkeypatch.setattr(repengine, "_sub_quotient_point", refused)
+        monkeypatch.setattr(engine, "class_of_point", refused)
+        assert all(engine.sub_table(c) for c in engine.classes(d))
+        assert engine._rank_classes and not engine._point_classes
+
+    def test_a_basis_not_ordered_by_height_is_refused(self):
+        from hallalg import repengine
+        from hallalg.report import InternalCheckError
+
+        engine = NilpotentCyclicEngine(1, 2)
+        c = engine.make_class((((0, 2), 2),))
+        classify = partial(repengine._multisegment_of_ranks, 1)
+        # 2*S1[2] with each segment's vectors adjacent: J maps e0 to e1 and
+        # e2 to e3, so the image of J is not a tail of the basis
+        J = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
+        assert engine.class_of_point((J,), (4,)) == c
+        with pytest.raises(InternalCheckError, match="not a tail of the basis"):
+            repengine._submodule_table(engine.field, engine.quiver, (J,), (4,), {},
+                                       classify, repengine._nilpotent_walk)
+        # in height order, as rep_point builds it, J maps e0 to e2 and e1 to e3
+        assert engine.rep_point(c) == ((((0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0),
+                                         (0, 1, 0, 0)),), (4,))
+        mats, dims = engine.rep_point(c)
+        assert repengine._submodule_table(engine.field, engine.quiver, mats, dims, {},
+                                          classify, repengine._nilpotent_walk) == \
+            _reference_table(engine, mats, dims,
+                             lambda m, d: engine.class_of_point(m, d).key)
+
+
+def _riedtmann_sums(engine, d):
+    """sum_L F^L_{M,N} a_M a_N / a_L over the classes L of grade d, for
+    every pair (M, N) that some table of grade d counts."""
+    sums = {}
+    for L in engine.classes(d):
+        for (m, n), count in engine.sub_table(L).items():
+            sums[m, n] = sums.get((m, n), 0) + Fraction(count, engine.aut_order(L))
+    out = {}
+    for (m, n), value in sums.items():
+        M, N = engine.class_from_key(m), engine.class_from_key(n)
+        out[M, N] = value * engine.aut_order(M) * engine.aut_order(N)
+    return out
+
+
+def _grades_up_to(nv, total):
+    return [d for d in product(range(total + 1), repeat=nv) if sum(d) <= total]
+
+
+_RIEDTMANN_CELLS = (
+    [(lambda: BruteForceEngine(kronecker_quiver(), 2), d) for d in _grades_up_to(2, 5)]
+    + [(lambda: BruteForceEngine(a2_quiver(), 3), d) for d in _grades_up_to(2, 4)]
+    + [(lambda: BruteForceEngine(cyclic_quiver(2), 2), d) for d in _grades_up_to(2, 4)]
+    + [(lambda: BruteForceEngine(jordan_quiver(), 2, nilpotent=True), (n,)) for n in range(5)]
+    # grades whose tables walk T(U)
+    + [(lambda: NilpotentCyclicEngine(1, 2), (6,)), (lambda: NilpotentCyclicEngine(1, 3), (5,)),
+       (lambda: NilpotentCyclicEngine(2, 2), (4, 3)),
+       (lambda: NilpotentCyclicEngine(3, 2), (3, 3, 2))]
+)
+
+
+class TestRiedtmannSums:
+    """Riedtmann's formula summed over L: in a hereditary category
+    sum_L F^L_{M,N} a_M a_N / a_L = |Ext^1(M,N)| / |Hom(M,N)|
+    = q^(-<dim M, dim N>).  Every term is positive, so one wrong table
+    entry or automorphism order changes a sum; the tables are checked
+    against a count that takes no submodule."""
+
+    @pytest.mark.parametrize("make,d", _RIEDTMANN_CELLS, ids=[
+        f"{make().engine_id.replace('|', '-')}-{d}" for make, d in _RIEDTMANN_CELLS])
+    def test_every_pair_of_a_grade(self, make, d):
+        engine = make()
+        sums = _riedtmann_sums(engine, d)
+        pairs = {(M, N) for e in product(*(range(n + 1) for n in d))
+                 for M in engine.classes(e)
+                 for N in engine.classes(tuple(n - m for n, m in zip(d, e)))}
+        assert set(sums) == pairs
+        q0 = engine.q0
+        for (M, N), value in sums.items():
+            assert value == Fraction(q0) ** -euler_form(engine.quiver, M.grade, N.grade), \
+                (M.render(), N.render())
 
 
 class TestSubspaceLists:
@@ -684,7 +785,7 @@ class TestHomAndSocle:
                     for i in range(r) for l in range(1, 5)]
         for c1 in segments:
             for c2 in segments:
-                assert engine.hom_dim(c1, c2) == engine.hom_dim_solve(c1, c2)
+                assert engine.hom_dim(c1, c2) == hom_dim_solve(engine, c1, c2)
 
     def test_hom_examples(self):
         c2 = get_nilpotent_engine(2, 2)
@@ -708,7 +809,7 @@ class TestHomAndSocle:
             if not 0 < sum(d) <= 4:
                 continue
             for c in engine.classes(d):
-                assert engine.socle(c) == engine.socle_solve(c)
+                assert engine.socle(c) == socle_solve(engine, c)
 
 
 class TestKroneckerHelpers:
@@ -843,6 +944,31 @@ class TestHallPolynomial:
         engine = NilpotentCyclicEngine(2, 5)
         assert poly.evaluate(5) == engine.hall_number(
             engine.class_from_key(L), engine.class_from_key(M), engine.class_from_key(N))
+
+    @pytest.mark.parametrize("r,d", [(2, (2, 2)), (2, (3, 1)), (2, (3, 2)), (2, (1, 4)),
+                                     (3, (1, 2, 1)), (3, (2, 0, 2)), (3, (2, 2, 1))])
+    def test_riedtmann_bound_covers_the_interpolated_degree(self, r, d):
+        """Each Hall polynomial of grade d, interpolated under the bound
+        sum_i dim M_i dim N_i, has degree at most _hall_degree_bound."""
+        from hallalg import repengine
+
+        engines = {}
+        tighter = 0
+        for L in NilpotentCyclicEngine(r, 2).classes(d):
+            pairs = set()
+            for q0 in repengine._PRIME_POWERS[:sum(d) ** 2 // 4 + 2]:
+                engine = engines.setdefault(q0, NilpotentCyclicEngine(r, q0))
+                pairs |= set(engine.sub_table(engine.class_from_key(L.key)))
+            for M, N in pairs:
+                wide = sum(m * n for m, n in zip(repengine.ms_dim_vector(M, r),
+                                                 repengine.ms_dim_vector(N, r)))
+                samples = [(q0, engines[q0].sub_table(engines[q0].class_from_key(L.key))
+                            .get((M, N), 0)) for q0 in repengine._PRIME_POWERS[:wide + 2]]
+                degree = max(interpolate_q(samples, wide).coeffs, default=0)
+                bound = repengine._hall_degree_bound(r, L.key, M, N)
+                assert degree <= bound <= wide, (L.render(), M, N)
+                tighter += bound < wide
+        assert tighter
 
     def test_jordan_321_triple(self):
         L = (((0, 1), 1), ((0, 2), 1), ((0, 3), 1))
