@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, partial
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 from . import gf
@@ -56,12 +56,12 @@ __all__ = [
 BRUTE_TOTAL_DIM_CAP = 8
 # A nilpotent table over at most this many subspace tuples tests every
 # tuple (the product walk) instead of walking T(U).  Small tables, such
-# as a single hallnum query's, keep the product walk.  On C1 the walk over
-# T(U) already costs less at 212 and 374 tuples (0.7 against 1.2 ms and
-# 1.3 against 1.8 ms a cold table over F_3^4 and F_2^5; 2.8 against
-# 9.1 ms over the 2,664 of F_3^5, on a 2-vCPU host with Python 3.11),
-# so the threshold could come down once query latency is measured on
-# both walks.
+# as a single hallnum query's, keep the product walk.  With the top level
+# of the walk over T(U) counted by pivot cells, a threshold of 0 took the
+# benchmark's hall_numbers wall_s from 0.375 to 0.326 reference s and its
+# query_p50_ms from 1.31 to 1.33 ms (medians of 6 pairs, on a 2-vCPU host
+# with Python 3.11), so lowering it waits on a query-latency measurement
+# that can tell a 2 % shift from noise.
 PRODUCT_WALK_TUPLES = 1000
 POINT_CAP = 10 ** 6
 
@@ -325,14 +325,33 @@ def _entry(n, rows, codes, pivots):
     return (rows, codes) + _pivot_pair(n, pivots)
 
 
+def _check_subspace_cap(q: int, n: int):
+    if _subspace_count(q, n) > POINT_CAP:
+        raise UsageError(f"the subspaces of F_{q}^{n} exceed the point cap")
+
+
+@cache
+def _pivot_cells(q: int, n: int):
+    """{pivots: number of subspaces of F_q^n with those RREF pivots}.
+
+    An RREF basis with pivots p_0 < ... < p_{k-1} is free exactly in the
+    non-pivot columns past each row's pivot, (n - 1 - p_r) - (k - 1 - r)
+    entries in row r, so its pivot set is a cell of q^(free entries)
+    subspaces.  Past POINT_CAP subspaces the count is refused, as the
+    list is, so a table's cap does not depend on which of them it reads.
+    """
+    _check_subspace_cap(q, n)
+    return {pivots: q ** sum(n - k + r - p for r, p in enumerate(pivots))
+            for k in range(n + 1) for pivots in combinations(range(n), k)}
+
+
 @cache
 def _subspace_cache(F: FieldSpec, n: int):
     """Every subspace of F^n as an entry, by dimension in gf.subspaces
     order, built once per (q, n); the basis rows are the same tuple
     objects as in the vector list.  Past POINT_CAP subspaces the list is
     refused before any is built."""
-    if _subspace_count(F.q, n) > POINT_CAP:
-        raise UsageError(f"the subspaces of F_{F.q}^{n} exceed the point cap")
+    _check_subspace_cap(F.q, n)
     vectors = _vector_cache(F, n)[0]
     code_of = {v: c for c, v in enumerate(vectors)}
     out = []
@@ -418,7 +437,7 @@ def _sub_quotient_point(arrows, vectors, images, choice, sub, mul):
 
 
 def _product_walk(F, quiver, dims, vectors, images):
-    """The (quotient point, sub point) pair of every submodule of a point.
+    """The (quotient point, sub point, 1) triple of every submodule of a point.
 
     Subspace tuples are walked in product order of the per-vertex lists,
     a vertex's choice being tested against every arrow whose ends are
@@ -434,7 +453,7 @@ def _product_walk(F, quiver, dims, vectors, images):
 
     def walk(i):
         if i == quiver.nv:
-            yield _sub_quotient_point(quiver.arrows, vectors, images, choice, sub, mul)
+            yield _sub_quotient_point(quiver.arrows, vectors, images, choice, sub, mul) + (1,)
             return
         for entry in lists[i]:
             choice[i] = entry
@@ -450,9 +469,9 @@ def _product_walk(F, quiver, dims, vectors, images):
 
 
 def _nilpotent_walk(F, quiver, dims, vectors, images):
-    """The (quotient ranks, sub ranks) pair of every submodule of a point
-    of a quiver in which each vertex has one outgoing arrow, the arrows
-    acting nilpotently.
+    """Triples (quotient ranks, sub ranks, count) that together count every
+    submodule of a point of a quiver in which each vertex has one
+    outgoing arrow, the arrows acting nilpotently.
 
     With T the arrow maps, a graded subspace U is a submodule iff
     T(U) is inside U.  So a submodule U of a submodule S lies between
@@ -473,6 +492,16 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
     of its bases (rep_point orders them by height), and the path of l
     arrows from j to v maps L/U onto (tail + U_v)/U_v, of dimension
     |tail| minus the number of U_v's pivots inside the tail.
+
+    So the submodules U of L itself, the top level, are read only through
+    their pivots and dimensions, and there each vertex's U_i are tallied
+    by pivots rather than listed.  U_i = V_i + W C for a complement C of
+    V_i in P_i, so its pivots are V_i's and C's pivot columns at W's.
+    When V_j = X(V_i), nothing is to be mapped onto and every subspace W
+    of F^m counts: those with one pivot set are a cell of q^(free RREF
+    entries) (_pivot_cells).  Otherwise the listed W that pass the onto
+    test are tallied.  The vertices' tallies combine by multiplying
+    counts, and one triple is yielded per V and pivot tuple.
     """
     q = F.q
     _, sub, mul, _ = F.tables
@@ -521,39 +550,52 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
         a, h = out[i]
         return vectors[h][images[a][_code(q, row)]]
 
-    def lifts(i, level, V, TV):
-        """The entry of every U_i between V_i and P_i that X_i maps onto
-        V_j modulo X_i(V_i) = TV_j."""
+    def complement(i, level, V, TV):
+        """The U_i between V_i and P_i that X_i maps onto V_j modulo
+        X_i(V_i) = TV_j, as (C rows, C pivots, onto): U_i = V_i + W C for
+        the subspaces W of F^m, m = dim C, whose codes pass onto, or for
+        every W when onto is None.  None when P_i = V_i, so U_i = V_i."""
         n, (_, h) = dims[i], out[i]
         kernel, section, image_pivots = level
         V_rows, _, V_pivots, _ = V[i]
-        if len(kernel) + len(V[h][0]) == len(V_rows):  # P_i = V_i, so U_i = V_i
-            yield V[i]
-            return
+        if len(kernel) + len(V[h][0]) == len(V_rows):
+            return None
         # P_i = ker X_i + a preimage of V_j; the coordinates of a vector
         # of X_i(S_i) on its RREF basis are its entries in the pivot columns
         P_rows = kernel + [vectors[i][c] for c in _image_codes(
             F, section, [tuple(v[p] for p in image_pivots) for v in V[h][0]])]
         # C: an RREF complement of V_i in P_i, zero in V_i's pivot columns
         C_rows, C_pivots = reduce([_residue(p, V_rows, V_pivots, sub, mul) for p in P_rows], n)
-        m = len(C_rows)
         # X_i C in V_j / TV_j, in coordinates: TV_j's pivots are among V_j's,
         # and a vector of V_j that is zero in TV_j's is fixed by the rest
         R_rows, _, R_pivots, _ = TV[h]
         coords = [p for p in V[h][2] if p not in R_pivots]
         e = len(coords)
+        if not e:
+            return C_rows, C_pivots, None
+        Y = [_residue(image(i, c), R_rows, R_pivots, sub, mul) for c in C_rows]
+        to_e = _image_codes(F, tuple(tuple(y[p] for y in Y) for p in coords),
+                            _vector_cache(F, len(C_rows))[0])
+        vectors_e = _vector_cache(F, e)[0]
+
+        def onto(W_codes):
+            hits = [to_e[c] for c in W_codes if to_e[c]]
+            return len(hits) >= e and (e == 1 or len(
+                reduce([vectors_e[c] for c in hits], e)[1]) == e)
+
+        return C_rows, C_pivots, onto
+
+    def lifts(i, level, V, TV):
+        """The entry of every U_i of complement(i, level, V, TV)."""
+        found = complement(i, level, V, TV)
+        if found is None:
+            yield V[i]
+            return
+        C_rows, C_pivots, onto = found
+        n, m = dims[i], len(C_rows)
+        V_rows, _, V_pivots, _ = V[i]
         candidates = _subspace_cache(F, m)
-        if e:
-            Y = [_residue(image(i, c), R_rows, R_pivots, sub, mul) for c in C_rows]
-            to_e = _image_codes(F, tuple(tuple(y[p] for y in Y) for p in coords),
-                                _vector_cache(F, m)[0])
-            vectors_e = _vector_cache(F, e)[0]
-
-            def onto(W_codes):
-                hits = [to_e[c] for c in W_codes if to_e[c]]
-                return len(hits) >= e and (e == 1 or len(
-                    reduce([vectors_e[c] for c in hits], e)[1]) == e)
-
+        if onto:
             candidates = (W for W in candidates if onto(W[1]))
         if not V_rows and m == n:  # C is the identity, so U = W
             yield from candidates
@@ -573,20 +615,28 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
             yield _entry(n, tuple(vectors[i][c] for c in codes), codes,
                          tuple(p for p, _ in pairs))
 
-    def ranked(i, entries, rank_V):
-        """Each entry U_i with the rank row of U at vertex i."""
-        above = rank_V[out[i][1]]
-        for entry in entries:
-            yield entry, ((len(entry[1]),) + above if entry[1] else ())
+    def pivot_counts(i, level, V, TV):
+        """{pivots of U_i: how many U_i of complement(i, level, V, TV) have them}."""
+        found = complement(i, level, V, TV)
+        V_pivots = V[i][2]
+        if found is None:
+            return {V_pivots: 1}
+        _, C_pivots, onto = found
+        m = len(C_pivots)
+        if onto:
+            cells = Counter(W[2] for W in _subspace_cache(F, m) if onto(W[1]))
+        else:
+            cells = _pivot_cells(q, m)
+        return {tuple(sorted(V_pivots + tuple(C_pivots[p] for p in W_pivots))): count
+                for W_pivots, count in cells.items()}
 
-    def submodules(S):
-        """(U, T(U), rank table of U) for every submodule U of S, a tuple
-        of per-vertex (RREF rows, pivots) spanning a submodule."""
-        if not any(rows for rows, _ in S):
-            zero = tuple(_entry(n, (), (), ()) for n in dims)
-            yield zero, zero, ((),) * nv
-            return
-        # per vertex: T(S) at the head, and ker X_i and a section of X_i on S_i
+    def rank_row(i, pivots, rank_V):
+        """The rank row of U at vertex i, for U_i with these pivots."""
+        return (len(pivots),) + rank_V[out[i][1]] if pivots else ()
+
+    def levels_of(S):
+        """T(S), and per vertex the level (ker X_i, a section of X_i on S_i,
+        the pivots of X_i(S_i)), for a nonzero submodule S."""
         TS = [None] * nv
         levels = [None] * nv
         for i, (rows, _) in enumerate(S):
@@ -601,39 +651,61 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
             levels[i] = (lifted[len(pivots):], tuple(zip(*lifted[:len(pivots)])), pivots)
         if sum(len(p) for _, p in TS) == sum(len(p) for _, p in S):
             raise InternalCheckError("point identification failed (non-nilpotent input?)")
-        for V, TV, rank_V in submodules(tuple(TS)):
+        return tuple(TS), levels
+
+    def submodules(S):
+        """(U, T(U), rank table of U) for every submodule U of S, a tuple
+        of per-vertex (RREF rows, pivots) spanning a submodule."""
+        if not any(rows for rows, _ in S):
+            zero = tuple(_entry(n, (), (), ()) for n in dims)
+            yield zero, zero, ((),) * nv
+            return
+        TS, levels = levels_of(S)
+        for V, TV, rank_V in submodules(TS):
             # the top vertex streams; the others' choices are listed
             rest = [((), ())]
             for i in range(nv - 1, 0, -1):
-                rest = [((entry,) + tail, (row,) + rows)
-                        for entry, row in ranked(i, lifts(i, levels[i], V, TV), rank_V)
-                        for tail, rows in rest]
-            for entry, row in ranked(0, lifts(0, levels[0], V, TV), rank_V):
+                rest = [((entry,) + tail, (rank_row(i, entry[2], rank_V),) + rows)
+                        for entry in lifts(i, levels[i], V, TV) for tail, rows in rest]
+            for entry in lifts(0, levels[0], V, TV):
+                row = rank_row(0, entry[2], rank_V)
                 for tail, rows in rest:
                     yield (entry,) + tail, V, (row,) + rows
 
+    if not total:  # the zero module's one submodule
+        yield ((),) * nv, ((),) * nv, 1
+        return
+    # the top level: U's are tallied per vertex by pivots, not listed
     full = tuple((tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
                   tuple(range(n))) for n in dims)
+    TS, levels = levels_of(full)
     quotients = {}
-    for U, _, rank in submodules(full):
-        pivots = tuple(entry[2] for entry in U)
-        quotient = quotients.get(pivots)
-        if quotient is None:
-            quotient = quotients[pivots] = quotient_ranks(pivots)
-        yield quotient, rank
+    for V, TV, rank_V in submodules(TS):
+        rest = [((), (), 1)]
+        for i in range(nv - 1, -1, -1):
+            rest = [((pivots,) + tail, (rank_row(i, pivots, rank_V),) + rows, ways * count)
+                    for pivots, ways in pivot_counts(i, levels[i], V, TV).items()
+                    for tail, rows, count in rest]
+        for pivots, rank, count in rest:
+            quotient = quotients.get(pivots)
+            if quotient is None:
+                quotient = quotients[pivots] = quotient_ranks(pivots)
+            yield quotient, rank, count
 
 
 def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
     """Count the submodules of a point by (quotient class, sub class).
 
-    walk(F, quiver, dims, vectors, images) yields, once per submodule,
-    the pair (quotient invariant, sub invariant): hashable values that
-    each fix a class, such as a point (mats, dims) or a rank table.
-    classify(invariant) must return its class key.  classes is the
-    engine's memo invariant -> class key, kept across all its tables, so
-    classify is called once per distinct invariant per engine.  The
-    returned dict maps (quot_key, sub_key) -> number of submodules,
-    which is the Hall number F^L_{quot, sub}.
+    walk(F, quiver, dims, vectors, images) yields triples (quotient
+    invariant, sub invariant, count), where count submodules have those
+    invariants, and every submodule is counted once: the product walk
+    yields each submodule with count 1, the walk over T(U) tallies them.
+    An invariant is a hashable value that fixes a class, such as a point
+    (mats, dims) or a rank table.  classify(invariant) must return its
+    class key.  classes is the engine's memo invariant -> class key,
+    kept across all its tables, so classify is called once per distinct
+    invariant per engine.  The returned dict maps (quot_key, sub_key) ->
+    number of submodules, which is the Hall number F^L_{quot, sub}.
     """
     if any(F.q ** n > POINT_CAP for n in dims):
         raise UsageError(f"vector space F_{F.q}^{max(dims)} exceeds the point cap")
@@ -647,9 +719,9 @@ def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
             key = classes[invariant] = classify(invariant)
         return key
 
-    for (quot, sub), n in Counter(walk(F, quiver, dims, vectors, images)).items():
+    for (quot, sub, n), times in Counter(walk(F, quiver, dims, vectors, images)).items():
         key = (class_key(quot), class_key(sub))
-        counts[key] = counts.get(key, 0) + n
+        counts[key] = counts.get(key, 0) + n * times
     return counts
 
 

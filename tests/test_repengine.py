@@ -553,8 +553,12 @@ class TestSubmoduleWalkOnRandomMultisegments:
         assert walked == expected, c.render()
 
     @pytest.mark.parametrize("r,q0,d", [(1, 3, (5,)), (1, 2, (6,)), (1, 4, (5,)),
-                                        (2, 2, (4, 3))])
+                                        (2, 2, (4, 3)), (1, 3, (6,))])
     def test_walks_agree_above_the_product_walk_size(self, r, q0, d):
+        """At the top level of the walk over T(U), V = 0 counts the U_i by
+        pivot cells, and a nonzero V, which T does not map onto itself,
+        lists the W that pass the onto test: a grade with classes that
+        are not semisimple takes both."""
         from hallalg import repengine
 
         engine = NilpotentCyclicEngine(r, q0)
@@ -568,6 +572,28 @@ class TestSubmoduleWalkOnRandomMultisegments:
             walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
                                                 {}, classify, repengine._product_walk)
             assert engine.sub_table(c) == walked, c.render()
+
+    def test_counted_walk_agrees_below_the_product_walk_size(self, monkeypatch):
+        """C3 (2,2,2) at q=2 has 125 subspace tuples, so sub_table takes the
+        product walk; the walk over T(U) is run on it directly, and its top
+        level takes both the pivot-cell count and the onto test."""
+        from hallalg import repengine
+
+        engine = NilpotentCyclicEngine(3, 2)
+        classify = lambda point: engine.class_of_point(*point).key
+        counted = []
+        cells = repengine._pivot_cells
+        monkeypatch.setattr(repengine, "_pivot_cells",
+                            lambda q, n: counted.append(n) or cells(q, n))
+        for c in engine.classes((2, 2, 2)):
+            mats, dims = engine.rep_point(c)
+            walked = repengine._submodule_table(
+                engine.field, engine.quiver, mats, dims, {},
+                partial(repengine._multisegment_of_ranks, 3), repengine._nilpotent_walk)
+            assert walked == repengine._submodule_table(
+                engine.field, engine.quiver, mats, dims, {}, classify,
+                repengine._product_walk), c.render()
+        assert counted
 
     @pytest.mark.parametrize("r,q0,d", [(1, 2, (6,)), (2, 2, (4, 3))])
     def test_walk_over_T_U_builds_and_identifies_no_point(self, monkeypatch, r, q0, d):
@@ -658,7 +684,91 @@ class TestRiedtmannSums:
                 (M.render(), N.render())
 
 
+def _gaussian_binomial(n, k, q):
+    top = bottom = 1
+    for i in range(k):
+        top *= q ** (n - i) - 1
+        bottom *= q ** (i + 1) - 1
+    return top // bottom
+
+
+class TestSemisimpleTables:
+    """A semisimple L has T(L) = 0, so its table is the walk's top level
+    alone with no onto test: it counts pivot cells and lists nothing."""
+
+    @pytest.fixture
+    def unlisted(self, monkeypatch):
+        """Refuse the subspace list of F_q^n for the given n."""
+        from hallalg import repengine
+
+        def refuse(n):
+            listed = repengine._subspace_cache
+
+            def guarded(F, m):
+                if m == n:
+                    raise AssertionError(f"listed the subspaces of F_{F.q}^{m}")
+                return listed(F, m)
+
+            monkeypatch.setattr(repengine, "_subspace_cache", guarded)
+
+        return refuse
+
+    def test_jordan_table_is_gaussian_binomials(self, unlisted):
+        unlisted(6)
+        engine = NilpotentCyclicEngine(1, 3)
+        c = engine.make_class((((0, 1), 6),))
+        table = engine.sub_table(c)
+        assert table == {((((0, 1), 6 - k),) if k < 6 else (), (((0, 1), k),) if k else ()):
+                         _gaussian_binomial(6, k, 3) for k in range(7)}
+        assert table[(((0, 1), 3),), (((0, 1), 3),)] == 33880
+
+    def test_c2_table_is_a_product_of_gaussian_binomials(self, unlisted):
+        from hallalg import repengine
+
+        unlisted(3)
+        engine = NilpotentCyclicEngine(2, 2)
+        c = engine.make_class(parse_multisegment("3*S1[1]+3*S2[1]", 2))
+        mats, dims = engine.rep_point(c)
+        table = repengine._submodule_table(
+            engine.field, engine.quiver, mats, dims, {},
+            partial(repengine._multisegment_of_ranks, 2), repengine._nilpotent_walk)
+
+        def semisimple(a, b):
+            return repengine.ms_canonical([((0, 1), a), ((1, 1), b)])
+
+        assert table == {(semisimple(3 - a, 3 - b), semisimple(a, b)):
+                         _gaussian_binomial(3, a, 2) * _gaussian_binomial(3, b, 2)
+                         for a in range(4) for b in range(4)}
+
+    def test_count_past_the_point_cap_is_refused_as_the_list_is(self):
+        """At q=5 the 3,583,232 subspaces of F_5^6 are neither listed nor
+        counted: the table exits with the list's usage error."""
+        from hallalg import repengine
+        from hallalg.report import UsageError
+
+        engine = NilpotentCyclicEngine(1, 5)
+        c = engine.make_class((((0, 1), 6),))
+        message = "the subspaces of F_5^6 exceed the point cap"
+        with pytest.raises(UsageError) as listed:
+            repengine._subspace_cache(engine.field, 6)
+        with pytest.raises(UsageError) as counted:
+            engine.sub_table(c)
+        assert str(listed.value) == str(counted.value) == message
+
+
 class TestSubspaceLists:
+    @pytest.mark.parametrize("q0,n", [(q0, n) for q0 in (2, 3, 4, 5) for n in range(5)])
+    def test_pivot_cells_count_the_list_by_pivots(self, q0, n):
+        from collections import Counter
+
+        from hallalg import repengine
+        from hallalg.gf import FieldSpec
+
+        cells = repengine._pivot_cells(q0, n)
+        assert cells == Counter(entry[2] for entry in repengine._subspace_cache(
+            FieldSpec.from_order(q0), n))
+        assert sum(cells.values()) == repengine._subspace_count(q0, n)
+
     @pytest.mark.parametrize("q0,n", [(q0, n) for q0 in (2, 3, 4, 5)
                                       for n in range(6 if q0 < 4 else 5)])
     def test_count_is_the_list_length(self, q0, n):
