@@ -6,7 +6,8 @@ orders, Hall numbers, Hom dimensions and socles:
   * NilpotentCyclicEngine: nilpotent representations of the cyclic quiver
     with r vertices, classified by multisegments.  Isomorphism testing is
     a rank computation, automorphism orders come from a closed formula,
-    and Hall numbers are exact submodule counts on explicit points.
+    and Hall numbers are exact submodule counts by the walk over T(U),
+    which names classes by path ranks.
   * BruteForceEngine: any small quiver (full cyclic, Kronecker, A2).
     The representation variety is partitioned into group orbits by
     breadth-first closure under generators, so isomorphism is orbit
@@ -20,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache, partial
 from itertools import combinations, product
-from math import prod
 
 from . import gf
 from .coeffring import QPolynomial, interpolate_q
@@ -54,15 +54,6 @@ __all__ = [
 ]
 
 BRUTE_TOTAL_DIM_CAP = 8
-# A nilpotent table over at most this many subspace tuples tests every
-# tuple (the product walk) instead of walking T(U).  Small tables, such
-# as a single hallnum query's, keep the product walk.  With the top level
-# of the walk over T(U) counted by pivot cells, a threshold of 0 took the
-# benchmark's hall_numbers wall_s from 0.375 to 0.326 reference s and its
-# query_p50_ms from 1.31 to 1.33 ms (medians of 6 pairs, on a 2-vCPU host
-# with Python 3.11), so lowering it waits on a query-latency measurement
-# that can tell a 2 % shift from noise.
-PRODUCT_WALK_TUPLES = 1000
 POINT_CAP = 10 ** 6
 
 
@@ -698,8 +689,9 @@ def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
 
     walk(F, quiver, dims, vectors, images) yields triples (quotient
     invariant, sub invariant, count), where count submodules have those
-    invariants, and every submodule is counted once: the product walk
-    yields each submodule with count 1, the walk over T(U) tallies them.
+    invariants, and every submodule is counted once: the product walk,
+    the brute-force engine's, yields each submodule's points with count
+    1; the walk over T(U), the nilpotent engine's, tallies rank tables.
     An invariant is a hashable value that fixes a class, such as a point
     (mats, dims) or a rank table.  classify(invariant) must return its
     class key.  classes is the engine's memo invariant -> class key,
@@ -784,8 +776,10 @@ class NilpotentCyclicEngine:
     """Nilpotent representations of the cyclic quiver with r vertices over GF(q0).
 
     Classes are multisegments; automorphism orders and Hom dimensions use
-    the structured combinatorial formulas, Hall numbers use exact
-    submodule enumeration on explicit matrix realizations.
+    the structured combinatorial formulas.  Hall numbers count the
+    submodules of rep_point's matrix realization by the walk over T(U)
+    (_nilpotent_walk), which names subs and quotients by rank tables,
+    memoized once per engine.
     """
 
     def __init__(self, r: int, q0: int):
@@ -798,7 +792,6 @@ class NilpotentCyclicEngine:
         self.engine_id = f"C{r}^0|q:{q0}"
         self._classes = {}
         self._subtables = {}
-        self._point_classes = {}
         self._rank_classes = {}
         self._aut = {}
         # basis products and coproducts, filled by hallcore
@@ -941,14 +934,8 @@ class NilpotentCyclicEngine:
         if c.key in self._subtables:
             return self._subtables[c.key]
         mats, dims = self.rep_point(c)
-        if prod(_subspace_count(self.q0, n) for n in dims) <= PRODUCT_WALK_TUPLES:
-            classes, classify, walk = (self._point_classes,
-                                       lambda point: self.class_of_point(*point).key,
-                                       _product_walk)
-        else:
-            classes, classify, walk = (self._rank_classes,
-                                       partial(_multisegment_of_ranks, self.r), _nilpotent_walk)
-        table = _submodule_table(self.field, self.quiver, mats, dims, classes, classify, walk)
+        table = _submodule_table(self.field, self.quiver, mats, dims, self._rank_classes,
+                                 partial(_multisegment_of_ranks, self.r), _nilpotent_walk)
         self._subtables[c.key] = table
         return table
 

@@ -523,16 +523,13 @@ class TestSubmoduleTableAgainstReference:
 
 
 class TestSubmoduleWalkOnRandomMultisegments:
-    """The nilpotent engine's tables against the reference walk over every
-    subspace tuple, on random classes of C1, C2 and C3: sub_table, which
-    walks small points by the product of subspace lists, and the walk
-    over T(U) run on the same point."""
+    """The nilpotent engine's tables, which walk T(U), against the
+    reference walk over every subspace tuple, on random classes of C1, C2
+    and C3."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_counts_match_the_reference(self, data):
-        from hallalg import repengine
-
         r = data.draw(st.sampled_from((1, 2, 3)), label="r")
         q0 = data.draw(st.sampled_from((2, 3, 4)), label="q")
         budget = data.draw(st.integers(1, 5 if q0 == 2 else 4), label="dimension")
@@ -547,52 +544,30 @@ class TestSubmoduleWalkOnRandomMultisegments:
         classify = lambda m, d: engine.class_of_point(m, d).key
         expected = _reference_table(engine, mats, dims, classify)
         assert engine.sub_table(c) == expected, c.render()
-        walked = repengine._submodule_table(
-            engine.field, engine.quiver, mats, dims, {},
-            partial(repengine._multisegment_of_ranks, r), repengine._nilpotent_walk)
-        assert walked == expected, c.render()
 
     @pytest.mark.parametrize("r,q0,d", [(1, 3, (5,)), (1, 2, (6,)), (1, 4, (5,)),
-                                        (2, 2, (4, 3)), (1, 3, (6,))])
-    def test_walks_agree_above_the_product_walk_size(self, r, q0, d):
+                                        (2, 2, (4, 3)), (1, 3, (6,)), (3, 2, (2, 2, 2)),
+                                        (1, 2, (3,)), (2, 3, (2, 1)), (3, 2, (1, 0, 1)),
+                                        (4, 2, (1, 1, 1, 1))])
+    def test_sub_table_agrees_with_the_product_walk(self, monkeypatch, r, q0, d):
         """At the top level of the walk over T(U), V = 0 counts the U_i by
         pivot cells, and a nonzero V, which T does not map onto itself,
         lists the W that pass the onto test: a grade with classes that
-        are not semisimple takes both."""
+        are not semisimple takes both.  The small grades, down to one
+        with a zero vertex, walk T(U) as the large ones do."""
         from hallalg import repengine
 
         engine = NilpotentCyclicEngine(r, q0)
-        classify = lambda point: engine.class_of_point(*point).key
-        tuples = 1
-        for n in d:
-            tuples *= len(repengine._subspace_cache(engine.field, n))
-        assert tuples > repengine.PRODUCT_WALK_TUPLES
-        for c in engine.classes(d):
-            mats, dims = engine.rep_point(c)
-            walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
-                                                {}, classify, repengine._product_walk)
-            assert engine.sub_table(c) == walked, c.render()
-
-    def test_counted_walk_agrees_below_the_product_walk_size(self, monkeypatch):
-        """C3 (2,2,2) at q=2 has 125 subspace tuples, so sub_table takes the
-        product walk; the walk over T(U) is run on it directly, and its top
-        level takes both the pivot-cell count and the onto test."""
-        from hallalg import repengine
-
-        engine = NilpotentCyclicEngine(3, 2)
         classify = lambda point: engine.class_of_point(*point).key
         counted = []
         cells = repengine._pivot_cells
         monkeypatch.setattr(repengine, "_pivot_cells",
                             lambda q, n: counted.append(n) or cells(q, n))
-        for c in engine.classes((2, 2, 2)):
+        for c in engine.classes(d):
             mats, dims = engine.rep_point(c)
-            walked = repengine._submodule_table(
-                engine.field, engine.quiver, mats, dims, {},
-                partial(repengine._multisegment_of_ranks, 3), repengine._nilpotent_walk)
-            assert walked == repengine._submodule_table(
-                engine.field, engine.quiver, mats, dims, {}, classify,
-                repengine._product_walk), c.render()
+            walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
+                                                {}, classify, repengine._product_walk)
+            assert engine.sub_table(c) == walked, c.render()
         assert counted
 
     @pytest.mark.parametrize("r,q0,d", [(1, 2, (6,)), (2, 2, (4, 3))])
@@ -606,7 +581,7 @@ class TestSubmoduleWalkOnRandomMultisegments:
         monkeypatch.setattr(repengine, "_sub_quotient_point", refused)
         monkeypatch.setattr(engine, "class_of_point", refused)
         assert all(engine.sub_table(c) for c in engine.classes(d))
-        assert engine._rank_classes and not engine._point_classes
+        assert engine._rank_classes
 
     def test_a_basis_not_ordered_by_height_is_refused(self):
         from hallalg import repengine
@@ -655,10 +630,12 @@ _RIEDTMANN_CELLS = (
     + [(lambda: BruteForceEngine(a2_quiver(), 3), d) for d in _grades_up_to(2, 4)]
     + [(lambda: BruteForceEngine(cyclic_quiver(2), 2), d) for d in _grades_up_to(2, 4)]
     + [(lambda: BruteForceEngine(jordan_quiver(), 2, nilpotent=True), (n,)) for n in range(5)]
-    # grades whose tables walk T(U)
     + [(lambda: NilpotentCyclicEngine(1, 2), (6,)), (lambda: NilpotentCyclicEngine(1, 3), (5,)),
        (lambda: NilpotentCyclicEngine(2, 2), (4, 3)),
        (lambda: NilpotentCyclicEngine(3, 2), (3, 3, 2))]
+    + [(lambda: NilpotentCyclicEngine(2, 3), d) for d in _grades_up_to(2, 4)]
+    + [(lambda: NilpotentCyclicEngine(3, 2), d) for d in _grades_up_to(3, 4)]
+    + [(lambda: NilpotentCyclicEngine(4, 2), d) for d in _grades_up_to(4, 4)]
 )
 
 
@@ -817,8 +794,9 @@ class TestSubspaceLists:
 
 
 _MEMO_CELLS = [
-    # (engine factory, grades built first, grade compared); C1 n=5 at q=3
-    # walks T(U), the others walk the product of subspace lists
+    # (engine factory, grades built first, grade compared); the nilpotent
+    # tables walk T(U) and name rank tables, the Kronecker tables walk the
+    # product of subspace lists and name points
     (lambda: NilpotentCyclicEngine(1, 3), [(3,), (4,)], (5,)),
     (lambda: NilpotentCyclicEngine(2, 3), [(1, 1), (2, 1), (1, 2)], (2, 2)),
     (lambda: NilpotentCyclicEngine(3, 2), [(1, 1, 1), (2, 1, 1), (1, 2, 1)], (2, 2, 1)),
@@ -826,21 +804,35 @@ _MEMO_CELLS = [
 ]
 
 
-def _count_classifications(engine):
-    """Record the points the engine's class_of_point is called on."""
+def _count_classifications(engine, monkeypatch):
+    """Record the invariants the engine's tables classify: the rank tables
+    a nilpotent engine reads multisegments off, the points a brute-force
+    engine's class_of_point is called on."""
+    from hallalg import repengine
+
     calls = []
-    original = engine.class_of_point
+    if isinstance(engine, NilpotentCyclicEngine):
+        original = repengine._multisegment_of_ranks
 
-    def counted(mats, dims):
-        calls.append((mats, tuple(dims)))
-        return original(mats, dims)
+        def counted(r, rank):
+            calls.append(rank)
+            return original(r, rank)
 
-    engine.class_of_point = counted
+        monkeypatch.setattr(repengine, "_multisegment_of_ranks", counted)
+    else:
+        original = engine.class_of_point
+
+        def counted(mats, dims):
+            calls.append((mats, tuple(dims)))
+            return original(mats, dims)
+
+        monkeypatch.setattr(engine, "class_of_point", counted)
     return calls
 
 
 class TestPointClassMemo:
-    """Each engine keeps one point -> class memo over all its tables."""
+    """Each engine keeps one invariant -> class memo over all its tables:
+    rank tables on the nilpotent engine, points on the brute-force one."""
 
     @pytest.mark.parametrize("make,warm,d", _MEMO_CELLS,
                              ids=["C1-q3-(5,)", "C2-q3-(2,2)", "C3-q2-(2,2,1)",
@@ -850,7 +842,8 @@ class TestPointClassMemo:
         for grade in warm:
             for c in engine.classes(grade):
                 engine.sub_table(c)
-        assert engine._point_classes
+        nilpotent = isinstance(engine, NilpotentCyclicEngine)
+        assert engine._rank_classes if nilpotent else engine._point_classes
         for i, c in enumerate(engine.classes(d)):
             fresh = make()
             expected = fresh.sub_table(fresh.classes(d)[i])
@@ -861,12 +854,14 @@ class TestPointClassMemo:
         (lambda: NilpotentCyclicEngine(2, 3), (1, 1)),
         (lambda: BruteForceEngine(kronecker_quiver(), 2), (1, 1)),
     ], ids=["C1-q2", "C2-q3", "K2-q2"])
-    def test_one_classification_per_distinct_point(self, make, d):
+    def test_one_classification_per_distinct_point(self, monkeypatch, make, d):
         alone = make()
-        alone_calls = _count_classifications(alone)
+        alone_calls = _count_classifications(alone, monkeypatch)
         alone.sub_table(alone.classes(d)[1])
+        # the second engine's calls are counted on their own
+        monkeypatch.undo()
         engine = make()
-        calls = _count_classifications(engine)
+        calls = _count_classifications(engine, monkeypatch)
         first, second = engine.classes(d)[:2]
         engine.sub_table(first)
         first_points = set(calls)
