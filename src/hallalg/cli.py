@@ -144,12 +144,13 @@ def _cache_path(cache_dir, tag, q0, d):
     return os.path.join(cache_dir, name)
 
 
-def _load_cache(path, tag, q0, d, r):
+def _load_cache(path, tag, q0, d, selector):
     """The cached payload at path, or None unless it is readable, of this
-    cache version, stored for this (quiver, q, grade), and every Hall entry
-    is a non-negative int under a key naming three classes of C_r, the
-    first of this grade.  r is None for a brute-force quiver, whose files
-    hold no Hall entries."""
+    cache version, stored for this (quiver, q, grade), its class rows
+    hold (_class_rows_hold), and every Hall entry is a non-negative int
+    under a key naming three classes of C_r, the first of this grade.  A
+    brute-force file holds no Hall entries."""
+    kind, payload = selector
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -157,18 +158,50 @@ def _load_cache(path, tag, q0, d, r):
             return None
         if (data.get("quiver"), data.get("q"), data.get("grade")) != (tag, q0, list(d)):
             return None
-        if "classes" not in data or not isinstance(data.get("hall"), dict):
+        if not isinstance(data.get("hall"), dict):
             return None
-        if r is None and data["hall"]:
+        if not _class_rows_hold(data.get("classes"), selector, q0, d):
+            return None
+        if kind == "brute" and data["hall"]:
             return None
         for key, value in data["hall"].items():
             # unpacking raises ValueError unless the key names exactly three classes
-            L, _, _ = (parse_multisegment(part, r) for part in key.split("|"))
-            if type(value) is not int or value < 0 or ms_dim_vector(L, r) != tuple(d):
+            L, _, _ = (parse_multisegment(part, payload) for part in key.split("|"))
+            if type(value) is not int or value < 0 or ms_dim_vector(L, payload) != tuple(d):
                 return None
         return data
     except (OSError, ValueError, AttributeError):
         return None
+
+
+def _class_rows_hold(rows, selector, q0, d) -> bool:
+    """Whether rows are class rows as _compute_class_rows writes them: a
+    list of dicts with exactly the printed keys, a string "class" and
+    positive int counts.  On a brute-force quiver each row must also
+    satisfy orbit-stabilizer, aut * orbit_size = |G_d|, and the orbits
+    must partition the q^(sum over arrows of d_t d_h) points of the
+    variety.  This is integer arithmetic alone: no field or engine grade
+    is built."""
+    kind, quiver = selector
+    brute = kind == "brute"
+    keys = {"class", "aut", "orbit_size"} if brute else {"class", "aut"}
+    if type(rows) is not list:
+        return False
+    group = 1  # |G_d| = prod_i |GL_{d_i}(F_q)|
+    for n in d:
+        for i in range(n):
+            group *= q0 ** n - q0 ** i
+    points = 0
+    for row in rows:
+        if type(row) is not dict or row.keys() != keys:
+            return False
+        name, aut, size = row["class"], row["aut"], row.get("orbit_size", 1)
+        if type(name) is not str or type(aut) is not int or type(size) is not int:
+            return False
+        if aut < 1 or size < 1 or brute and aut * size != group:
+            return False
+        points += size
+    return not brute or points == q0 ** sum(d[t] * d[h] for t, h in quiver.arrows)
 
 
 def _store_cache(path, data):
@@ -208,7 +241,7 @@ def _grade_cache(selector, q0, d, cache_dir):
     tag = _selector_tag(selector)
     path = _cache_path(cache_dir, tag, q0, d) if cache_dir else None
     if path:
-        data = _load_cache(path, tag, q0, d, selector[1] if selector[0] == "nil" else None)
+        data = _load_cache(path, tag, q0, d, selector)
         if data is not None:
             return data, path
     engine = _get_engine(selector, q0)

@@ -107,6 +107,9 @@ class QPolynomial:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        # a constant equals its int or Fraction, so it hashes like it
+        if self.degree() <= 0:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
@@ -357,6 +360,9 @@ class SqrtExt:
                 and self._b == other._b and self._den == other._den)
 
     def __hash__(self):
+        # a rational value equals its int or Fraction, so it hashes like it
+        if not self._b:
+            return hash(self.a)
         return hash((self.base, self._a, self._b, self._den))
 
     def _plus(self, a, b, den):
@@ -549,6 +555,9 @@ class CycloSqrt:
                 and self.coords == other.coords)
 
     def __hash__(self):
+        # a value of Q(sqrt(base)) equals its SqrtExt, so it hashes like it
+        if self.is_sqrtext():
+            return hash(self.coords[0])
         return hash((self.p, self.base, self.coords))
 
     def _coerce(self, other):

@@ -238,24 +238,6 @@ def mat_identity(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(F: FieldSpec, A, B):
-    if not A or not B:
-        return tuple(() for _ in A) if A else ()
-    add, _, mul, _ = F.tables
-    cols = tuple(zip(*B))
-    out = []
-    for Ai in A:
-        row = []
-        for col in cols:
-            s = 0
-            for a, b in zip(Ai, col):
-                if a:
-                    s = add[s][mul[a][b]]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def rref(rows, ncols, inv, mul, sub):
     """Reduced row echelon form over any exact field; the one elimination
     routine of the package.

@@ -271,11 +271,11 @@ class IsoClass:
 #
 # Vectors of F^n are numbered by base-q codes, the first coordinate the
 # most significant digit, so code c is the c-th tuple of
-# product(range(q), repeat=n).  A table maps every tail code through
-# every arrow once.  A subspace is handed around as the entry (basis,
-# codes, pivots, nonpivots) of its RREF basis, and a tuple of subspaces,
-# one per vertex, as a choice.  A table is a multiset of counts: the
-# order of its keys is unspecified.
+# product(range(q), repeat=n).  A subspace list holds each subspace as
+# the entry (basis, codes, pivots, nonpivots) of its RREF basis, and the
+# product walk hands a tuple of entries, one per vertex, around as a
+# choice.  A table is a multiset of counts: the order of its keys is
+# unspecified.
 
 @cache
 def _vector_cache(F: FieldSpec, n: int):
@@ -286,13 +286,6 @@ def _vector_cache(F: FieldSpec, n: int):
     """
     vectors = list(product(range(F.q), repeat=n))
     return vectors, [next((j for j, x in enumerate(v) if x), n) for v in vectors]
-
-
-def _code(q, row):
-    code = 0
-    for x in row:
-        code = code * q + x
-    return code
 
 
 def _subspace_count(q: int, n: int) -> int:
@@ -427,14 +420,17 @@ def _sub_quotient_point(arrows, vectors, images, choice, sub, mul):
             (tuple(sub_mats), tuple(len(c[1]) for c in choice)))
 
 
-def _product_walk(F, quiver, dims, vectors, images):
+def _product_walk(F, quiver, mats, dims):
     """The (quotient point, sub point, 1) triple of every submodule of a point.
 
-    Subspace tuples are walked in product order of the per-vertex lists,
-    a vertex's choice being tested against every arrow whose ends are
-    both chosen; each stable tuple is a submodule.
+    Each arrow's image of every tail code is computed once.  Subspace
+    tuples are walked in product order of the per-vertex lists, a
+    vertex's choice being tested against every arrow whose ends are both
+    chosen; each stable tuple is a submodule.
     """
     _, sub, mul, _ = F.tables
+    vectors = [_vector_cache(F, n)[0] for n in dims]
+    images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
     lists = [_subspace_cache(F, n) for n in dims]
     leads = [_vector_cache(F, n)[1] for n in dims]
     # the arrows tested when vertex i is chosen: (image, tail, head)
@@ -459,7 +455,7 @@ def _product_walk(F, quiver, dims, vectors, images):
     return walk(0)
 
 
-def _nilpotent_walk(F, quiver, dims, vectors, images):
+def _nilpotent_walk(F, quiver, mats, dims):
     """Triples (quotient ranks, sub ranks, count) that together count every
     submodule of a point of a quiver in which each vertex has one
     outgoing arrow, the arrows acting nilpotently.
@@ -468,12 +464,16 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
     T(U) is inside U.  So a submodule U of a submodule S lies between
     V = T(U), a submodule of T(S), and P = T^-1(V) meet S; conversely
     every graded U between them has T(U) inside V, so is a submodule,
-    and comes from this V iff T(U) = V.  The walk runs through the
-    submodules V of T(S) first (T(S) is smaller, as T is nilpotent), then
-    through the graded subspaces U/V of P/V, one F^m subspace list per
-    vertex with m = dim P_i/V_i, and keeps U when T(U) = V.  At vertex i,
-    with X the arrow to j, that says X maps U_i onto V_j modulo X(V_i),
-    so each vertex is filtered alone.  Every U visited is a submodule.
+    and comes from this V iff T(U) = V.  One recursion, submodules(S,
+    choose), runs through the submodules V of T(S) first (T(S) is
+    smaller, as T is nilpotent, and the recursion ends at the zero
+    module, its one submodule), then through the graded subspaces U/V of P/V,
+    one F^m subspace list per vertex with m = dim P_i/V_i, and keeps U
+    when T(U) = V.  At vertex i, with X the arrow to j, that says X maps
+    U_i onto V_j modulo X(V_i), so each vertex is filtered alone.  Every
+    U visited is a submodule.  Each subspace of the point is an (RREF
+    rows, pivots) pair, and rows are mapped through the arrows' matrices
+    as they are needed; a W of an F^m list is read by its codes.
 
     A rank table lists, per vertex j, the ranks of the paths of 0, 1, 2,
     ... arrows from j while they are nonzero (_multisegment_of_ranks).
@@ -485,47 +485,63 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
     |tail| minus the number of U_v's pivots inside the tail.
 
     So the submodules U of L itself, the top level, are read only through
-    their pivots and dimensions, and there each vertex's U_i are tallied
-    by pivots rather than listed.  U_i = V_i + W C for a complement C of
-    V_i in P_i, so its pivots are V_i's and C's pivot columns at W's.
-    When V_j = X(V_i), nothing is to be mapped onto and every subspace W
-    of F^m counts: those with one pivot set are a cell of q^(free RREF
-    entries) (_pivot_cells).  Otherwise the listed W that pass the onto
-    test are tallied.  The vertices' tallies combine by multiplying
-    counts, and one triple is yielded per V and pivot tuple.
+    their pivots and dimensions: there choose is pivot_counts, which
+    tallies each vertex's U_i by pivots as (None, pivots) with a count,
+    and below it choose is lifts, which lists each U_i with count 1.
+    U_i = V_i + W C for a complement C of V_i in P_i, so its pivots are
+    V_i's and C's pivot columns at W's.  When V_j = X(V_i), nothing is to
+    be mapped onto and every subspace W of F^m counts: those with one
+    pivot set are a cell of q^(free RREF entries) (_pivot_cells).
+    Otherwise the listed W that pass the onto test are tallied.  The
+    vertices' counts multiply, and one triple is yielded per V and pivot
+    tuple.
     """
     q = F.q
-    _, sub, mul, _ = F.tables
+    add, sub, mul, _ = F.tables
     ops = (F.inv, lambda a, b: mul[a][b], lambda a, b: sub[a][b])
     nv = quiver.nv
-    out = [None] * nv
-    for a, (t, h) in enumerate(quiver.arrows):
-        out[t] = (a, h)
+    out = [None] * nv  # out[i] = (the columns of the arrow from i, its head)
+    for X, (t, h) in zip(mats, quiver.arrows):
+        out[t] = (tuple(zip(*X)), h)
+
+    def combine(coeffs, rows, n):
+        """sum_k coeffs[k] rows[k] in F^n."""
+        w = None
+        for c, row in zip(coeffs, rows):
+            if c:
+                mc = mul[c]
+                w = [mc[b] for b in row] if w is None else [add[a][mc[b]] for a, b in zip(w, row)]
+        return (0,) * n if w is None else tuple(w)
+
+    def image(i, u):
+        """X u for the arrow X from vertex i."""
+        cols, h = out[i]
+        return combine(u, cols, dims[h])
 
     # cuts[j][l] = (v, c): the path of l arrows from j ends at v and its
-    # image is spanned by the unit vectors e_c, ..., e_{n_v - 1}, which
-    # have the codes q^k, k < n_v - c.  A point without that shape would
-    # be miscounted, so it is refused.
+    # image is spanned by the unit vectors e_c, ..., e_{n_v - 1}.  A point
+    # without that shape would be miscounted, so it is refused.
     total = sum(dims)
+    units = [gf.mat_identity(n) for n in dims]
     cuts = []
     for j in range(nv):
-        row, v = [], j
-        image = {q ** k for k in range(dims[j])}
-        while image:
-            if len(row) == total or image != {q ** k for k in range(len(image))}:
+        row, v, tail = [], j, set(units[j])
+        while tail:
+            n = dims[v]
+            if len(row) == total or tail != set(units[v][n - len(tail):]):
                 raise InternalCheckError(
                     "point identification failed: a path image is not a tail of the basis")
-            row.append((v, dims[v] - len(image)))
-            a, v = out[v]
-            image = {images[a][c] for c in image} - {0}
+            row.append((v, n - len(tail)))
+            tail = {image(v, u) for u in tail} - {(0,) * dims[out[v][1]]}
+            v = out[v][1]
         cuts.append(row)
 
-    def quotient_ranks(pivots):
+    def quotient_ranks(U):
         rank = []
         for row in cuts:
             ranks = []
             for v, c in row:
-                x = dims[v] - c - sum(p >= c for p in pivots[v])
+                x = dims[v] - c - sum(p >= c for p in U[v][1])
                 if not x:
                     break
                 ranks.append(x)
@@ -537,172 +553,148 @@ def _nilpotent_walk(F, quiver, dims, vectors, images):
         rows, pivots = gf.rref(rows, n, *ops)
         return tuple(map(tuple, rows[:len(pivots)])), tuple(pivots)
 
-    def image(i, row):
-        a, h = out[i]
-        return vectors[h][images[a][_code(q, row)]]
-
     def complement(i, level, V, TV):
         """The U_i between V_i and P_i that X_i maps onto V_j modulo
         X_i(V_i) = TV_j, as (C rows, C pivots, onto): U_i = V_i + W C for
         the subspaces W of F^m, m = dim C, whose codes pass onto, or for
         every W when onto is None.  None when P_i = V_i, so U_i = V_i."""
-        n, (_, h) = dims[i], out[i]
-        kernel, section, image_pivots = level
-        V_rows, _, V_pivots, _ = V[i]
+        n, h = dims[i], out[i][1]
+        kernel, preimages, image_pivots = level
+        V_rows, V_pivots = V[i]
         if len(kernel) + len(V[h][0]) == len(V_rows):
             return None
         # P_i = ker X_i + a preimage of V_j; the coordinates of a vector
         # of X_i(S_i) on its RREF basis are its entries in the pivot columns
-        P_rows = kernel + [vectors[i][c] for c in _image_codes(
-            F, section, [tuple(v[p] for p in image_pivots) for v in V[h][0]])]
+        P_rows = kernel + [combine([v[p] for p in image_pivots], preimages, n)
+                           for v in V[h][0]]
         # C: an RREF complement of V_i in P_i, zero in V_i's pivot columns
         C_rows, C_pivots = reduce([_residue(p, V_rows, V_pivots, sub, mul) for p in P_rows], n)
         # X_i C in V_j / TV_j, in coordinates: TV_j's pivots are among V_j's,
         # and a vector of V_j that is zero in TV_j's is fixed by the rest
-        R_rows, _, R_pivots, _ = TV[h]
-        coords = [p for p in V[h][2] if p not in R_pivots]
+        R_rows, R_pivots = TV[h]
+        coords = [p for p in V[h][1] if p not in R_pivots]
         e = len(coords)
         if not e:
             return C_rows, C_pivots, None
         Y = [_residue(image(i, c), R_rows, R_pivots, sub, mul) for c in C_rows]
-        to_e = _image_codes(F, tuple(tuple(y[p] for y in Y) for p in coords),
-                            _vector_cache(F, len(C_rows))[0])
-        vectors_e = _vector_cache(F, e)[0]
+        Z = [tuple(y[p] for p in coords) for y in Y]
+        # the coordinates of X_i w C for every w of F^m, by code
+        project = [combine(w, Z, e) for w in _vector_cache(F, len(C_rows))[0]]
 
         def onto(W_codes):
-            hits = [to_e[c] for c in W_codes if to_e[c]]
-            return len(hits) >= e and (e == 1 or len(
-                reduce([vectors_e[c] for c in hits], e)[1]) == e)
+            hits = list(filter(any, map(project.__getitem__, W_codes)))
+            return len(hits) >= e and (e == 1 or len(reduce(hits, e)[1]) == e)
 
         return C_rows, C_pivots, onto
 
     def lifts(i, level, V, TV):
-        """The entry of every U_i of complement(i, level, V, TV)."""
+        """Every U_i of complement(i, level, V, TV), with count 1."""
         found = complement(i, level, V, TV)
         if found is None:
-            yield V[i]
+            yield V[i], 1
             return
         C_rows, C_pivots, onto = found
         n, m = dims[i], len(C_rows)
-        V_rows, _, V_pivots, _ = V[i]
+        V_rows, V_pivots = V[i]
         candidates = _subspace_cache(F, m)
         if onto:
             candidates = (W for W in candidates if onto(W[1]))
-        if not V_rows and m == n:  # C is the identity, so U = W
-            yield from candidates
-            return
-        lift = _image_codes(F, tuple(zip(*C_rows)), _vector_cache(F, m)[0])
+        lift = [combine(w, C_rows, n) for w in _vector_cache(F, m)[0]]  # w C, by code
         for _, W_codes, W_pivots, _ in candidates:
             # W C is in RREF, with pivots in C's pivot columns and zeros in
             # V_i's; clearing those columns from V_i's rows leaves them in
             # RREF too
-            L_codes = [lift[c] for c in W_codes]
-            L_rows = [vectors[i][c] for c in L_codes]
+            L_rows = list(map(lift.__getitem__, W_codes))
             L_pivots = [C_pivots[p] for p in W_pivots]
-            pairs = sorted(list(zip(L_pivots, L_codes))
-                           + [(p, _code(q, _residue(v, L_rows, L_pivots, sub, mul)))
+            pairs = sorted(list(zip(L_pivots, L_rows))
+                           + [(p, tuple(_residue(v, L_rows, L_pivots, sub, mul)))
                               for p, v in zip(V_pivots, V_rows)])
-            codes = tuple(c for _, c in pairs)
-            yield _entry(n, tuple(vectors[i][c] for c in codes), codes,
-                         tuple(p for p, _ in pairs))
+            yield (tuple(r for _, r in pairs), tuple(p for p, _ in pairs)), 1
 
     def pivot_counts(i, level, V, TV):
-        """{pivots of U_i: how many U_i of complement(i, level, V, TV) have them}."""
+        """Every U_i of complement(i, level, V, TV) as (None, its pivots),
+        with the number of U_i that have those pivots."""
         found = complement(i, level, V, TV)
-        V_pivots = V[i][2]
+        V_pivots = V[i][1]
         if found is None:
-            return {V_pivots: 1}
+            return [((None, V_pivots), 1)]
         _, C_pivots, onto = found
         m = len(C_pivots)
         if onto:
             cells = Counter(W[2] for W in _subspace_cache(F, m) if onto(W[1]))
         else:
             cells = _pivot_cells(q, m)
-        return {tuple(sorted(V_pivots + tuple(C_pivots[p] for p in W_pivots))): count
-                for W_pivots, count in cells.items()}
+        return [((None, tuple(sorted(V_pivots + tuple(C_pivots[p] for p in W_pivots)))),
+                 count) for W_pivots, count in cells.items()]
 
-    def rank_row(i, pivots, rank_V):
-        """The rank row of U at vertex i, for U_i with these pivots."""
-        return (len(pivots),) + rank_V[out[i][1]] if pivots else ()
+    def rank_row(i, U_i, rank_V):
+        """The rank row of U at vertex i."""
+        return (len(U_i[1]),) + rank_V[out[i][1]] if U_i[1] else ()
 
     def levels_of(S):
-        """T(S), and per vertex the level (ker X_i, a section of X_i on S_i,
-        the pivots of X_i(S_i)), for a nonzero submodule S."""
+        """T(S), and per vertex the level (ker X_i, preimages of the RREF
+        basis of X_i(S_i), its pivots), for a nonzero submodule S."""
         TS = [None] * nv
         levels = [None] * nv
         for i, (rows, _) in enumerate(S):
-            n_h = dims[out[i][1]]
-            k = len(rows)
+            h = out[i][1]
+            n_h, k = dims[h], len(rows)
             red, pivots = gf.rref([image(i, s) + tuple(int(j == l) for l in range(k))
                                    for j, s in enumerate(rows)], n_h, *ops)
             pivots = tuple(pivots)
-            TS[out[i][1]] = (tuple(tuple(row[:n_h]) for row in red[:len(pivots)]), pivots)
-            lifted = [vectors[i][c] for c in _image_codes(
-                F, tuple(zip(*rows)), [row[n_h:] for row in red])]
-            levels[i] = (lifted[len(pivots):], tuple(zip(*lifted[:len(pivots)])), pivots)
+            TS[h] = (tuple(tuple(row[:n_h]) for row in red[:len(pivots)]), pivots)
+            lifted = [combine(row[n_h:], rows, dims[i]) for row in red]
+            levels[i] = (lifted[len(pivots):], lifted[:len(pivots)], pivots)
         if sum(len(p) for _, p in TS) == sum(len(p) for _, p in S):
             raise InternalCheckError("point identification failed (non-nilpotent input?)")
         return tuple(TS), levels
 
-    def submodules(S):
-        """(U, T(U), rank table of U) for every submodule U of S, a tuple
-        of per-vertex (RREF rows, pivots) spanning a submodule."""
-        if not any(rows for rows, _ in S):
-            zero = tuple(_entry(n, (), (), ()) for n in dims)
-            yield zero, zero, ((),) * nv
+    def submodules(S, choose):
+        """(U, T(U), rank table of U, count) for the submodules U of S, a
+        tuple of per-vertex (RREF rows, pivots) spanning a submodule; each
+        U_i comes from choose(i, level, V, TV) as (U_i, count), and a
+        yielded U stands for count submodules."""
+        if not any(pivots for _, pivots in S):
+            yield S, S, ((),) * nv, 1
             return
         TS, levels = levels_of(S)
-        for V, TV, rank_V in submodules(TS):
-            # the top vertex streams; the others' choices are listed
-            rest = [((), ())]
-            for i in range(nv - 1, 0, -1):
-                rest = [((entry,) + tail, (rank_row(i, entry[2], rank_V),) + rows)
-                        for entry in lifts(i, levels[i], V, TV) for tail, rows in rest]
-            for entry in lifts(0, levels[0], V, TV):
-                row = rank_row(0, entry[2], rank_V)
-                for tail, rows in rest:
-                    yield (entry,) + tail, V, (row,) + rows
+        for V, TV, rank_V, _ in submodules(TS, lifts):
+            rest = [((), (), 1)]
+            for i in range(nv - 1, -1, -1):
+                rest = [((U_i,) + tail, (rank_row(i, U_i, rank_V),) + rows, ways * count)
+                        for U_i, ways in choose(i, levels[i], V, TV)
+                        for tail, rows, count in rest]
+            for U, rank, count in rest:
+                yield U, V, rank, count
 
-    if not total:  # the zero module's one submodule
-        yield ((),) * nv, ((),) * nv, 1
-        return
-    # the top level: U's are tallied per vertex by pivots, not listed
-    full = tuple((tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-                  tuple(range(n))) for n in dims)
-    TS, levels = levels_of(full)
+    full = tuple((rows, tuple(range(len(rows)))) for rows in units)
     quotients = {}
-    for V, TV, rank_V in submodules(TS):
-        rest = [((), (), 1)]
-        for i in range(nv - 1, -1, -1):
-            rest = [((pivots,) + tail, (rank_row(i, pivots, rank_V),) + rows, ways * count)
-                    for pivots, ways in pivot_counts(i, levels[i], V, TV).items()
-                    for tail, rows, count in rest]
-        for pivots, rank, count in rest:
-            quotient = quotients.get(pivots)
-            if quotient is None:
-                quotient = quotients[pivots] = quotient_ranks(pivots)
-            yield quotient, rank, count
+    for U, _, rank, count in submodules(full, pivot_counts):
+        quotient = quotients.get(U)
+        if quotient is None:
+            quotient = quotients[U] = quotient_ranks(U)
+        yield quotient, rank, count
 
 
 def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
     """Count the submodules of a point by (quotient class, sub class).
 
-    walk(F, quiver, dims, vectors, images) yields triples (quotient
-    invariant, sub invariant, count), where count submodules have those
-    invariants, and every submodule is counted once: the product walk,
-    the brute-force engine's, yields each submodule's points with count
-    1; the walk over T(U), the nilpotent engine's, tallies rank tables.
-    An invariant is a hashable value that fixes a class, such as a point
-    (mats, dims) or a rank table.  classify(invariant) must return its
-    class key.  classes is the engine's memo invariant -> class key,
-    kept across all its tables, so classify is called once per distinct
-    invariant per engine.  The returned dict maps (quot_key, sub_key) ->
-    number of submodules, which is the Hall number F^L_{quot, sub}.
+    walk(F, quiver, mats, dims) yields triples (quotient invariant, sub
+    invariant, count), where count submodules have those invariants, and
+    every submodule is counted once: the product walk, the brute-force
+    engine's, yields each submodule's points with count 1; the walk over
+    T(U), the nilpotent engine's, tallies rank tables.  An invariant is a
+    hashable value that fixes a class, such as a point (mats, dims) or a
+    rank table.  classify(invariant) must return its class key.  classes
+    is the engine's memo invariant -> class key, kept across all its
+    tables, so classify is called once per distinct invariant per
+    engine.  The returned dict maps (quot_key, sub_key) -> number of
+    submodules, which is the Hall number F^L_{quot, sub}.  A vertex
+    space past POINT_CAP vectors is refused before either walk lists
+    vectors of it or of its subspaces.
     """
     if any(F.q ** n > POINT_CAP for n in dims):
         raise UsageError(f"vector space F_{F.q}^{max(dims)} exceeds the point cap")
-    vectors = [_vector_cache(F, n)[0] for n in dims]
-    images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
     counts = {}
 
     def class_key(invariant):
@@ -711,7 +703,7 @@ def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
             key = classes[invariant] = classify(invariant)
         return key
 
-    for (quot, sub, n), times in Counter(walk(F, quiver, dims, vectors, images)).items():
+    for (quot, sub, n), times in Counter(walk(F, quiver, mats, dims)).items():
         key = (class_key(quot), class_key(sub))
         counts[key] = counts.get(key, 0) + n * times
     return counts
@@ -877,26 +869,6 @@ class NilpotentCyclicEngine:
                     M[position[h][height + 1, s_idx]][col] = 1
             mats.append(tuple(tuple(r_) for r_ in M))
         return tuple(mats), dims
-
-    def class_of_point(self, mats, dims) -> IsoClass:
-        """Identify the multisegment of a nilpotent point via path ranks."""
-        F = self.field
-        r = self.r
-        total = sum(dims)
-        # the rank of the composite of l arrows starting at vertex j is the
-        # dimension of its image, carried along as an RREF basis whose rows
-        # are mapped through one arrow at a time
-        rank = []
-        for j in range(r):
-            image, row = gf.mat_identity(dims[j]), []
-            while image and len(row) <= total:
-                row.append(len(image))
-                X = mats[(j + len(row) - 1) % r]
-                rows, pivots = gf.rref(gf.mat_mul(F, image, tuple(zip(*X))), len(X),
-                                       F.inv, F.mul, F.sub)
-                image = rows[:len(pivots)]
-            rank.append(tuple(row))
-        return IsoClass(self.engine_id, "ms", tuple(dims), _multisegment_of_ranks(r, rank))
 
     # -- structured invariants -------------------------------------------------
 

@@ -5,7 +5,26 @@ formula or a table, so none of them is needed by the package itself.
 """
 
 from hallalg import gf
-from hallalg.repengine import _hom_space_basis
+from hallalg.repengine import _hom_space_basis, _multisegment_of_ranks
+
+
+def mat_mul(F, A, B):
+    """The product A B of matrices over F, read from the field's tables."""
+    if not A or not B:
+        return tuple(() for _ in A) if A else ()
+    add, _, mul, _ = F.tables
+    cols = tuple(zip(*B))
+    out = []
+    for Ai in A:
+        row = []
+        for col in cols:
+            s = 0
+            for a, b in zip(Ai, col):
+                if a:
+                    s = add[s][mul[a][b]]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def mat_inverse(F, A):
@@ -44,3 +63,25 @@ def socle_solve(engine, c) -> tuple:
                 stacked.extend(mats[a_idx])
         out.append(dims[j] - gf.mat_rank(engine.field, tuple(stacked)) if stacked else dims[j])
     return tuple(out)
+
+
+def class_of_point(engine, mats, dims):
+    """The class of a nilpotent point on a NilpotentCyclicEngine, the
+    inverse of its rep_point, read off the ranks of the arrow paths."""
+    F = engine.field
+    r = engine.r
+    total = sum(dims)
+    # the rank of the composite of l arrows starting at vertex j is the
+    # dimension of its image, carried along as an RREF basis whose rows
+    # are mapped through one arrow at a time
+    rank = []
+    for j in range(r):
+        image, row = gf.mat_identity(dims[j]), []
+        while image and len(row) <= total:
+            row.append(len(image))
+            X = mats[(j + len(row) - 1) % r]
+            rows, pivots = gf.rref(mat_mul(F, image, tuple(zip(*X))), len(X),
+                                   F.inv, F.mul, F.sub)
+            image = rows[:len(pivots)]
+        rank.append(tuple(row))
+    return engine.class_from_key(_multisegment_of_ranks(r, rank))

@@ -435,6 +435,85 @@ class TestCacheEntryChecks:
         assert run_cli(args) == (code, cold) == (0, cold)
 
 
+def _set(key, value):
+    def tamper(data):
+        data[key] = value
+    return tamper
+
+
+def _set_in_first_row(key, value):
+    def tamper(data):
+        data["classes"][0][key] = value
+    return tamper
+
+
+def _aut_off_by_one(data):
+    data["classes"][0]["aut"] += 1
+
+
+def _drop_first_row(data):
+    del data["classes"][0]
+
+
+def _drop_orbit_size(data):
+    del data["classes"][0]["orbit_size"]
+
+
+_K2 = ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "1,1"]
+_C1 = ["isoclasses", "--quiver", "c1", "--q", "2", "--d", "3"]
+_TAMPERED_ROWS = [
+    ("k2-classes-5", _K2, _set("classes", 5)),
+    ("k2-classes-x", _K2, _set("classes", ["x"])),
+    ("k2-classes-missing", _K2, lambda data: data.pop("classes")),
+    ("k2-aut-off-by-one", _K2, _aut_off_by_one),
+    ("k2-row-dropped", _K2, _drop_first_row),
+    ("k2-orbit-size-missing", _K2, _drop_orbit_size),
+    ("k2-extra-key", _K2, _set_in_first_row("rep", [[[0]], [[0]]])),
+    ("k2-bool-aut", _K2, _set_in_first_row("aut", True)),
+    ("k2-class-not-a-string", _K2, _set_in_first_row("class", 0)),
+    ("c1-classes-5", _C1, _set("classes", 5)),
+    ("c1-aut-zero", _C1, _set_in_first_row("aut", 0)),
+    ("c1-aut-a-string", _C1, _set_in_first_row("aut", "1")),
+]
+
+
+class TestCacheClassRows:
+    """A warm run serves a cache file only if its class rows hold: a list
+    of dicts with exactly the printed keys, a string class and positive
+    int counts, and on a brute-force quiver aut * orbit_size = |G_d| for
+    every row with the orbit sizes summing to q^(sum_arrows d_t d_h).
+    Any other file is rebuilt, and the warm run prints the cold output."""
+
+    @pytest.mark.parametrize("argv,tamper", [(argv, tamper) for _, argv, tamper in _TAMPERED_ROWS],
+                             ids=[name for name, _, _ in _TAMPERED_ROWS])
+    def test_tampered_rows_are_rebuilt(self, tmp_path, argv, tamper):
+        for fmt in ("table", "json"):
+            args = argv + ["--format", fmt, "--cache-dir", str(tmp_path / fmt)]
+            code, cold = run_cli(args)
+            assert code == 0
+            (path,) = (tmp_path / fmt).iterdir()
+            stored = json.loads(path.read_text())
+            tampered = json.loads(path.read_text())
+            tamper(tampered)
+            path.write_text(json.dumps(tampered))
+            assert run_cli(args) == (0, cold)
+            assert json.loads(path.read_text()) == stored
+
+    def test_rows_that_hold_are_served(self, tmp_path, monkeypatch):
+        """A warm run of a file whose rows hold computes nothing."""
+        from hallalg import cli
+
+        args = _K2 + ["--format", "json", "--cache-dir", str(tmp_path)]
+        code, cold = run_cli(args)
+        assert code == 0
+
+        def refused(*args):
+            raise AssertionError("class rows were recomputed")
+
+        monkeypatch.setattr(cli, "_compute_class_rows", refused)
+        assert run_cli(args) == (0, cold)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("exc", [ValueError("deep fault"), ZeroDivisionError("deep fault"),
                                      TypeError("deep fault"), RuntimeError("deep fault")],

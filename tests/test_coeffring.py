@@ -203,6 +203,16 @@ class TestQuantumFactorial:
 
 
 class TestSqrtExt:
+    def test_rational_value_hashes_like_its_int_or_fraction(self):
+        for base in (2, 3, 4, 9):
+            for value in (0, 3, -7, Fraction(1, 3), Fraction(-5, 4)):
+                x = SqrtExt(base, value, 0)
+                assert x == value and hash(x) == hash(value)
+                assert len({x, value}) == 1
+        assert len({SqrtExt(2, 3, 0), 3}) == 1
+        assert SqrtExt(4, 0, 1) == 2 and hash(SqrtExt(4, 0, 1)) == hash(2)  # sqrt(4) folds to 2
+        assert SqrtExt(2, 3, 1) != 3
+
     def test_rational_embedding(self):
         rng = random.Random(99)
         for _ in range(50):
@@ -448,6 +458,15 @@ _qpolys = st.one_of(
 
 
 class TestQPolynomialAgainstReference:
+    def test_constant_hashes_like_its_int_or_fraction(self):
+        for value in (0, 3, -7, Fraction(2, 3)):
+            x = QPolynomial.const(value)
+            assert x == value and hash(x) == hash(value)
+            assert len({x, value}) == 1
+        assert len({QPolynomial.const(3), 3}) == 1
+        assert QPolynomial.zero() == 0 and hash(QPolynomial.zero()) == hash(0)
+        assert QPolynomial.q(1) != 1
+
     @settings(max_examples=200, deadline=None)
     @given(_qpolys, _qpolys)
     def test_operations_match_reference(self, a, b):
@@ -491,7 +510,10 @@ class TestQPolynomialAgainstReference:
         # the same value reached two ways: reduced forms must coincide
         w = (x + y) - y
         assert w == x and hash(w) == hash(x)
-        assert hash(x) == hash(frozenset(qref(a).items()))
+        # a constant hashes like the int or Fraction it equals
+        ref = qref(a)
+        assert hash(x) == (hash(ref.get(0, 0)) if set(ref) <= {0}
+                           else hash(frozenset(ref.items())))
 
     @settings(max_examples=150, deadline=None)
     @given(_qpolys, st.one_of(st.integers(-6, 9), _fractions))
@@ -541,6 +563,16 @@ class TestQPolynomialAgainstReference:
 
 
 class TestCycloSqrt:
+    def test_value_of_the_subfield_hashes_like_it(self):
+        for p, base in ((2, 2), (3, 3), (5, 5)):
+            for value in (0, 3, Fraction(-2, 3), SqrtExt(base, 1, 1)):
+                x = CycloSqrt.from_scalar(p, base, value)
+                assert x == value and hash(x) == hash(value)
+                assert len({x, value}) == 1
+        assert len({CycloSqrt.from_scalar(3, 3, 3), 3}) == 1
+        assert CycloSqrt.zeta(2, 2, 1) == -1 and hash(CycloSqrt.zeta(2, 2, 1)) == hash(-1)
+        assert CycloSqrt.zeta(3, 3, 1) != SqrtExt(3, 1, 0)
+
     def test_zeta2_is_minus_one(self):
         assert CycloSqrt.zeta(2, 2, 1) == SqrtExt(2, -1, 0)
 
