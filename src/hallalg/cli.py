@@ -4,8 +4,9 @@ primitive-subspace bases, the verification suite, and Fourier checks.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a request
 rejected where it is parsed or checked against a verified range or cap),
 3 any other error that escapes a command.  Reports are deterministic given
-identical parameters; per-grade results of the brute-force engines can be
-cached on disk and warm runs reproduce cold-run output byte for byte.
+identical parameters; the class rows of brute-force grades and the Hall
+numbers of nilpotent ones can be cached on disk, and warm runs reproduce
+cold-run output byte for byte.
 """
 
 from __future__ import annotations
@@ -90,6 +91,16 @@ def _parse_field_order(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not a prime power")
 
 
+def _parse_cache_dir(text: str) -> str:
+    """argparse type of --cache-dir: a path that is or can be made a directory."""
+    path = text
+    while path and not os.path.isdir(path):
+        if os.path.exists(path):
+            raise argparse.ArgumentTypeError(f"{path!r} is not a directory")
+        path = os.path.dirname(path)
+    return text
+
+
 def _positive(value, default: int, flag: str) -> int:
     """A count flag: its default when absent, a UsageError when below 1."""
     if value is None:
@@ -136,20 +147,16 @@ def _get_engine(selector, q0):
 
 
 # ---------------------------------------------------------------------------
-# Disk cache (brute-force and cyclic grade data: class tables, Hall numbers)
+# Disk cache (brute-force class rows, nilpotent Hall numbers)
 # ---------------------------------------------------------------------------
 
-def _cache_path(cache_dir, tag, q0, d):
-    name = f"{tag}_q{q0}_d{'-'.join(str(x) for x in d)}.json"
-    return os.path.join(cache_dir, name)
-
-
 def _load_cache(path, tag, q0, d, selector):
-    """The cached payload at path, or None unless it is readable, of this
-    cache version, stored for this (quiver, q, grade), its class rows
-    hold (_class_rows_hold), and every Hall entry is a non-negative int
-    under a key naming three classes of C_r, the first of this grade.  A
-    brute-force file holds no Hall entries."""
+    """The payload cached at path, or None unless the file is readable, of
+    this cache version, stored for this (quiver, q, grade), and its payload
+    holds.  A brute-force file's payload is its class rows, which must pass
+    _class_rows_hold.  A nilpotent file's is its Hall entries: non-negative
+    ints under keys naming three classes of C_r, the first of this grade,
+    and 0 wherever the grades of the other two do not add up to it."""
     kind, payload = selector
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -158,33 +165,30 @@ def _load_cache(path, tag, q0, d, selector):
             return None
         if (data.get("quiver"), data.get("q"), data.get("grade")) != (tag, q0, list(d)):
             return None
-        if not isinstance(data.get("hall"), dict):
-            return None
-        if not _class_rows_hold(data.get("classes"), selector, q0, d):
-            return None
-        if kind == "brute" and data["hall"]:
-            return None
-        for key, value in data["hall"].items():
+        if kind == "brute":
+            rows = data.get("classes")
+            return rows if _class_rows_hold(rows, payload, q0, d) else None
+        hall = data.get("hall")
+        for key, value in hall.items():
             # unpacking raises ValueError unless the key names exactly three classes
-            L, _, _ = (parse_multisegment(part, payload) for part in key.split("|"))
-            if type(value) is not int or value < 0 or ms_dim_vector(L, payload) != tuple(d):
+            L, M, N = (ms_dim_vector(parse_multisegment(part, payload), payload)
+                       for part in key.split("|"))
+            if type(value) is not int or value < 0 or L != tuple(d):
                 return None
-        return data
+            if value and tuple(map(sum, zip(M, N))) != L:
+                return None
+        return hall
     except (OSError, ValueError, AttributeError):
         return None
 
 
-def _class_rows_hold(rows, selector, q0, d) -> bool:
-    """Whether rows are class rows as _compute_class_rows writes them: a
-    list of dicts with exactly the printed keys, a string "class" and
-    positive int counts.  On a brute-force quiver each row must also
-    satisfy orbit-stabilizer, aut * orbit_size = |G_d|, and the orbits
-    must partition the q^(sum over arrows of d_t d_h) points of the
-    variety.  This is integer arithmetic alone: no field or engine grade
-    is built."""
-    kind, quiver = selector
-    brute = kind == "brute"
-    keys = {"class", "aut", "orbit_size"} if brute else {"class", "aut"}
+def _class_rows_hold(rows, quiver, q0, d) -> bool:
+    """Whether rows are class rows as _compute_class_rows writes them for
+    a brute-force quiver: a list of dicts with exactly the printed keys, a
+    string "class" and positive int counts, each row satisfying
+    orbit-stabilizer, aut * orbit_size = |G_d|, and the orbits partitioning
+    the q^(sum over arrows of d_t d_h) points of the variety.  This is
+    integer arithmetic alone: no field or engine grade is built."""
     if type(rows) is not list:
         return False
     group = 1  # |G_d| = prod_i |GL_{d_i}(F_q)|
@@ -193,15 +197,15 @@ def _class_rows_hold(rows, selector, q0, d) -> bool:
             group *= q0 ** n - q0 ** i
     points = 0
     for row in rows:
-        if type(row) is not dict or row.keys() != keys:
+        if type(row) is not dict or row.keys() != {"class", "aut", "orbit_size"}:
             return False
-        name, aut, size = row["class"], row["aut"], row.get("orbit_size", 1)
+        name, aut, size = row["class"], row["aut"], row["orbit_size"]
         if type(name) is not str or type(aut) is not int or type(size) is not int:
             return False
-        if aut < 1 or size < 1 or brute and aut * size != group:
+        if aut < 1 or size < 1 or aut * size != group:
             return False
         points += size
-    return not brute or points == q0 ** sum(d[t] * d[h] for t, h in quiver.arrows)
+    return points == q0 ** sum(d[t] * d[h] for t, h in quiver.arrows)
 
 
 def _store_cache(path, data):
@@ -236,26 +240,23 @@ def _compute_class_rows(engine, d):
     return rows
 
 
-def _grade_cache(selector, q0, d, cache_dir):
-    """Load or rebuild the cached (classes, hall) payload for one grade."""
+def _cached_payload(selector, q0, d, cache_dir):
+    """(path, payload) of the grade's cache file: payload is what
+    _load_cache serves from it, or None on a miss; (None, None) without a
+    cache dir."""
+    if not cache_dir:
+        return None, None
     tag = _selector_tag(selector)
-    path = _cache_path(cache_dir, tag, q0, d) if cache_dir else None
-    if path:
-        data = _load_cache(path, tag, q0, d, selector)
-        if data is not None:
-            return data, path
-    engine = _get_engine(selector, q0)
-    data = {
-        "version": CACHE_VERSION,
-        "quiver": tag,
-        "q": q0,
-        "grade": list(d),
-        "classes": _compute_class_rows(engine, d),
-        "hall": {},
-    }
-    if path:
-        _store_cache(path, data)
-    return data, path
+    path = os.path.join(cache_dir, f"{tag}_q{q0}_d{'-'.join(map(str, d))}.json")
+    return path, _load_cache(path, tag, q0, d, selector)
+
+
+def _store_payload(path, selector, q0, d, payload):
+    """Write a file holding one payload for the grade: a brute-force file
+    its class rows ("classes"), a nilpotent file its Hall entries ("hall")."""
+    name = "classes" if selector[0] == "brute" else "hall"
+    _store_cache(path, {"version": CACHE_VERSION, "quiver": _selector_tag(selector),
+                        "q": q0, "grade": list(d), name: payload})
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +295,15 @@ def cmd_isoclasses(args, out):
     selector = _parse_selector(args.quiver)
     nv = selector[1] if selector[0] == "nil" else selector[1].nv
     d = _parse_dimvec(args.d, nv)
-    data, _ = _grade_cache(selector, args.q, d, args.cache_dir)
-    columns = ["class", "aut"] + (["orbit_size"] if selector[0] == "brute" else [])
-    _emit_rows(data["classes"], columns, args.format, out)
+    brute = selector[0] == "brute"
+    # checking a nilpotent row would cost what computing it does, so none is stored
+    path, rows = _cached_payload(selector, args.q, d, args.cache_dir) if brute else (None, None)
+    if rows is None:
+        rows = _compute_class_rows(_get_engine(selector, args.q), d)
+        if path:
+            _store_payload(path, selector, args.q, d, rows)
+    columns = ["class", "aut"] + (["orbit_size"] if brute else [])
+    _emit_rows(rows, columns, args.format, out)
     return 0
 
 
@@ -315,16 +322,16 @@ def cmd_hallnum(args, out):
         return 0
     d = ms_dim_vector(L, r)
     key = f"{multisegment_str(L)}|{multisegment_str(M)}|{multisegment_str(N)}"
-    data, path = _grade_cache(selector, args.q, d, args.cache_dir)
-    if key in data["hall"]:
-        value = data["hall"][key]
-    else:
+    path, hall = _cached_payload(selector, args.q, d, args.cache_dir)
+    hall = hall or {}
+    value = hall.get(key)
+    if value is None:
         engine = _get_engine(selector, args.q)
         value = engine.hall_number(engine.class_from_key(L), engine.class_from_key(M),
                                    engine.class_from_key(N))
-        data["hall"][key] = value
         if path:
-            _store_cache(path, data)
+            hall[key] = value
+            _store_payload(path, selector, args.q, d, hall)
     if args.format == "json":
         out.write(json.dumps({"L": multisegment_str(L), "M": multisegment_str(M),
                               "N": multisegment_str(N), "q": args.q,
@@ -491,7 +498,7 @@ def build_parser():
         sp.add_argument("--q", type=_parse_field_order, default=2,
                         help="prime power field size")
         if cache:
-            sp.add_argument("--cache-dir", default=None)
+            sp.add_argument("--cache-dir", type=_parse_cache_dir, default=None)
         sp.add_argument("--format", choices=("table", "json"), default="table")
 
     sp = sub.add_parser("isoclasses", help="list isoclasses at a dimension vector")

@@ -806,13 +806,14 @@ class NilpotentCyclicEngine:
         return self.make_class((((i % self.r, l), mult),))
 
     def classes(self, d) -> list:
-        """All isoclasses with dimension vector d, sorted canonically."""
+        """All isoclasses with dimension vector d, sorted canonically.  The
+        segments of length >= 2 take multiplicities longest first and the
+        simples S_i[1] take what remains, so every branch ends in a class."""
         d = tuple(d)
         if d in self._classes:
             return self._classes[d]
-        total = sum(d)
         segs = []
-        for l in range(1, total + 1):
+        for l in range(sum(d), 1, -1):
             for i in range(self.r):
                 dv = ms_dim_vector((((i, l), 1),), self.r)
                 if all(a <= b for a, b in zip(dv, d)):
@@ -820,25 +821,17 @@ class NilpotentCyclicEngine:
         found = []
 
         def search(idx, remaining, acc):
-            if not any(remaining):
-                found.append(ms_canonical(acc))
-                return
             if idx == len(segs):
+                found.append(ms_canonical(acc + [((i, 1), m) for i, m in enumerate(remaining)]))
                 return
-            (seg, dv) = segs[idx]
-            max_mult = min((rem // c if c else 10 ** 9)
-                           for rem, c in zip(remaining, dv) if c)
-            for m in range(max_mult, -1, -1):
-                if m:
-                    new_rem = tuple(rem - m * c for rem, c in zip(remaining, dv))
-                    if min(new_rem) < 0:
-                        continue
-                    search(idx + 1, new_rem, acc + [(seg, m)])
-                else:
-                    search(idx + 1, remaining, acc)
+            seg, dv = segs[idx]
+            for m in range(min(rem // c for rem, c in zip(remaining, dv) if c), 0, -1):
+                search(idx + 1, tuple(rem - m * c for rem, c in zip(remaining, dv)),
+                       acc + [(seg, m)])
+            search(idx + 1, remaining, acc)
 
         search(0, d, [])
-        out = sorted(IsoClass(self.engine_id, "ms", d, ms) for ms in set(found))
+        out = [IsoClass(self.engine_id, "ms", d, ms) for ms in sorted(found)]
         self._classes[d] = out
         return out
 

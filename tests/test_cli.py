@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallalg.cli import main
+from hallalg.cli import CACHE_VERSION, main
 
 
 def run_cli(argv):
@@ -433,6 +433,21 @@ class TestCacheEntryChecks:
         data["hall"] = {"S1[1]|0|S1[1]": 1}
         path.write_text(json.dumps(data))
         assert run_cli(args) == (code, cold) == (0, cold)
+        assert "hall" not in json.loads(path.read_text())
+
+    def test_nonzero_entry_that_grade_makes_zero_is_rebuilt(self, tmp_path):
+        """The grades of M and N, 3 and 3, do not add up to L's grade 3, so
+        the count is 0 by grade alone and a stored nonzero value is rebuilt."""
+        args = ["hallnum", "--quiver", "c1", "--q", "2", "--L", "(3)", "--M", "(3)",
+                "--N", "(3)", "--cache-dir", str(tmp_path)]
+        assert run_cli(args) == (0, "0\n")
+        path = tmp_path / "c1nil_q2_d3.json"
+        data = json.loads(path.read_text())
+        assert data["hall"] == {"S1[3]|S1[3]|S1[3]": 0}
+        data["hall"]["S1[3]|S1[3]|S1[3]"] = 5
+        path.write_text(json.dumps(data))
+        assert run_cli(args) == (0, "0\n")
+        assert json.loads(path.read_text())["hall"] == {"S1[3]|S1[3]|S1[3]": 0}
 
 
 def _set(key, value):
@@ -474,30 +489,41 @@ _TAMPERED_ROWS = [
     ("c1-classes-5", _C1, _set("classes", 5)),
     ("c1-aut-zero", _C1, _set_in_first_row("aut", 0)),
     ("c1-aut-a-string", _C1, _set_in_first_row("aut", "1")),
+    ("c1-aut-8-to-7", _C1, _set_in_first_row("aut", 7)),
 ]
 
 
 class TestCacheClassRows:
-    """A warm run serves a cache file only if its class rows hold: a list
-    of dicts with exactly the printed keys, a string class and positive
-    int counts, and on a brute-force quiver aut * orbit_size = |G_d| for
-    every row with the orbit sizes summing to q^(sum_arrows d_t d_h).
-    Any other file is rebuilt, and the warm run prints the cold output."""
+    """A warm run serves a brute-force cache file only if its class rows
+    hold: a list of dicts with exactly the printed keys, a string class
+    and positive int counts, aut * orbit_size = |G_d| for every row and
+    the orbit sizes summing to q^(sum_arrows d_t d_h).  Any other file is
+    rebuilt, and the warm run prints the cold output.  Nilpotent
+    isoclasses reads and writes no file, so a nilpotent file with class
+    rows, as older trees wrote, is left as it is and changes nothing."""
 
     @pytest.mark.parametrize("argv,tamper", [(argv, tamper) for _, argv, tamper in _TAMPERED_ROWS],
                              ids=[name for name, _, _ in _TAMPERED_ROWS])
     def test_tampered_rows_are_rebuilt(self, tmp_path, argv, tamper):
         for fmt in ("table", "json"):
-            args = argv + ["--format", fmt, "--cache-dir", str(tmp_path / fmt)]
+            cache = tmp_path / fmt
+            args = argv + ["--format", fmt, "--cache-dir", str(cache)]
             code, cold = run_cli(args)
             assert code == 0
-            (path,) = (tmp_path / fmt).iterdir()
+            if argv is _C1:
+                assert not cache.exists()
+                cache.mkdir()
+                rows = json.loads(run_cli(argv + ["--format", "json"])[1])
+                (cache / "c1nil_q2_d3.json").write_text(json.dumps(
+                    {"version": CACHE_VERSION, "quiver": "c1nil", "q": 2, "grade": [3],
+                     "classes": rows, "hall": {}}))
+            (path,) = cache.iterdir()
             stored = json.loads(path.read_text())
             tampered = json.loads(path.read_text())
             tamper(tampered)
             path.write_text(json.dumps(tampered))
             assert run_cli(args) == (0, cold)
-            assert json.loads(path.read_text()) == stored
+            assert json.loads(path.read_text()) == (tampered if argv is _C1 else stored)
 
     def test_rows_that_hold_are_served(self, tmp_path, monkeypatch):
         """A warm run of a file whose rows hold computes nothing."""
@@ -592,6 +618,29 @@ class TestExitCodes:
     ])
     def test_absent_count_flag_takes_its_default(self, argv, expected):
         assert run_cli(argv) == (0, expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "1,1"],
+        ["isoclasses", "--quiver", "c1", "--q", "2", "--d", "3"],
+        ["hallnum", "--quiver", "c1", "--L", "(1,1)", "--M", "(1)", "--N", "(1)"],
+    ], ids=["isoclasses-k2", "isoclasses-c1", "hallnum"])
+    def test_cache_dir_naming_a_file_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        """A path that is, or lies below, a regular file is refused where it
+        is parsed, like --q: no engine is built and no file is written."""
+        from hallalg import cli
+
+        def refused(*args):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(cli, "_get_engine", refused)
+        path = tmp_path / "file"
+        path.write_text("kept")
+        for cache_dir in (path, path / "sub"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv + ["--cache-dir", str(cache_dir)])
+            assert exc.value.code == 2
+            assert "not a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["file"] and path.read_text() == "kept"
 
 
 class TestClosedStdout:

@@ -26,6 +26,7 @@ from hallalg.repengine import (
     kronecker_quiver,
     kronecker_regular_classes,
     kronecker_tube_class,
+    ms_dim_vector,
     multisegment_str,
     parse_multisegment,
 )
@@ -88,6 +89,39 @@ class TestIsoclassEnumeration:
         engine = get_brute_engine(kronecker_quiver(), 2)
         with pytest.raises(ValueError):
             engine.classes((5, 4))
+
+    @pytest.mark.parametrize("r,top,whole_box", [
+        (1, (15,), True), (2, (6, 6), True), (3, (4, 4, 4), True), (4, (3, 3, 3, 3), True),
+        (4, (4, 4, 4, 4), False)], ids=["C1", "C2", "C3", "C4", "C4-4444"])
+    def test_multisegments_are_distinct_and_as_many_as_coin_change(self, r, top, whole_box):
+        """classes(d) lists distinct multisegments of grade d, in order, as
+        many as the coefficient of x^d in the product over segments s of
+        1/(1 - x^dim s): every grade d <= top, or top alone."""
+        count = _coin_change_counts(r, top)
+        engine = NilpotentCyclicEngine(r, 2)
+        for d in count if whole_box else [top]:
+            classes = engine.classes(d)
+            assert len(set(classes)) == len(classes) == count[d], d
+            assert classes == sorted(classes)
+            assert all(ms_dim_vector(c.key, r) == d for c in classes)
+
+
+def _coin_change_counts(r, top):
+    """The coefficient of x^e for every e <= top in the product over the
+    segments s of C_r of 1/(1 - x^dim s), by unbounded coin change."""
+    grades = list(product(*(range(n + 1) for n in top)))  # e - dim s precedes e
+    count = dict.fromkeys(grades, 0)
+    count[grades[0]] = 1
+    for l in range(1, sum(top) + 1):
+        for i in range(r):
+            dim = [0] * r
+            for t in range(l):
+                dim[(i + t) % r] += 1
+            for e in grades:
+                rest = tuple(a - b for a, b in zip(e, dim))
+                if min(rest) >= 0:
+                    count[e] += count[rest]
+    return count
 
 
 class TestOrbitPartition:
