@@ -2,7 +2,7 @@
 primitive-subspace bases, the verification suite, and Fourier checks.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a request
-rejected where it is parsed or checked against a verified range or cap),
+rejected where it is parsed or checked against an engine cap),
 3 any other error that escapes a command.  Reports are deterministic given
 identical parameters; the class rows of brute-force grades and the Hall
 numbers of nilpotent ones can be cached on disk, and warm runs reproduce

@@ -480,19 +480,34 @@ def quantum_factorial(n: int, q0: int) -> SqrtExt:
 _CYCLO_PRIME_CAP = 7
 
 
+@cache
+def _gauss_root(p: int, base: int):
+    """sqrt(base) with rational coordinates when it lies in Q(zeta_p), else
+    None.  It does when p = 1 (mod 4) and base = p^(2m+1): sqrt(p) is then
+    the Gauss sum sum_{a=1}^{p-1} (a/p) zeta^a."""
+    m = next(m for m in range(base) if p ** (2 * m + 1) >= base)
+    if p % 4 != 1 or p ** (2 * m + 1) != base:
+        return None
+    return sum((CycloSqrt.zeta(p, base, a) * (1 if pow(a, p // 2, p) == 1 else -1)
+                for a in range(1, p)), CycloSqrt.zero(p, base)) * p ** m
+
+
 class CycloSqrt:
     """Element of Q(zeta_p)(sqrt(q0)) in the power basis 1, zeta, ..., zeta^(p-2).
 
     Arithmetic reduces modulo 1 + zeta + ... + zeta^(p-1) = 0.  The
     prime p is the field characteristic of the additive characters that
-    produce these values; only p <= 7 is supported.
+    produce these values; only p <= 7 is supported.  Where sqrt(q0) lies
+    in Q(zeta_p) the stored coordinates are not unique, so comparisons
+    read _canonical().
     """
 
     __slots__ = ("p", "base", "coords")
 
     def __init__(self, p: int, base: int, coords=None):
         if p < 2 or p > _CYCLO_PRIME_CAP:
-            raise UsageError(f"cyclotomic prime {p} out of supported range")
+            raise UsageError(f"cyclotomic prime {p} is outside 2..{_CYCLO_PRIME_CAP}, "
+                             "the cyclotomic prime cap")
         if coords is None:
             coords = [SqrtExt.zero(base)] * (p - 1)
         coords = tuple(
@@ -518,47 +533,55 @@ class CycloSqrt:
 
     @staticmethod
     def from_scalar(p: int, base: int, x) -> "CycloSqrt":
-        coords = [SqrtExt.zero(base)] * (p - 1)
-        coords[0] = x if isinstance(x, SqrtExt) else SqrtExt(base, x, 0)
-        return CycloSqrt(p, base, coords)
+        return CycloSqrt(p, base, [x] + [0] * (p - 2))
 
     @staticmethod
     def zeta(p: int, base: int, k: int = 1) -> "CycloSqrt":
         """The root of unity zeta_p^k."""
         k %= p
-        coords = [SqrtExt.zero(base)] * (p - 1)
-        if k < p - 1:
-            coords[k] = SqrtExt.one(base)
-        else:
-            minus_one = SqrtExt(base, -1, 0)
-            coords = [minus_one] * (p - 1)
-        return CycloSqrt(p, base, coords)
+        if k == p - 1:  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+            return CycloSqrt(p, base, [-1] * (p - 1))
+        return CycloSqrt(p, base, [int(j == k) for j in range(p - 1)])
 
     # -- predicates ---------------------------------------------------------
 
+    def _canonical(self):
+        """Coordinates equal exactly when the values are: where sqrt(base) lies
+        in Q(zeta_p), each b*sqrt(base) becomes b*root, and the t*root that
+        clears root's first nonzero zeta coordinate goes back as t*sqrt(base)."""
+        root = _gauss_root(self.p, self.base)
+        if root is None:
+            return self.coords
+        a, b = (CycloSqrt(self.p, self.base, [getattr(c, part) for c in self.coords])
+                for part in "ab")
+        x = a + b * root
+        k = next(k for k, c in enumerate(root.coords) if k and c)
+        t = x.coords[k] / root.coords[k]
+        return (x - root * t + t * SqrtExt(self.base, 0, 1)).coords
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return all(c.is_zero() for c in self._canonical())
 
     def is_sqrtext(self) -> bool:
         """True when the value lies in Q(sqrt(base)), i.e. has no zeta part."""
-        return all(c.is_zero() for c in self.coords[1:])
+        return all(c.is_zero() for c in self._canonical()[1:])
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, SqrtExt)):
-            return self.is_sqrtext() and self.coords[0] == other
+            return self.is_sqrtext() and self._canonical()[0] == other
         if not isinstance(other, CycloSqrt):
             return NotImplemented
         return (self.p == other.p and self.base == other.base
-                and self.coords == other.coords)
+                and self._canonical() == other._canonical())
 
     def __hash__(self):
         # a value of Q(sqrt(base)) equals its SqrtExt, so it hashes like it
         if self.is_sqrtext():
-            return hash(self.coords[0])
-        return hash((self.p, self.base, self.coords))
+            return hash(self._canonical()[0])
+        return hash((self.p, self.base, self._canonical()))
 
     def _coerce(self, other):
         if isinstance(other, CycloSqrt):
@@ -636,7 +659,7 @@ class CycloSqrt:
                 "b": [str(c.b) for c in self.coords]}
 
     def render(self) -> str:
-        if self.is_sqrtext():
+        if all(c.is_zero() for c in self.coords[1:]):
             return self.coords[0].render()
         parts = []
         for k, c in enumerate(self.coords):

@@ -15,10 +15,18 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .report import UsageError
+
 __all__ = [
+    "FIELD_ORDER_CAP",
     "FieldSpec",
     "trace_to_prime",
 ]
+
+# The largest field whose q x q tables are built, 2^20 entries each: GF(1024)
+# is the largest field tests and CI use, and its tables take about 18 s and
+# 62 MB, so past it a run would spend minutes before a point cap refused it.
+FIELD_ORDER_CAP = 1024
 
 
 def _factor_prime_power(q: int):
@@ -143,8 +151,11 @@ class FieldSpec:
         q x q tables indexed [a][b], and a^(-1) indexed [a] (0 at 0).
 
         Built on the first read, so a field whose order only gets checked
-        against a cap never pays q^2 work or memory.
+        against a cap never pays q^2 work or memory; past FIELD_ORDER_CAP
+        the first read is refused.
         """
+        if self.q > FIELD_ORDER_CAP:
+            raise UsageError(f"field order {self.q} exceeds the field order cap {FIELD_ORDER_CAP}")
         p = self.p
         digits = [self.decode(a) for a in range(self.q)]
         code = {v: a for a, v in enumerate(digits)}.__getitem__

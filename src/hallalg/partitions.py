@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import QPolynomial
+from .report import UsageError
 
 __all__ = [
     "Partition",
@@ -88,7 +89,7 @@ def _partition_tuples(n: int, max_part: int):
 def partitions_of(n: int):
     """All partitions of n in decreasing lexicographic order."""
     if not 0 <= n <= _PARTITION_CAP:
-        raise ValueError(f"partition size {n} out of range 0..{_PARTITION_CAP}")
+        raise UsageError(f"partition size {n} is outside 0..{_PARTITION_CAP}, the partition cap")
     return [Partition(t) for t in _partition_tuples(n, n if n else 1)]
 
 

@@ -34,7 +34,6 @@ from .repengine import (
     get_brute_engine,
     get_nilpotent_engine,
     is_regular_kronecker,
-    kronecker_cap,
     kronecker_points,
     kronecker_quiver,
     kronecker_tube_class,
@@ -106,7 +105,7 @@ def c_central(engine: NilpotentCyclicEngine, n: int) -> HallElement:
     """(-1)^n v^(-2rn) sum over square-free-socle classes at n*delta of
     (-1)^(dim End M) a_M [M]."""
     if engine.r < 2:
-        raise ValueError("central elements are defined for r >= 2")
+        raise UsageError("central elements are defined for r >= 2")
     if n < 0:
         raise ValueError("need n >= 0")
     cache = _engine_cache(engine, "central")
@@ -185,22 +184,13 @@ def p_tube_homog(engine, e_deg: int, m: int, classes_by_partition) -> HallElemen
     return HallElement(engine, terms)
 
 
-def _check_kron_cap(engine, n):
-    if engine.quiver != kronecker_quiver():
-        raise ValueError("needs a Kronecker engine")
-    if not 1 <= n <= kronecker_cap(engine.q0):
-        raise UsageError(f"n={n} outside the supported range for q={engine.q0}")
-
-
 def kron_p0(engine: BruteForceEngine, n: int) -> HallElement:
     """Tube primitive at the point 0: matrix pairs (I, J_lambda)."""
-    _check_kron_cap(engine, n)
     return tube_primitive(engine, kronecker_tube(engine, (0, 1), n), n)
 
 
 def kron_pinf(engine: BruteForceEngine, n: int) -> HallElement:
     """Tube primitive at the point infinity: matrix pairs (J_lambda, I)."""
-    _check_kron_cap(engine, n)
     return tube_primitive(engine, kronecker_tube(engine, None, n), n)
 
 
@@ -233,6 +223,10 @@ class KroneckerTube:
 
 def kronecker_tube(engine: BruteForceEngine, x, m: int) -> KroneckerTube:
     """The tube at the closed point x, with I_lambda(x) for every lambda |- m."""
+    if engine.quiver != kronecker_quiver():
+        raise ValueError("needs a Kronecker engine")
+    if m < 1:
+        raise UsageError("need m >= 1")
     degree = 1 if x is None else len(x) - 1
     classes = {lam.parts: kronecker_tube_class(engine, x, lam) for lam in partitions_of(m)}
     return KroneckerTube(x, degree, kronecker_tube_class(engine, x, Partition((1,))), classes)
@@ -241,7 +235,6 @@ def kronecker_tube(engine: BruteForceEngine, x, m: int) -> KroneckerTube:
 def kronecker_tubes(engine: BruteForceEngine, n: int):
     """The tubes at the closed points x with deg(x) | n, with I_lambda(x)
     resolved for lambda |- n/deg(x).  Sorted by (degree, quasi-simple key)."""
-    _check_kron_cap(engine, n)
     tubes = [kronecker_tube(engine, x, n // d)
              for d in range(1, n + 1) if n % d == 0
              for x in kronecker_points(engine.q0, d)]
@@ -292,8 +285,6 @@ def xi_partition_sum_value(n: int, q0) -> Fraction:
 
 def verify_xi_identity(n: int) -> VerificationReport:
     """Symbolic check of sum_{lambda |- n} prod(1-q^s)/a_lambda = 1/(q^n - 1)."""
-    if not 1 <= n <= 12:
-        raise UsageError("n out of the supported range 1..12")
 
     def run():
         D, cofactors = _xi_common_denominator(n)
@@ -310,8 +301,6 @@ def verify_aut_sum_identities(n: int) -> VerificationReport:
     """Two companion sums over partitions of n, checked symbolically:
     sum (prod(1-q^s))^2 / a_lambda = n/(q^n - 1) and
     sum 1/a_lambda = q^(n(n-1)/2) / prod_{i=1}^n (q^i - 1)."""
-    if not 1 <= n <= 10:
-        raise UsageError("n out of the supported range 1..10")
 
     def run():
         D, cofactors = _xi_common_denominator(n)
@@ -335,8 +324,6 @@ def verify_aut_sum_identities(n: int) -> VerificationReport:
 def verify_key_pairing(r: int, n: int, q0: int) -> VerificationReport:
     """Green pairing of the normalized cyclic primitive against the full sum
     of classes at n*delta equals the partition sum, which equals 1/(q^n-1)."""
-    if not (1 <= r <= 3 and 1 <= n <= 2 and q0 in (2, 3)):
-        raise UsageError("parameters outside the verified range")
 
     def run():
         engine = get_nilpotent_engine(r, q0)
@@ -354,9 +341,6 @@ def verify_key_pairing(r: int, n: int, q0: int) -> VerificationReport:
 def central_family_check(r: int, n: int, q0: int) -> VerificationReport:
     """The central elements commute with every simple and satisfy
     Delta(c_n) = sum_s c_s ox c_{n-s}."""
-    if not (2 <= r <= 3 and 1 <= n <= 2 and q0 in (2, 3)):
-        raise UsageError("parameters outside the verified range")
-
     def run():
         engine = get_nilpotent_engine(r, q0)
         cn = c_central(engine, n)
@@ -385,8 +369,6 @@ def central_family_check(r: int, n: int, q0: int) -> VerificationReport:
 def kernel_theorem_check(n: int, q0: int) -> VerificationReport:
     """Full primitive space at (n,n) = kernel of z -> {z, 1^reg} on the
     regular primitive space, with the expected dimensions."""
-    if not (1 <= n <= 2 and q0 in (2, 3)) or (n == 2 and q0 != 2):
-        raise UsageError("parameters outside the verified range")
 
     def run():
         engine = get_brute_engine(kronecker_quiver(), q0)
@@ -429,8 +411,6 @@ def kernel_theorem_check(n: int, q0: int) -> VerificationReport:
 def difference_basis_check(n: int, q0: int) -> VerificationReport:
     """The differences p_m(x) - p_t(y) over tubes with t*deg(y) = n form a
     basis of the full primitive space at (n, n)."""
-    if not (1 <= n <= 2 and q0 in (2, 3)) or (n == 2 and q0 != 2):
-        raise UsageError("parameters outside the verified range")
 
     def run():
         engine = get_brute_engine(kronecker_quiver(), q0)

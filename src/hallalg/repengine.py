@@ -49,7 +49,6 @@ __all__ = [
     "kronecker_points",
     "kronecker_tube_class",
     "is_regular_kronecker",
-    "kronecker_cap",
     "kronecker_regular_classes",
 ]
 
@@ -1432,18 +1431,10 @@ def is_regular_kronecker(engine: BruteForceEngine, c: IsoClass) -> bool:
                for _, (sub_grade, _) in engine.sub_table(c))
 
 
-def kronecker_cap(q0: int) -> int:
-    """The largest n for which the Kronecker classes at (n, n) are listed."""
-    return 3 if q0 == 2 else 2
-
-
 def kronecker_regular_classes(engine: BruteForceEngine, n: int) -> list:
     """All regular classes at dimension vector (n, n)."""
     if engine.quiver != kronecker_quiver():
         raise ValueError("engine is not a Kronecker engine")
-    cap = kronecker_cap(engine.q0)
-    if n > cap:
-        raise UsageError(f"regular classification capped at n={cap} for q={engine.q0}")
     return [c for c in engine.classes((n, n)) if is_regular_kronecker(engine, c)]
 
 

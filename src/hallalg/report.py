@@ -13,10 +13,10 @@ class InternalCheckError(RuntimeError):
 
 
 class UsageError(ValueError):
-    """A request the program does not take: input that does not parse, or
-    parameters outside a check's verified range or a documented cap.  It is
-    raised only where parameters are checked, never for a fault inside a
-    computation."""
+    """A request the program does not take: input that does not parse or
+    is below its minimum, or parameters that a documented engine cap
+    refuses.  It is raised only where parameters are checked, never for a
+    fault inside a computation."""
 
 
 class VerificationReport:
@@ -58,7 +58,11 @@ class VerificationReport:
 
 
 def timed_report(check, params, fn):
-    """Run fn() -> (ok, lhs, rhs, detail) and wrap it with timing."""
+    """Run fn() -> (ok, lhs, rhs, detail) and wrap it with timing.  A count
+    parameter n or r below 1 is refused before fn runs."""
+    low = [f"{k} >= 1" for k in ("r", "n") if isinstance(params.get(k), int) and params[k] < 1]
+    if low:
+        raise UsageError("need " + " and ".join(low))
     start = time.monotonic()
     ok, lhs, rhs, detail = fn()
     elapsed = (time.monotonic() - start) * 1000

@@ -16,6 +16,24 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def _run_capped(argv):
+    """Run the CLI in a child whose address space is capped at 1 GiB, so a
+    table that does list past a cap fails at once instead of exhausting
+    memory."""
+    import resource
+
+    import hallalg
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hallalg.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "hallalg.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env=dict(os.environ, PYTHONPATH=src))
+
+
 class TestIsoclasses:
     def test_kronecker_delta_rows(self):
         code, out = run_cli(["isoclasses", "--quiver", "k2", "--q", "2", "--d", "1,1"])
@@ -114,28 +132,10 @@ class TestHallNum:
                            "--L", "(1)", "--M", "(1)", "--N", "(1)"])
         assert code == 2
 
-    @staticmethod
-    def _run_capped(argv):
-        """Run the CLI in a child whose address space is capped at 1 GiB, so
-        a table that does list past a cap fails at once instead of
-        exhausting memory."""
-        import resource
-
-        import hallalg
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(hallalg.__file__)))
-        return subprocess.run(
-            [sys.executable, "-m", "hallalg.cli", *argv],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-            env=dict(os.environ, PYTHONPATH=src))
-
     def test_vector_space_past_the_point_cap_exits_2(self):
         """F_1024^3 has about 1.07e9 vectors: the table is refused before
         any is listed."""
-        proc = self._run_capped(["hallnum", "--quiver", "c1", "--q", "1024",
+        proc = _run_capped(["hallnum", "--quiver", "c1", "--q", "1024",
                                  "--L", "(2,1)", "--M", "(1,1)", "--N", "(1)"])
         assert proc.returncode == 2
         assert "point cap" in proc.stderr
@@ -143,7 +143,7 @@ class TestHallNum:
     def test_subspaces_past_the_point_cap_exit_2(self):
         """A semisimple L of size 6 lists every subspace of F_5^6, 3.6e6 of
         them: the list is refused before it is built."""
-        proc = self._run_capped(["hallnum", "--quiver", "c1", "--q", "5",
+        proc = _run_capped(["hallnum", "--quiver", "c1", "--q", "5",
                                  "--L", "(1,1,1,1,1,1)", "--M", "(1,1,1)",
                                  "--N", "(1,1,1)"])
         assert proc.returncode == 2
@@ -568,20 +568,54 @@ class TestExitCodes:
             run_cli(argv)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "xi", "--n", "13"],
-        ["verify", "pairing", "--r", "4", "--n", "1", "--q", "2"],
-        ["verify", "central", "--r", "1", "--n", "1", "--q", "2"],
-        ["verify", "kernel", "--n", "2", "--q", "3"],
-        ["verify", "lemma-route", "--n", "3", "--q", "2"],
-        ["fourier", "--check", "divided", "--n", "4", "--q", "2"],
-        ["fourier", "--check", "divided", "--n", "1", "--q", "4"],
-        ["fourier", "--check", "lemma", "--n", "1", "--q", "5"],
-        ["fourier", "--check", "glsum", "--n", "3", "--q", "3"],
-        ["fourier", "--check", "a2", "--q", "11"],
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "kernel", "--n", "4", "--q", "2"],
+         "representation variety exceeds the point cap"),
+        (["verify", "lemma-route", "--n", "3", "--q", "3"],
+         "representation variety exceeds the point cap"),
+        (["fourier", "--check", "divided", "--n", "5", "--q", "2"],
+         "total dimension 10 exceeds the brute-force cap 8"),
+        (["fourier", "--check", "divided", "--n", "5", "--q", "3"],
+         "total dimension 10 exceeds the brute-force cap 8"),
+        (["fourier", "--check", "glsum", "--n", "4", "--q", "4"],
+         "the 4^16 matrices of M_4(F_4) exceed the point cap"),
+        (["fourier", "--check", "glsum", "--n", "1", "--q", "11"],
+         "cyclotomic prime 11 is outside 2..7, the cyclotomic prime cap"),
+        (["fourier", "--check", "a2", "--q", "11"],
+         "cyclotomic prime 11 is outside 2..7, the cyclotomic prime cap"),
+        (["verify", "xi", "--n", "31"], "partition size 31 is outside 0..30, the partition cap"),
     ])
-    def test_cell_outside_its_verified_range_exits_2(self, argv):
+    def test_cell_past_an_engine_cap_exits_2(self, argv, message, capsys):
         assert run_cli(argv) == (2, "")
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["verify", "xi", "--n", "13"], '"n": 13'),
+        (["verify", "pairing", "--r", "4", "--n", "1", "--q", "2"], '"r": 4'),
+        (["verify", "kernel", "--n", "2", "--q", "3"], "dim full=6, dim regular=7"),
+        (["verify", "lemma-route", "--n", "3", "--q", "2"], "3/4*sqrt(2) / 3/4*sqrt(2)"),
+        (["fourier", "--check", "divided", "--n", "4", "--q", "2"], '"n": 4'),
+        (["fourier", "--check", "divided", "--n", "1", "--q", "4"], '"q": 4'),
+        (["fourier", "--check", "lemma", "--n", "1", "--q", "5"],
+         "1/5*sqrt(5) / 1/5*sqrt(5)"),
+        (["fourier", "--check", "glsum", "--n", "3", "--q", "3"], '"value": "-27"'),
+    ])
+    def test_cell_past_the_old_ranges_passes(self, argv, expected):
+        code, out = run_cli(argv)
+        assert code == 0 and expected in out
+
+    @pytest.mark.parametrize("argv", [
+        ["hallnum", "--quiver", "c1", "--q", "823543", "--L", "(1)", "--M", "(1)",
+         "--N", "0"],
+        ["primitive", "--quiver", "c1", "--q", "65537", "--d", "1"],
+        ["isoclasses", "--quiver", "a2", "--q", "65537", "--d", "1,1"],
+    ], ids=["hallnum", "primitive", "isoclasses"])
+    def test_field_past_the_field_order_cap_exits_2(self, argv):
+        """Each of these built q x q field tables, minutes of work, before
+        the field order cap refused the first read of them."""
+        proc = _run_capped(argv)
+        assert proc.returncode == 2
+        assert "exceeds the field order cap 1024" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "5,5"],
@@ -589,6 +623,7 @@ class TestExitCodes:
         ["hallnum", "--quiver", "cr:2", "--L", "S3[1]", "--M", "0", "--N", "S3[1]"],
         ["hallpoly", "--quiver", "c1", "--L", "(2,x)", "--M", "(1)", "--N", "(1)"],
         ["element", "--family", "cyclic_cn", "--r", "1"],
+        ["verify", "central", "--r", "1", "--n", "1", "--q", "2"],
         ["element", "--family", "jordan_pn", "--n", "-1"],
         ["element", "--family", "kron_pk2", "--n", "4", "--q", "2"],
     ])

@@ -573,6 +573,23 @@ class TestCycloSqrt:
         assert CycloSqrt.zeta(2, 2, 1) == -1 and hash(CycloSqrt.zeta(2, 2, 1)) == hash(-1)
         assert CycloSqrt.zeta(3, 3, 1) != SqrtExt(3, 1, 0)
 
+    def test_sqrt5_is_equal_in_both_coordinate_forms(self):
+        """At p = 5 the Gauss sum zeta - zeta^2 - zeta^3 + zeta^4, that is
+        -1 - 2 zeta^2 - 2 zeta^3, is sqrt(5), so sqrt(5) lies in Q(zeta_5)
+        and a value has more than one stored form."""
+        surd = CycloSqrt(5, 5, [SqrtExt(5, 0, 1), 0, 0, 0])
+        gauss = CycloSqrt(5, 5, [-1, 0, -2, -2])
+        assert surd == gauss and (surd - gauss).is_zero() and not surd - gauss
+        assert hash(surd) == hash(gauss) == hash(SqrtExt(5, 0, 1))
+        assert gauss.is_sqrtext() and gauss == SqrtExt(5, 0, 1) and len({surd, gauss}) == 1
+        assert CycloSqrt(5, 125, [-5, 0, -10, -10]) == SqrtExt(125, 0, 1)  # 5 sqrt(5)
+        z = CycloSqrt.zeta(5, 5, 1)
+        assert not z.is_sqrtext() and z != surd and z != 1
+        for k in range(5):
+            w = CycloSqrt.zeta(5, 5, k) * SqrtExt(5, Fraction(2, 3), -1)
+            assert w + surd == w + gauss and hash(w + surd) == hash(w + gauss)
+        assert gauss.render() == "(-1)*1 + (-2)*z5^2 + (-2)*z5^3"  # the stored form
+
     def test_zeta2_is_minus_one(self):
         assert CycloSqrt.zeta(2, 2, 1) == SqrtExt(2, -1, 0)
 

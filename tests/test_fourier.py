@@ -248,7 +248,8 @@ class TestHomomorphism:
 
 
 class TestGLCharacterSum:
-    @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2),
+                                     (3, 3), (2, 5), (2, 7)])
     def test_closed_form(self, n, q):
         value = gl_character_sum(n, q)
         assert value == SqrtExt(q, (-1) ** n * q ** (n * (n - 1) // 2), 0)
@@ -273,9 +274,13 @@ class TestGLCharacterSum:
         assert gl_character_sum(2, 2) == SqrtExt(2, total, 0)
         assert total == 2
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            gl_character_sum(3, 3)
+    def test_past_the_point_cap(self):
+        with pytest.raises(UsageError, match=r"4\^16 matrices of M_4\(F_4\) exceed the point cap"):
+            gl_character_sum(4, 4)
+
+    def test_past_the_cyclotomic_prime_cap(self):
+        with pytest.raises(UsageError, match="cyclotomic prime cap"):
+            gl_character_sum(1, 11)
 
 
 class TestVerifiers:
@@ -283,7 +288,7 @@ class TestVerifiers:
     def test_a2_image_report(self, q0):
         assert a2_image_check(q0).passed
 
-    @pytest.mark.parametrize("n,q0", [(1, 2), (2, 2), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("n,q0", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2), (1, 5), (2, 5)])
     def test_lemma_route(self, n, q0):
         rep = verify_lemma62_route(n, q0)
         assert rep.passed, rep.to_json()
@@ -298,10 +303,21 @@ class TestVerifiers:
                                       (gf.mat_identity(1), gf.mat_zero(1, 1)), (1, 1))
         assert v1 == v_power(-1, 2)
 
-    @pytest.mark.parametrize("n,q0", [(1, 2), (2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("n,q0", [(1, 2), (2, 2), (3, 2), (2, 3), (4, 2), (1, 4), (2, 7)])
     def test_divided_power(self, n, q0):
         rep = divided_power_check(n, q0)
         assert rep.passed, rep.to_json()
+
+    @pytest.mark.parametrize("q0", (2, 3))
+    def test_divided_power_past_the_cap_is_refused_before_multiplying(self, q0, monkeypatch):
+        from hallalg import fourier
+
+        def multiply(*args):
+            raise AssertionError("multiplied before the (n, n) grade was checked")
+
+        monkeypatch.setattr(fourier, "multiply", multiply)
+        with pytest.raises(UsageError, match="total dimension 10 exceeds the brute-force cap"):
+            divided_power_check(5, q0)
 
     @pytest.mark.parametrize("q0", (2, 3))
     def test_double_transform(self, q0):

@@ -29,6 +29,18 @@ class TestFieldConstruction:
         with pytest.raises(ValueError):
             FieldSpec.from_order(6)
 
+    def test_tables_past_the_field_order_cap_are_refused(self):
+        """A field past the cap is described, not built: its order and
+        modulus are there, and the first read of its tables is refused."""
+        from hallalg.report import UsageError
+
+        spec = FieldSpec.from_order(2 * gf.FIELD_ORDER_CAP)
+        assert (spec.p, spec.e) == (2, 11)
+        with pytest.raises(UsageError, match="field order 2048 exceeds the field order cap 1024"):
+            spec.tables
+        with pytest.raises(UsageError):
+            trace_to_prime(FieldSpec.from_order(65537), 1)
+
     def test_modulus_irreducible_gf8_gf27(self):
         for q, p, e in ((8, 2, 3), (27, 3, 3)):
             spec = FieldSpec.from_order(q)

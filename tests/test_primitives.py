@@ -17,6 +17,7 @@ from hallalg.gf import mat_identity
 from hallalg.partitions import Partition, partitions_of, phi_irreducible_count
 from hallalg.primitives import (
     c_central,
+    central_family_check,
     difference_basis_check,
     jordan_primitive_coeff,
     kernel_theorem_check,
@@ -44,6 +45,7 @@ from hallalg.repengine import (
     kronecker_quiver,
     kronecker_tube_class,
 )
+from hallalg.report import UsageError
 
 
 class TestJordanFamily:
@@ -198,7 +200,8 @@ def _tube_members(engine, tube, m):
             for j in range(1, m + 1) for lam in partitions_of(j)}
 
 
-# (q, n) cells of the tube checks; n = 3 is listed at q = 2 only (kronecker_cap)
+# (q, n) cells of the tube checks; n = 3 is listed at q = 2 only, for the
+# point cap refuses (3, 3) at q = 3 (3^18 points)
 TUBE_CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
 
 
@@ -321,12 +324,12 @@ class TestKroneckerPrimitives:
 
     def test_cap_validation(self):
         engine = get_brute_engine(kronecker_quiver(), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="point cap"):
             kron_p0(engine, 3)
 
 
 class TestIdentityVerifiers:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_xi_identity(self, n):
         assert verify_xi_identity(n).passed
 
@@ -338,7 +341,7 @@ class TestIdentityVerifiers:
             assert lhs == Fraction(1, q0 ** 2 - 1)
             assert xi_partition_sum_value(2, q0) == lhs
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 14))
     def test_aut_sum_identities(self, n):
         assert verify_aut_sum_identities(n).passed
 
@@ -349,9 +352,10 @@ class TestIdentityVerifiers:
                 Fraction(1, q0 * (q0 - 1) * (q0 ** 2 - 1))
             assert lhs == Fraction(q0, (q0 - 1) * (q0 ** 2 - 1))
 
-    def test_xi_out_of_range(self):
-        with pytest.raises(ValueError):
-            verify_xi_identity(13)
+    @pytest.mark.parametrize("verify", [verify_xi_identity, verify_aut_sum_identities])
+    def test_n_below_one_is_refused(self, verify):
+        with pytest.raises(UsageError, match="n >= 1"):
+            verify(0)
 
 
 class TestPairing:
@@ -362,6 +366,12 @@ class TestPairing:
         rep = verify_key_pairing(r, n, q0)
         assert rep.passed, rep.to_json()
 
+    @pytest.mark.parametrize("r,n,q0", [(4, 1, 2), (2, 3, 3), (3, 3, 3), (1, 6, 2)])
+    def test_pairing_identity_on_larger_cells(self, r, n, q0):
+        rep = verify_key_pairing(r, n, q0)
+        assert rep.passed, rep.to_json()
+        assert rep.lhs == str(Fraction(1, q0 ** n - 1))
+
     def test_r1_n2_value(self):
         # {p_2, 1_2} = 1/a_(2) + (1-q)/a_(1,1) = 1/2 - 1/6 = 1/3 at q = 2
         engine = get_nilpotent_engine(1, 2)
@@ -369,16 +379,41 @@ class TestPairing:
         assert pairing == Fraction(1, 3)
 
 
+class TestCentralFamily:
+    @pytest.mark.parametrize("r,n,q0", [(2, 1, 2), (3, 2, 3), (2, 3, 3), (2, 4, 2), (3, 2, 5)])
+    def test_central_family(self, r, n, q0):
+        rep = central_family_check(r, n, q0)
+        assert rep.passed, rep.to_json()
+
+    def test_r1_is_refused(self):
+        with pytest.raises(UsageError, match="r >= 2"):
+            central_family_check(1, 1, 2)
+
+
+# (n, q) cells of the two Kronecker statements: the full primitive space at
+# (n, n) has dimension sum over s | n of phi(s), 4 at (3, 2)
+KRONECKER_CELLS = [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
+
+
 class TestMainTheoremChecks:
-    @pytest.mark.parametrize("n,q0", [(1, 2), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("n,q0", KRONECKER_CELLS)
     def test_kernel_description(self, n, q0):
         rep = kernel_theorem_check(n, q0)
         assert rep.passed, rep.to_json()
 
-    @pytest.mark.parametrize("n,q0", [(1, 2), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("n,q0", KRONECKER_CELLS)
     def test_difference_basis(self, n, q0):
         rep = difference_basis_check(n, q0)
         assert rep.passed, rep.to_json()
+
+    def test_dimensions_n3_q2(self):
+        assert kernel_theorem_check(3, 2).lhs == "dim full=4, dim regular=5"
+        assert difference_basis_check(3, 2).lhs == "4 differences"
+
+    @pytest.mark.parametrize("check", [kernel_theorem_check, difference_basis_check])
+    def test_past_the_point_cap_is_refused(self, check):
+        with pytest.raises(UsageError, match="point cap"):
+            check(4, 2)
 
     def test_dimensions_n1(self):
         # q = 2: three degree-1 points, dim regular-primitive 3, full 2
