@@ -103,11 +103,12 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
                              conjugate: bool = False) -> CycloSqrt:
     """Value of the transformed function at one explicit target point.
 
-    The fiber over the point's fixed entries x is walked on flat code
-    tuples: each y of product(range(q), repeat=dim Y) is written into the
-    y slots of one template, and the pairing sum_E tr(C D) is a dot
-    product of y with weights read once from y'.  Coefficients are summed
-    per pairing code c first, so the value is sum_c psi(c) S_c.
+    The fiber over the point's fixed entries x is walked on the source
+    engine's packed points: x is packed once with zeros in the y slots,
+    and each y, in the order of product(range(q), repeat=dim Y), is ORed
+    into it from the engine's packed y parts.  The pairing sum_E tr(C D)
+    is a dot product of y with weights read once from y'.  Coefficients
+    are summed per pairing code c first, so the value is sum_c psi(c) S_c.
     """
     F = src_engine.field
     q0 = src_engine.q0
@@ -121,10 +122,11 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
     if len(point) != len(arrows):
         raise ValueError("point does not belong to the target variety")
 
-    # template of the source point, the y slots as runs, and y' weights
-    template = []
-    runs = []
+    # the source point with zeros in the y slots, its y coordinates, and y' weights
+    mats = []
+    y_coords = []
     weights = []
+    pos = 0
     for i, ((t, h), X) in enumerate(zip(arrows, point)):
         rows, cols = d[h], d[t]
         reversed_arrow = i in rev_set
@@ -132,13 +134,13 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
         if len(X) != shape[0] or any(len(row) != shape[1] for row in X):
             raise ValueError("point does not belong to the target variety")
         if reversed_arrow:
-            runs.append((len(template), len(template) + rows * cols,
-                         len(weights), len(weights) + rows * cols))
+            y_coords += range(pos, pos + rows * cols)
             weights += [X[c][r] for r in range(rows) for c in range(cols)]
-            template += [0] * (rows * cols)
+            mats.append(((0,) * cols,) * rows)
         else:
-            for row in X:
-                template.extend(row)
+            mats.append(X)
+        pos += rows * cols
+    base = src_engine._pack(mats, d)
 
     # pairing code of every y, in the order product() yields them
     add, _, mul, _ = F.tables
@@ -151,10 +153,9 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
     coeff_of_orbit = [coeff_of_key.get(cls.key) for cls in data.classes]
     orbit_of = data.orbit_of
     sums = {}
-    for code, y in zip(codes, product(range(q0), repeat=dim_y)):
-        for lo, hi, ylo, yhi in runs:
-            template[lo:hi] = y[ylo:yhi]
-        orbit = orbit_of.get(tuple(template))
+    # the packed y parts come in the same order as the codes
+    for code, y in zip(codes, src_engine._fill(d, y_coords)):
+        orbit = orbit_of.get(base | y)
         if orbit is None:
             continue
         coeff = coeff_of_orbit[orbit]
@@ -201,11 +202,10 @@ def fourier_transform(f: HallElement, spec: ReversalSpec,
 
 
 def _second_orbit_point(engine: BruteForceEngine, rep, grade):
-    point = engine._flatten(rep, grade)
-    for gen in engine._generators(grade):
-        other = engine._act(gen, point)
+    point = engine._pack(rep, grade)
+    for other in engine._moves(grade, point):
         if other != point:
-            return engine._unflatten(other, grade)
+            return engine._unpack(other, grade)
     raise InternalCheckError("orbit of size > 1 with no moving generator")
 
 

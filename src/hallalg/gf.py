@@ -14,6 +14,7 @@ representation engines need.
 from __future__ import annotations
 
 from functools import cached_property
+from math import isqrt
 
 from .report import UsageError
 
@@ -30,19 +31,19 @@ FIELD_ORDER_CAP = 1024
 
 
 def _factor_prime_power(q: int):
+    """(p, e) with q = p^e.  The least divisor of q above 1 is prime, and
+    q has one at most isqrt(q) unless q itself is prime."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)
+    e = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def _poly_mod_mul(a, b, modulus, p):

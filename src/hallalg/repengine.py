@@ -19,8 +19,9 @@ Dimension vectors are plain tuples.  All computations are exact.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, product
+from operator import add as plus, xor
 
 from . import gf
 from .coeffring import QPolynomial, interpolate_q
@@ -54,6 +55,12 @@ __all__ = [
 
 BRUTE_TOTAL_DIM_CAP = 8
 POINT_CAP = 10 ** 6
+# The most digit values one chunk table of a grade's generators is indexed
+# by.  The tables stay on the engine: at 2^16 the Jordan quiver's two
+# tables at n = 4, q = 3 held 5 MB, and at 2^12 its three hold 0.36 MB.
+CHUNK_ENTRIES = 1 << 12
+# A grade of at most this many points gets one table: no combining step.
+SINGLE_TABLE_POINTS = 256
 
 
 class Quiver:
@@ -916,24 +923,103 @@ class NilpotentCyclicEngine:
 # Brute-force orbit engine
 # ---------------------------------------------------------------------------
 
-class _GradeData:
-    __slots__ = ("classes", "orbit_of", "reps", "sizes")
+def _chunk_table(units, lo, hi, p, W, offset, top):
+    """The table of one chunk, digits lo..hi-1 (field 0 lowest), of a packed point.
 
-    def __init__(self, classes, orbit_of, reps, sizes):
+    units[g][t] is generator g's image of the unit digit vector at field
+    t.  The entry at the chunk's bits holds every generator's image of the
+    point that is those bits and 0 elsewhere, by linearity: a list over all
+    bit patterns for p = 2, a dict over the valid digit values for odd p.
+    """
+    k = W - 1
+    index = [0]
+    parts = [[0] for _ in units]
+    for t in range(lo, hi):
+        if p > 2:
+            step = W * (t - lo)
+            index = [x + (v << step) for v in range(p) for x in index]
+        for part, image in zip(parts, units):
+            u = image[t]
+            if p == 2:
+                part += [y ^ u for y in part]
+                continue
+            multiples = [u]
+            for _ in range(p - 2):
+                m = multiples[-1] + u
+                multiples.append(m - (((m + offset) & top) >> k) * p)
+            part += [y + m - (((y + m + offset) & top) >> k) * p
+                     for m in multiples for y in part]
+    entries = list(zip(*parts))
+    return entries if p == 2 else dict(zip(index, entries))
+
+
+def _combiner(tables, bounds, p, W, offset, top):
+    """x -> every generator's image of x, combined from the chunk tables:
+    final for p = 2, each field at most 2p - 2 for odd p (see _images)."""
+    combine = xor if p == 2 else plus
+    T0 = tables[0]
+    m0 = (1 << W * bounds[1]) - 1
+    if len(tables) == 1:
+        return T0.__getitem__
+    if len(tables) == 2:
+        s1, T1 = W * bounds[1], tables[1]
+        return lambda x: map(combine, T0[x & m0], T1[x >> s1])
+    k = W - 1
+    s1, m1, T1 = W * bounds[1], (1 << W * (bounds[2] - bounds[1])) - 1, tables[1]
+    rest = [(W * lo, (1 << W * (hi - lo)) - 1, T)
+            for lo, hi, T in zip(bounds[2:], bounds[3:], tables[2:])]
+
+    def images(x):
+        ys = map(combine, T0[x & m0], T1[x >> s1 & m1])
+        for s, m, T in rest:
+            if top:  # reduce the running sum before the next chunk's entry joins it
+                ys = [y - (((y + offset) & top) >> k) * p for y in ys]
+            ys = map(combine, ys, T[x >> s & m])
+        return ys
+    return images
+
+
+class _GradeData:
+    """A grade's orbits: classes, the packed point -> orbit index map, each
+    orbit's size and least packed point, and that point as matrices
+    (`reps`, unpacked on first read)."""
+
+    __slots__ = ("classes", "orbit_of", "least", "sizes", "_unpack", "_reps")
+
+    def __init__(self, classes, orbit_of, least, sizes, unpack):
         self.classes = classes
         self.orbit_of = orbit_of
-        self.reps = reps
+        self.least = least
         self.sizes = sizes
+        self._unpack = unpack
+        self._reps = None
+
+    @property
+    def reps(self):
+        if self._reps is None:
+            self._reps = [self._unpack(x) for x in self.least]
+        return self._reps
 
 
 class BruteForceEngine:
     """Generic engine for a small quiver: full orbit partition of E_V.
 
-    Points are flat tuples of field codes, the arrows' matrices row by
-    row in arrow order; representatives are handed out as one matrix per
-    arrow.  Orbits are found by closure under compiled generators of
-    prod_i GL(V_i).  Each orbit's representative is its lexicographically
-    least point, and orbits are indexed in the order of those points, so
+    A point is one packed int.  Its coordinates are the arrows' matrix
+    entries row by row in arrow order, coordinate 0 in the highest bits;
+    each coordinate's field code is written as its e base-p digits, high
+    digit first, each in a field of W bits (W = 1 for p = 2, else
+    bits(p - 1) + 1, one bit of headroom for a sum of two digits).  Digits
+    compare as the codes they spell, so int order is the lexicographic
+    order of the flat code tuples.  Representatives are handed out as one
+    matrix per arrow.
+
+    Orbits are found by closure under generators of prod_i GL(V_i).  X ->
+    g_head X g_tail^-1 is F_p-linear in the digits, so each generator is
+    compiled per grade from its images of the unit digit vectors into
+    chunk tables (see _images): an image is a few table reads combined
+    by XOR for p = 2, or added and reduced by one masked subtraction of
+    p per field for odd p.  Each orbit's representative is its least
+    point, and orbits are indexed in the order of those points, so
     representatives and indices are deterministic.  With the nilpotent
     restriction the closure starts only from the nilpotent patterns'
     points (see _nilpotent_patterns), not from the whole variety.
@@ -948,44 +1034,90 @@ class BruteForceEngine:
             raise ValueError("nilpotent restriction only supported for cyclic quivers")
         tag = "|nil" if nilpotent else ""
         self.engine_id = f"Q:{quiver.name}{tag}|q:{q0}"
+        p = self.field.p
+        self._digit_bits = 1 if p == 2 else (p - 1).bit_length() + 1
+        self._code_bits = self.field.e * self._digit_bits
         self._grades = {}
-        self._generator_cache = {}
+        self._image_cache = {}
+        self._gl_cache = {}
         self._subtables = {}
         self._point_classes = {}
         # basis products and coproducts, filled by hallcore
         self._products = {}
         self._coproducts = {}
 
-    # -- enumeration -----------------------------------------------------------
+    # -- packed points -----------------------------------------------------------
 
     def _shapes(self, d):
         return [(d[h], d[t]) for (t, h) in self.quiver.arrows]
 
     def _entry_count(self, d):
-        return sum(rows * cols for rows, cols in self._shapes(d))
+        n = 0
+        for t, h in self.quiver.arrows:
+            n += d[t] * d[h]
+        return n
 
-    def _flatten(self, mats, d):
-        """The flat code tuple of a point: each arrow's matrix row by row."""
+    @cached_property
+    def _spread(self):
+        """The packed digits of each field code, low digit in the low field."""
+        F = self.field
+        if F.p == 2 or F.e == 1:
+            return range(F.q)
+        F.tables  # refuses a field past the field order cap before q steps
+        W = self._digit_bits
+        return tuple(sum(c << (W * a) for a, c in enumerate(F.decode(code)))
+                     for code in range(F.q))
+
+    @cached_property
+    def _code_of(self):
+        return {packed: code for code, packed in enumerate(self._spread)}
+
+    def _pack(self, mats, d):
+        """The packed int of a point given as one matrix per arrow."""
         shapes = self._shapes(d)
         if len(mats) != len(shapes):
             raise ValueError("point does not belong to this engine's variety")
-        flat = []
+        q, spread, bits = self.q0, self._spread, self._code_bits
+        x = 0
         for X, (rows, cols) in zip(mats, shapes):
             if len(X) != rows or any(len(row) != cols for row in X):
                 raise ValueError("point does not belong to this engine's variety")
             for row in X:
-                flat.extend(row)
-        return tuple(flat)
+                for code in row:
+                    if not 0 <= code < q:
+                        raise ValueError("point does not belong to this engine's variety")
+                    x = x << bits | spread[code]
+        return x
 
-    def _unflatten(self, flat, d):
-        """The point of a flat code tuple as one matrix per arrow."""
+    def _unpack(self, x, d):
+        """The point of a packed int as one matrix per arrow."""
+        bits, code_of = self._code_bits, self._code_of
+        mask = (1 << bits) - 1
+        shapes = self._shapes(d)
+        top = bits * (sum(rows * cols for rows, cols in shapes) - 1)
+        flat = [code_of[x >> s & mask] for s in range(top, -1, -bits)]
         mats = []
         pos = 0
-        for rows, cols in self._shapes(d):
-            mats.append(tuple(flat[pos + r * cols: pos + (r + 1) * cols]
+        for rows, cols in shapes:
+            mats.append(tuple(tuple(flat[pos + r * cols: pos + (r + 1) * cols])
                               for r in range(rows)))
             pos += rows * cols
         return tuple(mats)
+
+    def _fill(self, d, coords):
+        """Every packed point that is 0 off the given coordinates, in increasing
+        order: flat indices `coords`, ascending, take every code."""
+        bits, spread = self._code_bits, self._spread
+        top = self._entry_count(d) - 1
+        shifts = [bits * (top - f) for f in coords]
+        half = len(shifts) // 2
+        highs, lows = [0], [0]
+        for s in shifts[:half]:
+            highs = [x | c << s for x in highs for c in spread]
+        for s in shifts[half:]:
+            lows = [x | c << s for x in lows for c in spread]
+        for high in highs:
+            yield from map(high.__or__, lows)
 
     def _blocks(self, d):
         """(tail, head, rows, cols, offset) of each arrow's block of a flat point."""
@@ -1052,23 +1184,18 @@ class BruteForceEngine:
         return list(kept)
 
     def _iter_points(self, d):
-        """The points orbit closure starts from, each at least once.
+        """The packed points orbit closure starts from, each at least once.
 
-        Without the nilpotent restriction this is every flat point in
-        lexicographic order.  With it, the points supported on the
-        nilpotent patterns: q^(n(n-1)/2) strictly upper-triangular seeds
-        on the Jordan quiver instead of q^(n^2) points.
+        Without the nilpotent restriction this is every point in increasing
+        order.  With it, the points supported on the nilpotent patterns:
+        q^(n(n-1)/2) strictly upper-triangular seeds on the Jordan quiver
+        instead of q^(n^2) points.
         """
         if not self.nilpotent:
-            yield from product(range(self.q0), repeat=self._entry_count(d))
+            yield from self._fill(d, range(self._entry_count(d)))
             return
-        zero = [0] * self._entry_count(d)
         for pattern in self._nilpotent_patterns(d):
-            for values in product(range(self.q0), repeat=len(pattern)):
-                point = zero[:]
-                for i, v in zip(pattern, values):
-                    point[i] = v
-                yield tuple(point)
+            yield from self._fill(d, pattern)
 
     def group_order(self, d) -> int:
         out = 1
@@ -1076,64 +1203,148 @@ class BruteForceEngine:
             out *= gf.gl_order(self.field, n)
         return out
 
-    def _generators(self, d):
-        """gf.gl_generators of every GL(d_i), compiled to flat-index updates.
+    def _gl_moves(self, n):
+        """What each of gf.gl_generators(F, n) does to unit matrices.
 
-        A generator g differs from the identity in one entry g[k][l] = v
-        and acts by X -> g X g^-1.  On an arrow whose head is the vertex
-        that is "row k += v * row l" (row k *= v if k == l); on an arrow
-        whose tail is the vertex, "column l -= v * column k" (column k
-        *= 1/v if k == l).  A loop gets the row update first.  An update
-        (dst, src, table) sets x[dst] = table[x[dst]][x[src]].
-        Generators that move no entry are left out.  The tuple is built
-        once per grade and shared, so callers only iterate it.
+        One pair (down, across) per generator g: the columns of g and the
+        rows of g^-1 that are not unit vectors, as {index: ((index', entry),
+        ...)}.  Only these move a unit E_rc under X -> g X or X -> X g^-1.
+        """
+        if n not in self._gl_cache:
+            _, sub, _, inv = self.field.tables
+            moves = []
+            for g in gf.gl_generators(self.field, n):
+                k, l = next((k, l) for k in range(n) for l in range(n) if g[k][l] != (k == l))
+                v = g[k][l]
+                if k == l:  # diag(v) at k: column k of g, row k of g^-1
+                    moves.append(({k: ((k, v),)}, {k: ((k, inv[v]),)}))
+                else:  # I + v E_kl: column l of g, row k of g^-1
+                    moves.append(({l: ((l, 1), (k, v))}, {k: ((k, 1), (l, sub[0][v]))}))
+            self._gl_cache[n] = moves
+        return self._gl_cache[n]
+
+    def _images(self, d):
+        """(images, offset, top) for the grade's generators.
+
+        The generators are gf.gl_generators of every GL(d_i), acting by
+        X -> g_head X g_tail^-1, which sends the unit E_rc of an arrow's
+        block to sum g_head[r'][r] g_tail^-1[c][c'] E_r'c'.  That map is
+        F_p-linear in the point's digits, so a generator is fixed by its
+        images of the unit digit vectors, read straight off g and g^-1
+        (_gl_moves).  The digits are cut into chunks, one for a grade of at
+        most SINGLE_TABLE_POINTS points, else at least two of at most
+        CHUNK_ENTRIES values each.  Each chunk gets one table from its bits
+        to the tuple of every generator's image of that part of the point,
+        built by linearity; for odd p only valid digit values are stored.
+        images(x) combines x's entries generator by generator: by XOR for
+        p = 2, which is final, and by + for odd p, which leaves each W-bit
+        field at most 2p - 2 < 2^W.  Such a field is reduced mod p by one
+        masked subtraction, y - (((y + offset) & top) >> (W - 1)) * p:
+        adding 2^(W-1) - p to a field sets its top bit exactly when it is
+        >= p (top = offset = 0 for p = 2).  A generator that moves no point,
+        or acts as an earlier one does, is left out.  Built once per grade
+        and shared.
         """
         d = tuple(d)
-        if d in self._generator_cache:
-            return self._generator_cache[d]
+        if d in self._image_cache:
+            return self._image_cache[d]
         F = self.field
-        add, sub, mul, inv = F.tables
-        codes = range(self.q0)
-        tables = {}
-
-        def axpy(v):  # y, x -> y + v*x
-            if ("axpy", v) not in tables:
-                tables["axpy", v] = tuple(tuple(add[y][mul[v][x]] for x in codes)
-                                          for y in codes)
-            return tables["axpy", v]
-
-        def scale(v):  # y -> v*y, with src == dst
-            if ("scale", v) not in tables:
-                tables["scale", v] = tuple((mul[v][y],) * self.q0 for y in codes)
-            return tables["scale", v]
-
+        mul = F.tables[2]
+        p, e = F.p, F.e
+        W, spread = self._digit_bits, self._spread
         blocks = self._blocks(d)
-        gens = []
-        for i, n in enumerate(d):
-            for g in gf.gl_generators(F, n):
-                k, l = next((k, l) for k in range(n) for l in range(n)
-                            if g[k][l] != (k == l))
-                v = g[k][l]
-                updates = []
-                for t, h, rows, cols, off in blocks:
-                    if h == i:
-                        table = scale(v) if k == l else axpy(v)
-                        updates += [(off + k * cols + c, off + l * cols + c, table)
-                                    for c in range(cols)]
-                    if t == i:
-                        table = scale(inv[v]) if k == l else axpy(sub[0][v])
-                        updates += [(off + r * cols + l, off + r * cols + k, table)
-                                    for r in range(rows)]
-                if updates:
-                    gens.append(tuple(updates))
-        gens = self._generator_cache[d] = tuple(gens)
-        return gens
+        n_coords = sum(rows * cols for _, _, rows, cols, _ in blocks)
+        digits = n_coords * e
+        shift = [self._code_bits * f for f in range(n_coords - 1, -1, -1)]
+        # digit_images[j][w]: the packed digits of w * x^j
+        digit_images = [spread] if e == 1 else [[spread[mul[w][p ** j]] for w in range(F.q)]
+                                                for j in range(e)]
+        k = W - 1
+        top = offset = 0
+        if p > 2:
+            ones = ((1 << W * digits) - 1) // ((1 << W) - 1)  # a 1 in every field
+            top = ones << k
+            offset = ones * ((1 << k) - p)
 
-    def _act(self, gen, x):
-        y = list(x)
-        for dst, src, table in gen:
-            y[dst] = table[y[dst]][y[src]]
-        return tuple(y)
+        identity = [1 << (W * t) for t in range(digits)]
+        units = []  # per generator, the image of each digit, low field first
+        for i, n in enumerate(d):
+            incident = [b for b in blocks if i in b[:2] and b[2] * b[3]]
+            for down, across in self._gl_moves(n) if incident else ():
+                image = identity[:]
+                for t, h, rows, cols, off in incident:
+                    down_i = down if h == i else {}
+                    across_i = across if t == i else {}
+                    for r in range(rows):
+                        left = down_i.get(r)
+                        for c in range(cols):
+                            right = across_i.get(c)
+                            if left is None and right is None:
+                                continue
+                            pos = (n_coords - 1 - off - r * cols - c) * e
+                            for j, scaled in enumerate(digit_images):
+                                v = 0
+                                for r2, x in left or ((r, 1),):
+                                    for c2, y in right or ((c, 1),):
+                                        v |= scaled[mul[x][y]] << shift[off + r2 * cols + c2]
+                                image[pos + j] = v
+                if image != identity and image not in units:
+                    units.append(image)
+        if not units:
+            self._image_cache[d] = (lambda x: ()), offset, top
+            return self._image_cache[d]
+
+        count = 1
+        if p ** digits > SINGLE_TABLE_POINTS:
+            per_chunk = 1
+            while p ** (per_chunk + 1) <= CHUNK_ENTRIES:
+                per_chunk += 1
+            count = max(2, -(-digits // per_chunk))
+        bounds = [digits * j // count for j in range(count + 1)]
+        tables = [_chunk_table(units, lo, hi, p, W, offset, top)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        self._image_cache[d] = _combiner(tables, bounds, p, W, offset, top), offset, top
+        return self._image_cache[d]
+
+    def _moves(self, d, x):
+        """The images of the packed point x under the grade's generators."""
+        images, offset, top = self._images(d)
+        k, p = self._digit_bits - 1, self.field.p
+        return [y - (((y + offset) & top) >> k) * p for y in images(x)]
+
+    def _orbits(self, d, starts, orbit_of):
+        """Close the orbit of each start point that orbit_of does not hold yet.
+
+        Orbits are indexed from 0 in the order they are met, and every
+        point of one is mapped to its index in orbit_of.  Returns (least
+        point, size) lists, one entry per orbit.
+        """
+        images, offset, top = self._images(d)
+        k, p = self._digit_bits - 1, self.field.p
+        least = []
+        sizes = []
+        for point in starts:
+            if point in orbit_of:
+                continue
+            idx = orbit_of[point] = len(least)
+            orbit = [point]
+            for x in orbit:
+                if len(orbit) > POINT_CAP:
+                    raise UsageError("orbit closure exceeds the point cap")
+                if top:
+                    for y in images(x):
+                        y -= (((y + offset) & top) >> k) * p
+                        if y not in orbit_of:
+                            orbit_of[y] = idx
+                            orbit.append(y)
+                else:
+                    for y in images(x):
+                        if y not in orbit_of:
+                            orbit_of[y] = idx
+                            orbit.append(y)
+            least.append(min(orbit))
+            sizes.append(len(orbit))
+        return least, sizes
 
     def grade_data(self, d) -> _GradeData:
         d = tuple(d)
@@ -1145,32 +1356,10 @@ class BruteForceEngine:
                 f"{BRUTE_TOTAL_DIM_CAP}")
         if self._point_bound(d) > POINT_CAP:
             raise UsageError("representation variety exceeds the point cap")
-        gens = self._generators(d)
         orbit_of = {}
-        least = []
-        sizes = []
-        for point in self._iter_points(d):
-            if point in orbit_of:
-                continue
-            idx = len(least)
-            orbit_of[point] = idx
-            queue = [point]
-            low = point
-            size = 1
-            while queue:
-                x = queue.pop()
-                for gen in gens:
-                    y = self._act(gen, x)
-                    if y not in orbit_of:
-                        orbit_of[y] = idx
-                        size += 1
-                        queue.append(y)
-                        if y < low:
-                            low = y
-            least.append(low)
-            sizes.append(size)
-        # Index the orbits by their least points, as a lexicographic scan
-        # of the whole variety meets them; a full scan is already in order.
+        least, sizes = self._orbits(d, self._iter_points(d), orbit_of)
+        # Index the orbits by their least points, as an increasing scan of
+        # the whole variety meets them; a full scan is already in order.
         order = sorted(range(len(least)), key=least.__getitem__)
         if order != list(range(len(order))):
             rank = [0] * len(order)
@@ -1179,9 +1368,8 @@ class BruteForceEngine:
             orbit_of = {point: rank[idx] for point, idx in orbit_of.items()}
             least = [least[old] for old in order]
             sizes = [sizes[old] for old in order]
-        reps = [self._unflatten(point, d) for point in least]
-        classes = [IsoClass(self.engine_id, "orbit", d, i) for i in range(len(reps))]
-        data = _GradeData(classes, orbit_of, reps, sizes)
+        classes = [IsoClass(self.engine_id, "orbit", d, i) for i in range(len(least))]
+        data = _GradeData(classes, orbit_of, least, sizes, lambda x: self._unpack(x, d))
         self._grades[d] = data
         return data
 
@@ -1190,7 +1378,7 @@ class BruteForceEngine:
 
     def class_of_point(self, mats, dims) -> IsoClass:
         data = self.grade_data(tuple(dims))
-        idx = data.orbit_of.get(self._flatten(mats, dims))
+        idx = data.orbit_of.get(self._pack(mats, dims))
         if idx is None:
             raise ValueError("point does not belong to this engine's variety")
         return data.classes[idx]
@@ -1260,20 +1448,8 @@ class BruteForceEngine:
         return count
 
     def _orbit_size_of_point(self, mats, d):
-        gens = self._generators(d)
-        point = self._flatten(mats, d)
-        seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            for gen in gens:
-                y = self._act(gen, x)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > POINT_CAP:
-                        raise UsageError("orbit closure exceeds the point cap")
-                    queue.append(y)
-        return len(seen)
+        d = tuple(d)
+        return self._orbits(d, [self._pack(mats, d)], {})[1][0]
 
     def hom_dim(self, c1: IsoClass, c2: IsoClass) -> int:
         m1, d1 = self.rep_point(c1)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -616,6 +617,17 @@ class TestExitCodes:
         proc = _run_capped(argv)
         assert proc.returncode == 2
         assert "exceeds the field order cap 1024" in proc.stderr
+
+    def test_large_prime_q_exits_2_within_a_second(self):
+        """--q is factored by trial division up to isqrt(q) only, so a prime
+        near 2^31 reaches the caps at once; a composite is still refused."""
+        start = time.perf_counter()
+        assert run_cli(["isoclasses", "--quiver", "a2", "--q", "2147483647",
+                        "--d", "1,1"]) == (2, "")
+        assert time.perf_counter() - start < 1
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["isoclasses", "--quiver", "a2", "--q", "1000000007000", "--d", "1,1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "5,5"],

@@ -145,7 +145,7 @@ def reference_value_at_point(f, spec, src_engine, point, grade, conjugate=False)
                 yi += 1
             else:
                 src_point.append(x_parts[i])
-        orbit = data.orbit_of.get(src_engine._flatten(src_point, d))
+        orbit = data.orbit_of.get(src_engine._pack(src_point, d))
         if orbit is None:
             continue
         coeff = coeff_of_orbit.get(data.classes[orbit].key)

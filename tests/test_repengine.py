@@ -219,10 +219,12 @@ def _is_nilpotent_cycle(F, mats, d):
 def _group_orbit_partition(engine, d):
     """Orbit partition of E_d by applying every element of prod_i GL(d_i).
 
-    Independent of the engine's generators: the group is enumerated as
-    all invertible matrices and acts through mat_mul / mat_inverse.
-    Points are scanned in lexicographic order of their entries (arrow by
+    Independent of the engine's generators: each GL(d_i) is enumerated as
+    all invertible matrices and acts through mat_mul / mat_inverse.  The
+    factors commute, so an orbit is closed one vertex at a time, the
+    largest group first.  Points are scanned in lexicographic order of their entries (arrow by
     arrow, row by row).  Returns (orbit_of keyed by flat entries, reps, sizes).
+    Compare orbit_of with the engine's through _packed.
     """
     from hallalg import gf
 
@@ -239,7 +241,11 @@ def _group_orbit_partition(engine, d):
                                   for flat in product(range(F.q), repeat=n * n))
                       if gf.mat_is_invertible(F, g)]
         group.append([(g, mat_inverse(F, g)) for g in invertible])
-    group = list(product(*group))
+
+    def act(i, g, g_inv, mats):
+        return tuple(mat_mul(F, mat_mul(F, g, X) if h == i else X, g_inv) if t == i
+                     else mat_mul(F, g, X) if h == i else X
+                     for X, (t, h) in zip(mats, arrows))
 
     def flat_of(mats):
         return tuple(x for X in mats for row in X for x in row)
@@ -255,11 +261,10 @@ def _group_orbit_partition(engine, d):
         mats = tuple(mats)
         if engine.nilpotent and not _is_nilpotent_cycle(F, mats, d):
             continue
-        orbit = set()
-        for elem in group:
-            image = tuple(mat_mul(F, mat_mul(F, elem[h][0], X), elem[t][1])
-                          for X, (t, h) in zip(mats, arrows))
-            orbit.add(flat_of(image))
+        orbit = {mats}
+        for i in sorted(range(len(d)), key=lambda i: -len(group[i])):
+            orbit = {act(i, g, g_inv, Y) for Y in orbit for g, g_inv in group[i]}
+        orbit = {flat_of(Y) for Y in orbit}
         for point in orbit:
             orbit_of[point] = len(reps)
         reps.append(mats)
@@ -267,9 +272,29 @@ def _group_orbit_partition(engine, d):
     return orbit_of, reps, sizes
 
 
+def _unflatten(engine, flat, d):
+    """The point of a flat code tuple as one matrix per arrow."""
+    mats, pos = [], 0
+    for t, h in engine.quiver.arrows:
+        rows, cols = d[h], d[t]
+        mats.append(tuple(tuple(flat[pos + r * cols:pos + (r + 1) * cols])
+                          for r in range(rows)))
+        pos += rows * cols
+    return tuple(mats)
+
+
+def _packed(engine, d, orbit_of):
+    """A map keyed by flat code tuples, rekeyed by the engine's packed points."""
+    return {engine._pack(_unflatten(engine, flat, d), d): idx for flat, idx in orbit_of.items()}
+
+
+# q = 2, 3, 4 and the arithmetic branches past them: odd primes with a
+# torus (5, 7), an F_2-linear multiplication with e = 3 (8), and odd
+# prime-power digits (9)
 _CLOSURE_CELLS = (
     [(q0, d) for q0 in (2, 3, 4) for d in ((0, 1), (1, 1), (1, 2), (2, 1))]
     + [(2, (2, 2)), (2, (0, 3)), (3, (2, 2))]
+    + [(q0, d) for q0 in (5, 7, 8, 9) for d in ((1, 1), (1, 2), (2, 1))]
 )
 
 
@@ -283,19 +308,20 @@ class TestOrbitClosureAgainstGroup:
         orbit_of, reps, sizes = _group_orbit_partition(engine, d)
         assert data.reps == reps
         assert data.sizes == sizes
-        assert data.orbit_of == orbit_of
+        assert data.orbit_of == _packed(engine, d, orbit_of)
         for c, rep in zip(data.classes, reps):
             assert engine.class_of_point(rep, d) == c
 
-    @pytest.mark.parametrize("r,d", [(1, (n,)) for n in range(4)]
-                             + [(2, d) for d in ((1, 0), (0, 2), (1, 1), (2, 1), (1, 2))])
-    def test_nilpotent_cyclic_matches_full_group_action(self, r, d):
-        engine = BruteForceEngine(cyclic_quiver(r), 2, nilpotent=True)
+    @pytest.mark.parametrize("r,q0,d", [(1, 2, (n,)) for n in range(4)]
+                             + [(2, 2, d) for d in ((1, 0), (0, 2), (1, 1), (2, 1), (1, 2))]
+                             + [(1, 3, (n,)) for n in range(1, 4)] + [(1, 4, (1,)), (1, 4, (2,))])
+    def test_nilpotent_cyclic_matches_full_group_action(self, r, q0, d):
+        engine = BruteForceEngine(cyclic_quiver(r), q0, nilpotent=True)
         data = engine.grade_data(d)
         orbit_of, reps, sizes = _group_orbit_partition(engine, d)
         assert data.reps == reps
         assert data.sizes == sizes
-        assert data.orbit_of == orbit_of
+        assert data.orbit_of == _packed(engine, d, orbit_of)
 
     def test_wrong_shape_is_rejected(self):
         engine = BruteForceEngine(kronecker_quiver(), 2)
@@ -309,13 +335,14 @@ def _lexicographic_scan(engine, d):
     Every flat point in lexicographic order; a non-nilpotent point is
     skipped, and an unseen nilpotent point closes its orbit under the
     engine's generators and is that orbit's representative.  Returns
-    (orbit_of, reps, sizes).
+    (orbit_of keyed by packed points, reps, sizes).
     """
     F = engine.field
-    gens = engine._generators(d)
     orbit_of, reps, sizes = {}, [], []
-    for point in product(range(F.q), repeat=engine._entry_count(d)):
-        if point in orbit_of or not _is_nilpotent_cycle(F, engine._unflatten(point, d), d):
+    for flat in product(range(F.q), repeat=engine._entry_count(d)):
+        mats = _unflatten(engine, flat, d)
+        point = engine._pack(mats, d)
+        if point in orbit_of or not _is_nilpotent_cycle(F, mats, d):
             continue
         idx = len(reps)
         orbit_of[point] = idx
@@ -323,13 +350,12 @@ def _lexicographic_scan(engine, d):
         size = 1
         while queue:
             x = queue.pop()
-            for gen in gens:
-                y = engine._act(gen, x)
+            for y in engine._moves(d, x):
                 if y not in orbit_of:
                     orbit_of[y] = idx
                     size += 1
                     queue.append(y)
-        reps.append(engine._unflatten(point, d))
+        reps.append(mats)
         sizes.append(size)
     return orbit_of, reps, sizes
 
@@ -356,7 +382,7 @@ class TestSeededNilpotentOrbits:
         engine = BruteForceEngine(jordan_quiver(), 3, nilpotent=True)
         seeds = list(engine._iter_points((3,)))
         assert seeds == sorted(seeds) and len(seeds) == 3 ** 3
-        assert all(X[r][c] == 0 for seed in seeds for (X,) in [engine._unflatten(seed, (3,))]
+        assert all(X[r][c] == 0 for seed in seeds for (X,) in [engine._unpack(seed, (3,))]
                    for r in range(3) for c in range(r + 1))
 
     def test_point_cap_counts_nilpotent_matrices(self):
@@ -1011,6 +1037,33 @@ class TestKroneckerHelpers:
         assert series[n] == count
         engine = get_brute_engine(kronecker_quiver(), q0)
         assert len(kronecker_regular_classes(engine, n)) == count
+
+    @pytest.mark.parametrize("q0,d", [(2, (1, 1)), (2, (2, 2)), (2, (2, 3)), (2, (3, 2)),
+                                      (2, (3, 3)), (2, (2, 4)), (3, (2, 2))])
+    def test_class_count_is_kroneckers(self, q0, d):
+        """Kronecker's classification counts the classes with no orbit.
+
+        The indecomposables are one preprojective at (n, n+1) and one
+        preinjective at (n+1, n) for each n >= 0, and at (n, n), n >= 1, one
+        regular module per closed point of P^1 of degree dividing n: q + 1
+        of degree 1 and phi_irreducible_count(s, q) of degree s >= 2.  A
+        class is a multiset of them, counted item by item as in a coin
+        change with unlimited coins.
+        """
+        a, b = d
+        kinds = []
+        for n in range(max(a, b) + 1):
+            kinds += [(n, n + 1), (n + 1, n)]
+            if n:
+                kinds += [(n, n)] * sum(q0 + 1 if s == 1 else phi_irreducible_count(s, q0)
+                                        for s in range(1, n + 1) if n % s == 0)
+        count = [[1 if (i, j) == (0, 0) else 0 for j in range(b + 1)] for i in range(a + 1)]
+        for x, y in kinds:
+            for i in range(x, a + 1):
+                for j in range(y, b + 1):
+                    count[i][j] += count[i - x][j - y]
+        engine = get_brute_engine(kronecker_quiver(), q0)
+        assert len(engine.classes(d)) == count[a][b]
 
     def test_regular_needs_a_square_grade(self):
         engine = get_brute_engine(kronecker_quiver(), 2)
