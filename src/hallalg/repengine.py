@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, cached_property, partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import add as plus, xor
 
 from . import gf
@@ -1069,6 +1069,15 @@ class BruteForceEngine:
                      for code in range(F.q))
 
     @cached_property
+    def _digit_images(self):
+        """[j][w]: the packed digits of w * x^j, for each digit j of a code."""
+        F = self.field
+        if F.e == 1:
+            return [self._spread]
+        mul = F.tables[2]
+        return [[self._spread[mul[w][F.p ** j]] for w in range(F.q)] for j in range(F.e)]
+
+    @cached_property
     def _code_of(self):
         return {packed: code for code, packed in enumerate(self._spread)}
 
@@ -1116,8 +1125,7 @@ class BruteForceEngine:
             highs = [x | c << s for x in highs for c in spread]
         for s in shifts[half:]:
             lows = [x | c << s for x in lows for c in spread]
-        for high in highs:
-            yield from map(high.__or__, lows)
+        return chain.from_iterable(map(high.__or__, lows) for high in highs)
 
     def _blocks(self, d):
         """(tail, head, rows, cols, offset) of each arrow's block of a flat point."""
@@ -1192,10 +1200,9 @@ class BruteForceEngine:
         instead of q^(n^2) points.
         """
         if not self.nilpotent:
-            yield from self._fill(d, range(self._entry_count(d)))
-            return
-        for pattern in self._nilpotent_patterns(d):
-            yield from self._fill(d, pattern)
+            return self._fill(d, range(self._entry_count(d)))
+        return chain.from_iterable(self._fill(d, pattern)
+                                   for pattern in self._nilpotent_patterns(d))
 
     def group_order(self, d) -> int:
         out = 1
@@ -1251,14 +1258,12 @@ class BruteForceEngine:
         F = self.field
         mul = F.tables[2]
         p, e = F.p, F.e
-        W, spread = self._digit_bits, self._spread
+        W = self._digit_bits
         blocks = self._blocks(d)
         n_coords = sum(rows * cols for _, _, rows, cols, _ in blocks)
         digits = n_coords * e
         shift = [self._code_bits * f for f in range(n_coords - 1, -1, -1)]
-        # digit_images[j][w]: the packed digits of w * x^j
-        digit_images = [spread] if e == 1 else [[spread[mul[w][p ** j]] for w in range(F.q)]
-                                                for j in range(e)]
+        digit_images = self._digit_images
         k = W - 1
         top = offset = 0
         if p > 2:
