@@ -312,16 +312,24 @@ class TestOrbitClosureAgainstGroup:
         for c, rep in zip(data.classes, reps):
             assert engine.class_of_point(rep, d) == c
 
-    @pytest.mark.parametrize("r,q0,d", [(1, 2, (n,)) for n in range(4)]
-                             + [(2, 2, d) for d in ((1, 0), (0, 2), (1, 1), (2, 1), (1, 2))]
-                             + [(1, 3, (n,)) for n in range(1, 4)] + [(1, 4, (1,)), (1, 4, (2,))])
-    def test_nilpotent_cyclic_matches_full_group_action(self, r, q0, d):
-        engine = BruteForceEngine(cyclic_quiver(r), q0, nilpotent=True)
+    @staticmethod
+    def _check_nilpotent(engine, d):
         data = engine.grade_data(d)
         orbit_of, reps, sizes = _group_orbit_partition(engine, d)
         assert data.reps == reps
         assert data.sizes == sizes
         assert data.orbit_of == _packed(engine, d, orbit_of)
+
+    @pytest.mark.parametrize("r,d", [(1, (n,)) for n in range(4)]
+                             + [(2, d) for d in ((1, 0), (0, 2), (1, 1), (2, 1), (1, 2))])
+    def test_nilpotent_cyclic_matches_full_group_action(self, r, d):
+        self._check_nilpotent(BruteForceEngine(cyclic_quiver(r), 2, nilpotent=True), d)
+
+    # n = 3 at q = 4 is left out: the oracle applies all 181,440 elements of
+    # GL_3(F_4) to each orbit, about 20 s
+    @pytest.mark.parametrize("q0,n", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_nilpotent_jordan_matches_full_group_action(self, q0, n):
+        self._check_nilpotent(BruteForceEngine(jordan_quiver(), q0, nilpotent=True), (n,))
 
     def test_wrong_shape_is_rejected(self):
         engine = BruteForceEngine(kronecker_quiver(), 2)
