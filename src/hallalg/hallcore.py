@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from . import gf
-from .coeffring import CycloSqrt, SqrtExt, v_power
+from .coeffring import CycloSqrt, SqrtExt, _reduced, v_power
 from .repengine import IsoClass, add_dim, euler_form, kronecker_regular_classes
 from .report import timed_report
 
@@ -40,7 +41,8 @@ __all__ = [
 
 def _coerce_coeff(engine, c):
     if isinstance(c, (int, Fraction)):
-        return SqrtExt(engine.q0, c, 0)
+        # an int or Fraction is in lowest terms with a positive denominator
+        return _reduced(engine.q0, c.numerator, 0, c.denominator)
     if isinstance(c, (SqrtExt, CycloSqrt)):
         if c.base != engine.q0:
             raise TypeError("coefficient base does not match the engine's field")
@@ -276,27 +278,38 @@ def comultiply(x: HallElement, predicate=None) -> TensorElement:
 
 
 def green_form(x: HallElement, y: HallElement):
-    """{x, y} = sum over common support of x_M y_M / a_M."""
+    """{x, y} = sum over common support of x_M y_M / a_M.
+
+    The smaller support is scanned and the other looked up.
+    """
     if x.engine.engine_id != y.engine.engine_id:
         raise ValueError("cannot pair elements of different engines")
-    total = SqrtExt.zero(x.engine.q0)
-    for cls, cx in x.terms.items():
-        cy = y.terms.get(cls)
-        if cy is not None:
-            total = total + cx * cy / Fraction(x.engine.aut_order(cls))
+    engine = x.engine
+    small, large = x.terms, y.terms
+    if len(large) < len(small):
+        small, large = large, small
+    total = SqrtExt.zero(engine.q0)
+    for cls, c in small.items():
+        other = large.get(cls)
+        if other is not None:
+            total = total + c * other / Fraction(engine.aut_order(cls))
     return total
 
 
 def tensor_green_form(x: HallElement, y: HallElement, t: TensorElement):
-    """{x ox y, t} with {a ox b, c ox d} = {a, c}{b, d}."""
+    """{x ox y, t} with {a ox b, c ox d} = {a, c}{b, d}.
+
+    supp x times supp y is scanned and t looked up.
+    """
     engine = x.engine
+    t_terms = t.terms
     total = SqrtExt.zero(engine.q0)
-    for (A, B), ct in t.terms.items():
-        cx = x.terms.get(A)
-        cy = y.terms.get(B)
-        if cx is not None and cy is not None:
-            denom = Fraction(engine.aut_order(A)) * Fraction(engine.aut_order(B))
-            total = total + cx * cy * ct / denom
+    for A, cx in x.terms.items():
+        for B, cy in y.terms.items():
+            ct = t_terms.get((A, B))
+            if ct is not None:
+                denom = Fraction(engine.aut_order(A)) * Fraction(engine.aut_order(B))
+                total = total + cx * cy * ct / denom
     return total
 
 
@@ -408,6 +421,14 @@ def _classes_up_to(engine, bound):
     return [c for d in grades for c in engine.classes(d)]
 
 
+def _coproduct_per_class(engine):
+    """Delta([M]) for a class M, computed on the first request for M.
+
+    Each structure check's run() makes its own, so nothing outlives it.
+    """
+    return cache(lambda M: comultiply(HallElement.basis(engine, M)))
+
+
 def adjointness_check(engine, total_dim_bound: int):
     """Verify {xy, z} = {x ox y, Delta z} on all basis triples in range.
 
@@ -419,17 +440,18 @@ def adjointness_check(engine, total_dim_bound: int):
     def run():
         checked = 0
         classes = _classes_up_to(engine, total_dim_bound)
+        basis = {M: HallElement.basis(engine, M) for M in classes}
+        delta = _coproduct_per_class(engine)
         for M in classes:
-            xM = HallElement.basis(engine, M)
+            xM = basis[M]
             for N in classes:
                 if sum(M.grade) + sum(N.grade) > total_dim_bound:
                     break
-                xN = HallElement.basis(engine, N)
+                xN = basis[N]
                 prod = multiply(xM, xN)
                 for L in engine.classes(add_dim(M.grade, N.grade)):
-                    xL = HallElement.basis(engine, L)
-                    lhs = green_form(prod, xL)
-                    rhs = tensor_green_form(xM, xN, comultiply(xL))
+                    lhs = green_form(prod, basis[L])
+                    rhs = tensor_green_form(xM, xN, delta(L))
                     if lhs != rhs:
                         return (False, lhs.render(), rhs.render(),
                                 f"triple {M.render()},{N.render()},{L.render()}")
@@ -475,16 +497,14 @@ def coassociativity_check(engine, total_dim_bound: int):
 
     def run():
         checked = 0
+        delta = _coproduct_per_class(engine)
         for L in _classes_up_to(engine, total_dim_bound):
-            delta = comultiply(HallElement.basis(engine, L))
             left = {}
             right = {}
-            for (X, Y), c in delta.terms.items():
-                for (A, B), c2 in comultiply(
-                        HallElement.basis(engine, X)).terms.items():
+            for (X, Y), c in delta(L).terms.items():
+                for (A, B), c2 in delta(X).terms.items():
                     _acc(left, (A, B, Y), c * c2)
-                for (A, B), c2 in comultiply(
-                        HallElement.basis(engine, Y)).terms.items():
+                for (A, B), c2 in delta(Y).terms.items():
                     _acc(right, (X, A, B), c * c2)
             if left != right:
                 return False, "(Delta ox id)Delta", "(id ox Delta)Delta", L.render()

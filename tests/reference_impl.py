@@ -1,10 +1,14 @@
 """Reference implementations that the tests compare the engines against.
 
-Each recomputes by plain linear algebra what hallalg reads off a closed
-formula or a table, so none of them is needed by the package itself.
+Each recomputes, by plain linear algebra or by the defining sum, what
+hallalg reads off a closed formula, a table or a shorter scan, so none
+of them is needed by the package itself.
 """
 
+from fractions import Fraction
+
 from hallalg import gf
+from hallalg.coeffring import SqrtExt
 from hallalg.repengine import _hom_space_basis, _multisegment_of_ranks
 
 
@@ -85,3 +89,26 @@ def class_of_point(engine, mats, dims):
             image = rows[:len(pivots)]
         rank.append(tuple(row))
     return engine.class_from_key(_multisegment_of_ranks(r, rank))
+
+
+def green_form_x_scan(x, y):
+    """{x, y} = sum of x_M y_M / a_M over supp x, with y looked up."""
+    total = SqrtExt.zero(x.engine.q0)
+    for cls, cx in x.terms.items():
+        cy = y.terms.get(cls)
+        if cy is not None:
+            total = total + cx * cy / Fraction(x.engine.aut_order(cls))
+    return total
+
+
+def tensor_green_form_t_scan(x, y, t):
+    """{x ox y, t} as a sum over supp t, with x and y looked up."""
+    engine = x.engine
+    total = SqrtExt.zero(engine.q0)
+    for (A, B), ct in t.terms.items():
+        cx = x.terms.get(A)
+        cy = y.terms.get(B)
+        if cx is not None and cy is not None:
+            denom = Fraction(engine.aut_order(A)) * Fraction(engine.aut_order(B))
+            total = total + cx * cy * ct / denom
+    return total

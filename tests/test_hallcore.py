@@ -9,6 +9,7 @@ from hallalg.hallcore import (
     HallElement,
     TensorElement,
     _classes_up_to,
+    _coerce_coeff,
     adjointness_check,
     associativity_check,
     coassociativity_check,
@@ -31,6 +32,7 @@ from hallalg.repengine import (
     is_regular_kronecker,
     kronecker_quiver,
 )
+from reference_impl import green_form_x_scan, tensor_green_form_t_scan
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +150,56 @@ class TestGreenForm:
         assert not lhs.is_zero()
 
 
+class TestPairingsEqualTheirDefinitions:
+    """green_form scans the smaller support and tensor_green_form scans
+    supp x times supp y; both must equal the sums over supp x and supp t."""
+
+    @pytest.fixture(scope="class", params=[("C2", 2), ("C2", 3), ("K2", 2), ("K2", 3)],
+                    ids=lambda p: f"{p[0]}-q{p[1]}")
+    def engine(self, request):
+        name, q0 = request.param
+        if name == "C2":
+            return get_nilpotent_engine(2, q0)
+        return get_brute_engine(kronecker_quiver(), q0)
+
+    @staticmethod
+    def _weighted(engine, classes, shift=0):
+        # multi-term, with irrational coefficients: (k + shift) v + 1/k
+        v = v_power(1, engine.q0)
+        return HallElement(engine, {c: v * (k + shift) + Fraction(1, k)
+                                    for k, c in enumerate(classes, start=1)})
+
+    def test_green_form(self, engine):
+        grade = engine.classes((1, 1)) + engine.classes((2, 1))
+        x = self._weighted(engine, grade)
+        y = self._weighted(engine, grade[1::2], shift=3)  # smaller, inside supp x
+        other = self._weighted(engine, engine.classes((1, 0)))  # disjoint from both
+        zero = HallElement.zero(engine)
+        for a, b in ((x, y), (y, x), (x, x), (x, other), (other, y), (zero, x), (x, zero),
+                     (zero, zero)):
+            assert green_form(a, b) == green_form_x_scan(a, b)
+        assert not green_form(x, y).is_zero()
+        assert green_form(x, other).is_zero() and green_form(zero, x).is_zero()
+
+    def test_tensor_green_form(self, engine):
+        d = (2, 1)
+        t = comultiply(self._weighted(engine, engine.classes(d)))
+        quotients = sorted({a for a, _ in t.terms}, key=lambda c: c.sort_key())
+        subs = sorted({b for _, b in t.terms}, key=lambda c: c.sort_key())
+        # x and y cover only part of t's pairs, so t has terms outside supp x ox supp y
+        x = self._weighted(engine, quotients[::2])
+        y = self._weighted(engine, subs[1:], shift=2)
+        assert any(a not in x.terms or b not in y.terms for a, b in t.terms)
+        disjoint = self._weighted(engine, engine.classes((0, 2)))
+        zero = HallElement.zero(engine)
+        empty = TensorElement(engine)
+        for a, b, u in ((x, y, t), (y, x, t), (x, disjoint, t), (zero, y, t), (x, zero, t),
+                        (x, y, empty), (zero, zero, empty)):
+            assert tensor_green_form(a, b, u) == tensor_green_form_t_scan(a, b, u)
+        assert not tensor_green_form(x, y, t).is_zero()
+        assert tensor_green_form(x, disjoint, t).is_zero()
+
+
 class TestDistinguishedElements:
     def test_one_d_c2(self, c2):
         x = one_d(c2, (1, 1))
@@ -252,15 +304,19 @@ class TestStructureChecks:
         assert adjointness_check(c1, 3).passed
 
     @pytest.mark.parametrize("name,counts", [
-        ("C1", (86, 12, 143)), ("C2", (447, 38, 843)), ("K2", (561, 49, 1689))])
+        ("C1", {4: (86, 12, 143), 5: (194, 19, 395)}),
+        ("C2", {4: (447, 38, 843), 5: (1365, 74, 3399)}),
+        ("K2", {4: (561, 49, 1689), 5: (1845, 101, 7461)})])
     def test_checks_cover_every_triple_in_range(self, name, counts):
-        # the number of basis triples (classes) with total dimension <= 4,
-        # as the checks counted them grade by grade
+        # the number of basis triples (classes) with total dimension <= bound,
+        # as the checks counted them grade by grade; bound 5 is what
+        # `verify bialgebra` runs, and a check that skips a triple fails here
         engine = _FRESH_ENGINES[name]()
-        reports = [check(engine, 4) for check in
-                   (associativity_check, coassociativity_check, adjointness_check)]
-        assert all(r.passed for r in reports)
-        assert tuple(int(r.lhs.split()[0]) for r in reports) == counts
+        for bound, expected in counts.items():
+            reports = [check(engine, bound) for check in
+                       (associativity_check, coassociativity_check, adjointness_check)]
+            assert all(r.passed for r in reports)
+            assert tuple(int(r.lhs.split()[0]) for r in reports) == expected
 
     def test_classes_up_to_by_total_dimension(self, c2):
         classes = _classes_up_to(c2, 3)
@@ -269,6 +325,29 @@ class TestStructureChecks:
         assert set(classes) == {c for d in product(range(4), repeat=2)
                                 if sum(d) <= 3 for c in c2.classes(d)}
         assert len(classes) == len(set(classes))
+
+
+class TestCoefficientCoercion:
+    """_coerce_coeff builds an int or Fraction coefficient directly in
+    lowest terms; it must equal SqrtExt(q0, c, 0) field for field."""
+
+    @pytest.mark.parametrize("q0", [2, 4, 9])
+    @pytest.mark.parametrize("c", [0, 1, -1, 7, -7, Fraction(-3, 4), Fraction(6, 4)])
+    def test_fields_and_hash_match_the_constructor(self, q0, c):
+        engine = get_nilpotent_engine(1, q0)
+        got, expected = _coerce_coeff(engine, c), SqrtExt(q0, c, 0)
+        assert type(got) is SqrtExt and got.base == q0
+        assert (got._a, got._b, got._den) == (expected._a, expected._b, expected._den)
+        assert hash(got) == hash(expected) == hash(c)
+        assert got == expected == c
+
+    @pytest.mark.parametrize("q0", [2, 4, 9])
+    def test_other_types_and_bases_raise(self, q0):
+        engine = get_nilpotent_engine(1, q0)
+        with pytest.raises(TypeError):
+            _coerce_coeff(engine, 0.5)
+        with pytest.raises(TypeError):
+            _coerce_coeff(engine, SqrtExt(q0 + 1, 1, 0))
 
 
 class TestLinearCombinations:
@@ -435,3 +514,27 @@ class TestChecksSeeACorruptTable:
 
     def test_adjointness_is_blind_to_it(self, corrupt):
         assert adjointness_check(corrupt, 4).passed
+
+    @staticmethod
+    def _filled():
+        """A fresh C2 engine whose memos hold every product and coproduct
+        the checks read at bound 4."""
+        engine = NilpotentCyclicEngine(2, 2)
+        for check in (associativity_check, coassociativity_check, adjointness_check):
+            assert check(engine, 4).passed
+        return engine, engine.simple(0), engine.simple(1), engine.segment_class(0, 2)
+
+    def test_wrong_coproduct_memo_entry_fails_adjointness_and_coassociativity(self):
+        # a coproduct is read once per class, and still from the memo
+        engine, X, Y, L = self._filled()
+        entry = engine._coproducts[L]
+        entry[(X, Y)] = entry[(X, Y)] * 2
+        assert not adjointness_check(engine, 4).passed
+        assert not coassociativity_check(engine, 4).passed
+
+    def test_wrong_product_memo_entry_fails_adjointness_and_associativity(self):
+        engine, A, B, L = self._filled()
+        entry = engine._products[(A, B)]
+        entry[L] = entry[L] * 2
+        assert not adjointness_check(engine, 4).passed
+        assert not associativity_check(engine, 4).passed
