@@ -301,6 +301,8 @@ def tensor_green_form(x: HallElement, y: HallElement, t: TensorElement):
 
     supp x times supp y is scanned and t looked up.
     """
+    if not (x.engine.engine_id == y.engine.engine_id == t.engine.engine_id):
+        raise ValueError("cannot pair elements of different engines")
     engine = x.engine
     t_terms = t.terms
     total = SqrtExt.zero(engine.q0)

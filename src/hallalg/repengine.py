@@ -194,10 +194,14 @@ def parse_multisegment(text: str, r: int) -> tuple:
 
 
 def hom_dim_segments(r: int, seg1, seg2) -> int:
-    """dim Hom(S_i[l], S_j[m]) = #{1 <= t <= min(l,m) : t = j+m-i (mod r)}."""
+    """dim Hom(S_i[l], S_j[m]) = #{1 <= t <= min(l,m) : t = j+m-i (mod r)}.
+
+    The least such t is c = (j + m - i) mod r, read as r when it is 0, and
+    the others follow every r steps.
+    """
     (i, l), (j, m) = seg1, seg2
-    target = (j + m - i) % r
-    return sum(1 for t in range(1, min(l, m) + 1) if t % r == target)
+    c = (j + m - i) % r or r
+    return (min(l, m) - c) // r + 1
 
 
 def _hom_dim_multisegments(r: int, ms1, ms2) -> int:
@@ -778,6 +782,13 @@ class NilpotentCyclicEngine:
     submodules of rep_point's matrix realization by the walk over T(U)
     (_nilpotent_walk), which names subs and quotients by rank tables,
     memoized once per engine.
+
+    The rotation rho: i -> i + 1 of C_r is a quiver automorphism, so
+    F^{rho L}_{rho M, rho N} = F^L_{M,N}.  Only the canonical class of a
+    rotation orbit, the least key among the r rotations of its segments,
+    is walked; any other class's table is the canonical table with both
+    keys of every entry rotated back.  Rotated keys are memoized per
+    shift and shared between tables, one tuple per key.
     """
 
     def __init__(self, r: int, q0: int):
@@ -791,6 +802,9 @@ class NilpotentCyclicEngine:
         self._classes = {}
         self._subtables = {}
         self._rank_classes = {}
+        # shift k -> {key: key rotated by k}; values are shared via _rotated_keys
+        self._rotations = [{} for _ in range(r)]
+        self._rotated_keys = {}
         self._aut = {}
         # basis products and coproducts, filled by hallcore
         self._products = {}
@@ -900,10 +914,32 @@ class NilpotentCyclicEngine:
 
     # -- Hall numbers ----------------------------------------------------------
 
+    def _rotate(self, key, k: int) -> tuple:
+        """key with every segment (i, l) moved to ((i + k) mod r, l)."""
+        memo = self._rotations[k]
+        out = memo.get(key)
+        if out is None:
+            out = tuple(sorted((((i + k) % self.r, l), m) for (i, l), m in key))
+            out = memo[key] = self._rotated_keys.setdefault(out, out)
+        return out
+
     def sub_table(self, c: IsoClass) -> dict:
-        """All Hall numbers F^c_{quot, sub} by exact submodule enumeration."""
+        """All Hall numbers F^c_{quot, sub} by exact submodule enumeration,
+        walked once per rotation orbit and relabelled for the rest."""
         if c.key in self._subtables:
             return self._subtables[c.key]
+        r = self.r
+        canonical, k = c.key, 0
+        for shift in range(1, r):
+            rotated = self._rotate(c.key, shift)
+            if rotated < canonical:
+                canonical, k = rotated, shift
+        if k:
+            walked = self.sub_table(self.class_from_key(canonical))
+            back = partial(self._rotate, k=r - k)
+            table = {(back(M), back(N)): n for (M, N), n in walked.items()}
+            self._subtables[c.key] = table
+            return table
         mats, dims = self.rep_point(c)
         table = _submodule_table(self.field, self.quiver, mats, dims, self._rank_classes,
                                  partial(_multisegment_of_ranks, self.r), _nilpotent_walk)

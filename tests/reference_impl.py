@@ -46,6 +46,14 @@ def is_rational(x) -> bool:
     return x.b == 0
 
 
+def hom_dim_segments_sum(r: int, seg1, seg2) -> int:
+    """dim Hom(S_i[l], S_j[m]) = #{1 <= t <= min(l,m) : t = j+m-i (mod r)},
+    counted term by term."""
+    (i, l), (j, m) = seg1, seg2
+    target = (j + m - i) % r
+    return sum(1 for t in range(1, min(l, m) + 1) if t % r == target)
+
+
 def hom_dim_solve(engine, c1, c2) -> int:
     """dim Hom(c1, c2) on a nilpotent engine by solving the intertwining
     system on the two classes' points."""

@@ -149,6 +149,18 @@ class TestGreenForm:
         assert lhs == rhs
         assert not lhs.is_zero()
 
+    def test_pairings_refuse_mixed_engines(self, c1, c2):
+        s = HallElement.basis(c1, c1.simple(0))
+        t = comultiply(HallElement.basis(c2, c2.segment_class(0, 2)))
+        s2 = HallElement.basis(c2, c2.simple(0))
+        with pytest.raises(ValueError):
+            green_form(s, s2)
+        for x, y in ((s, s), (s, s2), (s2, s)):
+            with pytest.raises(ValueError):
+                tensor_green_form(x, y, t)
+        with pytest.raises(ValueError):
+            tensor_green_form(s2, s2, comultiply(HallElement.basis(c1, c1.simple(0))))
+
 
 class TestPairingsEqualTheirDefinitions:
     """green_form scans the smaller support and tensor_green_form scans

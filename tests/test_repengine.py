@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -19,6 +20,7 @@ from hallalg.repengine import (
     get_brute_engine,
     get_nilpotent_engine,
     hall_polynomial,
+    hom_dim_segments,
     is_regular_kronecker,
     jordan_matrix,
     jordan_quiver,
@@ -30,7 +32,14 @@ from hallalg.repengine import (
     multisegment_str,
     parse_multisegment,
 )
-from reference_impl import class_of_point, hom_dim_solve, mat_inverse, mat_mul, socle_solve
+from reference_impl import (
+    class_of_point,
+    hom_dim_segments_sum,
+    hom_dim_solve,
+    mat_inverse,
+    mat_mul,
+    socle_solve,
+)
 
 
 class TestEulerForm:
@@ -589,6 +598,80 @@ class TestSubmoduleTableAgainstReference:
             assert engine.sub_table(c) == expected, c.render()
 
 
+def _rotations(r, key):
+    return [tuple(sorted((((i + k) % r, l), m) for (i, l), m in key)) for k in range(r)]
+
+
+def _count_walks(monkeypatch):
+    from hallalg import repengine
+
+    walked = []
+    original = repengine._submodule_table
+
+    def counted(F, quiver, mats, dims, *rest):
+        walked.append((mats, dims))
+        return original(F, quiver, mats, dims, *rest)
+
+    monkeypatch.setattr(repengine, "_submodule_table", counted)
+    return walked
+
+
+class TestRotatedTables:
+    """The nilpotent engine walks one class per rotation orbit of C_r and
+    relabels the table for the other classes of the orbit."""
+
+    @pytest.mark.parametrize("r,q0", [(r, q) for r in (2, 3, 4) for q in (2, 3)])
+    def test_every_class_matches_its_own_walk(self, r, q0):
+        from hallalg import repengine
+
+        engine = NilpotentCyclicEngine(r, q0)
+        classify = partial(repengine._multisegment_of_ranks, r)
+        grades = [d for d in product(range(6), repeat=r) if 0 < sum(d) <= 5]
+        if (r, q0) == (3, 2):
+            grades += [(3, 2, 2), (2, 3, 2), (2, 2, 3)]
+        classes = [c for d in grades for c in engine.classes(d)]
+        # asymmetric classes and classes fixed by a rotation both occur
+        fixed = [c for c in classes if len(set(_rotations(r, c.key))) < r]
+        assert fixed and len(fixed) < len(classes)
+        if r == 2:
+            assert engine.make_class((((0, 1), 1), ((1, 1), 1))) in fixed
+        for c in reversed(classes):
+            mats, dims = engine.rep_point(c)
+            walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims, {},
+                                                classify, repengine._nilpotent_walk)
+            assert engine.sub_table(c) == walked, c.render()
+
+    def test_one_walk_per_rotation_orbit(self, monkeypatch):
+        engine = NilpotentCyclicEngine(3, 2)
+        walked = _count_walks(monkeypatch)
+        classes = [c for d in ((3, 2, 2), (2, 3, 2), (2, 2, 3)) for c in engine.classes(d)]
+        for c in classes:
+            engine.sub_table(c)
+        orbits = {min(_rotations(3, c.key)) for c in classes}
+        assert len(classes) == 162 and len(walked) == len(orbits) == 54
+        # a warm engine walks nothing more
+        for c in classes:
+            engine.sub_table(c)
+        assert len(walked) == 54
+
+    def test_relabelled_keys_are_shared(self):
+        engine = NilpotentCyclicEngine(3, 2)
+        objects, tables_with = {}, Counter()
+        for d in ((3, 2, 2), (2, 3, 2), (2, 2, 3)):
+            for c in engine.classes(d):
+                shift = _rotations(3, c.key).index(min(_rotations(3, c.key)))
+                if shift:
+                    keys = {key for pair in engine.sub_table(c) for key in pair}
+                    for key in keys:
+                        objects.setdefault(key, set()).add(id(key))
+                    tables_with.update((key, shift) for key in keys)
+        # keys reached through tables relabelled by both shifts are one object too
+        by_shift = Counter(key for key, _ in tables_with)
+        assert any(n == 2 for n in by_shift.values())
+        assert any(n > 1 for n in tables_with.values())
+        assert all(len(ids) == 1 for ids in objects.values())
+
+
 class TestSubmoduleWalkOnRandomMultisegments:
     """The nilpotent engine's tables, which walk T(U), against the
     reference walk over every subspace tuple, on random classes of C1, C2
@@ -959,6 +1042,13 @@ class TestHomAndSocle:
         for c1 in segments:
             for c2 in segments:
                 assert engine.hom_dim(c1, c2) == hom_dim_solve(engine, c1, c2)
+
+    def test_hom_closed_form_matches_the_sum(self):
+        for r in range(1, 7):
+            for seg1 in product(range(r), range(1, 15)):
+                for seg2 in product(range(r), range(1, 15)):
+                    assert hom_dim_segments(r, seg1, seg2) == \
+                        hom_dim_segments_sum(r, seg1, seg2), (r, seg1, seg2)
 
     def test_hom_examples(self):
         c2 = get_nilpotent_engine(2, 2)
