@@ -28,7 +28,7 @@ from .fourier import (
     transform_primitive_check,
     verify_lemma62_route,
 )
-from .gf import FieldSpec
+from .gf import FieldSpec, gl_order
 from .hallcore import primitive_subspace
 from .partitions import parse_partition
 from .primitives import (
@@ -193,8 +193,7 @@ def _class_rows_hold(rows, quiver, q0, d) -> bool:
         return False
     group = 1  # |G_d| = prod_i |GL_{d_i}(F_q)|
     for n in d:
-        for i in range(n):
-            group *= q0 ** n - q0 ** i
+        group *= gl_order(q0, n)
     points = 0
     for row in rows:
         if type(row) is not dict or row.keys() != {"class", "aut", "orbit_size"}:

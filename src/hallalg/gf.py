@@ -190,6 +190,9 @@ class FieldSpec:
         return self.tables[3][a]
 
     def power(self, a: int, n: int) -> int:
+        """a^n for n >= 0, by repeated squaring."""
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         mul = self.tables[2]
         result = 1
         while n:
@@ -330,9 +333,8 @@ def mat_trace(F: FieldSpec, A) -> int:
     return t
 
 
-def gl_order(F: FieldSpec, n: int) -> int:
-    """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i)."""
-    q = F.q
+def gl_order(q: int, n: int) -> int:
+    """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i), integer arithmetic alone."""
     out = 1
     for i in range(n):
         out *= q ** n - q ** i

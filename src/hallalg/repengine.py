@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, cached_property, partial
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from operator import add as plus, xor
 
 from . import gf
@@ -182,6 +182,8 @@ def parse_multisegment(text: str, r: int) -> tuple:
         if "*" in chunk:
             head, chunk = chunk.split("*")
             mult = int(head)
+            if mult < 1:
+                raise ValueError(f"multiplicity {mult} of {chunk!r} must be positive")
         if not (chunk.startswith("S") and "[" in chunk and chunk.endswith("]")):
             raise ValueError(f"bad segment syntax {chunk!r}")
         vertex, length = chunk[1:-1].split("[")
@@ -720,8 +722,9 @@ def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
 
 
 def _hom_space_basis(F, quiver, matsM, dimsM, matsN, dimsN):
-    """Basis of Hom(M, N): tuples of per-vertex matrices f_i with
-    f_h X^M = X^N f_t for every arrow."""
+    """Basis of Hom(M, N), the tuples of per-vertex matrices f_i with
+    f_h X^M = X^N f_t for every arrow, as flat vectors: each f_i row by
+    row, vertex 0 first."""
     nv = quiver.nv
     offsets = []
     total = 0
@@ -729,7 +732,7 @@ def _hom_space_basis(F, quiver, matsM, dimsM, matsN, dimsN):
         offsets.append(total)
         total += dimsN[i] * dimsM[i]
     if total == 0:
-        return [], 0
+        return []
 
     def var(i, a, b):  # entry f_i[a][b]
         return offsets[i] + a * dimsM[i] + b
@@ -754,20 +757,27 @@ def _hom_space_basis(F, quiver, matsM, dimsM, matsN, dimsN):
                 if any(row):
                     rows.append(tuple(row))
     if rows:
-        kernel = gf.mat_kernel_basis(F, tuple(rows))
-    else:
-        kernel = [tuple(1 if i == j else 0 for i in range(total)) for j in range(total)]
+        return gf.mat_kernel_basis(F, tuple(rows))
+    return [tuple(1 if i == j else 0 for i in range(total)) for j in range(total)]
 
-    def unflatten(vec):
-        mats = []
-        for i in range(nv):
-            base = offsets[i]
-            mats.append(tuple(tuple(vec[base + a * dimsM[i] + b]
-                                    for b in range(dimsM[i]))
-                              for a in range(dimsN[i])))
-        return tuple(mats)
 
-    return [unflatten(v) for v in kernel], total
+def _count_units(F, basis, dims) -> int:
+    """The number of units of End(M), for the basis _hom_space_basis gives
+    with M = N of dimension vector dims: the f = sum_k c_k basis[k] whose
+    blocks f_i are all invertible.  The c_k are chosen depth first, so one
+    partial sum per level is held, not the q^h endomorphisms."""
+    add, sub, mul, _ = F.tables
+    ops = (F.inv, lambda a, b: mul[a][b], lambda a, b: sub[a][b])
+    blocks = list(zip(accumulate((n * n for n in dims), initial=0), dims))
+
+    def units(k, f):
+        if k == len(basis):
+            return all(len(gf.rref([f[s + r * n:s + r * n + n] for r in range(n)], n, *ops)[1]) == n
+                       for s, n in blocks)
+        return sum(units(k + 1, [add[a][mul[c][b]] for a, b in zip(f, basis[k])])
+                   for c in range(F.q))
+
+    return units(0, [0] * sum(n * n for n in dims))
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +910,7 @@ class NilpotentCyclicEngine:
         out = 1
         for (_, m) in c.key:
             exponent -= m * m
-            out *= gf.gl_order(self.field, m)
+            out *= gf.gl_order(q, m)
         value = q ** exponent * out
         self._aut[c.key] = value
         return value
@@ -1243,7 +1253,7 @@ class BruteForceEngine:
     def group_order(self, d) -> int:
         out = 1
         for n in d:
-            out *= gf.gl_order(self.field, n)
+            out *= gf.gl_order(self.q0, n)
         return out
 
     def _gl_moves(self, n):
@@ -1440,63 +1450,27 @@ class BruteForceEngine:
     def aut_order_point(self, mats, dims) -> int:
         """Automorphism order of an explicit point, without a grade partition.
 
-        The stabilizer of the point is exactly the group of invertible
-        endomorphisms, so when End(M) is small enough it is enumerated
-        and its units counted; otherwise the orbit is closed explicitly
-        and orbit-stabilizer gives the same number.
+        Aut(M) is the group of units of End(M), whose q^h elements (h =
+        dim End M) bound the stabilizer, so M's orbit has at least
+        |G_d| / q^h points.  When q^(2h) <= |G_d| End is the smaller walk:
+        its units are counted, and past POINT_CAP it is refused, as the
+        orbit, no smaller, would be.  Otherwise the orbit is closed and
+        orbit-stabilizer gives |G_d| / |orbit|.
         """
-        basis, _ = _hom_space_basis(self.field, self.quiver, mats, dims, mats, dims)
-        h = len(basis)
-        if self.q0 ** h <= 2 ** 13:
-            return self._count_invertible_end(basis, dims)
-        size = self._orbit_size_of_point(mats, tuple(dims))
-        return self.group_order(dims) // size
-
-    def _count_invertible_end(self, basis, dims) -> int:
-        F = self.field
-        nv = self.quiver.nv
-        blocks = []
-        for elem in basis:
-            blocks.append([tuple(x for row in elem[i] for x in row)
-                           for i in range(nv)])
-        zero_flat = [tuple([0] * (dims[i] * dims[i])) for i in range(nv)]
-        count = 0
-
-        def invertible(flats):
-            for i in range(nv):
-                n = dims[i]
-                if n and gf.mat_rank(F, tuple(
-                        tuple(flats[i][r * n:(r + 1) * n]) for r in range(n))) != n:
-                    return False
-            return True
-
-        def recurse(level, flats):
-            nonlocal count
-            if level == len(blocks):
-                if invertible(flats):
-                    count += 1
-                return
-            blk = blocks[level]
-            for c in range(F.q):
-                if c == 0:
-                    recurse(level + 1, flats)
-                else:
-                    shifted = [tuple(F.add(a, F.mul(c, b)) for a, b in zip(flats[i], blk[i]))
-                               for i in range(nv)]
-                    recurse(level + 1, shifted)
-
-        recurse(0, zero_flat)
-        return count
-
-    def _orbit_size_of_point(self, mats, d):
-        d = tuple(d)
-        return self._orbits(d, [self._pack(mats, d)], {})[1][0]
+        dims = tuple(dims)
+        basis = _hom_space_basis(self.field, self.quiver, mats, dims, mats, dims)
+        group = self.group_order(dims)
+        size = self.q0 ** len(basis)
+        if size * size > group:
+            return group // self._orbits(dims, [self._pack(mats, dims)], {})[1][0]
+        if size > POINT_CAP:
+            raise UsageError("the endomorphisms of the point exceed the point cap")
+        return _count_units(self.field, basis, dims)
 
     def hom_dim(self, c1: IsoClass, c2: IsoClass) -> int:
         m1, d1 = self.rep_point(c1)
         m2, d2 = self.rep_point(c2)
-        basis, _ = _hom_space_basis(self.field, self.quiver, m1, d1, m2, d2)
-        return len(basis)
+        return len(_hom_space_basis(self.field, self.quiver, m1, d1, m2, d2))
 
     def dim_end(self, c: IsoClass) -> int:
         return self.hom_dim(c, c)

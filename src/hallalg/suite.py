@@ -64,7 +64,10 @@ def _aggregate(name, params, reports):
 # -- criterion 1 -------------------------------------------------------------
 
 def criterion_alambda() -> VerificationReport:
-    """Closed-form automorphism counts match brute orbit-stabilizer counts."""
+    """Closed-form automorphism counts match brute counts on the Jordan
+    points, each the units of End or orbit-stabilizer, as
+    BruteForceEngine.aut_order_point picks; both run here.  The report's
+    rhs reads "orbit-stabilizer", as the golden output pins it."""
 
     def run():
         for q in (2, 3):

@@ -59,8 +59,7 @@ def hom_dim_solve(engine, c1, c2) -> int:
     system on the two classes' points."""
     m1, d1 = engine.rep_point(c1)
     m2, d2 = engine.rep_point(c2)
-    basis, _ = _hom_space_basis(engine.field, engine.quiver, m1, d1, m2, d2)
-    return len(basis)
+    return len(_hom_space_basis(engine.field, engine.quiver, m1, d1, m2, d2))
 
 
 def socle_solve(engine, c) -> tuple:

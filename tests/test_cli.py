@@ -633,6 +633,9 @@ class TestExitCodes:
         ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "5,5"],
         ["hallnum", "--quiver", "c1", "--L", "(1,-1)", "--M", "(1)", "--N", "(1)"],
         ["hallnum", "--quiver", "cr:2", "--L", "S3[1]", "--M", "0", "--N", "S3[1]"],
+        ["hallnum", "--quiver", "cr:2", "--q", "2", "--L", "S1[2]+-1*S1[1]",
+         "--M", "S1[1]", "--N", "S2[1]"],
+        ["hallnum", "--quiver", "cr:2", "--q", "2", "--L", "0*S1[2]", "--M", "0", "--N", "0"],
         ["hallpoly", "--quiver", "c1", "--L", "(2,x)", "--M", "(1)", "--N", "(1)"],
         ["element", "--family", "cyclic_cn", "--r", "1"],
         ["verify", "central", "--r", "1", "--n", "1", "--q", "2"],

@@ -72,6 +72,21 @@ class TestFieldAxioms:
         for a in range(1, q):
             assert F.mul(a, F.inv(a)) == 1
 
+    @pytest.mark.parametrize("q", SMALL_FIELDS)
+    def test_power_is_repeated_product(self, q):
+        F = FieldSpec.from_order(q)
+        for a in range(q):
+            acc = 1
+            for n in range(2 * q):
+                assert F.power(a, n) == acc, (a, n)
+                acc = F.mul(acc, a)
+
+    def test_negative_power_is_refused(self):
+        """n >>= 1 never reaches 0 from a negative n, so n < 0 is refused."""
+        F = FieldSpec.from_order(5)
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            F.power(2, -1)
+
 
 class TestTrace:
     def test_identity_on_prime_field(self):
@@ -146,10 +161,10 @@ class TestMatrices:
         assert len(list(gf.subspaces(F3, 2, 1))) == 4
 
     def test_gl_order(self):
-        F = FieldSpec.from_order(2)
-        assert gf.gl_order(F, 2) == 6
-        assert gf.gl_order(F, 3) == 168
-        assert gf.gl_order(FieldSpec.from_order(3), 2) == 48
+        assert gf.gl_order(2, 2) == 6
+        assert gf.gl_order(2, 3) == 168
+        assert gf.gl_order(3, 2) == 48
+        assert gf.gl_order(5, 0) == 1
 
     def test_gl_generators_generate(self):
         # closure of the generating set is the whole group for small cases
@@ -165,7 +180,7 @@ class TestMatrices:
                     if Y not in seen:
                         seen.add(Y)
                         frontier.append(Y)
-            assert len(seen) == gf.gl_order(F, n)
+            assert len(seen) == gf.gl_order(q, n)
 
 
 def _matrices(max_rows=3, max_cols=4, square=False):

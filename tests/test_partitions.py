@@ -78,6 +78,15 @@ class TestAutomorphismCount:
                 brute = engine.aut_order_point((jordan_matrix(lam),), (n,))
                 assert a_lambda(lam, q0) == brute, lam.parts
 
+    @pytest.mark.parametrize("parts,q0", [((3, 2, 1), 2), ((3, 2), 3), ((3, 1), 5)])
+    def test_matches_brute_unit_counts_past_the_orbit_cap(self, parts, q0):
+        """Orbits of more than 10^6 points, answered by counting the units
+        of End, which has 2^14, 3^9 and 5^6 elements."""
+        lam = Partition(parts)
+        n = sum(parts)
+        engine = get_brute_engine(jordan_quiver(), q0, nilpotent=True)
+        assert engine.aut_order_point((jordan_matrix(lam),), (n,)) == a_lambda(lam, q0)
+
     def test_symbolic_specializes(self):
         for n in range(1, 5):
             for lam in partitions_of(n):

@@ -437,9 +437,52 @@ class TestAutOrders:
                 assert engine.aut_order(c) == brute.aut_order_point(mats, dims), \
                     (r, q0, c.render())
 
+    @pytest.mark.parametrize("r,q0", [(r, q) for r in (1, 2, 3) for q in (2, 3)])
+    def test_both_walks_agree(self, r, q0, monkeypatch):
+        """Counting the units of End and closing the orbit each give the
+        closed-form order on the points of total dimension at most 4,
+        whichever side the rule q^(2 dim End) <= |G_d| picks: a huge |G_d|
+        forces the count, and the orbit is closed directly.  Each walk runs
+        where it is short, End up to 2^12 elements and orbits up to 10^4
+        points, which leaves no point unchecked."""
+        engine = get_nilpotent_engine(r, q0)
+        brute = BruteForceEngine(cyclic_quiver(r), q0, nilpotent=True)
+        group_order = brute.group_order
+        monkeypatch.setattr(brute, "group_order", lambda d: 10 ** 100)
+        for d in product(range(5), repeat=r):
+            if not 0 < sum(d) <= 4:
+                continue
+            for c in engine.classes(d):
+                mats, dims = engine.rep_point(c)
+                order, walks = engine.aut_order(c), 0
+                if q0 ** engine.dim_end(c) <= 2 ** 12:
+                    assert brute.aut_order_point(mats, dims) == order, c.render()
+                    walks += 1
+                if group_order(dims) // order <= 10 ** 4:
+                    orbit = brute._orbits(dims, [brute._pack(mats, dims)], {})[1][0]
+                    assert group_order(dims) // orbit == order, c.render()
+                    walks += 1
+                assert walks, c.render()
+
+    def test_end_past_the_point_cap_is_refused(self, monkeypatch):
+        """End(J_(3,1)) has 2^6 elements at q = 2 and 2^12 <= |GL_4(F_2)|,
+        so its units are counted, and under a cap of 63 points refused."""
+        from hallalg import repengine
+        from hallalg.report import UsageError
+
+        lam = Partition((3, 1))
+        engine = BruteForceEngine(jordan_quiver(), 2, nilpotent=True)
+        point = (jordan_matrix(lam),)
+        monkeypatch.setattr(repengine, "POINT_CAP", 64)
+        assert engine.aut_order_point(point, (4,)) == a_lambda(lam, 2) == 16
+        monkeypatch.setattr(repengine, "POINT_CAP", 63)
+        with pytest.raises(UsageError, match="endomorphisms of the point exceed the point cap"):
+            engine.aut_order_point(point, (4,))
+
     def test_orbit_path_is_bounded_by_the_point_cap(self, monkeypatch):
-        """End(I_(2,1,1,1)) has dimension 17 > 13 at q = 2, so its Aut order
-        comes from closing the orbit of 9,999,360 / 21,504 = 465 points."""
+        """End(J_(2,1,1,1)) has dimension 17 at q = 2, and 2^34 exceeds
+        |GL_5(F_2)| = 9,999,360, so its Aut order comes from closing the
+        orbit of 9,999,360 / 21,504 = 465 points."""
         from hallalg import repengine
         from hallalg.report import UsageError
 
