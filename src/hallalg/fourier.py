@@ -10,10 +10,18 @@ a function through the additive-character kernel
 
 which is an algebra isomorphism onto the Hall algebra of the reversed
 quiver.  Values live in Q(zeta_p)(sqrt(q0)).
+
+One walk of the fiber over a target point serves every source class of
+the grade: it counts, per source orbit, the fiber points on each trace
+value of the pairing.  transform_grade gives Phi([M]) for all classes M
+of a grade from one walk per target orbit (two for an orbit of size > 1,
+as an invariance check), fourier_transform is sum_M f_M Phi([M]) read
+from the same walks, and transform_value_at_point reads one walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import prod
 
@@ -38,6 +46,7 @@ __all__ = [
     "a2_reversal",
     "kronecker_to_c2",
     "fourier_transform",
+    "transform_grade",
     "transform_value_at_point",
     "check_homomorphism",
     "gl_character_sum",
@@ -82,33 +91,33 @@ def kronecker_to_c2() -> ReversalSpec:
 # The transform
 # ---------------------------------------------------------------------------
 
-def _psi_factory(field: FieldSpec, q0: int, conjugate: bool):
-    p = field.p
-    sign = -1 if conjugate else 1
-    values = {}
-
-    def psi(code: int) -> CycloSqrt:
-        val = values.get(code)
-        if val is None:
-            t = gf.trace_to_prime(field, code)
-            val = CycloSqrt.zeta(p, q0, sign * t)
-            values[code] = val
-        return val
-
-    return psi
+def _zeta_coords(counts, sign: int) -> tuple:
+    """Integer power-basis coordinates of sum_t counts[t] zeta_p^(sign t), with
+    p = len(counts), by zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
+    p = len(counts)
+    m = [0] * p
+    for t, n in enumerate(counts):
+        m[sign * t % p] += n
+    return tuple(x - m[-1] for x in m[:-1])
 
 
-def transform_value_at_point(f: HallElement, spec: ReversalSpec,
-                             src_engine: BruteForceEngine, point, grade,
-                             conjugate: bool = False) -> CycloSqrt:
-    """Value of the transformed function at one explicit target point.
+def _cyclo(coords, scale: SqrtExt) -> CycloSqrt:
+    """The value scale * sum_k coords[k] zeta^k."""
+    return CycloSqrt(len(coords) + 1, scale.base, [c * scale for c in coords])
 
-    The fiber over the point's fixed entries x is walked on the source
-    engine's packed points: x is packed once with zeros in the y slots,
-    and each y, in the order of product(range(q), repeat=dim Y), is ORed
-    into it from the engine's packed y parts.  The pairing sum_E tr(C D)
-    is a dot product of y with weights read once from y'.  Coefficients
-    are summed per pairing code c first, so the value is sum_c psi(c) S_c.
+
+def _fiber_walk(spec: ReversalSpec, src_engine: BruteForceEngine, point, grade,
+                conjugate: bool):
+    """(column, v^(-dim Y)) from one walk of the fiber over a target point.
+
+    The column maps each source orbit M with Phi([M])(point) != 0 to the
+    integer coordinates c with Phi([M])(point) = v^(-dim Y) sum_k c_k zeta^k.
+    The fixed entries x are packed once with zeros in the y slots, and each
+    y, in the order of product(range(q), repeat=dim Y), is ORed into it from
+    the engine's packed y parts.  The pairing sum_E tr(C D) is a dot product
+    of y with weights read once from y', and its trace t in F_p comes from
+    the field's trace list.  Per source orbit the walk counts the fiber
+    points n_t on each t, and the value is v^(-dim Y) sum_t n_t psi(t).
     """
     F = src_engine.field
     q0 = src_engine.q0
@@ -148,28 +157,87 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
     for w in weights:
         codes = [add[c][wy] for c in codes for wy in mul[w]]
 
-    data = src_engine.grade_data(d)
-    coeff_of_key = {cls.key: coeff for cls, coeff in f.terms.items()}
-    coeff_of_orbit = [coeff_of_key.get(cls.key) for cls in data.classes]
-    orbit_of = data.orbit_of
-    sums = {}
     # the packed y parts come in the same order as the codes
-    for code, y in zip(codes, src_engine._fill(d, y_coords)):
-        orbit = orbit_of.get(base | y)
-        if orbit is None:
-            continue
-        coeff = coeff_of_orbit[orbit]
-        if coeff is None:
-            continue
-        prev = sums.get(code)
-        sums[code] = coeff if prev is None else prev + coeff
+    orbits = map(src_engine.grade_data(d).orbit_of.get,
+                 map(base.__or__, src_engine._fill(d, y_coords)))
+    counts = {}
+    for (orbit, t), n in Counter(zip(orbits, map(F.traces.__getitem__, codes))).items():
+        if orbit is not None:
+            counts.setdefault(orbit, [0] * F.p)[t] = n
+    sign = -1 if conjugate else 1
+    column = {orbit: _zeta_coords(n, sign) for orbit, n in counts.items()}
+    return {orbit: c for orbit, c in column.items() if any(c)}, v_power(-dim_y, q0)
 
-    psi = _psi_factory(F, q0, conjugate)
-    total = CycloSqrt.zero(F.p, q0)
-    for code, s in sums.items():
-        if s:
-            total = total + s * psi(code)
-    return total * v_power(-dim_y, q0)
+
+def _check_engines(spec: ReversalSpec, src_engine, tgt_engine=None, f=None):
+    """ValueError unless the engines sit on the reversal's source and target
+    at one q, and f is a function on the source engine."""
+    if src_engine.quiver != spec.source:
+        raise ValueError("the source engine is not on the reversal's source quiver")
+    if tgt_engine is not None and (tgt_engine.quiver != spec.target
+                                   or tgt_engine.q0 != src_engine.q0):
+        raise ValueError("the target engine is not on the reversal's target quiver "
+                         "at the source engine's q")
+    if f is not None and f.engine.engine_id != src_engine.engine_id:
+        raise ValueError("the function does not belong to the source engine")
+
+
+def _combine(f: HallElement, column, scale: SqrtExt) -> CycloSqrt:
+    """sum_M f_M Phi([M]) at the point whose fiber walk gave the column."""
+    return sum((coeff * _cyclo(column[cls.key], scale)
+                for cls, coeff in f.terms.items() if cls.key in column),
+               CycloSqrt.zero(f.engine.field.p, scale.base))
+
+
+def transform_value_at_point(f: HallElement, spec: ReversalSpec,
+                             src_engine: BruteForceEngine, point, grade,
+                             conjugate: bool = False) -> CycloSqrt:
+    """Value of the transformed function at one explicit target point:
+    sum_M f_M Phi([M])(point), read from one walk of the point's fiber."""
+    _check_engines(spec, src_engine, f=f)
+    return _combine(f, *_fiber_walk(spec, src_engine, point, grade, conjugate))
+
+
+def _grade_columns(spec: ReversalSpec, src_engine: BruteForceEngine,
+                   tgt_engine: BruteForceEngine, grade, conjugate: bool):
+    """(columns, v^(-dim Y)): the fiber-walk column of every target class of
+    the grade, in class order.
+
+    Each orbit of size > 1 is walked again at a second point, where the
+    whole column must come out the same, or InternalCheckError is raised.
+    """
+    _check_engines(spec, src_engine, tgt_engine)
+    tgt_data = tgt_engine.grade_data(grade)
+    columns = []
+    # every variety holds the zero point, so the loop sets scale
+    for rep, size in zip(tgt_data.reps, tgt_data.sizes):
+        column, scale = _fiber_walk(spec, src_engine, rep, grade, conjugate)
+        if size > 1:
+            other = _second_orbit_point(tgt_engine, rep, grade)
+            if _fiber_walk(spec, src_engine, other, grade, conjugate)[0] != column:
+                raise InternalCheckError(
+                    "transformed function is not constant on an orbit")
+        columns.append(column)
+    return columns, scale
+
+
+def transform_grade(spec: ReversalSpec, src_engine: BruteForceEngine,
+                    tgt_engine: BruteForceEngine, grade,
+                    conjugate: bool = False) -> dict:
+    """Phi([M]) for every source class M of the grade, as {M: HallElement}.
+
+    The fiber of each target representative is walked once for all classes,
+    and once more at a second point of every orbit of size > 1, where the
+    whole column of values must agree (InternalCheckError otherwise).
+    """
+    grade = tuple(grade)
+    columns, scale = _grade_columns(spec, src_engine, tgt_engine, grade, conjugate)
+    src_classes = src_engine.grade_data(grade).classes
+    terms = [{} for _ in src_classes]
+    for tgt_cls, column in zip(tgt_engine.grade_data(grade).classes, columns):
+        for orbit, coords in column.items():
+            terms[orbit][tgt_cls] = _cyclo(coords, scale)
+    return {M: HallElement(tgt_engine, t) for M, t in zip(src_classes, terms)}
 
 
 def fourier_transform(f: HallElement, spec: ReversalSpec,
@@ -177,27 +245,20 @@ def fourier_transform(f: HallElement, spec: ReversalSpec,
                       conjugate: bool = False, grade=None) -> HallElement:
     """Transform a homogeneous Hall element into the reversed quiver's algebra.
 
-    The output is represented on target isoclasses; the value is
-    recomputed at a second point of every orbit of size > 1 and a
-    mismatch raises InternalCheckError.  The zero function transforms to
-    zero but needs an explicit grade.
+    The output is sum_M f_M Phi([M]) on target isoclasses, read from the
+    grade's columns with transform_grade's orbit check.  The zero function
+    transforms to zero but needs an explicit grade.
     """
+    _check_engines(spec, src_engine, tgt_engine, f)
     grade = f.grade() if f.terms else (tuple(grade) if grade is not None else None)
     if grade is None:
         raise ValueError("cannot transform the zero function without a grade")
-    tgt_data = tgt_engine.grade_data(grade)
+    columns, scale = _grade_columns(spec, src_engine, tgt_engine, grade, conjugate)
     terms = {}
-    for idx, rep in enumerate(tgt_data.reps):
-        val = transform_value_at_point(f, spec, src_engine, rep, grade, conjugate)
-        if tgt_data.sizes[idx] > 1:
-            other = _second_orbit_point(tgt_engine, rep, grade)
-            val2 = transform_value_at_point(f, spec, src_engine, other, grade,
-                                            conjugate)
-            if val != val2:
-                raise InternalCheckError(
-                    "transformed function is not constant on an orbit")
+    for tgt_cls, column in zip(tgt_engine.grade_data(grade).classes, columns):
+        val = _combine(f, column, scale)
         if not val.is_zero():
-            terms[tgt_data.classes[idx]] = val
+            terms[tgt_cls] = val
     return HallElement(tgt_engine, terms)
 
 
@@ -220,17 +281,16 @@ def check_homomorphism(spec: ReversalSpec, q0: int, grade_pairs) -> Verification
     def run():
         src = get_brute_engine(spec.source, q0)
         tgt = get_brute_engine(spec.target, q0)
-        transform_cache = {}
+        transforms = {}  # grade -> {source class: its transform}
 
         def phi(element: HallElement) -> HallElement:
             out = HallElement.zero(tgt)
             for cls, coeff in element.terms.items():
-                cached = transform_cache.get(cls)
-                if cached is None:
-                    cached = fourier_transform(
-                        HallElement.basis(src, cls), spec, src, tgt)
-                    transform_cache[cls] = cached
-                out = out + cached.scale(coeff)
+                by_class = transforms.get(cls.grade)
+                if by_class is None:
+                    by_class = transforms[cls.grade] = transform_grade(
+                        spec, src, tgt, cls.grade)
+                out = out + by_class[cls].scale(coeff)
             return out
 
         checked = 0
@@ -260,13 +320,12 @@ def gl_character_sum(n: int, q: int) -> CycloSqrt:
     if q ** min(n * n, 20) > POINT_CAP:
         raise UsageError(f"the {q}^{n * n} matrices of M_{n}(F_{q}) exceed the point cap")
     F = FieldSpec.from_order(q)
-    psi = _psi_factory(F, q, conjugate=False)
-    total = CycloSqrt.zero(F.p, q)
+    counts = [0] * F.p
     for flat in product(range(q), repeat=n * n):
         X = tuple(flat[i * n:(i + 1) * n] for i in range(n))
         if gf.mat_is_invertible(F, X):
-            total = total + psi(gf.mat_trace(F, X))
-    return total
+            counts[F.traces[gf.mat_trace(F, X)]] += 1
+    return _cyclo(_zeta_coords(counts, 1), SqrtExt.one(q))
 
 
 def a2_image_check(q0: int) -> VerificationReport:

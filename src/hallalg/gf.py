@@ -170,6 +170,12 @@ class FieldSpec:
         inv = (0,) + tuple(row.index(1) for row in mul[1:])
         return add, sub, mul, inv
 
+    @cached_property
+    def traces(self):
+        """tr(x) in GF(p) of every element x, indexed by its code (see
+        trace_to_prime); built on first read."""
+        return tuple(trace_to_prime(self, code) for code in range(self.q))
+
     def decode(self, code: int):
         return _decode_poly(code, self.e, self.p)
 

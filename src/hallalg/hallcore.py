@@ -335,8 +335,9 @@ def is_primitive(x: HallElement, predicate=None) -> bool:
     delta = comultiply(x, predicate=predicate)
     expected = {}
     for cls, c in x.terms.items():
-        expected[(cls, zero_cls)] = c
-        expected[(zero_cls, cls)] = c
+        # at grade 0 the two terms share the key (1, 1) and add up
+        _acc(expected, (cls, zero_cls), c)
+        _acc(expected, (zero_cls, cls), c)
     return delta == TensorElement(engine, expected)
 
 
@@ -355,9 +356,12 @@ def primitive_subspace(engine, d, predicate=None) -> list:
     The kernel of x -> Delta(x) - x ox 1 - 1 ox x is computed by exact
     Gaussian elimination over Q(sqrt(q0)); with a predicate both the
     ambient span and the comultiplication are restricted to classes
-    satisfying it.
+    satisfying it.  Grade 0 has none: Delta(c 1) = c 1 ox 1 equals
+    2c 1 ox 1 only for c = 0.
     """
     d = tuple(d)
+    if not any(d):
+        return []
     classes = engine.classes(d)
     if predicate is not None:
         classes = [c for c in classes if predicate(c)]

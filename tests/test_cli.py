@@ -204,6 +204,11 @@ class TestPrimitive:
                            "--d", "1,1", "--reg"])
         assert code == 2
 
+    @pytest.mark.parametrize("quiver, d", [("k2", "0,0"), ("c1", "0"), ("cr:2", "0,0")])
+    def test_grade_zero_has_no_primitive(self, quiver, d):
+        assert run_cli(["primitive", "--quiver", quiver, "--q", "2",
+                        "--d", d]) == (0, "dimension 0\n")
+
 
 class TestVerify:
     def test_xi_json(self):

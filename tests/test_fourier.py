@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from hallalg import gf
+from hallalg import fourier, gf
 from hallalg.coeffring import CycloSqrt, SqrtExt, v_power
 from hallalg.fourier import (
     ReversalSpec,
@@ -14,6 +14,7 @@ from hallalg.fourier import (
     fourier_transform,
     gl_character_sum,
     kronecker_to_c2,
+    transform_grade,
     transform_primitive_check,
     transform_value_at_point,
     verify_lemma62_route,
@@ -21,7 +22,7 @@ from hallalg.fourier import (
 from hallalg.hallcore import HallElement, is_primitive, multiply
 from hallalg.primitives import kron_pK2
 from hallalg.repengine import POINT_CAP, cyclic_quiver, get_brute_engine, kronecker_quiver
-from hallalg.report import UsageError
+from hallalg.report import InternalCheckError, UsageError
 
 
 class TestReversalSpec:
@@ -84,6 +85,54 @@ class TestTransformBasics:
         out = fourier_transform(f, spec, src, tgt)
         assert not out.is_zero()
 
+    def test_invariance_check_catches_a_point_of_another_orbit(self, monkeypatch):
+        """A second point from a different orbit gives a different column (the
+        transform is invertible), so both transforms must refuse it."""
+        spec = kronecker_to_c2()
+        src = get_brute_engine(spec.source, 3)
+        tgt = get_brute_engine(spec.target, 3)
+        d = (1, 1)
+        reps = tgt.grade_data(d).reps
+
+        def point_of_another_orbit(engine, rep, grade):
+            return next(other for other in reps if other != rep)
+
+        monkeypatch.setattr(fourier, "_second_orbit_point", point_of_another_orbit)
+        with pytest.raises(InternalCheckError, match="not constant on an orbit"):
+            transform_grade(spec, src, tgt, d)
+        f = HallElement.basis(src, src.classes(d)[2])
+        with pytest.raises(InternalCheckError, match="not constant on an orbit"):
+            fourier_transform(f, spec, src, tgt)
+
+    def test_function_of_another_engine_is_refused(self):
+        """A C2 basis element passed as a K2 function used to be transformed
+        as if its orbit index named a K2 orbit."""
+        spec = kronecker_to_c2()
+        k2 = get_brute_engine(spec.source, 2)
+        c2 = get_brute_engine(spec.target, 2)
+        f = HallElement.basis(c2, c2.classes((1, 1))[0])
+        with pytest.raises(ValueError, match="source engine"):
+            fourier_transform(f, spec, k2, c2)
+        with pytest.raises(ValueError, match="source engine"):
+            transform_value_at_point(f, spec, k2, c2.grade_data((1, 1)).reps[0], (1, 1))
+
+    def test_engines_off_the_reversal_are_refused(self):
+        spec = kronecker_to_c2()
+        k2, c2 = get_brute_engine(spec.source, 2), get_brute_engine(spec.target, 2)
+        f = HallElement.basis(k2, k2.classes((1, 1))[0])
+        c2_q3 = get_brute_engine(spec.target, 3)
+        with pytest.raises(ValueError, match="target engine"):  # a TypeError before
+            fourier_transform(f, spec, k2, c2_q3)
+        with pytest.raises(ValueError, match="target engine"):
+            transform_grade(spec, k2, c2_q3, (1, 1))
+        with pytest.raises(ValueError, match="target engine"):
+            transform_grade(spec, k2, k2, (1, 1))
+        g = HallElement.basis(c2, c2.classes((1, 1))[0])
+        with pytest.raises(ValueError, match="source engine"):
+            fourier_transform(g, spec, c2, c2)
+        with pytest.raises(ValueError, match="source engine"):
+            transform_value_at_point(g, spec, c2, ((((0,),),) * 2), (1, 1))
+
     def test_divided_power_evaluations(self):
         # ([nP1])^ evaluated at [nP2'] is (-1)^n v^-n
         spec = a2_reversal()
@@ -119,8 +168,9 @@ def _reference_pairing_code(F, y_mats, yp_mats):
     return s
 
 
-def reference_value_at_point(f, spec, src_engine, point, grade, conjugate=False):
-    """One source point of matrix tuples and one psi product per fiber point."""
+def reference_values_at_point(spec, src_engine, point, grade, conjugate=False):
+    """{source orbit: Phi([M])(point)}, from one source point of matrix tuples
+    and one psi value per fiber point."""
     F = src_engine.field
     q0 = src_engine.q0
     rev = spec.reversed_indices
@@ -129,13 +179,12 @@ def reference_value_at_point(f, spec, src_engine, point, grade, conjugate=False)
     dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(spec.source.arrows)
                 if i in rev_set)
     sign = -1 if conjugate else 1
-    data = src_engine.grade_data(d)
-    coeff_of_orbit = {cls.key: coeff for cls, coeff in f.terms.items()}
+    orbit_of = src_engine.grade_data(d).orbit_of
     x_parts = {i: point[i] for i in range(len(spec.source.arrows)) if i not in rev_set}
     yp_mats = [point[i] for i in rev]
     y_shapes = [(d[h], d[t]) for i, (t, h) in enumerate(spec.source.arrows)
                 if i in rev_set]
-    total = CycloSqrt.zero(F.p, q0)
+    totals = {}
     for y_choice in product(*[_reference_matrices(q0, r, c) for (r, c) in y_shapes]):
         src_point = []
         yi = 0
@@ -145,15 +194,23 @@ def reference_value_at_point(f, spec, src_engine, point, grade, conjugate=False)
                 yi += 1
             else:
                 src_point.append(x_parts[i])
-        orbit = data.orbit_of.get(src_engine._pack(src_point, d))
+        orbit = orbit_of.get(src_engine._pack(src_point, d))
         if orbit is None:
             continue
-        coeff = coeff_of_orbit.get(data.classes[orbit].key)
-        if coeff is None:
-            continue
         code = _reference_pairing_code(F, y_choice, yp_mats)
-        total = total + coeff * CycloSqrt.zeta(F.p, q0, sign * gf.trace_to_prime(F, code))
-    return total * v_power(-dim_y, q0)
+        psi = CycloSqrt.zeta(F.p, q0, sign * gf.trace_to_prime(F, code))
+        totals[orbit] = totals.get(orbit, CycloSqrt.zero(F.p, q0)) + psi
+    return {orbit: total * v_power(-dim_y, q0) for orbit, total in totals.items()}
+
+
+def reference_value_at_point(f, spec, src_engine, point, grade, conjugate=False):
+    """sum_M f_M Phi([M])(point) from reference_values_at_point."""
+    values = reference_values_at_point(spec, src_engine, point, grade, conjugate)
+    total = CycloSqrt.zero(src_engine.field.p, src_engine.q0)
+    for cls, coeff in f.terms.items():
+        if cls.key in values:
+            total = total + coeff * values[cls.key]
+    return total
 
 
 _BOX_GRADES = [(a, b) for a in range(3) for b in range(3)]
@@ -173,15 +230,44 @@ class TestFlatFiberSumAgainstMatrixLoop:
                         if i in spec.reversed_indices)
             if q0 ** dim_y > POINT_CAP:
                 continue
-            for cls in src.classes(d):
-                f = HallElement.basis(src, cls)
-                for rep in tgt.grade_data(d).reps:
-                    for conjugate in (False, True):
+            for rep in tgt.grade_data(d).reps:
+                for conjugate in (False, True):
+                    want = reference_values_at_point(spec, src, rep, d, conjugate)
+                    for cls in src.classes(d):
+                        f = HallElement.basis(src, cls)
                         got = transform_value_at_point(f, spec, src, rep, d, conjugate)
-                        want = reference_value_at_point(f, spec, src, rep, d, conjugate)
-                        assert got == want, (cls.render(), rep, conjugate)
+                        assert got == want.get(cls.key, 0), (cls.render(), rep, conjugate)
                         compared += 1
         assert compared > 40
+
+    @pytest.mark.parametrize("conjugate", (False, True))
+    @pytest.mark.parametrize("q0", (2, 3, 4, 5))
+    @pytest.mark.parametrize("make_spec", (kronecker_to_c2, a2_reversal),
+                             ids=("kronecker_to_c2", "a2_reversal"))
+    def test_every_grade_column(self, make_spec, q0, conjugate):
+        """transform_grade at every target class against the oracle; q=4 has a
+        nontrivial trace (p=2, e=2), and at q=5 sqrt(5) lies in Q(zeta_5), where
+        CycloSqrt coordinates are not unique."""
+        spec = make_spec()
+        src = get_brute_engine(spec.source, q0)
+        tgt = get_brute_engine(spec.target, q0)
+        zero = CycloSqrt.zero(src.field.p, q0)
+        compared = 0
+        for d in _BOX_GRADES:
+            dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(spec.source.arrows)
+                        if i in spec.reversed_indices)
+            if q0 ** dim_y > POINT_CAP:
+                continue
+            phis = transform_grade(spec, src, tgt, d, conjugate)
+            assert list(phis) == src.classes(d)
+            data = tgt.grade_data(d)
+            for tgt_cls, rep in zip(data.classes, data.reps):
+                want = reference_values_at_point(spec, src, rep, d, conjugate)
+                for cls, phi in phis.items():
+                    assert phi.terms.get(tgt_cls, zero) == want.get(cls.key, zero), \
+                        (d, cls.render(), rep)
+                    compared += 1
+        assert compared > 25
 
     @pytest.mark.parametrize("q0", (2, 3))
     def test_mixed_coefficients(self, q0):

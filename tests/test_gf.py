@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hallalg import gf
 from hallalg.coeffring import CycloSqrt, SqrtExt
-from hallalg.fourier import _psi_factory
+from hallalg.fourier import _cyclo, _zeta_coords
 from hallalg.gf import FieldSpec, trace_to_prime
 from reference_impl import mat_inverse, mat_mul
 
@@ -107,6 +107,24 @@ class TestTrace:
                 lhs = trace_to_prime(F, F.add(a, b))
                 rhs = (trace_to_prime(F, a) + trace_to_prime(F, b)) % F.p
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("q", SMALL_FIELDS)
+    def test_trace_list(self, q):
+        F = FieldSpec.from_order(q)
+        assert F.traces == tuple(trace_to_prime(F, code) for code in range(q))
+
+
+def _psi_factory(F, q0, conjugate):
+    """psi(x) = zeta_p^(+-Tr x), from the field's trace list and the
+    transform's power-basis coordinates, one fiber point at a time."""
+    sign = -1 if conjugate else 1
+
+    def psi(code):
+        counts = [0] * F.p
+        counts[F.traces[code]] = 1
+        return _cyclo(_zeta_coords(counts, sign), SqrtExt.one(q0))
+
+    return psi
 
 
 class TestAdditiveCharacter:

@@ -249,6 +249,20 @@ class TestPrimitivity:
         with pytest.raises(ValueError):
             is_primitive(x)
 
+    @pytest.mark.parametrize("engine", [
+        get_nilpotent_engine(1, 3),
+        get_nilpotent_engine(2, 3),
+        get_brute_engine(kronecker_quiver(), 2),
+    ], ids=["c1-q3", "c2-q3", "k2-q2"])
+    def test_unit_is_not_primitive(self, engine):
+        """Delta(c 1) = c 1 ox 1, but x ox 1 + 1 ox x is 2c 1 ox 1 there."""
+        unit = HallElement.unit(engine)
+        assert comultiply(unit) == TensorElement(
+            engine, {(engine.zero_class(), engine.zero_class()): 1})
+        assert not is_primitive(unit)
+        assert not is_primitive(unit.scale(5))
+        assert primitive_subspace(engine, engine.zero_class().grade) == []
+
 
 class TestPrimitiveSubspace:
     def test_kronecker_delta_dimension(self):
