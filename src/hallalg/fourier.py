@@ -200,8 +200,8 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
 
 def _grade_columns(spec: ReversalSpec, src_engine: BruteForceEngine,
                    tgt_engine: BruteForceEngine, grade, conjugate: bool):
-    """(columns, v^(-dim Y)): the fiber-walk column of every target class of
-    the grade, in class order.
+    """([(target class, its fiber-walk column)], v^(-dim Y)) over the
+    grade's target classes, in class order.
 
     Each orbit of size > 1 is walked again at a second point, where the
     whole column must come out the same, or InternalCheckError is raised.
@@ -210,14 +210,14 @@ def _grade_columns(spec: ReversalSpec, src_engine: BruteForceEngine,
     tgt_data = tgt_engine.grade_data(grade)
     columns = []
     # every variety holds the zero point, so the loop sets scale
-    for rep, size in zip(tgt_data.reps, tgt_data.sizes):
+    for cls, rep, size in zip(tgt_data.classes, tgt_data.reps, tgt_data.sizes):
         column, scale = _fiber_walk(spec, src_engine, rep, grade, conjugate)
         if size > 1:
             other = _second_orbit_point(tgt_engine, rep, grade)
             if _fiber_walk(spec, src_engine, other, grade, conjugate)[0] != column:
                 raise InternalCheckError(
                     "transformed function is not constant on an orbit")
-        columns.append(column)
+        columns.append((cls, column))
     return columns, scale
 
 
@@ -230,11 +230,10 @@ def transform_grade(spec: ReversalSpec, src_engine: BruteForceEngine,
     and once more at a second point of every orbit of size > 1, where the
     whole column of values must agree (InternalCheckError otherwise).
     """
-    grade = tuple(grade)
     columns, scale = _grade_columns(spec, src_engine, tgt_engine, grade, conjugate)
     src_classes = src_engine.grade_data(grade).classes
     terms = [{} for _ in src_classes]
-    for tgt_cls, column in zip(tgt_engine.grade_data(grade).classes, columns):
+    for tgt_cls, column in columns:
         for orbit, coords in column.items():
             terms[orbit][tgt_cls] = _cyclo(coords, scale)
     return {M: HallElement(tgt_engine, t) for M, t in zip(src_classes, terms)}
@@ -255,7 +254,7 @@ def fourier_transform(f: HallElement, spec: ReversalSpec,
         raise ValueError("cannot transform the zero function without a grade")
     columns, scale = _grade_columns(spec, src_engine, tgt_engine, grade, conjugate)
     terms = {}
-    for tgt_cls, column in zip(tgt_engine.grade_data(grade).classes, columns):
+    for tgt_cls, column in columns:
         val = _combine(f, column, scale)
         if not val.is_zero():
             terms[tgt_cls] = val
