@@ -121,7 +121,7 @@ class TestTransformBasics:
         k2, c2 = get_brute_engine(spec.source, 2), get_brute_engine(spec.target, 2)
         f = HallElement.basis(k2, k2.classes((1, 1))[0])
         c2_q3 = get_brute_engine(spec.target, 3)
-        with pytest.raises(ValueError, match="target engine"):  # a TypeError before
+        with pytest.raises(ValueError, match="target engine"):
             fourier_transform(f, spec, k2, c2_q3)
         with pytest.raises(ValueError, match="target engine"):
             transform_grade(spec, k2, c2_q3, (1, 1))
