@@ -15,8 +15,8 @@ One walk of the fiber over a target point serves every source class of
 the grade: it counts, per source orbit, the fiber points on each trace
 value of the pairing.  transform_grade gives Phi([M]) for all classes M
 of a grade from one walk per target orbit (two for an orbit of size > 1,
-as an invariance check), fourier_transform is sum_M f_M Phi([M]) read
-from the same walks, and transform_value_at_point reads one walk.
+as an invariance check), fourier_transform sums f_M Phi([M]) over those
+images, and transform_value_at_point reads one walk.
 """
 
 from __future__ import annotations
@@ -182,43 +182,16 @@ def _check_engines(spec: ReversalSpec, src_engine, tgt_engine=None, f=None):
         raise ValueError("the function does not belong to the source engine")
 
 
-def _combine(f: HallElement, column, scale: SqrtExt) -> CycloSqrt:
-    """sum_M f_M Phi([M]) at the point whose fiber walk gave the column."""
-    return sum((coeff * _cyclo(column[cls.key], scale)
-                for cls, coeff in f.terms.items() if cls.key in column),
-               CycloSqrt.zero(f.engine.field.p, scale.base))
-
-
 def transform_value_at_point(f: HallElement, spec: ReversalSpec,
                              src_engine: BruteForceEngine, point, grade,
                              conjugate: bool = False) -> CycloSqrt:
     """Value of the transformed function at one explicit target point:
     sum_M f_M Phi([M])(point), read from one walk of the point's fiber."""
     _check_engines(spec, src_engine, f=f)
-    return _combine(f, *_fiber_walk(spec, src_engine, point, grade, conjugate))
-
-
-def _grade_columns(spec: ReversalSpec, src_engine: BruteForceEngine,
-                   tgt_engine: BruteForceEngine, grade, conjugate: bool):
-    """([(target class, its fiber-walk column)], v^(-dim Y)) over the
-    grade's target classes, in class order.
-
-    Each orbit of size > 1 is walked again at a second point, where the
-    whole column must come out the same, or InternalCheckError is raised.
-    """
-    _check_engines(spec, src_engine, tgt_engine)
-    tgt_data = tgt_engine.grade_data(grade)
-    columns = []
-    # every variety holds the zero point, so the loop sets scale
-    for cls, rep, size in zip(tgt_data.classes, tgt_data.reps, tgt_data.sizes):
-        column, scale = _fiber_walk(spec, src_engine, rep, grade, conjugate)
-        if size > 1:
-            other = _second_orbit_point(tgt_engine, rep, grade)
-            if _fiber_walk(spec, src_engine, other, grade, conjugate)[0] != column:
-                raise InternalCheckError(
-                    "transformed function is not constant on an orbit")
-        columns.append((cls, column))
-    return columns, scale
+    column, scale = _fiber_walk(spec, src_engine, point, grade, conjugate)
+    return sum((coeff * _cyclo(column[cls.key], scale)
+                for cls, coeff in f.terms.items() if cls.key in column),
+               CycloSqrt.zero(src_engine.field.p, scale.base))
 
 
 def transform_grade(spec: ReversalSpec, src_engine: BruteForceEngine,
@@ -230,13 +203,26 @@ def transform_grade(spec: ReversalSpec, src_engine: BruteForceEngine,
     and once more at a second point of every orbit of size > 1, where the
     whole column of values must agree (InternalCheckError otherwise).
     """
-    columns, scale = _grade_columns(spec, src_engine, tgt_engine, grade, conjugate)
-    src_classes = src_engine.grade_data(grade).classes
-    terms = [{} for _ in src_classes]
-    for tgt_cls, column in columns:
+    _check_engines(spec, src_engine, tgt_engine)
+    tgt_data = tgt_engine.grade_data(grade)
+    terms = {}  # source orbit -> {target class: value}
+    for cls, rep, size in zip(tgt_data.classes, tgt_data.reps, tgt_data.sizes):
+        column, scale = _fiber_walk(spec, src_engine, rep, grade, conjugate)
+        if size > 1:
+            other = _second_orbit_point(tgt_engine, rep, grade)
+            if _fiber_walk(spec, src_engine, other, grade, conjugate)[0] != column:
+                raise InternalCheckError(
+                    "transformed function is not constant on an orbit")
         for orbit, coords in column.items():
-            terms[orbit][tgt_cls] = _cyclo(coords, scale)
-    return {M: HallElement(tgt_engine, t) for M, t in zip(src_classes, terms)}
+            terms.setdefault(orbit, {})[cls] = _cyclo(coords, scale)
+    return {M: HallElement(tgt_engine, terms.get(M.key))
+            for M in src_engine.grade_data(grade).classes}
+
+
+def _sum_images(f: HallElement, image_of, tgt_engine: BruteForceEngine) -> HallElement:
+    """sum_M f_M image_of(M) over the terms of f."""
+    return sum((image_of(cls).scale(coeff) for cls, coeff in f.terms.items()),
+               HallElement.zero(tgt_engine))
 
 
 def fourier_transform(f: HallElement, spec: ReversalSpec,
@@ -244,21 +230,16 @@ def fourier_transform(f: HallElement, spec: ReversalSpec,
                       conjugate: bool = False, grade=None) -> HallElement:
     """Transform a homogeneous Hall element into the reversed quiver's algebra.
 
-    The output is sum_M f_M Phi([M]) on target isoclasses, read from the
-    grade's columns with transform_grade's orbit check.  The zero function
-    transforms to zero but needs an explicit grade.
+    The output is sum_M f_M Phi([M]) over the images transform_grade gives
+    for the grade, with its orbit check.  The zero function transforms to
+    zero but needs an explicit grade.
     """
     _check_engines(spec, src_engine, tgt_engine, f)
     grade = f.grade() if f.terms else (tuple(grade) if grade is not None else None)
     if grade is None:
         raise ValueError("cannot transform the zero function without a grade")
-    columns, scale = _grade_columns(spec, src_engine, tgt_engine, grade, conjugate)
-    terms = {}
-    for tgt_cls, column in columns:
-        val = _combine(f, column, scale)
-        if not val.is_zero():
-            terms[tgt_cls] = val
-    return HallElement(tgt_engine, terms)
+    images = transform_grade(spec, src_engine, tgt_engine, grade, conjugate)
+    return _sum_images(f, images.__getitem__, tgt_engine)
 
 
 def _second_orbit_point(engine: BruteForceEngine, rep, grade):
@@ -282,15 +263,15 @@ def check_homomorphism(spec: ReversalSpec, q0: int, grade_pairs) -> Verification
         tgt = get_brute_engine(spec.target, q0)
         transforms = {}  # grade -> {source class: its transform}
 
+        def image(cls) -> HallElement:
+            by_class = transforms.get(cls.grade)
+            if by_class is None:
+                by_class = transforms[cls.grade] = transform_grade(
+                    spec, src, tgt, cls.grade)
+            return by_class[cls]
+
         def phi(element: HallElement) -> HallElement:
-            out = HallElement.zero(tgt)
-            for cls, coeff in element.terms.items():
-                by_class = transforms.get(cls.grade)
-                if by_class is None:
-                    by_class = transforms[cls.grade] = transform_grade(
-                        spec, src, tgt, cls.grade)
-                out = out + by_class[cls].scale(coeff)
-            return out
+            return _sum_images(element, image, tgt)
 
         checked = 0
         for d1, d2 in grade_pairs:
@@ -374,22 +355,12 @@ def double_transform_check(q0: int) -> VerificationReport:
                 f = HallElement.basis(src, cls)
                 once = fourier_transform(f, spec, src, tgt)
                 twice = fourier_transform(once, back, tgt, src, conjugate=True)
-                plus = twice == _embed_cyclo(f)
-                minus = twice == _embed_cyclo(f.scale(-1))
-                if not (plus or minus):
+                if not (twice == f or twice == f.scale(-1)):
                     return (False, twice.render(), f.render(),
                             f"no +-1 rescaling at {cls.render()}")
         return True, "double transform", "+-1 rescaling", ""
 
     return timed_report("fourier-double", {"q": q0}, run)
-
-
-def _embed_cyclo(x: HallElement) -> HallElement:
-    p = x.engine.field.p
-    q0 = x.engine.q0
-    return HallElement(x.engine, {
-        c: CycloSqrt.from_scalar(p, q0, v) if isinstance(v, SqrtExt) else v
-        for c, v in x.terms.items()})
 
 
 def transform_primitive_check(q0: int) -> VerificationReport:

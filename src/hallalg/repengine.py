@@ -53,7 +53,6 @@ __all__ = [
     "kronecker_regular_classes",
 ]
 
-BRUTE_TOTAL_DIM_CAP = 8
 POINT_CAP = 10 ** 6
 # The most digit values one chunk table of a grade's generators is indexed
 # by.  The tables stay on the engine: at 2^16 the Jordan quiver's two
@@ -1401,10 +1400,6 @@ class BruteForceEngine:
         d = tuple(d)
         if d in self._grades:
             return self._grades[d]
-        if sum(d) > BRUTE_TOTAL_DIM_CAP:
-            raise UsageError(
-                f"total dimension {sum(d)} exceeds the brute-force cap "
-                f"{BRUTE_TOTAL_DIM_CAP}")
         if self._point_bound(d) > POINT_CAP:
             raise UsageError("representation variety exceeds the point cap")
         orbit_of = {}

@@ -50,6 +50,20 @@ class TestIsoclasses:
         rows = json.loads(out)
         assert sorted(r["class"] for r in rows) == ["S1[1]+S2[1]", "S1[2]", "S2[2]"]
 
+    @pytest.mark.parametrize("quiver,d,classes", [
+        ("a2", (0, 9), 1), ("a2", (1, 8), 2), ("c2full", (9, 1), 5)])
+    def test_few_point_grades_of_high_total_dimension(self, quiver, d, classes):
+        """Only the point, vector and subspace caps refuse a brute-force
+        grade: these of total dimension 9 and 10 have 1 to 2^18 points."""
+        from hallalg import cli
+
+        code, out = run_cli(["isoclasses", "--quiver", quiver, "--q", "2",
+                             "--d", ",".join(map(str, d)), "--format", "json"])
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == classes
+        assert cli._class_rows_hold(rows, cli._parse_selector(quiver)[1], 2, d)
+
     def test_bad_selector(self):
         code, _ = run_cli(["isoclasses", "--quiver", "q9", "--d", "1,1"])
         assert code == 2
@@ -580,9 +594,9 @@ class TestExitCodes:
         (["verify", "lemma-route", "--n", "3", "--q", "3"],
          "representation variety exceeds the point cap"),
         (["fourier", "--check", "divided", "--n", "5", "--q", "2"],
-         "total dimension 10 exceeds the brute-force cap 8"),
+         "representation variety exceeds the point cap"),
         (["fourier", "--check", "divided", "--n", "5", "--q", "3"],
-         "total dimension 10 exceeds the brute-force cap 8"),
+         "representation variety exceeds the point cap"),
         (["fourier", "--check", "glsum", "--n", "4", "--q", "4"],
          "the 4^16 matrices of M_4(F_4) exceed the point cap"),
         (["fourier", "--check", "glsum", "--n", "1", "--q", "11"],

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -282,6 +283,34 @@ class TestFlatFiberSumAgainstMatrixLoop:
                     assert (transform_value_at_point(f, spec, src, rep, (n, n), conjugate)
                             == reference_value_at_point(f, spec, src, rep, (n, n), conjugate))
 
+    @pytest.mark.parametrize("conjugate", (False, True))
+    @pytest.mark.parametrize("q0", (2, 3, 4, 5))
+    @pytest.mark.parametrize("make_spec", (kronecker_to_c2, a2_reversal),
+                             ids=("kronecker_to_c2", "a2_reversal"))
+    def test_element_transform_at_every_target_rep(self, make_spec, q0, conjugate):
+        """fourier_transform of multi-term functions against the oracle: the
+        Kronecker difference primitives for n = 1, 2, and every class of (2,2)
+        with its own coefficient k + sqrt(q) (irrational unless q = 4)."""
+        spec = make_spec()
+        src = get_brute_engine(spec.source, q0)
+        tgt = get_brute_engine(spec.target, q0)
+        functions = [HallElement(src, {cls: SqrtExt(q0, k, 1)
+                                       for k, cls in enumerate(src.classes((2, 2)), 1)})]
+        if make_spec is kronecker_to_c2:
+            functions += [kron_pK2(src, n) for n in (1, 2)]
+        zero = CycloSqrt.zero(src.field.p, q0)
+        compared = 0
+        for f in functions:
+            assert len(f.terms) > 1
+            d = f.grade()
+            image = fourier_transform(f, spec, src, tgt, conjugate)
+            data = tgt.grade_data(d)
+            for tgt_cls, rep in zip(data.classes, data.reps):
+                want = reference_value_at_point(f, spec, src, rep, d, conjugate)
+                assert image.terms.get(tgt_cls, zero) == want, (d, rep)
+                compared += 1
+        assert compared >= 3 * len(functions)
+
     @pytest.mark.parametrize("point", [
         (((1,),),),                      # one arrow short
         (((1,),), ((0,),), ((0,),)),     # one arrow too many
@@ -312,6 +341,47 @@ class TestFlatFiberSumAgainstMatrixLoop:
         point = (gf.mat_zero(3, 3), gf.mat_zero(3, 3))
         with pytest.raises(UsageError, match="point cap"):
             transform_value_at_point(HallElement.zero(src), spec, src, point, (3, 3))
+
+
+class TestCyclotomicCoefficients:
+    """A transform's CycloSqrt coefficients compare with a function's
+    SqrtExt coefficients by value, so double_transform_check compares the
+    two directly."""
+
+    @staticmethod
+    def _root(p, q0):
+        """sqrt(q0) as a CycloSqrt: at q0 = 5 the Gauss sum
+        sum_a (a/5) zeta^a, whose coordinates are all zeta, elsewhere the
+        embedded SqrtExt."""
+        if q0 != 5:
+            return CycloSqrt.from_scalar(p, q0, SqrtExt(q0, 0, 1))
+        return sum((CycloSqrt.zeta(p, q0, a) * (1 if a in (1, 4) else -1)
+                    for a in range(1, p)), CycloSqrt.zero(p, q0))
+
+    @pytest.mark.parametrize("q0", (2, 3, 4, 5))
+    def test_equal_values_are_equal_elements(self, q0):
+        src = get_brute_engine(kronecker_quiver(), q0)
+        p = src.field.p
+        root = self._root(p, q0)
+        classes = src.classes((1, 1))
+        plain = HallElement(src, {cls: SqrtExt(q0, k, 1) for k, cls in enumerate(classes, 1)})
+        cyclo = HallElement(src, {cls: root + k for k, cls in enumerate(classes, 1)})
+        if q0 == 5:
+            # sqrt(5) in Q(zeta_5): same value, other coordinates
+            assert root.coords != CycloSqrt.from_scalar(p, q0, SqrtExt(q0, 0, 1)).coords
+        assert cyclo == plain and plain == cyclo
+        assert cyclo.scale(-1) == plain.scale(-1) and plain.scale(-1) == cyclo.scale(-1)
+        assert cyclo != plain.scale(-1) and plain.scale(-1) != cyclo
+
+        changes = [1, SqrtExt(q0, 0, Fraction(1, 2))]
+        if p > 2:
+            changes.append(CycloSqrt.zeta(p, q0))  # off Q(sqrt q)
+        for change in changes:
+            for cls in classes:
+                terms = dict(cyclo.terms)
+                terms[cls] = terms[cls] + change
+                other = HallElement(src, terms)
+                assert other != plain and plain != other, (change, cls.render())
 
 
 class TestHomomorphism:
@@ -402,7 +472,7 @@ class TestVerifiers:
             raise AssertionError("multiplied before the (n, n) grade was checked")
 
         monkeypatch.setattr(fourier, "multiply", multiply)
-        with pytest.raises(UsageError, match="total dimension 10 exceeds the brute-force cap"):
+        with pytest.raises(UsageError, match="representation variety exceeds the point cap"):
             divided_power_check(5, q0)
 
     @pytest.mark.parametrize("q0", (2, 3))
