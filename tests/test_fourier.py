@@ -351,8 +351,7 @@ class TestCyclotomicCoefficients:
     @staticmethod
     def _root(p, q0):
         """sqrt(q0) as a CycloSqrt: at q0 = 5 the Gauss sum
-        sum_a (a/5) zeta^a, whose coordinates are all zeta, elsewhere the
-        embedded SqrtExt."""
+        sum_a (a/5) zeta^a, elsewhere the embedded SqrtExt."""
         if q0 != 5:
             return CycloSqrt.from_scalar(p, q0, SqrtExt(q0, 0, 1))
         return sum((CycloSqrt.zeta(p, q0, a) * (1 if a in (1, 4) else -1)
