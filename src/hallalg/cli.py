@@ -50,7 +50,7 @@ from .repengine import (
     parse_multisegment,
 )
 from .report import UsageError
-from .suite import CHECK_RUNNERS, run_all
+from .suite import CHECK_RUNNERS, refuse_unused, run_all
 
 CACHE_VERSION = f"hallalg-{__version__}-cache-2"
 # 128 + SIGPIPE: the status a shell gives a writer whose reader went away
@@ -423,7 +423,9 @@ def cmd_element(args, out):
 
 def cmd_verify(args, out):
     fmt = args.format
+    params = {"n": args.n, "r": args.r, "q": args.q}
     if args.all:
+        refuse_unused("verify --all", params, ())
         results = run_all()
         failed = 0
         for num, name, rep in results:
@@ -443,7 +445,7 @@ def cmd_verify(args, out):
     if runner is None:
         known = ", ".join(sorted(CHECK_RUNNERS))
         raise UsageError(f"unknown check {args.check!r}; known checks: {known}")
-    rep = runner({"n": args.n, "r": args.r, "q": args.q})
+    rep = runner(params)
     _emit_report(rep, fmt, out)
     return 0 if rep.passed else 1
 

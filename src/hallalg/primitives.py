@@ -249,30 +249,84 @@ def tube_primitive(engine: BruteForceEngine, tube: KroneckerTube, m: int) -> Hal
 # ---------------------------------------------------------------------------
 # Identity verifiers
 # ---------------------------------------------------------------------------
+#
+# Each side of the xi and autsum identities is a sum of terms
+# c * q^k * prod_{j in js} (q^j - 1), held as (c, k, js) with js a list of
+# exponents that may repeat.  Two sides are compared as integers at
+# q = X = 2^b.  The L1 norm of a term is at most |c| * 2^len(js), since
+# ||q^j - 1||_1 = 2 and ||fg||_1 <= ||f||_1 ||g||_1, so B, the sum of
+# these over both sides, bounds every coefficient of lhs - rhs.  With
+# X > 2B, a nonzero integer polynomial whose coefficients all lie below
+# X/2 in absolute value does not vanish at X (its leading term outweighs
+# the rest), so lhs(X) == rhs(X) proves lhs == rhs in Z[q].
 
-def _xi_common_denominator(n: int):
-    """Shared factored denominator for the sums over partitions of n."""
-    max_e = 0
-    max_c = {}
-    data = []
-    for lam in partitions_of(n):
-        e, factors = a_lambda_factored(lam)
-        max_e = max(max_e, e)
+def _jordan_coeff_factored(lam: Partition):
+    """jordan_primitive_coeff(lam) = prod_{s < l(lam)} (1 - q^s) as
+    (sign, [1, ..., l(lam) - 1]), meaning sign * prod_s (q^s - 1)."""
+    length = lam.length()
+    return (-1) ** (length - 1), list(range(1, length))
+
+
+def _partition_sum_data(n: int):
+    """The least common multiple D = q^E prod_{j in js} (q^j - 1) of the
+    factored a_lambda over lambda |- n, as (E, js), and per lambda the
+    cofactor D / a_lambda as (lambda, k, js)."""
+    factored = [(lam, *a_lambda_factored(lam)) for lam in partitions_of(n)]
+    E = max(e for _, e, _ in factored)
+    C = {}
+    for _, _, factors in factored:
         for j, c in factors.items():
-            max_c[j] = max(max_c.get(j, 0), c)
-        data.append((lam, e, factors))
-    D = QPolynomial.q(1) ** max_e if max_e else QPolynomial.one()
-    for j, c in max_c.items():
-        D = D * QPolynomial({j: 1, 0: -1}) ** c
-    cofactors = []
-    for lam, e, factors in data:
-        cof = QPolynomial.q(1) ** (max_e - e) if max_e > e else QPolynomial.one()
-        for j, c in max_c.items():
-            extra = c - factors.get(j, 0)
-            if extra:
-                cof = cof * QPolynomial({j: 1, 0: -1}) ** extra
-        cofactors.append((lam, cof))
-    return D, cofactors
+            C[j] = max(C.get(j, 0), c)
+    order = sorted(C)
+    cofactors = [(lam, E - e, [j for j in order for _ in range(C[j] - factors.get(j, 0))])
+                 for lam, e, factors in factored]
+    return E, [j for j in order for _ in range(C[j])], cofactors
+
+
+def _xi_terms(n: int):
+    """Both sides of N (q^n - 1) = D, N = sum_lambda prod(1 - q^s) D / a_lambda."""
+    E, D, cofactors = _partition_sum_data(n)
+    lhs = []
+    for lam, k, js in cofactors:
+        sign, coeff = _jordan_coeff_factored(lam)
+        lhs.append((sign, k, js + coeff + [n]))
+    return lhs, [(1, E, D)]
+
+
+def _aut_sum_terms(n: int):
+    """Both sides of N1 (q^n - 1) = n D, N1 = sum_lambda prod(1 - q^s)^2 D / a_lambda,
+    and of N2 prod_{i<=n} (q^i - 1) = D q^(n(n-1)/2), N2 = sum_lambda D / a_lambda."""
+    E, D, cofactors = _partition_sum_data(n)
+    squared, plain = [], []
+    for lam, k, js in cofactors:
+        _, coeff = _jordan_coeff_factored(lam)
+        squared.append((1, k, js + coeff + coeff + [n]))
+        plain.append((1, k, js + list(range(1, n + 1))))
+    return (squared, [(n, E, D)]), (plain, [(1, E + n * (n - 1) // 2, D)])
+
+
+def _l1_bound(terms) -> int:
+    """An upper bound on the L1 norm of the sum of the terms."""
+    return sum(abs(c) << len(js) for c, _, js in terms)
+
+
+def _value_at(terms, bits: int) -> int:
+    """The sum of the terms at q = 2^bits, each factor q^j - 1 applied as a
+    shift and a subtraction."""
+    total = 0
+    for c, k, js in terms:
+        value = c << (k * bits)
+        for j in sorted(js):
+            value = (value << (j * bits)) - value
+        total += value
+    return total
+
+
+def _sides_agree(lhs, rhs) -> bool:
+    """Whether the two sums are equal in Z[q], from one evaluation at
+    q = 2^b > 2B, B = _l1_bound of both sides."""
+    bits = (2 * _l1_bound(lhs + rhs)).bit_length()
+    return _value_at(lhs, bits) == _value_at(rhs, bits)
 
 
 def xi_partition_sum_value(n: int, q0) -> Fraction:
@@ -284,37 +338,26 @@ def xi_partition_sum_value(n: int, q0) -> Fraction:
 
 
 def verify_xi_identity(n: int) -> VerificationReport:
-    """Symbolic check of sum_{lambda |- n} prod(1-q^s)/a_lambda = 1/(q^n - 1)."""
+    """Proof in Z[q] of sum_{lambda |- n} prod(1-q^s)/a_lambda = 1/(q^n - 1),
+    cleared to N (q^n - 1) = D over the common denominator D: both sides
+    are compared as integers at q = 2^b, with b from the L1 bound above."""
 
     def run():
-        D, cofactors = _xi_common_denominator(n)
-        N = QPolynomial.zero()
-        for lam, cof in cofactors:
-            N = N + jordan_primitive_coeff(lam) * cof
-        lhs = N * QPolynomial({n: 1, 0: -1})
-        return lhs == D, f"N*(q^{n}-1)", "common denominator", ""
+        return _sides_agree(*_xi_terms(n)), f"N*(q^{n}-1)", "common denominator", ""
 
     return timed_report("xi", {"n": n}, run)
 
 
 def verify_aut_sum_identities(n: int) -> VerificationReport:
-    """Two companion sums over partitions of n, checked symbolically:
+    """Two companion sums over partitions of n, proved in Z[q] as the xi
+    identity is, one integer evaluation each:
     sum (prod(1-q^s))^2 / a_lambda = n/(q^n - 1) and
     sum 1/a_lambda = q^(n(n-1)/2) / prod_{i=1}^n (q^i - 1)."""
 
     def run():
-        D, cofactors = _xi_common_denominator(n)
-        N1 = QPolynomial.zero()
-        N2 = QPolynomial.zero()
-        for lam, cof in cofactors:
-            coeff = jordan_primitive_coeff(lam)
-            N1 = N1 + coeff * coeff * cof
-            N2 = N2 + cof
-        ok1 = N1 * QPolynomial({n: 1, 0: -1}) == D * QPolynomial.const(n)
-        denom = QPolynomial.one()
-        for i in range(1, n + 1):
-            denom = denom * QPolynomial({i: 1, 0: -1})
-        ok2 = N2 * denom == D * QPolynomial.q(1) ** (n * (n - 1) // 2)
+        squared, plain = _aut_sum_terms(n)
+        ok1 = _sides_agree(*squared)
+        ok2 = _sides_agree(*plain)
         detail = "" if ok1 and ok2 else f"squared-sum: {ok1}, plain-sum: {ok2}"
         return ok1 and ok2, "both sums", "closed forms", detail
 

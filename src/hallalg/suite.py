@@ -45,9 +45,9 @@ from .repengine import (
     jordan_quiver,
     kronecker_quiver,
 )
-from .report import VerificationReport, timed_report
+from .report import UsageError, VerificationReport, timed_report
 
-__all__ = ["CRITERIA", "run_all", "CHECK_RUNNERS"]
+__all__ = ["CRITERIA", "run_all", "CHECK_RUNNERS", "refuse_unused"]
 
 
 def _aggregate(name, params, reports):
@@ -240,36 +240,66 @@ def run_all():
     return [(num, name, fn()) for num, name, fn in CRITERIA]
 
 
-# Individual check runners for the CLI (beyond whole criteria).
+# Individual check runners for the CLI (beyond whole criteria).  Each takes
+# the dict of verify's --r, --n and --q values, None where a flag is absent,
+# and refuses, before any work, a flag its check does not read.
 
-def _cell_or_criterion(cell, criterion, *names):
-    """Run cell on the named arguments when every one is given, else the
-    whole criterion."""
+def _flags(names):
+    return ", ".join(f"--{name}" for name in names)
+
+
+def refuse_unused(check, args, names):
+    """Raise UsageError naming every flag given in args that is not in names."""
+    unused = [name for name, value in args.items() if value is not None and name not in names]
+    if unused:
+        raise UsageError(f"{check} takes no {_flags(unused)}")
+
+
+def _criterion_only(check, criterion):
+    def run(args):
+        refuse_unused(check, args, ())
+        return criterion()
+
+    return run
+
+
+def _cell_or_criterion(check, cell, criterion, *names):
+    """Run cell on the named arguments when every one is given, the whole
+    criterion when none is; a partial set is refused."""
 
     def run(args):
-        values = [args.get(name) for name in names]
-        return criterion() if None in values else cell(*values)
+        refuse_unused(check, args, names)
+        missing = [name for name in names if args.get(name) is None]
+        if not missing:
+            return cell(*(args[name] for name in names))
+        if len(missing) == len(names):
+            return criterion()
+        raise UsageError(f"{check} runs one cell on {_flags(names)} together, "
+                         f"or its criterion on none of them; missing {_flags(missing)}")
 
     return run
 
 
 def _run_lemma_route(args):
+    refuse_unused("lemma-route", args, ("n", "q"))
     n, q = args.get("n"), args.get("q")
     return verify_lemma62_route(1 if n is None else n, 2 if q is None else q)
 
 
 CHECK_RUNNERS = {
-    "alambda": lambda args: criterion_alambda(),
-    "xi": _cell_or_criterion(verify_xi_identity, criterion_xi, "n"),
-    "autsum": _cell_or_criterion(verify_aut_sum_identities, criterion_autsum, "n"),
-    "primitivity": lambda args: criterion_primitivity(),
-    "central": _cell_or_criterion(central_family_check, criterion_central, "r", "n", "q"),
-    "pairing": _cell_or_criterion(verify_key_pairing, criterion_pairing, "r", "n", "q"),
-    "explicit": lambda args: criterion_explicit(),
-    "glsum": lambda args: criterion_glsum(),
-    "fourier": lambda args: criterion_fourier(),
-    "kernel": _cell_or_criterion(kernel_theorem_check, criterion_kernel, "n", "q"),
-    "basis": _cell_or_criterion(difference_basis_check, criterion_basis, "n", "q"),
-    "bialgebra": lambda args: criterion_bialgebra(),
+    "alambda": _criterion_only("alambda", criterion_alambda),
+    "xi": _cell_or_criterion("xi", verify_xi_identity, criterion_xi, "n"),
+    "autsum": _cell_or_criterion("autsum", verify_aut_sum_identities, criterion_autsum, "n"),
+    "primitivity": _criterion_only("primitivity", criterion_primitivity),
+    "central": _cell_or_criterion("central", central_family_check, criterion_central,
+                                  "r", "n", "q"),
+    "pairing": _cell_or_criterion("pairing", verify_key_pairing, criterion_pairing,
+                                  "r", "n", "q"),
+    "explicit": _criterion_only("explicit", criterion_explicit),
+    "glsum": _criterion_only("glsum", criterion_glsum),
+    "fourier": _criterion_only("fourier", criterion_fourier),
+    "kernel": _cell_or_criterion("kernel", kernel_theorem_check, criterion_kernel, "n", "q"),
+    "basis": _cell_or_criterion("basis", difference_basis_check, criterion_basis, "n", "q"),
+    "bialgebra": _criterion_only("bialgebra", criterion_bialgebra),
     "lemma-route": _run_lemma_route,
 }

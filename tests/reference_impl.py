@@ -8,7 +8,9 @@ of them is needed by the package itself.
 from fractions import Fraction
 
 from hallalg import gf
-from hallalg.coeffring import SqrtExt
+from hallalg.coeffring import QPolynomial, SqrtExt
+from hallalg.partitions import a_lambda_factored, partitions_of
+from hallalg.primitives import jordan_primitive_coeff
 from hallalg.repengine import _hom_space_basis, _multisegment_of_ranks
 
 
@@ -119,3 +121,58 @@ def tensor_green_form_t_scan(x, y, t):
             denom = Fraction(engine.aut_order(A)) * Fraction(engine.aut_order(B))
             total = total + cx * cy * ct / denom
     return total
+
+
+def _xi_common_denominator(n: int):
+    """The common denominator D of 1/a_lambda over lambda |- n, from the
+    factored a_lambda, and each lambda's cofactor D/a_lambda, as QPolynomials."""
+    max_e = 0
+    max_c = {}
+    data = []
+    for lam in partitions_of(n):
+        e, factors = a_lambda_factored(lam)
+        max_e = max(max_e, e)
+        for j, c in factors.items():
+            max_c[j] = max(max_c.get(j, 0), c)
+        data.append((lam, e, factors))
+    D = QPolynomial.q(1) ** max_e if max_e else QPolynomial.one()
+    for j, c in max_c.items():
+        D = D * QPolynomial({j: 1, 0: -1}) ** c
+    cofactors = []
+    for lam, e, factors in data:
+        cof = QPolynomial.q(1) ** (max_e - e) if max_e > e else QPolynomial.one()
+        for j, c in max_c.items():
+            extra = c - factors.get(j, 0)
+            if extra:
+                cof = cof * QPolynomial({j: 1, 0: -1}) ** extra
+        cofactors.append((lam, cof))
+    return D, cofactors
+
+
+def xi_identity_sides(n: int):
+    """Both sides of N (q^n - 1) = D, the xi identity over the common
+    denominator, as QPolynomials built by polynomial products: the symbolic
+    counterpart of hallalg.primitives.verify_xi_identity."""
+    D, cofactors = _xi_common_denominator(n)
+    N = QPolynomial.zero()
+    for lam, cof in cofactors:
+        N = N + jordan_primitive_coeff(lam) * cof
+    return N * QPolynomial({n: 1, 0: -1}), D
+
+
+def aut_sum_identity_sides(n: int):
+    """Both sides of N1 (q^n - 1) = n D and of N2 prod_{i<=n} (q^i - 1) =
+    D q^(n(n-1)/2), as QPolynomials: the symbolic counterpart of
+    hallalg.primitives.verify_aut_sum_identities."""
+    D, cofactors = _xi_common_denominator(n)
+    N1 = QPolynomial.zero()
+    N2 = QPolynomial.zero()
+    for lam, cof in cofactors:
+        coeff = jordan_primitive_coeff(lam)
+        N1 = N1 + coeff * coeff * cof
+        N2 = N2 + cof
+    denom = QPolynomial.one()
+    for i in range(1, n + 1):
+        denom = denom * QPolynomial({i: 1, 0: -1})
+    return ((N1 * QPolynomial({n: 1, 0: -1}), D * QPolynomial.const(n)),
+            (N2 * denom, D * QPolynomial.q(1) ** (n * (n - 1) // 2)))

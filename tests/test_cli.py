@@ -248,6 +248,33 @@ class TestVerify:
         code, _ = run_cli(["verify"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "central", "--r", "4", "--n", "1"],
+         "central runs one cell on --r, --n, --q together, or its criterion on none of them;"
+         " missing --q"),
+        (["verify", "kernel", "--n", "3"], "kernel runs one cell on --n, --q together"),
+        (["verify", "glsum", "--n", "3"], "glsum takes no --n"),
+        (["verify", "xi", "--q", "3"], "xi takes no --q"),
+        (["verify", "--all", "--n", "2"], "verify --all takes no --n"),
+        (["verify", "lemma-route", "--r", "2"], "lemma-route takes no --r"),
+    ], ids=["central", "kernel", "glsum", "xi", "all", "lemma-route"])
+    def test_partial_or_unused_parameters_exit_2_before_any_check(self, monkeypatch, capsys,
+                                                                  argv, message):
+        """Every check starts its clock in report.timed_report; with that
+        clock made to raise, a check that ran would exit 3."""
+        from types import SimpleNamespace
+
+        from hallalg import report
+
+        def started():
+            raise AssertionError("a check started")
+
+        monkeypatch.setattr(report, "time", SimpleNamespace(monotonic=started))
+        assert run_cli(["verify", "xi", "--n", "2"]) == (3, "")
+        capsys.readouterr()
+        assert run_cli(argv) == (2, "")
+        assert message in capsys.readouterr().err
+
 
 class TestElement:
     def test_cyclic_pnr_explicit(self):
@@ -604,6 +631,8 @@ class TestExitCodes:
         (["fourier", "--check", "a2", "--q", "11"],
          "cyclotomic prime 11 is outside 2..7, the cyclotomic prime cap"),
         (["verify", "xi", "--n", "31"], "partition size 31 is outside 0..30, the partition cap"),
+        (["verify", "autsum", "--n", "31"],
+         "partition size 31 is outside 0..30, the partition cap"),
     ])
     def test_cell_past_an_engine_cap_exits_2(self, argv, message, capsys):
         assert run_cli(argv) == (2, "")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hallalg import primitives
 from hallalg.coeffring import QPolynomial, v_power
 from hallalg.hallcore import (
     HallElement,
@@ -46,6 +47,7 @@ from hallalg.repengine import (
     kronecker_tube_class,
 )
 from hallalg.report import UsageError
+from reference_impl import aut_sum_identity_sides, xi_identity_sides
 
 
 class TestJordanFamily:
@@ -331,6 +333,9 @@ class TestKroneckerPrimitives:
 class TestIdentityVerifiers:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_xi_identity(self, n):
+        """The same verdict as the QPolynomial products of the reference."""
+        lhs, rhs = xi_identity_sides(n)
+        assert lhs == rhs
         assert verify_xi_identity(n).passed
 
     def test_xi_n2_by_hand(self):
@@ -343,7 +348,65 @@ class TestIdentityVerifiers:
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_aut_sum_identities(self, n):
+        """The same verdict as the QPolynomial products of the reference."""
+        assert all(lhs == rhs for lhs, rhs in aut_sum_identity_sides(n))
         assert verify_aut_sum_identities(n).passed
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_bound_covers_every_coefficient(self, n):
+        """B, from the factored terms alone, is at least every coefficient of
+        both sides and of their difference in the QPolynomial products, and
+        the terms are those polynomials (equal values at q = 2 and 4)."""
+        (sq_lhs, sq_rhs), (pl_lhs, pl_rhs) = aut_sum_identity_sides(n)
+        pairs = [(primitives._xi_terms(n), xi_identity_sides(n)),
+                 (primitives._aut_sum_terms(n)[0], (sq_lhs, sq_rhs)),
+                 (primitives._aut_sum_terms(n)[1], (pl_lhs, pl_rhs))]
+        for (lhs_terms, rhs_terms), (lhs, rhs) in pairs:
+            bound = primitives._l1_bound(lhs_terms + rhs_terms)
+            for poly in (lhs, rhs, lhs - rhs):
+                assert all(abs(c) <= bound for c in poly.coeffs.values())
+            for bits in (1, 2):
+                assert primitives._value_at(lhs_terms, bits) == lhs.evaluate(2 ** bits)
+                assert primitives._value_at(rhs_terms, bits) == rhs.evaluate(2 ** bits)
+
+    def test_unequal_sides_that_agree_at_a_small_point(self):
+        # q and 2 agree at q = 2; B = 3 puts the evaluation at q = 8
+        assert not primitives._sides_agree([(1, 1, [])], [(2, 0, [])])
+        # (q - 1)^2 = q^2 - 2q + 1
+        assert primitives._sides_agree([(1, 0, [1, 1])], [(1, 2, []), (-2, 1, []), (1, 0, [])])
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("drop", (0, -1), ids=("first", "last"))
+    def test_dropped_partition_fails_both(self, monkeypatch, n, drop):
+        def short(m):
+            out = partitions_of(m)
+            del out[drop]
+            return out
+
+        monkeypatch.setattr(primitives, "partitions_of", short)
+        assert not verify_xi_identity(n).passed
+        assert not verify_aut_sum_identities(n).passed
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_altered_jordan_coefficient_fails(self, monkeypatch, n):
+        """A sign flip of P_(n-1,1) fails xi; autsum reads only P^2, so a
+        dropped factor q - 1 of P_(n-1,1) fails it (and xi)."""
+        exact = primitives._jordan_coeff_factored
+        target = Partition((n - 1, 1))
+
+        def flipped(lam):
+            sign, factors = exact(lam)
+            return (-sign if lam == target else sign), factors
+
+        def shortened(lam):
+            sign, factors = exact(lam)
+            return sign, (factors[1:] if lam == target else factors)
+
+        monkeypatch.setattr(primitives, "_jordan_coeff_factored", flipped)
+        assert not verify_xi_identity(n).passed
+        monkeypatch.setattr(primitives, "_jordan_coeff_factored", shortened)
+        assert not verify_xi_identity(n).passed
+        assert not verify_aut_sum_identities(n).passed
 
     def test_aut_sum_n2_by_hand(self):
         # sum 1/a_lambda at n=2: 1/(q(q-1)) + 1/(q(q-1)(q^2-1)) = q/((q-1)(q^2-1))
