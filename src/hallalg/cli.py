@@ -425,6 +425,8 @@ def cmd_verify(args, out):
     fmt = args.format
     params = {"n": args.n, "r": args.r, "q": args.q}
     if args.all:
+        if args.check:
+            raise UsageError(f"verify --all takes no check name; got {args.check!r}")
         refuse_unused("verify --all", params, ())
         results = run_all()
         failed = 0
@@ -445,7 +447,7 @@ def cmd_verify(args, out):
     if runner is None:
         known = ", ".join(sorted(CHECK_RUNNERS))
         raise UsageError(f"unknown check {args.check!r}; known checks: {known}")
-    rep = runner(params)
+    rep = runner(args.check, params)
     _emit_report(rep, fmt, out)
     return 0 if rep.passed else 1
 

@@ -240,9 +240,10 @@ def run_all():
     return [(num, name, fn()) for num, name, fn in CRITERIA]
 
 
-# Individual check runners for the CLI (beyond whole criteria).  Each takes
-# the dict of verify's --r, --n and --q values, None where a flag is absent,
-# and refuses, before any work, a flag its check does not read.
+# Individual check runners for the CLI (beyond whole criteria).  Each is
+# called with the check's name and the dict of verify's --r, --n and --q
+# values, None where a flag is absent, and refuses, before any work, a flag
+# its check does not read.
 
 def _flags(names):
     return ", ".join(f"--{name}" for name in names)
@@ -255,19 +256,19 @@ def refuse_unused(check, args, names):
         raise UsageError(f"{check} takes no {_flags(unused)}")
 
 
-def _criterion_only(check, criterion):
-    def run(args):
+def _criterion_only(criterion):
+    def run(check, args):
         refuse_unused(check, args, ())
         return criterion()
 
     return run
 
 
-def _cell_or_criterion(check, cell, criterion, *names):
+def _cell_or_criterion(cell, criterion, *names):
     """Run cell on the named arguments when every one is given, the whole
     criterion when none is; a partial set is refused."""
 
-    def run(args):
+    def run(check, args):
         refuse_unused(check, args, names)
         missing = [name for name in names if args.get(name) is None]
         if not missing:
@@ -280,26 +281,24 @@ def _cell_or_criterion(check, cell, criterion, *names):
     return run
 
 
-def _run_lemma_route(args):
-    refuse_unused("lemma-route", args, ("n", "q"))
+def _run_lemma_route(check, args):
+    refuse_unused(check, args, ("n", "q"))
     n, q = args.get("n"), args.get("q")
     return verify_lemma62_route(1 if n is None else n, 2 if q is None else q)
 
 
 CHECK_RUNNERS = {
-    "alambda": _criterion_only("alambda", criterion_alambda),
-    "xi": _cell_or_criterion("xi", verify_xi_identity, criterion_xi, "n"),
-    "autsum": _cell_or_criterion("autsum", verify_aut_sum_identities, criterion_autsum, "n"),
-    "primitivity": _criterion_only("primitivity", criterion_primitivity),
-    "central": _cell_or_criterion("central", central_family_check, criterion_central,
-                                  "r", "n", "q"),
-    "pairing": _cell_or_criterion("pairing", verify_key_pairing, criterion_pairing,
-                                  "r", "n", "q"),
-    "explicit": _criterion_only("explicit", criterion_explicit),
-    "glsum": _criterion_only("glsum", criterion_glsum),
-    "fourier": _criterion_only("fourier", criterion_fourier),
-    "kernel": _cell_or_criterion("kernel", kernel_theorem_check, criterion_kernel, "n", "q"),
-    "basis": _cell_or_criterion("basis", difference_basis_check, criterion_basis, "n", "q"),
-    "bialgebra": _criterion_only("bialgebra", criterion_bialgebra),
+    "alambda": _criterion_only(criterion_alambda),
+    "xi": _cell_or_criterion(verify_xi_identity, criterion_xi, "n"),
+    "autsum": _cell_or_criterion(verify_aut_sum_identities, criterion_autsum, "n"),
+    "primitivity": _criterion_only(criterion_primitivity),
+    "central": _cell_or_criterion(central_family_check, criterion_central, "r", "n", "q"),
+    "pairing": _cell_or_criterion(verify_key_pairing, criterion_pairing, "r", "n", "q"),
+    "explicit": _criterion_only(criterion_explicit),
+    "glsum": _criterion_only(criterion_glsum),
+    "fourier": _criterion_only(criterion_fourier),
+    "kernel": _cell_or_criterion(kernel_theorem_check, criterion_kernel, "n", "q"),
+    "basis": _cell_or_criterion(difference_basis_check, criterion_basis, "n", "q"),
+    "bialgebra": _criterion_only(criterion_bialgebra),
     "lemma-route": _run_lemma_route,
 }

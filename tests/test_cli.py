@@ -257,7 +257,8 @@ class TestVerify:
         (["verify", "xi", "--q", "3"], "xi takes no --q"),
         (["verify", "--all", "--n", "2"], "verify --all takes no --n"),
         (["verify", "lemma-route", "--r", "2"], "lemma-route takes no --r"),
-    ], ids=["central", "kernel", "glsum", "xi", "all", "lemma-route"])
+        (["verify", "xi", "--all"], "verify --all takes no check name; got 'xi'"),
+    ], ids=["central", "kernel", "glsum", "xi", "all", "lemma-route", "all-and-check"])
     def test_partial_or_unused_parameters_exit_2_before_any_check(self, monkeypatch, capsys,
                                                                   argv, message):
         """Every check starts its clock in report.timed_report; with that
