@@ -17,17 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .fourier import (
-    a2_image_check,
-    a2_reversal,
-    check_homomorphism,
-    divided_power_check,
-    double_transform_check,
-    gl_character_sum,
-    kronecker_to_c2,
-    transform_primitive_check,
-    verify_lemma62_route,
-)
+from .fourier import gl_character_sum
 from .gf import FieldSpec, gl_order
 from .hallcore import primitive_subspace
 from .partitions import parse_partition
@@ -50,7 +40,7 @@ from .repengine import (
     parse_multisegment,
 )
 from .report import UsageError
-from .suite import CHECK_RUNNERS, refuse_unused, run_all
+from .suite import CHECK_RUNNERS, FOURIER_RUNNERS, refuse_unused, run_all
 
 CACHE_VERSION = f"hallalg-{__version__}-cache-2"
 # 128 + SIGPIPE: the status a shell gives a writer whose reader went away
@@ -137,6 +127,16 @@ def _parse_cyclic_class(text: str, r: int):
         return parse_multisegment(text, r)
     except ValueError as exc:
         raise UsageError(f"bad class {text!r}: {exc}") from exc
+
+
+def _cyclic_triple(args):
+    """The selector and the classes L, M, N of a hallnum or hallpoly
+    command, whose quiver must be cyclic nilpotent."""
+    selector = _parse_selector(args.quiver)
+    if selector[0] != "nil":
+        raise UsageError(f"{args.command} expects a cyclic nilpotent quiver (c1 or cr:<r>)")
+    return (selector, *(_parse_cyclic_class(text, selector[1])
+                        for text in (args.L, args.M, args.N)))
 
 
 def _get_engine(selector, q0):
@@ -307,13 +307,8 @@ def cmd_isoclasses(args, out):
 
 
 def cmd_hallnum(args, out):
-    selector = _parse_selector(args.quiver)
-    if selector[0] != "nil":
-        raise UsageError("hallnum expects a cyclic nilpotent quiver (c1 or cr:<r>)")
+    selector, L, M, N = _cyclic_triple(args)
     r = selector[1]
-    L = _parse_cyclic_class(args.L, r)
-    M = _parse_cyclic_class(args.M, r)
-    N = _parse_cyclic_class(args.N, r)
     if args.symbolic:
         poly = hall_polynomial(r, L, M, N)
         out.write(poly.render() + "\n" if args.format != "json" else
@@ -341,14 +336,8 @@ def cmd_hallnum(args, out):
 
 
 def cmd_hallpoly(args, out):
-    selector = _parse_selector(args.quiver)
-    if selector[0] != "nil":
-        raise UsageError("hallpoly expects a cyclic nilpotent quiver (c1 or cr:<r>)")
-    r = selector[1]
-    L = _parse_cyclic_class(args.L, r)
-    M = _parse_cyclic_class(args.M, r)
-    N = _parse_cyclic_class(args.N, r)
-    poly = hall_polynomial(r, L, M, N)
+    selector, L, M, N = _cyclic_triple(args)
+    poly = hall_polynomial(selector[1], L, M, N)
     if args.format == "json":
         out.write(json.dumps({"L": multisegment_str(L), "M": multisegment_str(M),
                               "N": multisegment_str(N),
@@ -453,30 +442,14 @@ def cmd_verify(args, out):
 
 
 def cmd_fourier(args, out):
-    check = args.check
-    q = args.q
-    if check == "a2":
-        rep = a2_image_check(q)
-    elif check == "hom":
-        pairs = [((a, b), (c, d)) for a in (0, 1) for b in (0, 1)
-                 for c in (0, 1) for d in (0, 1)]
-        spec = kronecker_to_c2() if args.pair == "k2c2" else a2_reversal()
-        rep = check_homomorphism(spec, q, pairs)
-    elif check == "glsum":
-        n = _positive(args.n, 1, "--n")
-        value = gl_character_sum(n, q)
-        out.write(json.dumps({"n": n, "q": q, "value": value.render()}) + "\n")
+    params = {"n": args.n, "q": args.q, "pair": args.pair}
+    if args.check == "glsum":
+        # the one check that prints a value, not a report
+        refuse_unused("glsum", params, ("n", "q"))
+        n, q = _positive(args.n, 1, "--n"), 2 if args.q is None else args.q
+        out.write(json.dumps({"n": n, "q": q, "value": gl_character_sum(n, q).render()}) + "\n")
         return 0
-    elif check == "divided":
-        rep = divided_power_check(_positive(args.n, 2, "--n"), q)
-    elif check == "lemma":
-        rep = verify_lemma62_route(_positive(args.n, 1, "--n"), q)
-    elif check == "double":
-        rep = double_transform_check(q)
-    elif check == "prim":
-        rep = transform_primitive_check(q)
-    else:
-        raise UsageError(f"unknown fourier check {check!r}")
+    rep = FOURIER_RUNNERS[args.check](args.check, params)
     _emit_report(rep, args.format, out)
     return 0 if rep.passed else 1
 
@@ -556,10 +529,9 @@ def build_parser():
     sp.set_defaults(fn="cmd_verify")
 
     sp = sub.add_parser("fourier", help="Fourier-transform checks")
-    sp.add_argument("--check", default="a2",
-                    choices=("a2", "hom", "glsum", "divided", "lemma", "double", "prim"))
-    sp.add_argument("--pair", default="k2c2", choices=("a2", "k2c2"))
-    sp.add_argument("--q", type=_parse_field_order, default=2)
+    sp.add_argument("--check", default="a2", choices=(*FOURIER_RUNNERS, "glsum"))
+    sp.add_argument("--pair", default=None, choices=("a2", "k2c2"))
+    sp.add_argument("--q", type=_parse_field_order, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.set_defaults(fn="cmd_fourier")

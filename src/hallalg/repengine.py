@@ -1462,14 +1462,6 @@ class BruteForceEngine:
             raise UsageError("the endomorphisms of the point exceed the point cap")
         return _count_units(self.field, basis, dims)
 
-    def hom_dim(self, c1: IsoClass, c2: IsoClass) -> int:
-        m1, d1 = self.rep_point(c1)
-        m2, d2 = self.rep_point(c2)
-        return len(_hom_space_basis(self.field, self.quiver, m1, d1, m2, d2))
-
-    def dim_end(self, c: IsoClass) -> int:
-        return self.hom_dim(c, c)
-
     # -- Hall numbers --------------------------------------------------------------
 
     def sub_table(self, c: IsoClass) -> dict:

@@ -13,6 +13,8 @@ from .fourier import (
     a2_image_check,
     a2_reversal,
     check_homomorphism,
+    divided_power_check,
+    double_transform_check,
     gl_character_sum,
     kronecker_to_c2,
     transform_primitive_check,
@@ -47,18 +49,21 @@ from .repengine import (
 )
 from .report import UsageError, VerificationReport, timed_report
 
-__all__ = ["CRITERIA", "run_all", "CHECK_RUNNERS", "refuse_unused"]
+__all__ = ["CRITERIA", "run_all", "CHECK_RUNNERS", "FOURIER_RUNNERS", "refuse_unused"]
 
 
-def _aggregate(name, params, reports):
-    bad = [r for r in reports if not r.passed]
-    status = "fail" if bad else "pass"
-    detail = "; ".join(f"{r.check}{r.params}" for r in bad)
-    elapsed = sum(r.elapsed_ms for r in reports)
-    return VerificationReport(name, params, status,
-                              lhs=f"{len(reports) - len(bad)} passed",
-                              rhs=f"{len(reports)} cells",
-                              elapsed_ms=elapsed, detail=detail)
+def _aggregate(name, params, cells):
+    """One report for a criterion's cells: cells() runs them and returns
+    their reports under the criterion's own clock, so the criterion's time
+    is the whole run, not a sum of the cells' truncated milliseconds."""
+
+    def run():
+        reports = cells()
+        bad = [r for r in reports if not r.passed]
+        return (not bad, f"{len(reports) - len(bad)} passed", f"{len(reports)} cells",
+                "; ".join(f"{r.check}{r.params}" for r in bad))
+
+    return timed_report(name, params, run)
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -71,7 +76,7 @@ def criterion_alambda() -> VerificationReport:
 
     def run():
         for q in (2, 3):
-            engine = get_brute_engine(jordan_quiver(), q, nilpotent=True)
+            engine = get_brute_engine(jordan_quiver(), q)
             for n in range(1, 5):
                 for lam in partitions_of(n):
                     formula = a_lambda(lam, q)
@@ -88,12 +93,12 @@ def criterion_alambda() -> VerificationReport:
 
 def criterion_xi() -> VerificationReport:
     return _aggregate("xi", {"n": "1..12"},
-                      [verify_xi_identity(n) for n in range(1, 13)])
+                      lambda: [verify_xi_identity(n) for n in range(1, 13)])
 
 
 def criterion_autsum() -> VerificationReport:
     return _aggregate("autsum", {"n": "1..10"},
-                      [verify_aut_sum_identities(n) for n in range(1, 11)])
+                      lambda: [verify_aut_sum_identities(n) for n in range(1, 11)])
 
 
 # -- criterion 4 -------------------------------------------------------------
@@ -126,15 +131,15 @@ def criterion_primitivity() -> VerificationReport:
 # -- criteria 5, 6, 7 ---------------------------------------------------------
 
 def criterion_central() -> VerificationReport:
-    reports = [central_family_check(r, n, q)
-               for r in (2, 3) for n in (1, 2) for q in (2, 3)]
-    return _aggregate("central", {"r": "2,3", "n": "1,2", "q": "2,3"}, reports)
+    return _aggregate("central", {"r": "2,3", "n": "1,2", "q": "2,3"},
+                      lambda: [central_family_check(r, n, q)
+                               for r in (2, 3) for n in (1, 2) for q in (2, 3)])
 
 
 def criterion_pairing() -> VerificationReport:
-    reports = [verify_key_pairing(r, n, q)
-               for r in (1, 2, 3) for n in (1, 2) for q in (2, 3)]
-    return _aggregate("pairing", {"r": "1..3", "n": "1,2", "q": "2,3"}, reports)
+    return _aggregate("pairing", {"r": "1..3", "n": "1,2", "q": "2,3"},
+                      lambda: [verify_key_pairing(r, n, q)
+                               for r in (1, 2, 3) for n in (1, 2) for q in (2, 3)])
 
 
 def criterion_explicit() -> VerificationReport:
@@ -179,14 +184,19 @@ def _unit_box_pairs():
     return [(d1, d2) for d1 in grades for d2 in grades]
 
 
+_REVERSALS = {"a2": a2_reversal, "k2c2": kronecker_to_c2}
+
+
+def _homomorphism_check(pair, q) -> VerificationReport:
+    """The transform of the named reversal pair on the grades (a, b), a, b <= 1."""
+    return check_homomorphism(_REVERSALS[pair](), q, _unit_box_pairs())
+
+
 def criterion_fourier() -> VerificationReport:
-    reports = []
-    for q in (2, 3):
-        reports.append(a2_image_check(q))
-        reports.append(check_homomorphism(a2_reversal(), q, _unit_box_pairs()))
-        reports.append(check_homomorphism(kronecker_to_c2(), q, _unit_box_pairs()))
-        reports.append(transform_primitive_check(q))
-    return _aggregate("fourier", {"q": "2,3"}, reports)
+    return _aggregate("fourier", {"q": "2,3"}, lambda: [
+        rep for q in (2, 3)
+        for rep in (a2_image_check(q), _homomorphism_check("a2", q),
+                    _homomorphism_check("k2c2", q), transform_primitive_check(q))])
 
 
 # -- criteria 10 and 11 ----------------------------------------------------------
@@ -195,26 +205,25 @@ _KRON_RANGE = ((1, 2), (1, 3), (2, 2))
 
 
 def criterion_kernel() -> VerificationReport:
-    reports = [kernel_theorem_check(n, q) for n, q in _KRON_RANGE]
-    return _aggregate("kernel", {"cells": str(_KRON_RANGE)}, reports)
+    return _aggregate("kernel", {"cells": str(_KRON_RANGE)},
+                      lambda: [kernel_theorem_check(n, q) for n, q in _KRON_RANGE])
 
 
 def criterion_basis() -> VerificationReport:
-    reports = [difference_basis_check(n, q) for n, q in _KRON_RANGE]
-    return _aggregate("basis", {"cells": str(_KRON_RANGE)}, reports)
+    return _aggregate("basis", {"cells": str(_KRON_RANGE)},
+                      lambda: [difference_basis_check(n, q) for n, q in _KRON_RANGE])
 
 
 # -- criterion 12 -----------------------------------------------------------------
 
 def criterion_bialgebra() -> VerificationReport:
-    reports = []
-    engines = [get_nilpotent_engine(1, 2), get_nilpotent_engine(2, 2),
-               get_brute_engine(kronecker_quiver(), 2)]
-    for engine in engines:
-        reports.append(associativity_check(engine, 5))
-        reports.append(coassociativity_check(engine, 5))
-        reports.append(adjointness_check(engine, 5))
-    return _aggregate("bialgebra", {"bound": 5, "q": 2}, reports)
+    def cells():
+        engines = [get_nilpotent_engine(1, 2), get_nilpotent_engine(2, 2),
+                   get_brute_engine(kronecker_quiver(), 2)]
+        return [check(engine, 5) for engine in engines
+                for check in (associativity_check, coassociativity_check, adjointness_check)]
+
+    return _aggregate("bialgebra", {"bound": 5, "q": 2}, cells)
 
 
 # -- registry ----------------------------------------------------------------------
@@ -240,10 +249,11 @@ def run_all():
     return [(num, name, fn()) for num, name, fn in CRITERIA]
 
 
-# Individual check runners for the CLI (beyond whole criteria).  Each is
-# called with the check's name and the dict of verify's --r, --n and --q
-# values, None where a flag is absent, and refuses, before any work, a flag
-# its check does not read.
+# Check runners for the CLI, beyond whole criteria: CHECK_RUNNERS for
+# `verify`, FOURIER_RUNNERS for `fourier`'s report checks.  Each is called
+# with the check's name and the dict of its command's flag values, None
+# where a flag is absent, and refuses, before any work, a flag its check
+# does not read.
 
 def _flags(names):
     return ", ".join(f"--{name}" for name in names)
@@ -256,49 +266,47 @@ def refuse_unused(check, args, names):
         raise UsageError(f"{check} takes no {_flags(unused)}")
 
 
-def _criterion_only(criterion):
-    def run(check, args):
-        refuse_unused(check, args, ())
-        return criterion()
-
-    return run
-
-
-def _cell_or_criterion(cell, criterion, *names):
-    """Run cell on the named arguments when every one is given, the whole
-    criterion when none is; a partial set is refused."""
+def _runner(cell, *flags, criterion=None, **defaults):
+    """A runner of cell(*flags): it refuses a flag the check does not read,
+    runs criterion, when there is one, if no flag is set, gives an absent
+    flag its default, and refuses an absent flag that has none."""
 
     def run(check, args):
-        refuse_unused(check, args, names)
-        missing = [name for name in names if args.get(name) is None]
-        if not missing:
-            return cell(*(args[name] for name in names))
-        if len(missing) == len(names):
+        refuse_unused(check, args, flags)
+        given = {name: args[name] for name in flags if args.get(name) is not None}
+        if criterion is not None and not given:
             return criterion()
-        raise UsageError(f"{check} runs one cell on {_flags(names)} together, "
-                         f"or its criterion on none of them; missing {_flags(missing)}")
+        values = {**defaults, **given}
+        missing = [name for name in flags if name not in values]
+        if missing:
+            raise UsageError(f"{check} runs one cell on {_flags(flags)} together, "
+                             f"or its criterion on none of them; missing {_flags(missing)}")
+        return cell(*(values[name] for name in flags))
 
     return run
-
-
-def _run_lemma_route(check, args):
-    refuse_unused(check, args, ("n", "q"))
-    n, q = args.get("n"), args.get("q")
-    return verify_lemma62_route(1 if n is None else n, 2 if q is None else q)
 
 
 CHECK_RUNNERS = {
-    "alambda": _criterion_only(criterion_alambda),
-    "xi": _cell_or_criterion(verify_xi_identity, criterion_xi, "n"),
-    "autsum": _cell_or_criterion(verify_aut_sum_identities, criterion_autsum, "n"),
-    "primitivity": _criterion_only(criterion_primitivity),
-    "central": _cell_or_criterion(central_family_check, criterion_central, "r", "n", "q"),
-    "pairing": _cell_or_criterion(verify_key_pairing, criterion_pairing, "r", "n", "q"),
-    "explicit": _criterion_only(criterion_explicit),
-    "glsum": _criterion_only(criterion_glsum),
-    "fourier": _criterion_only(criterion_fourier),
-    "kernel": _cell_or_criterion(kernel_theorem_check, criterion_kernel, "n", "q"),
-    "basis": _cell_or_criterion(difference_basis_check, criterion_basis, "n", "q"),
-    "bialgebra": _criterion_only(criterion_bialgebra),
-    "lemma-route": _run_lemma_route,
+    "alambda": _runner(criterion_alambda),
+    "xi": _runner(verify_xi_identity, "n", criterion=criterion_xi),
+    "autsum": _runner(verify_aut_sum_identities, "n", criterion=criterion_autsum),
+    "primitivity": _runner(criterion_primitivity),
+    "central": _runner(central_family_check, "r", "n", "q", criterion=criterion_central),
+    "pairing": _runner(verify_key_pairing, "r", "n", "q", criterion=criterion_pairing),
+    "explicit": _runner(criterion_explicit),
+    "glsum": _runner(criterion_glsum),
+    "fourier": _runner(criterion_fourier),
+    "kernel": _runner(kernel_theorem_check, "n", "q", criterion=criterion_kernel),
+    "basis": _runner(difference_basis_check, "n", "q", criterion=criterion_basis),
+    "bialgebra": _runner(criterion_bialgebra),
+    "lemma-route": _runner(verify_lemma62_route, "n", "q", n=1, q=2),
+}
+
+FOURIER_RUNNERS = {
+    "a2": _runner(a2_image_check, "q", q=2),
+    "hom": _runner(_homomorphism_check, "pair", "q", pair="k2c2", q=2),
+    "divided": _runner(divided_power_check, "n", "q", n=2, q=2),
+    "lemma": CHECK_RUNNERS["lemma-route"],
+    "double": _runner(double_transform_check, "q", q=2),
+    "prim": _runner(transform_primitive_check, "q", q=2),
 }

@@ -57,8 +57,8 @@ def hom_dim_segments_sum(r: int, seg1, seg2) -> int:
 
 
 def hom_dim_solve(engine, c1, c2) -> int:
-    """dim Hom(c1, c2) on a nilpotent engine by solving the intertwining
-    system on the two classes' points."""
+    """dim Hom(c1, c2) on an engine by solving the intertwining system on
+    the two classes' points."""
     m1, d1 = engine.rep_point(c1)
     m2, d2 = engine.rep_point(c2)
     return len(_hom_space_basis(engine.field, engine.quiver, m1, d1, m2, d2))

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -345,6 +346,61 @@ class TestFourierCommand:
         code, out = run_cli(["fourier", "--check", "glsum", "--n", "2", "--q", "3"])
         assert code == 0
         assert json.loads(out)["value"] == "3"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--check", "a2", "--n", "3"], "a2 takes no --n"),
+        (["--check", "a2", "--pair", "k2c2"], "a2 takes no --pair"),
+        (["--check", "hom", "--n", "1"], "hom takes no --n"),
+        (["--check", "glsum", "--pair", "a2"], "glsum takes no --pair"),
+        (["--check", "divided", "--n", "2", "--pair", "a2"], "divided takes no --pair"),
+        (["--check", "lemma", "--pair", "k2c2"], "lemma takes no --pair"),
+        (["--check", "double", "--n", "2"], "double takes no --n"),
+        (["--check", "prim", "--q", "3", "--pair", "a2"], "prim takes no --pair"),
+        (["--n", "2"], "a2 takes no --n"),
+    ], ids=["a2-n", "a2-pair", "hom", "glsum", "divided", "lemma", "double", "prim",
+            "default-check"])
+    def test_unread_flag_exits_2_before_any_check(self, monkeypatch, capsys, argv, message):
+        """As for verify: report checks start their clock in
+        report.timed_report, and glsum calls gl_character_sum; with both
+        made to raise, a check that ran would exit 3."""
+        from types import SimpleNamespace
+
+        from hallalg import cli, report
+
+        def started(*args):
+            raise AssertionError("a check started")
+
+        monkeypatch.setattr(report, "time", SimpleNamespace(monotonic=started))
+        monkeypatch.setattr(cli, "gl_character_sum", started)
+        assert run_cli(["fourier", "--check", "prim"]) == (3, "")
+        assert run_cli(["fourier", "--check", "glsum"]) == (3, "")
+        capsys.readouterr()
+        assert run_cli(["fourier", *argv]) == (2, "")
+        assert message in capsys.readouterr().err
+
+    @staticmethod
+    def _masked(argv):
+        code, out = run_cli(argv)
+        return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": X', out)
+
+    @pytest.mark.parametrize("flags", [[], ["--n", "1", "--q", "2"], ["--n", "2", "--q", "3"],
+                                       ["--q", "3"], ["--n", "2"]])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_lemma_is_verify_lemma_route(self, flags, fmt):
+        from hallalg.suite import CHECK_RUNNERS, FOURIER_RUNNERS
+
+        assert FOURIER_RUNNERS["lemma"] is CHECK_RUNNERS["lemma-route"]
+        fourier = self._masked(["fourier", "--check", "lemma", *flags, "--format", fmt])
+        assert fourier[0] == 0
+        assert fourier == self._masked(["verify", "lemma-route", *flags, "--format", fmt])
+
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_hom_pair_defaults_to_k2c2(self, q):
+        argv = ["fourier", "--check", "hom", "--q", q, "--format", "json"]
+        absent = self._masked(argv)
+        assert absent[0] == 0 and '"source": "K2"' in absent[1]
+        assert absent == self._masked(argv + ["--pair", "k2c2"])
+        assert absent != self._masked(argv + ["--pair", "a2"])
 
 
 class TestCache:

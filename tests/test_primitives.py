@@ -47,7 +47,7 @@ from hallalg.repengine import (
     kronecker_tube_class,
 )
 from hallalg.report import UsageError
-from reference_impl import aut_sum_identity_sides, xi_identity_sides
+from reference_impl import aut_sum_identity_sides, hom_dim_solve, xi_identity_sides
 
 
 class TestJordanFamily:
@@ -257,13 +257,13 @@ class TestTubesFromPoints:
         engine = get_brute_engine(kronecker_quiver(), q0)
         for tube in kronecker_tubes(engine, n):
             cls = tube.classes[(n // tube.degree,)]
-            assert _is_power_of(q0, q0 ** engine.dim_end(cls) - engine.aut_order(cls))
+            assert _is_power_of(q0, q0 ** hom_dim_solve(engine, cls, cls) - engine.aut_order(cls))
 
     def test_split_module_fails_the_local_test(self):
         # End(I_(1,1)(0)) is the matrix ring M_2(F_2): 2^4 - 6 = 10
         engine = get_brute_engine(kronecker_quiver(), 2)
         cls = kronecker_tube(engine, (0, 1), 2).classes[(1, 1)]
-        assert not _is_power_of(2, 2 ** engine.dim_end(cls) - engine.aut_order(cls))
+        assert not _is_power_of(2, 2 ** hom_dim_solve(engine, cls, cls) - engine.aut_order(cls))
 
 
 class TestKroneckerPrimitives:
