@@ -96,7 +96,7 @@ def _positive(value, default: int, flag: str) -> int:
     if value is None:
         return default
     if value < 1:
-        raise UsageError(f"{flag} must be positive")
+        raise UsageError(f"need {flag.lstrip('-')} >= 1")
     return value
 
 
@@ -447,7 +447,9 @@ def cmd_fourier(args, out):
         # the one check that prints a value, not a report
         refuse_unused("glsum", params, ("n", "q"))
         n, q = _positive(args.n, 1, "--n"), 2 if args.q is None else args.q
-        out.write(json.dumps({"n": n, "q": q, "value": gl_character_sum(n, q).render()}) + "\n")
+        value = gl_character_sum(n, q).render()
+        out.write(json.dumps({"n": n, "q": q, "value": value}) + "\n" if args.format == "json"
+                  else f"{value}\n")
         return 0
     rep = FOURIER_RUNNERS[args.check](args.check, params)
     _emit_report(rep, args.format, out)

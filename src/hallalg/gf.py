@@ -348,28 +348,30 @@ def gl_order(q: int, n: int) -> int:
 
 
 def gl_generators(F: FieldSpec, n: int):
-    """A small generating set for GL_n(F_q); each generator differs from
-    the identity in exactly one entry.
+    """At most three generators of GL_n(F_q), q = p^e.
 
-    The adjacent transvections I + a*E_{i,i+1} and I + a*E_{i+1,i}, with a
-    running over the F_p-basis 1, x, ..., x^(e-1) of F_q (codes p^k), give
-    every adjacent E_{i,i+-1}(b) additively, and the commutators
-    [E_{ij}(a), E_{jk}(b)] = E_{ik}(ab) give the other elementary
-    matrices, so they generate SL_n(F_q).  For q > 2 the torus element
-    diag(g, 1, ..., 1), g a generator of F_q^*, adds the determinant.
+    For n >= 2 they are the transvection I + E_01 and the signed n-cycle C
+    (e_j -> e_{j+1}, e_{n-1} -> (-1)^(n-1) e_0), which generate SL_n(Z)
+    and so, reduced mod p, SL_n(F_p).  For q > 2 the torus element t =
+    diag(g, 1, ..., 1), g a generator of F_q^*, follows.  t^k (I + E_01)
+    t^-k = I + g^k E_01, and products of these give I + a E_01 for every
+    a in F_q.  The signed permutation matrices of SL_n(F_p) conjugate
+    those onto every position, so all the transvections, which generate
+    SL_n(F_q), are reached, and t adds the determinant.  For n = 1 only t
+    is left (none for q = 2); for n = 0 there is none.
     """
     gens = []
+    if n >= 2:
+        transvection = [list(row) for row in mat_identity(n)]
+        transvection[0][1] = 1
+        cycle = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+        cycle[0][n - 1] = 1 if n % 2 else F.sub(0, 1)
+        gens += [transvection, cycle]
     if n and F.q > 2:
-        diag = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        diag[0][0] = F.multiplicative_generator()
-        gens.append(tuple(tuple(r) for r in diag))
-    for i in range(n - 1):
-        for k in range(F.e):
-            for r, c in ((i, i + 1), (i + 1, i)):
-                t = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-                t[r][c] = F.p ** k
-                gens.append(tuple(tuple(row) for row in t))
-    return gens
+        torus = [list(row) for row in mat_identity(n)]
+        torus[0][0] = F.multiplicative_generator()
+        gens.append(torus)
+    return [tuple(map(tuple, g)) for g in gens]
 
 
 def subspaces(F: FieldSpec, n: int, k: int):

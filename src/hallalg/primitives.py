@@ -252,10 +252,12 @@ def tube_primitive(engine: BruteForceEngine, tube: KroneckerTube, m: int) -> Hal
 #
 # Each side of the xi and autsum identities is a sum of terms
 # c * q^k * prod_{j in js} (q^j - 1), held as (c, k, js) with js a list of
-# exponents that may repeat.  Two sides are compared as integers at
-# q = X = 2^b.  The L1 norm of a term is at most |c| * 2^len(js), since
-# ||q^j - 1||_1 = 2 and ||fg||_1 <= ||f||_1 ||g||_1, so B, the sum of
-# these over both sides, bounds every coefficient of lhs - rhs.  With
+# exponents that may repeat.  The coefficient c is an int or itself a
+# list of terms, so a factor common to a whole sum is applied once to
+# it.  Two sides are compared as integers at q = X = 2^b.  The L1 norm
+# of a term is at most ||c||_1 * 2^len(js), since ||q^j - 1||_1 = 2 and
+# ||fg||_1 <= ||f||_1 ||g||_1, so B, the sum of these over both sides,
+# bounds every coefficient of lhs - rhs.  With
 # X > 2B, a nonzero integer polynomial whose coefficients all lie below
 # X/2 in absolute value does not vanish at X (its leading term outweighs
 # the rest), so lhs(X) == rhs(X) proves lhs == rhs in Z[q].
@@ -286,28 +288,30 @@ def _partition_sum_data(n: int):
 def _xi_terms(n: int):
     """Both sides of N (q^n - 1) = D, N = sum_lambda prod(1 - q^s) D / a_lambda."""
     E, D, cofactors = _partition_sum_data(n)
-    lhs = []
+    N = []
     for lam, k, js in cofactors:
         sign, coeff = _jordan_coeff_factored(lam)
-        lhs.append((sign, k, js + coeff + [n]))
-    return lhs, [(1, E, D)]
+        N.append((sign, k, js + coeff))
+    return [(N, 0, [n])], [(1, E, D)]
 
 
 def _aut_sum_terms(n: int):
     """Both sides of N1 (q^n - 1) = n D, N1 = sum_lambda prod(1 - q^s)^2 D / a_lambda,
     and of N2 prod_{i<=n} (q^i - 1) = D q^(n(n-1)/2), N2 = sum_lambda D / a_lambda."""
     E, D, cofactors = _partition_sum_data(n)
-    squared, plain = [], []
+    N1, N2 = [], []
     for lam, k, js in cofactors:
         _, coeff = _jordan_coeff_factored(lam)
-        squared.append((1, k, js + coeff + coeff + [n]))
-        plain.append((1, k, js + list(range(1, n + 1))))
-    return (squared, [(n, E, D)]), (plain, [(1, E + n * (n - 1) // 2, D)])
+        N1.append((1, k, js + coeff + coeff))
+        N2.append((1, k, js))
+    return (([(N1, 0, [n])], [(n, E, D)]),
+            ([(N2, 0, list(range(1, n + 1)))], [(1, E + n * (n - 1) // 2, D)]))
 
 
 def _l1_bound(terms) -> int:
     """An upper bound on the L1 norm of the sum of the terms."""
-    return sum(abs(c) << len(js) for c, _, js in terms)
+    return sum((_l1_bound(c) if isinstance(c, list) else abs(c)) << len(js)
+               for c, _, js in terms)
 
 
 def _value_at(terms, bits: int) -> int:
@@ -315,7 +319,7 @@ def _value_at(terms, bits: int) -> int:
     shift and a subtraction."""
     total = 0
     for c, k, js in terms:
-        value = c << (k * bits)
+        value = (_value_at(c, bits) if isinstance(c, list) else c) << (k * bits)
         for j in sorted(js):
             value = (value << (j * bits)) - value
         total += value

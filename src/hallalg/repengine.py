@@ -19,7 +19,7 @@ Dimension vectors are plain tuples.  All computations are exact.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from itertools import accumulate, chain, combinations, product
 from operator import add as plus, xor
 
@@ -792,12 +792,16 @@ class NilpotentCyclicEngine:
     (_nilpotent_walk), which names subs and quotients by rank tables,
     memoized once per engine.
 
-    The rotation rho: i -> i + 1 of C_r is a quiver automorphism, so
-    F^{rho L}_{rho M, rho N} = F^L_{M,N}.  Only the canonical class of a
-    rotation orbit, the least key among the r rotations of its segments,
-    is walked; any other class's table is the canonical table with both
-    keys of every entry rotated back.  Rotated keys are memoized per
-    shift and shared between tables, one tuple per key.
+    The dihedral group of order 2r acts on classes.  The rotation rho:
+    i -> i + 1 of C_r is a quiver automorphism, so F^{rho L}_{rho M, rho N}
+    = F^L_{M,N}.  Duality followed by i -> -i, which turns the opposite
+    quiver back into C_r, sends the segment (i, l) to (-(i + l - 1), l),
+    its socle becoming its top, and F^{DL}_{DN, DM} = F^L_{M,N}.  Only the
+    canonical class of an orbit, the least key among its 2r images, is
+    walked; any other class's table is the canonical table with both keys
+    of every entry mapped back, and swapped by a reflection.  Image keys
+    are memoized per group element and shared between tables, one tuple
+    per key.
     """
 
     def __init__(self, r: int, q0: int):
@@ -811,9 +815,9 @@ class NilpotentCyclicEngine:
         self._classes = {}
         self._subtables = {}
         self._rank_classes = {}
-        # shift k -> {key: key rotated by k}; values are shared via _rotated_keys
-        self._rotations = [{} for _ in range(r)]
-        self._rotated_keys = {}
+        # g -> {key: its image under g (see _image)}; values are shared via _shared_keys
+        self._key_images = [{} for _ in range(2 * r)]
+        self._shared_keys = {}
         self._aut = {}
         # basis products and coproducts, filled by hallcore
         self._products = {}
@@ -923,30 +927,42 @@ class NilpotentCyclicEngine:
 
     # -- Hall numbers ----------------------------------------------------------
 
-    def _rotate(self, key, k: int) -> tuple:
-        """key with every segment (i, l) moved to ((i + k) mod r, l)."""
-        memo = self._rotations[k]
+    def _image(self, key, g: int) -> tuple:
+        """key under the dihedral element g: for g < r the rotation i -> i + g,
+        which moves the segment (i, l) to (i + g, l); for g >= r the
+        reflection i -> g - r - i, which moves it to (g - r - (i + l - 1), l)."""
+        memo = self._key_images[g]
         out = memo.get(key)
         if out is None:
-            out = tuple(sorted((((i + k) % self.r, l), m) for (i, l), m in key))
-            out = memo[key] = self._rotated_keys.setdefault(out, out)
+            r = self.r
+            if g < r:
+                out = tuple(sorted((((i + g) % r, l), m) for (i, l), m in key))
+            else:
+                out = tuple(sorted((((g - i - l + 1) % r, l), m) for (i, l), m in key))
+            out = memo[key] = self._shared_keys.setdefault(out, out)
         return out
 
     def sub_table(self, c: IsoClass) -> dict:
         """All Hall numbers F^c_{quot, sub} by exact submodule enumeration,
-        walked once per rotation orbit and relabelled for the rest."""
+        walked once per dihedral orbit and relabelled for the rest."""
         if c.key in self._subtables:
             return self._subtables[c.key]
         r = self.r
-        canonical, k = c.key, 0
-        for shift in range(1, r):
-            rotated = self._rotate(c.key, shift)
-            if rotated < canonical:
-                canonical, k = rotated, shift
-        if k:
+        canonical, g = c.key, 0
+        for h in range(1, 2 * r if r > 1 else 1):
+            image = self._image(c.key, h)
+            if image < canonical:
+                canonical, g = image, h
+        if g:
+            # c is the image of the canonical class under g^-1: a rotation
+            # by r - g, or the reflection g itself
             walked = self.sub_table(self.class_from_key(canonical))
-            back = partial(self._rotate, k=r - k)
-            table = {(back(M), back(N)): n for (M, N), n in walked.items()}
+            if g < r:
+                back = partial(self._image, g=r - g)
+                table = {(back(M), back(N)): n for (M, N), n in walked.items()}
+            else:
+                back = partial(self._image, g=g)
+                table = {(back(N), back(M)): n for (M, N), n in walked.items()}
             self._subtables[c.key] = table
             return table
         mats, dims = self.rep_point(c)
@@ -1068,6 +1084,12 @@ class BruteForceEngine:
     representatives and indices are deterministic.  With the nilpotent
     restriction the closure starts only from the nilpotent patterns'
     points (see _nilpotent_patterns), not from the whole variety.
+
+    On K2 the submodule tables are shared between classes by the
+    symmetries of _symmetries: only the canonical class of an orbit, its
+    least (grade, key), is walked, and any other class's table is the
+    canonical table with its keys carried along the generator word that
+    leads from the canonical class to it.
     """
 
     def __init__(self, quiver: Quiver, q0: int, nilpotent: bool = False):
@@ -1087,6 +1109,9 @@ class BruteForceEngine:
         self._gl_cache = {}
         self._subtables = {}
         self._point_classes = {}
+        # symmetry j -> {class key: its image}; class key -> (canonical key, word)
+        self._class_images = {}
+        self._canonical = {}
         # basis products and coproducts, filled by hallcore
         self._products = {}
         self._coproducts = {}
@@ -1259,19 +1284,22 @@ class BruteForceEngine:
         """What each of gf.gl_generators(F, n) does to unit matrices.
 
         One pair (down, across) per generator g: the columns of g and the
-        rows of g^-1 that are not unit vectors, as {index: ((index', entry),
-        ...)}.  Only these move a unit E_rc under X -> g X or X -> X g^-1.
+        rows of g^-1 that are not unit vectors, each as {index: ((index',
+        entry), ...)} over its nonzero entries.  Only these move a unit
+        E_rc under X -> g X or X -> X g^-1.
         """
         if n not in self._gl_cache:
-            _, sub, _, inv = self.field.tables
+            F = self.field
             moves = []
-            for g in gf.gl_generators(self.field, n):
-                k, l = next((k, l) for k in range(n) for l in range(n) if g[k][l] != (k == l))
-                v = g[k][l]
-                if k == l:  # diag(v) at k: column k of g, row k of g^-1
-                    moves.append(({k: ((k, v),)}, {k: ((k, inv[v]),)}))
-                else:  # I + v E_kl: column l of g, row k of g^-1
-                    moves.append(({l: ((l, 1), (k, v))}, {k: ((k, 1), (l, sub[0][v]))}))
+            for g in gf.gl_generators(F, n):
+                rows, _ = gf.rref([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(g)], n, F.inv, F.mul, F.sub)
+                inverse = [row[n:] for row in rows]
+                columns = list(zip(*g))
+                moves.append(tuple({k: tuple((j, x) for j, x in enumerate(line) if x)
+                                    for k, line in enumerate(lines)
+                                    if any(x != (j == k) for j, x in enumerate(line))}
+                                   for lines in (columns, inverse)))
             self._gl_cache[n] = moves
         return self._gl_cache[n]
 
@@ -1464,10 +1492,80 @@ class BruteForceEngine:
 
     # -- Hall numbers --------------------------------------------------------------
 
+    @cached_property
+    def _symmetries(self):
+        """Generators of a group of symmetries of the classes that keeps
+        Hall numbers: on K2 the matrices of gf.gl_generators(F, 2), then
+        None for D; elsewhere none.
+
+        [[a, b], [c, e]] changes the basis of the arrow space, (A, B) ->
+        (aA + bB, cA + eB).  That is an automorphism of the path algebra,
+        so F^{gL}_{gM, gN} = F^L_{M,N}, and it keeps grades; scalars fix
+        every class, so the group acting is PGL_2(F_q).  D transposes both
+        matrices and swaps the vertices: duality followed by the
+        isomorphism of the opposite quiver with K2.  It sends grade (a, b)
+        to (b, a), and F^{DL}_{DN, DM} = F^L_{M,N}.
+        """
+        if self.quiver != kronecker_quiver():
+            return ()
+        return (*gf.gl_generators(self.field, 2), None)
+
+    def _class_image(self, key, j):
+        """The key (grade, index) of the image of class `key` under symmetry
+        j: its representative moved, packed, and read off orbit_of at the
+        image grade.  Memoized per symmetry."""
+        memo = self._class_images.setdefault(j, {})
+        out = memo.get(key)
+        if out is None:
+            d, idx = key
+            A, B = self.grade_data(d).reps[idx]
+            g = self._symmetries[j]
+            if g is None:
+                image = tuple(tuple(tuple(row[k] for row in X) for k in range(d[0]))
+                              for X in (A, B))
+                d = (d[1], d[0])
+            else:
+                add, _, mul, _ = self.field.tables
+                image = tuple(tuple(tuple(add[mul[a][x]][mul[b][y]] for x, y in zip(u, v))
+                                    for u, v in zip(A, B))
+                              for a, b in g)
+            out = memo[key] = (d, self.grade_data(d).orbit_of[self._pack(image, d)])
+        return out
+
+    def _words(self, start):
+        """{key: word} over the orbit of class `start`: a shortest tuple of
+        symmetries that, applied first to last, carries start to key."""
+        words = {start: ()}
+        queue = [start]
+        for x in queue:
+            for j in range(len(self._symmetries)):
+                y = self._class_image(x, j)
+                if y not in words:
+                    words[y] = words[x] + (j,)
+                    queue.append(y)
+        return words
+
     def sub_table(self, c: IsoClass) -> dict:
+        """All Hall numbers F^c_{quot, sub} by exact submodule enumeration,
+        walked once per symmetry orbit and carried over for the rest."""
         key = (c.grade, c.key)
         if key in self._subtables:
             return self._subtables[key]
+        if self._symmetries and key not in self._canonical:
+            words = self._words(key)
+            least = min(words)
+            for x, word in (words if least == key else self._words(least)).items():
+                self._canonical[x] = (least, word)
+        least, word = self._canonical.get(key, (key, ()))
+        if word:
+            walked = self.sub_table(self.class_from_key(least))
+            moved = {k: reduce(self._class_image, word, k) for k in set(chain(*walked))}
+            if sum(self._symmetries[j] is None for j in word) % 2:  # an odd number of D
+                table = {(moved[N], moved[M]): n for (M, N), n in walked.items()}
+            else:
+                table = {(moved[M], moved[N]): n for (M, N), n in walked.items()}
+            self._subtables[key] = table
+            return table
         mats, dims = self.rep_point(c)
         table = _submodule_table(
             self.field, self.quiver, mats, dims, self._point_classes,

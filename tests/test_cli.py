@@ -343,9 +343,14 @@ class TestFourierCommand:
         assert json.loads(out)["status"] == "pass"
 
     def test_glsum(self):
-        code, out = run_cli(["fourier", "--check", "glsum", "--n", "2", "--q", "3"])
+        code, out = run_cli(["fourier", "--check", "glsum", "--n", "2", "--q", "3",
+                             "--format", "json"])
         assert code == 0
         assert json.loads(out)["value"] == "3"
+
+    def test_glsum_table_prints_the_value_line(self):
+        argv = ["fourier", "--check", "glsum", "--n", "2", "--q", "3"]
+        assert run_cli(argv) == run_cli(argv + ["--format", "table"]) == (0, "3\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["--check", "a2", "--n", "3"], "a2 takes no --n"),
@@ -704,7 +709,8 @@ class TestExitCodes:
         (["fourier", "--check", "divided", "--n", "1", "--q", "4"], '"q": 4'),
         (["fourier", "--check", "lemma", "--n", "1", "--q", "5"],
          "1/5*sqrt(5) / 1/5*sqrt(5)"),
-        (["fourier", "--check", "glsum", "--n", "3", "--q", "3"], '"value": "-27"'),
+        (["fourier", "--check", "glsum", "--n", "3", "--q", "3", "--format", "json"],
+         '"value": "-27"'),
     ])
     def test_cell_past_the_old_ranges_passes(self, argv, expected):
         code, out = run_cli(argv)
@@ -750,26 +756,28 @@ class TestExitCodes:
     def test_request_past_a_parser_or_cap_exits_2(self, argv):
         assert run_cli(argv) == (2, "")
 
-    @pytest.mark.parametrize("argv", [
-        ["element", "--family", "jordan_pn", "--n", "0", "--symbolic"],
-        ["element", "--family", "kron_p0", "--n", "0"],
-        ["element", "--family", "tube_pm", "--m", "0"],
-        ["element", "--family", "tube_pm", "--deg", "0"],
-        ["element", "--family", "cyclic_pnr", "--r", "0"],
-        ["fourier", "--check", "glsum", "--n", "0", "--q", "2"],
-        ["fourier", "--check", "divided", "--n", "0", "--q", "2"],
-        ["fourier", "--check", "lemma", "--n", "0", "--q", "2"],
-        ["verify", "lemma-route", "--n", "0", "--q", "2"],
+    @pytest.mark.parametrize("argv,message", [
+        (["element", "--family", "jordan_pn", "--n", "0", "--symbolic"], "need n >= 1"),
+        (["element", "--family", "kron_p0", "--n", "0"], "need n >= 1"),
+        (["element", "--family", "tube_pm", "--m", "0"], "need m >= 1"),
+        (["element", "--family", "tube_pm", "--deg", "0"], "need deg >= 1"),
+        (["element", "--family", "cyclic_pnr", "--r", "0"], "cyclic families need --r >= 2"),
+        (["fourier", "--check", "glsum", "--n", "0", "--q", "2"], "need n >= 1"),
+        (["fourier", "--check", "divided", "--n", "0", "--q", "2"], "need n >= 1"),
+        (["fourier", "--check", "lemma", "--n", "0", "--q", "2"], "need n >= 1"),
+        (["verify", "lemma-route", "--n", "0", "--q", "2"], "need n >= 1"),
     ])
-    def test_zero_count_flag_exits_2(self, argv, capsys):
-        """--n 0 is a usage error, not the default n = 1."""
+    def test_zero_count_flag_exits_2(self, argv, message, capsys):
+        """--n 0 is a usage error, not the default n = 1, and every count
+        below 1 is refused in one wording."""
         assert run_cli(argv) == (2, "")
-        assert "usage error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     @pytest.mark.parametrize("argv,expected", [
         (["element", "--family", "jordan_pn", "--symbolic"],
          '{"family": "jordan_pn", "n": 1, "terms": [{"class": "I[1]", "coeff": "1"}]}\n'),
-        (["fourier", "--check", "glsum", "--q", "2"], '{"n": 1, "q": 2, "value": "-1"}\n'),
+        (["fourier", "--check", "glsum", "--q", "2", "--format", "json"],
+         '{"n": 1, "q": 2, "value": "-1"}\n'),
     ])
     def test_absent_count_flag_takes_its_default(self, argv, expected):
         assert run_cli(argv) == (0, expected)

@@ -186,9 +186,11 @@ class TestMatrices:
 
     def test_gl_generators_generate(self):
         # closure of the generating set is the whole group for small cases
-        for q, n in ((2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3)):
+        for q, n in ((2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3), (2, 4), (4, 3), (7, 2),
+                     (8, 2), (9, 2)):
             F = FieldSpec.from_order(q)
             gens = gf.gl_generators(F, n)
+            assert len(gens) <= 3
             seen = {gf.mat_identity(n)}
             frontier = [gf.mat_identity(n)]
             while frontier:

@@ -645,6 +645,14 @@ def _rotations(r, key):
     return [tuple(sorted((((i + k) % r, l), m) for (i, l), m in key)) for k in range(r)]
 
 
+def _dihedral(r, key):
+    """The 2r images of a multisegment under the dihedral group of C_r: the
+    rotations, then the reflections i -> k - i, which send the segment (i, l)
+    to (k - (i + l - 1), l)."""
+    return _rotations(r, key) + [tuple(sorted((((k - i - l + 1) % r, l), m) for (i, l), m in key))
+                                 for k in range(r)]
+
+
 def _count_walks(monkeypatch):
     from hallalg import repengine
 
@@ -660,24 +668,28 @@ def _count_walks(monkeypatch):
 
 
 class TestRotatedTables:
-    """The nilpotent engine walks one class per rotation orbit of C_r and
-    relabels the table for the other classes of the orbit."""
+    """The nilpotent engine walks one class per orbit of the dihedral group
+    of C_r, its rotations and reflections, and relabels the table for the
+    other classes of the orbit."""
 
-    @pytest.mark.parametrize("r,q0", [(r, q) for r in (2, 3, 4) for q in (2, 3)])
-    def test_every_class_matches_its_own_walk(self, r, q0):
+    @pytest.mark.parametrize("r,q0,top", [(2, 2, 6), (2, 3, 5), (3, 2, 6), (3, 3, 5),
+                                          (4, 2, 5), (4, 3, 5), (5, 2, 4)])
+    def test_every_class_matches_its_own_walk(self, r, q0, top):
         from hallalg import repengine
 
         engine = NilpotentCyclicEngine(r, q0)
         classify = partial(repengine._multisegment_of_ranks, r)
-        grades = [d for d in product(range(6), repeat=r) if 0 < sum(d) <= 5]
+        grades = [d for d in product(range(top + 1), repeat=r) if 0 < sum(d) <= top]
         if (r, q0) == (3, 2):
             grades += [(3, 2, 2), (2, 3, 2), (2, 2, 3)]
         classes = [c for d in grades for c in engine.classes(d)]
-        # asymmetric classes and classes fixed by a rotation both occur
-        fixed = [c for c in classes if len(set(_rotations(r, c.key))) < r]
+        # asymmetric classes and classes fixed by a rotation or reflection both occur
+        fixed = [c for c in classes if len(set(_dihedral(r, c.key))) < 2 * r]
         assert fixed and len(fixed) < len(classes)
         if r == 2:
             assert engine.make_class((((0, 1), 1), ((1, 1), 1))) in fixed
+        # some tables can only come through a reflection
+        assert any(min(_dihedral(r, c.key)) < min(_rotations(r, c.key)) for c in classes)
         for c in reversed(classes):
             mats, dims = engine.rep_point(c)
             walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims, {},
@@ -690,12 +702,13 @@ class TestRotatedTables:
         classes = [c for d in ((3, 2, 2), (2, 3, 2), (2, 2, 3)) for c in engine.classes(d)]
         for c in classes:
             engine.sub_table(c)
-        orbits = {min(_rotations(3, c.key)) for c in classes}
-        assert len(classes) == 162 and len(walked) == len(orbits) == 54
+        orbits = {min(_dihedral(3, c.key)) for c in classes}
+        assert len(classes) == 162 and len(walked) == len(orbits) == 35
+        assert {class_of_point(engine, *point).key for point in walked} == orbits
         # a warm engine walks nothing more
         for c in classes:
             engine.sub_table(c)
-        assert len(walked) == 54
+        assert len(walked) == 35
 
     def test_relabelled_keys_are_shared(self):
         engine = NilpotentCyclicEngine(3, 2)
@@ -713,6 +726,75 @@ class TestRotatedTables:
         assert any(n == 2 for n in by_shift.values())
         assert any(n > 1 for n in tables_with.values())
         assert all(len(ids) == 1 for ids in objects.values())
+
+
+def _k2_orbits(engine, grades):
+    """The orbits of GL_2(F_q) x <D> on the K2 classes of the grades, which
+    must be closed under (a, b) -> (b, a), as sets of (grade, key): every
+    invertible [[a, b], [c, e]] sends (A, B) to (aA + bB, cA + eB), and D
+    transposes both matrices and swaps the vertices."""
+    F = engine.field
+    add, _, mul, _ = F.tables
+    group = [g for g in product(product(range(F.q), repeat=2), repeat=2)
+             if F.sub(mul[g[0][0]][g[1][1]], mul[g[0][1]][g[1][0]])]
+    orbits = {}
+    for d in grades:
+        for c in engine.classes(d):
+            if (d, c.key) in orbits:
+                continue
+            A, B = engine.rep_point(c)[0]
+            points = [((A, B), d),
+                      (tuple(tuple(tuple(row[k] for row in X) for k in range(d[0]))
+                             for X in (A, B)), (d[1], d[0]))]
+            orbit = frozenset(
+                (dims, engine.class_of_point(tuple(
+                    tuple(tuple(add[mul[a][x]][mul[b][y]] for x, y in zip(u, v))
+                          for u, v in zip(*mats)) for a, b in g), dims).key)
+                for mats, dims in points for g in group)
+            orbits.update((key, orbit) for key in orbit)
+    return set(orbits.values())
+
+
+class TestKroneckerSymmetricTables:
+    """On K2 the brute-force engine walks one class per orbit of PGL_2(F_q),
+    acting on the arrow space, and of the duality D, and carries its table
+    to the other classes of the orbit."""
+
+    @pytest.mark.parametrize("q0,top", [(2, 5), (3, 4)])
+    def test_every_class_matches_its_own_walk(self, q0, top):
+        from hallalg import repengine
+
+        engine = BruteForceEngine(kronecker_quiver(), q0)
+        classify = lambda point: (point[1], engine.class_of_point(*point).key)
+        grades = [d for d in product(range(top + 1), repeat=2) if 0 < sum(d) <= top]
+        orbits = _k2_orbits(engine, grades)
+        # orbits across two grades (D) and within one grade (PGL_2) both occur
+        assert any(len({d for d, _ in orbit}) == 2 for orbit in orbits)
+        assert any(len(orbit) > len({d for d, _ in orbit}) for orbit in orbits)
+        for d in reversed(grades):
+            for c in engine.classes(d):
+                mats, dims = engine.rep_point(c)
+                walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
+                                                    {}, classify, repengine._product_walk)
+                assert engine.sub_table(c) == walked, c.render()
+
+    @pytest.mark.parametrize("q0,top,walks", [(2, 4, 19), (3, 3, 8)])
+    def test_one_walk_per_symmetry_orbit(self, monkeypatch, q0, top, walks):
+        engine = BruteForceEngine(kronecker_quiver(), q0)
+        grades = [d for d in product(range(top + 1), repeat=2) if 0 < sum(d) <= top]
+        orbits = _k2_orbits(engine, grades)
+        walked = _count_walks(monkeypatch)
+        classes = [c for d in grades for c in engine.classes(d)]
+        for c in classes:
+            engine.sub_table(c)
+        assert len(walked) == len(orbits) == walks < len(classes)
+        # the walked class of an orbit is its least (grade, key)
+        assert ({(dims, engine.class_of_point(mats, dims).key) for mats, dims in walked}
+                == {min(orbit) for orbit in orbits})
+        # a warm engine walks nothing more
+        for c in classes:
+            engine.sub_table(c)
+        assert len(walked) == walks
 
 
 class TestSubmoduleWalkOnRandomMultisegments:
