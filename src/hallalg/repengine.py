@@ -949,7 +949,7 @@ class NilpotentCyclicEngine:
             return self._subtables[c.key]
         r = self.r
         canonical, g = c.key, 0
-        for h in range(1, 2 * r if r > 1 else 1):
+        for h in range(1, 2 * r if r > 1 else 1):  # on C1 the reflection fixes every key
             image = self._image(c.key, h)
             if image < canonical:
                 canonical, g = image, h
@@ -1532,13 +1532,14 @@ class BruteForceEngine:
             out = memo[key] = (d, self.grade_data(d).orbit_of[self._pack(image, d)])
         return out
 
-    def _words(self, start):
-        """{key: word} over the orbit of class `start`: a shortest tuple of
-        symmetries that, applied first to last, carries start to key."""
+    def _words(self, start, symmetries):
+        """{key: word} over the orbit of class `start` under the given
+        symmetries: a shortest tuple of them that, applied first to last,
+        carries start to key."""
         words = {start: ()}
         queue = [start]
         for x in queue:
-            for j in range(len(self._symmetries)):
+            for j in symmetries:
                 y = self._class_image(x, j)
                 if y not in words:
                     words[y] = words[x] + (j,)
@@ -1552,9 +1553,13 @@ class BruteForceEngine:
         if key in self._subtables:
             return self._subtables[key]
         if self._symmetries and key not in self._canonical:
-            words = self._words(key)
+            # D moves a grade (a, b) with a < b to a later one, so the least
+            # class of such a class's orbit lies in its own grade's PGL_2
+            # orbit, found without closing (b, a)
+            symmetries = range(len(self._symmetries) - (c.grade < c.grade[::-1]))
+            words = self._words(key, symmetries)
             least = min(words)
-            for x, word in (words if least == key else self._words(least)).items():
+            for x, word in (words if least == key else self._words(least, symmetries)).items():
                 self._canonical[x] = (least, word)
         least, word = self._canonical.get(key, (key, ()))
         if word:
