@@ -257,10 +257,10 @@ def tube_primitive(engine: BruteForceEngine, tube: KroneckerTube, m: int) -> Hal
 # it.  Two sides are compared as integers at q = X = 2^b.  The L1 norm
 # of a term is at most ||c||_1 * 2^len(js), since ||q^j - 1||_1 = 2 and
 # ||fg||_1 <= ||f||_1 ||g||_1, so B, the sum of these over both sides,
-# bounds every coefficient of lhs - rhs.  With
-# X > 2B, a nonzero integer polynomial whose coefficients all lie below
-# X/2 in absolute value does not vanish at X (its leading term outweighs
-# the rest), so lhs(X) == rhs(X) proves lhs == rhs in Z[q].
+# bounds every coefficient of lhs - rhs.  With X > 2B, a nonzero integer
+# polynomial whose coefficients all lie below X/2 in absolute value does
+# not vanish at X (its leading term outweighs the rest), so lhs(X) ==
+# rhs(X) proves lhs == rhs in Z[q].
 
 def _jordan_coeff_factored(lam: Partition):
     """jordan_primitive_coeff(lam) = prod_{s < l(lam)} (1 - q^s) as
