@@ -310,6 +310,7 @@ def cmd_hallnum(args, out):
     selector, L, M, N = _cyclic_triple(args)
     r = selector[1]
     if args.symbolic:
+        refuse_unused("hallnum --symbolic", {"cache-dir": args.cache_dir}, ())
         poly = hall_polynomial(r, L, M, N)
         out.write(poly.render() + "\n" if args.format != "json" else
                   json.dumps({"polynomial": poly.render()}, sort_keys=True) + "\n")
@@ -371,9 +372,16 @@ def cmd_primitive(args, out):
 def cmd_element(args, out):
     """Construct one named primitive element and print it."""
     family = args.family
+    # the flags each family reads besides --q and --format; the kron_* ones read --n
+    reads = {"jordan_pn": ("n", "symbolic"), "tube_pm": ("m", "deg", "index"),
+             **dict.fromkeys(("cyclic_cn", "cyclic_xn", "cyclic_pnr"), ("r", "n"))}
+    flags = {"r": args.r, "n": args.n, "m": args.m, "deg": args.deg, "index": args.index,
+             "symbolic": args.symbolic or None}
+    refuse_unused(f"element --family {family}", flags, reads.get(family, ("n",)))
     n = _positive(args.n, 1, "--n")
     m = _positive(args.m, 1, "--m")
     deg = _positive(args.deg, 1, "--deg")
+    index = args.index or 0
     if family == "jordan_pn":
         if args.symbolic:
             rows = [{"class": f"I{list(lam.parts)}", "coeff": poly.render()}
@@ -398,9 +406,9 @@ def cmd_element(args, out):
     elif family == "tube_pm":
         engine = get_brute_engine(kronecker_quiver(), args.q)
         tubes = [t for t in kronecker_tubes(engine, m * deg) if t.degree == deg]
-        if not tubes or not 0 <= args.index < len(tubes):
+        if not tubes or not 0 <= index < len(tubes):
             raise UsageError("no tube with that degree and index")
-        elt = tube_primitive(engine, tubes[args.index], m)
+        elt = tube_primitive(engine, tubes[index], m)
     else:
         raise UsageError(f"unknown element family {family!r}")
     if args.format == "json":
@@ -515,8 +523,8 @@ def build_parser():
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--deg", type=int, default=1)
-    sp.add_argument("--index", type=int, default=0)
+    sp.add_argument("--deg", type=int, default=None)
+    sp.add_argument("--index", type=int, default=None)
     sp.add_argument("--symbolic", action="store_true")
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.set_defaults(fn="cmd_element")

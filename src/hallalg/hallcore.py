@@ -198,15 +198,17 @@ class TensorElement(_Combination):
 def _basis_product(engine, A: IsoClass, B: IsoClass) -> dict:
     """L -> v^<dim A, dim B> F^L_{A,B} for basis classes A and B.
 
-    Memoized on the engine and read from engine.hall_number only.
+    Memoized on the engine and read from engine.sub_table only, at the
+    pair of A's and B's table keys.
     """
     key = (A, B)
     table = engine._products.get(key)
     if table is None:
         twist = v_power(euler_form(engine.quiver, A.grade, B.grade), engine.q0)
+        pair = (engine._table_key(A), engine._table_key(B))
         table = {}
         for L in engine.classes(add_dim(A.grade, B.grade)):
-            count = engine.hall_number(L, A, B)
+            count = engine.sub_table(L).get(pair)
             if count:
                 table[L] = twist * count
         engine._products[key] = table

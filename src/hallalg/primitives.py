@@ -108,7 +108,7 @@ def c_central(engine: NilpotentCyclicEngine, n: int) -> HallElement:
         raise UsageError("central elements are defined for r >= 2")
     if n < 0:
         raise ValueError("need n >= 0")
-    cache = _engine_cache(engine, "central")
+    cache = engine._primitive_caches.setdefault("central", {})
     if n in cache:
         return cache[n]
     if n == 0:
@@ -134,7 +134,7 @@ def x_element(engine: NilpotentCyclicEngine, n: int) -> HallElement:
     """The inductive primitive x_n = n c_n - sum_{s=1}^{n-1} x_s c_{n-s}."""
     if n < 1:
         raise ValueError("need n >= 1")
-    cache = _engine_cache(engine, "xelt")
+    cache = engine._primitive_caches.setdefault("xelt", {})
     if n in cache:
         return cache[n]
     out = c_central(engine, n).scale(n)
@@ -154,14 +154,6 @@ def p_cyclic(engine: NilpotentCyclicEngine, n: int) -> HallElement:
     q0 = engine.q0
     scalar = Fraction(q0 ** (engine.r * n), q0 ** n - 1)
     return x_element(engine, n).scale(scalar)
-
-
-def _engine_cache(engine, name):
-    caches = getattr(engine, "_primitive_caches", None)
-    if caches is None:
-        caches = {}
-        engine._primitive_caches = caches
-    return caches.setdefault(name, {})
 
 
 # ---------------------------------------------------------------------------

@@ -238,9 +238,10 @@ def _multisegment_of_ranks(r: int, rank) -> tuple:
 class IsoClass:
     """Engine-scoped canonical key for an isomorphism class.
 
-    Nilpotent cyclic engines key classes by multisegment; brute-force
-    engines key them by (grade, orbit index).  A class is never mutated,
-    so its hash is taken once.
+    Nilpotent cyclic engines key classes by multisegment, which is also
+    their table key (_table_key); brute-force engines key them by orbit
+    index, and their table key is (grade, orbit index).  A class is never
+    mutated, so its hash is taken once.
     """
 
     __slots__ = ("engine_id", "kind", "grade", "key", "_hash")
@@ -780,10 +781,98 @@ def _count_units(F, basis, dims) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Submodule tables per symmetry orbit, shared by both engines
+# ---------------------------------------------------------------------------
+
+class _HallEngine:
+    """Submodule tables walked once per symmetry orbit, and an engine's memos.
+
+    An engine supplies _symmetries, generators that keep Hall numbers,
+    F^{gL}_{gM, gN} = F^L_{M,N}, or None for a duality D, F^{DL}_{DN, DM}
+    = F^L_{M,N}; _class_image(key, j), a table key's image under
+    generator j; _table_key(c) and its inverse class_from_key; and
+    _walk_table(c).  Only an orbit's least table key is walked; any other
+    class's table is that table with both keys of each entry carried
+    along the word leading to the class, and swapped after an odd number
+    of D.
+    """
+
+    _symmetries = ()
+
+    def __init__(self):
+        self._subtables = {}
+        # symmetry j -> {table key: its image}; table key -> (canonical key, word)
+        self._class_images = {}
+        self._canonical = {}
+        # filled by hallcore (basis products, coproducts) and primitives
+        self._products = {}
+        self._coproducts = {}
+        self._primitive_caches = {}
+
+    def _closing(self, key):
+        """The symmetries whose closure from key reaches the least key of
+        its orbit: all of them."""
+        return range(len(self._symmetries))
+
+    def _moved(self, key, j):
+        """_class_image(key, j), memoized per symmetry."""
+        memo = self._class_images.setdefault(j, {})
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._class_image(key, j)
+        return out
+
+    def _words(self, start, symmetries):
+        """{key: word} over the orbit of table key `start` under the given
+        symmetries: a shortest tuple of them that, applied first to last,
+        carries start to key."""
+        words = {start: ()}
+        queue = [start]
+        for x in queue:
+            for j in symmetries:
+                y = self._moved(x, j)
+                if y not in words:
+                    words[y] = words[x] + (j,)
+                    queue.append(y)
+        return words
+
+    def sub_table(self, c: IsoClass) -> dict:
+        """All Hall numbers F^c_{quot, sub} by exact submodule enumeration,
+        as {(quot key, sub key): count}, walked once per symmetry orbit and
+        carried over for the rest."""
+        key = self._table_key(c)
+        if key in self._subtables:
+            return self._subtables[key]
+        if self._symmetries and key not in self._canonical:
+            symmetries = self._closing(key)
+            words = self._words(key, symmetries)
+            least = min(words)
+            for x, word in (words if least == key else self._words(least, symmetries)).items():
+                self._canonical[x] = (least, word)
+        least, word = self._canonical.get(key, (key, ()))
+        if word:
+            walked = self.sub_table(self.class_from_key(least))
+            moved = {k: reduce(self._moved, word, k) for k in set(chain(*walked))}
+            if sum(self._symmetries[j] is None for j in word) % 2:
+                table = {(moved[N], moved[M]): n for (M, N), n in walked.items()}
+            else:
+                table = {(moved[M], moved[N]): n for (M, N), n in walked.items()}
+        else:
+            table = self._walk_table(c)
+        self._subtables[key] = table
+        return table
+
+    def hall_number(self, L: IsoClass, M: IsoClass, N: IsoClass) -> int:
+        if add_dim(M.grade, N.grade) != L.grade:
+            return 0
+        return self.sub_table(L).get((self._table_key(M), self._table_key(N)), 0)
+
+
+# ---------------------------------------------------------------------------
 # Nilpotent cyclic engine
 # ---------------------------------------------------------------------------
 
-class NilpotentCyclicEngine:
+class NilpotentCyclicEngine(_HallEngine):
     """Nilpotent representations of the cyclic quiver with r vertices over GF(q0).
 
     Classes are multisegments; automorphism orders and Hom dimensions use
@@ -792,36 +881,27 @@ class NilpotentCyclicEngine:
     (_nilpotent_walk), which names subs and quotients by rank tables,
     memoized once per engine.
 
-    The dihedral group of order 2r acts on classes.  The rotation rho:
-    i -> i + 1 of C_r is a quiver automorphism, so F^{rho L}_{rho M, rho N}
-    = F^L_{M,N}.  Duality followed by i -> -i, which turns the opposite
-    quiver back into C_r, sends the segment (i, l) to (-(i + l - 1), l),
-    its socle becoming its top, and F^{DL}_{DN, DM} = F^L_{M,N}.  Only the
-    canonical class of an orbit, the least key among its 2r images, is
-    walked; any other class's table is the canonical table with both keys
-    of every entry mapped back, and swapped by a reflection.  Image keys
-    are memoized per group element and shared between tables, one tuple
-    per key.
+    Tables are walked once per orbit of the dihedral group of order 2r.
     """
 
     def __init__(self, r: int, q0: int):
         if r < 1:
             raise ValueError("need r >= 1")
+        super().__init__()
         self.r = r
         self.q0 = q0
         self.field = FieldSpec.from_order(q0)
         self.quiver = cyclic_quiver(r)
         self.engine_id = f"C{r}^0|q:{q0}"
         self._classes = {}
-        self._subtables = {}
         self._rank_classes = {}
-        # g -> {key: its image under g (see _image)}; values are shared via _shared_keys
-        self._key_images = [{} for _ in range(2 * r)]
+        # key -> the one tuple every image key equal to it is
         self._shared_keys = {}
         self._aut = {}
-        # basis products and coproducts, filled by hallcore
-        self._products = {}
-        self._coproducts = {}
+        # rho: i -> i + 1, an automorphism of C_r, then None for D, duality
+        # followed by i -> -i; they generate the dihedral group, and on C1
+        # fix every key
+        self._symmetries = (1, None) if r > 1 else ()
 
     # -- classes -------------------------------------------------------------
 
@@ -927,54 +1007,24 @@ class NilpotentCyclicEngine:
 
     # -- Hall numbers ----------------------------------------------------------
 
-    def _image(self, key, g: int) -> tuple:
-        """key under the dihedral element g: for g < r the rotation i -> i + g,
-        which moves the segment (i, l) to (i + g, l); for g >= r the
-        reflection i -> g - r - i, which moves it to (g - r - (i + l - 1), l)."""
-        memo = self._key_images[g]
-        out = memo.get(key)
-        if out is None:
-            r = self.r
-            if g < r:
-                out = tuple(sorted((((i + g) % r, l), m) for (i, l), m in key))
-            else:
-                out = tuple(sorted((((g - i - l + 1) % r, l), m) for (i, l), m in key))
-            out = memo[key] = self._shared_keys.setdefault(out, out)
-        return out
-
-    def sub_table(self, c: IsoClass) -> dict:
-        """All Hall numbers F^c_{quot, sub} by exact submodule enumeration,
-        walked once per dihedral orbit and relabelled for the rest."""
-        if c.key in self._subtables:
-            return self._subtables[c.key]
+    def _class_image(self, key, j) -> tuple:
+        """key under symmetry j: rho moves the segment (i, l) to (i + 1, l),
+        and D to (-(i + l - 1), l), its socle becoming its top.  The image
+        is the one shared tuple of its value."""
         r = self.r
-        canonical, g = c.key, 0
-        for h in range(1, 2 * r if r > 1 else 1):  # on C1 the reflection fixes every key
-            image = self._image(c.key, h)
-            if image < canonical:
-                canonical, g = image, h
-        if g:
-            # c is the image of the canonical class under g^-1: a rotation
-            # by r - g, or the reflection g itself
-            walked = self.sub_table(self.class_from_key(canonical))
-            if g < r:
-                back = partial(self._image, g=r - g)
-                table = {(back(M), back(N)): n for (M, N), n in walked.items()}
-            else:
-                back = partial(self._image, g=g)
-                table = {(back(N), back(M)): n for (M, N), n in walked.items()}
-            self._subtables[c.key] = table
-            return table
-        mats, dims = self.rep_point(c)
-        table = _submodule_table(self.field, self.quiver, mats, dims, self._rank_classes,
-                                 partial(_multisegment_of_ranks, self.r), _nilpotent_walk)
-        self._subtables[c.key] = table
-        return table
+        if self._symmetries[j] is None:
+            out = tuple(sorted((((1 - i - l) % r, l), m) for (i, l), m in key))
+        else:
+            out = tuple(sorted((((i + 1) % r, l), m) for (i, l), m in key))
+        return self._shared_keys.setdefault(out, out)
 
-    def hall_number(self, L: IsoClass, M: IsoClass, N: IsoClass) -> int:
-        if add_dim(M.grade, N.grade) != L.grade:
-            return 0
-        return self.sub_table(L).get((M.key, N.key), 0)
+    def _table_key(self, c: IsoClass):
+        return c.key
+
+    def _walk_table(self, c: IsoClass) -> dict:
+        mats, dims = self.rep_point(c)
+        return _submodule_table(self.field, self.quiver, mats, dims, self._rank_classes,
+                                partial(_multisegment_of_ranks, self.r), _nilpotent_walk)
 
     def class_from_key(self, key) -> IsoClass:
         return IsoClass(self.engine_id, "ms", ms_dim_vector(key, self.r), key)
@@ -1062,7 +1112,7 @@ class _GradeData:
         return self._reps
 
 
-class BruteForceEngine:
+class BruteForceEngine(_HallEngine):
     """Generic engine for a small quiver: full orbit partition of E_V.
 
     A point is one packed int.  Its coordinates are the arrows' matrix
@@ -1085,11 +1135,8 @@ class BruteForceEngine:
     restriction the closure starts only from the nilpotent patterns'
     points (see _nilpotent_patterns), not from the whole variety.
 
-    On K2 the submodule tables are shared between classes by the
-    symmetries of _symmetries: only the canonical class of an orbit, its
-    least (grade, key), is walked, and any other class's table is the
-    canonical table with its keys carried along the generator word that
-    leads from the canonical class to it.
+    On K2 the submodule tables are walked once per orbit of the
+    symmetries of _symmetries (_HallEngine).
     """
 
     def __init__(self, quiver: Quiver, q0: int, nilpotent: bool = False):
@@ -1099,6 +1146,7 @@ class BruteForceEngine:
         self.nilpotent = nilpotent
         if nilpotent and not quiver.is_cycle():
             raise ValueError("nilpotent restriction only supported for cyclic quivers")
+        super().__init__()
         tag = "|nil" if nilpotent else ""
         self.engine_id = f"Q:{quiver.name}{tag}|q:{q0}"
         p = self.field.p
@@ -1107,14 +1155,7 @@ class BruteForceEngine:
         self._grades = {}
         self._image_cache = {}
         self._gl_cache = {}
-        self._subtables = {}
         self._point_classes = {}
-        # symmetry j -> {class key: its image}; class key -> (canonical key, word)
-        self._class_images = {}
-        self._canonical = {}
-        # basis products and coproducts, filled by hallcore
-        self._products = {}
-        self._coproducts = {}
 
     # -- packed points -----------------------------------------------------------
 
@@ -1513,75 +1554,35 @@ class BruteForceEngine:
     def _class_image(self, key, j):
         """The key (grade, index) of the image of class `key` under symmetry
         j: its representative moved, packed, and read off orbit_of at the
-        image grade.  Memoized per symmetry."""
-        memo = self._class_images.setdefault(j, {})
-        out = memo.get(key)
-        if out is None:
-            d, idx = key
-            A, B = self.grade_data(d).reps[idx]
-            g = self._symmetries[j]
-            if g is None:
-                image = tuple(tuple(tuple(row[k] for row in X) for k in range(d[0]))
-                              for X in (A, B))
-                d = (d[1], d[0])
-            else:
-                add, _, mul, _ = self.field.tables
-                image = tuple(tuple(tuple(add[mul[a][x]][mul[b][y]] for x, y in zip(u, v))
-                                    for u, v in zip(A, B))
-                              for a, b in g)
-            out = memo[key] = (d, self.grade_data(d).orbit_of[self._pack(image, d)])
-        return out
+        image grade."""
+        d, idx = key
+        A, B = self.grade_data(d).reps[idx]
+        g = self._symmetries[j]
+        if g is None:
+            image = tuple(tuple(tuple(row[k] for row in X) for k in range(d[0])) for X in (A, B))
+            d = (d[1], d[0])
+        else:
+            add, _, mul, _ = self.field.tables
+            image = tuple(tuple(tuple(add[mul[a][x]][mul[b][y]] for x, y in zip(u, v))
+                                for u, v in zip(A, B))
+                          for a, b in g)
+        return d, self.grade_data(d).orbit_of[self._pack(image, d)]
 
-    def _words(self, start, symmetries):
-        """{key: word} over the orbit of class `start` under the given
-        symmetries: a shortest tuple of them that, applied first to last,
-        carries start to key."""
-        words = {start: ()}
-        queue = [start]
-        for x in queue:
-            for j in symmetries:
-                y = self._class_image(x, j)
-                if y not in words:
-                    words[y] = words[x] + (j,)
-                    queue.append(y)
-        return words
+    def _closing(self, key):
+        """D moves a grade (a, b) with a < b to a later one, so the least
+        class of such a class's orbit lies in its own grade's PGL_2 orbit,
+        found without closing (b, a)."""
+        d = key[0]
+        return range(len(self._symmetries) - (d < d[::-1]))
 
-    def sub_table(self, c: IsoClass) -> dict:
-        """All Hall numbers F^c_{quot, sub} by exact submodule enumeration,
-        walked once per symmetry orbit and carried over for the rest."""
-        key = (c.grade, c.key)
-        if key in self._subtables:
-            return self._subtables[key]
-        if self._symmetries and key not in self._canonical:
-            # D moves a grade (a, b) with a < b to a later one, so the least
-            # class of such a class's orbit lies in its own grade's PGL_2
-            # orbit, found without closing (b, a)
-            symmetries = range(len(self._symmetries) - (c.grade < c.grade[::-1]))
-            words = self._words(key, symmetries)
-            least = min(words)
-            for x, word in (words if least == key else self._words(least, symmetries)).items():
-                self._canonical[x] = (least, word)
-        least, word = self._canonical.get(key, (key, ()))
-        if word:
-            walked = self.sub_table(self.class_from_key(least))
-            moved = {k: reduce(self._class_image, word, k) for k in set(chain(*walked))}
-            if sum(self._symmetries[j] is None for j in word) % 2:  # an odd number of D
-                table = {(moved[N], moved[M]): n for (M, N), n in walked.items()}
-            else:
-                table = {(moved[M], moved[N]): n for (M, N), n in walked.items()}
-            self._subtables[key] = table
-            return table
+    def _table_key(self, c: IsoClass):
+        return c.grade, c.key
+
+    def _walk_table(self, c: IsoClass) -> dict:
         mats, dims = self.rep_point(c)
-        table = _submodule_table(
+        return _submodule_table(
             self.field, self.quiver, mats, dims, self._point_classes,
             lambda point: (point[1], self.class_of_point(*point).key), _product_walk)
-        self._subtables[key] = table
-        return table
-
-    def hall_number(self, L: IsoClass, M: IsoClass, N: IsoClass) -> int:
-        if add_dim(M.grade, N.grade) != L.grade:
-            return 0
-        return self.sub_table(L).get(((M.grade, M.key), (N.grade, N.key)), 0)
 
     def class_from_key(self, key) -> IsoClass:
         grade, idx = key

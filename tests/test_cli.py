@@ -844,6 +844,42 @@ class TestFlags:
             run_cli(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,unused", [
+        (["element", "--family", "jordan_pn", "--n", "2", "--r", "5", "--m", "3",
+          "--deg", "2", "--index", "4"], "jordan_pn takes no --r, --m, --deg, --index"),
+        (["element", "--family", "kron_p0", "--n", "1", "--symbolic"],
+         "kron_p0 takes no --symbolic"),
+        (["element", "--family", "cyclic_pnr", "--r", "2", "--n", "1", "--m", "1"],
+         "cyclic_pnr takes no --m"),
+        (["element", "--family", "tube_pm", "--m", "2", "--n", "1", "--r", "2"],
+         "tube_pm takes no --r, --n"),
+        (["element", "--family", "kron_pk2", "--index", "0", "--deg", "1"],
+         "kron_pk2 takes no --deg, --index"),
+    ], ids=["jordan", "kron-symbolic", "cyclic-m", "tube-n-r", "kron-default-values"])
+    def test_element_refuses_a_flag_its_family_does_not_read(self, monkeypatch, capsys,
+                                                             argv, unused):
+        """Each family reads its own flags; any other flag given, even at
+        the value it would default to, exits 2 before an engine is built."""
+        from hallalg import cli
+
+        def refused(*args):
+            raise AssertionError("an engine was built")
+
+        for name in ("get_nilpotent_engine", "get_brute_engine", "p_jordan_symbolic"):
+            monkeypatch.setattr(cli, name, refused)
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == f"usage error: element --family {unused}\n"
+
+    def test_symbolic_hallnum_refuses_cache_dir(self, tmp_path, monkeypatch, capsys):
+        from hallalg import cli
+
+        monkeypatch.setattr(cli, "hall_polynomial", None)
+        assert run_cli(["hallnum", "--quiver", "c1", "--L", "(1,1)", "--M", "(1)",
+                        "--N", "(1)", "--symbolic", "--cache-dir", str(tmp_path)]) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "usage error: hallnum --symbolic takes no --cache-dir\n"
+        assert os.listdir(tmp_path) == []
+
 
 class TestParserReuse:
     """main builds the parser once per process; calls share nothing else."""

@@ -712,19 +712,22 @@ class TestRotatedTables:
 
     def test_relabelled_keys_are_shared(self):
         engine = NilpotentCyclicEngine(3, 2)
-        objects, tables_with = {}, Counter()
+        objects, words_of = {}, {}
         for d in ((3, 2, 2), (2, 3, 2), (2, 2, 3)):
             for c in engine.classes(d):
-                shift = _rotations(3, c.key).index(min(_rotations(3, c.key)))
-                if shift:
-                    keys = {key for pair in engine.sub_table(c) for key in pair}
+                keys = {key for pair in engine.sub_table(c) for key in pair}
+                word = engine._canonical[c.key][1]
+                if word:  # the table is relabelled
                     for key in keys:
                         objects.setdefault(key, set()).add(id(key))
-                    tables_with.update((key, shift) for key in keys)
-        # keys reached through tables relabelled by both shifts are one object too
-        by_shift = Counter(key for key, _ in tables_with)
-        assert any(n == 2 for n in by_shift.values())
-        assert any(n > 1 for n in tables_with.values())
+                        words_of.setdefault(key, Counter())[word] += 1
+        mixed = lambda word: len(set(word)) == 2  # the rotation and the reflection
+        # some key is reached through tables carried by a rotation alone and
+        # by words that mix both generators, and some through two tables
+        # carried by one word; each is one object
+        assert any(any(map(mixed, words)) and not all(map(mixed, words))
+                   for words in words_of.values())
+        assert any(n > 1 for words in words_of.values() for n in words.values())
         assert all(len(ids) == 1 for ids in objects.values())
 
 
@@ -795,6 +798,31 @@ class TestKroneckerSymmetricTables:
         for c in classes:
             engine.sub_table(c)
         assert len(walked) == walks
+
+
+class TestEnginesWithoutSymmetries:
+    """An engine whose classes have no symmetries walks every class's
+    table itself, once."""
+
+    @pytest.mark.parametrize("make,classify,top", [
+        (lambda: NilpotentCyclicEngine(1, 2), lambda e, p: class_of_point(e, *p), 6),
+        (lambda: BruteForceEngine(a2_quiver(), 2), lambda e, p: e.class_of_point(*p), 4),
+        (lambda: BruteForceEngine(cyclic_quiver(2), 2), lambda e, p: e.class_of_point(*p), 4),
+    ], ids=["C1", "A2", "c2full"])
+    def test_each_class_is_walked_once(self, monkeypatch, make, classify, top):
+        engine = make()
+        assert not engine._symmetries
+        grades = [d for d in product(range(top + 1), repeat=engine.quiver.nv)
+                  if 0 < sum(d) <= top]
+        classes = [c for d in grades for c in engine.classes(d)]
+        walked = _count_walks(monkeypatch)
+        for c in classes:
+            engine.sub_table(c)
+        assert sorted(classify(engine, point) for point in walked) == sorted(classes)
+        # a warm engine walks none
+        for c in classes:
+            engine.sub_table(c)
+        assert len(walked) == len(classes) > 20
 
 
 class TestSubmoduleWalkOnRandomMultisegments:
