@@ -1,5 +1,8 @@
-"""Command-line frontend: isoclass tables, Hall numbers and polynomials,
-primitive-subspace bases, the verification suite, and Fourier checks.
+"""Command-line frontend: isoclass tables, Hall numbers and polynomials
+(hallnum --symbolic is hallpoly), primitive-subspace bases and elements,
+the verification suite, and Fourier checks.  Each mode of a command runs
+through a suite._runner naming the flags it reads and their defaults: a
+flag that is given is read, or refused with exit 2 before any engine work.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a request
 rejected where it is parsed or checked against an engine cap),
@@ -40,7 +43,7 @@ from .repengine import (
     parse_multisegment,
 )
 from .report import UsageError
-from .suite import CHECK_RUNNERS, FOURIER_RUNNERS, refuse_unused, run_all
+from .suite import CHECK_RUNNERS, FOURIER_RUNNERS, _runner, run_all
 
 CACHE_VERSION = f"hallalg-{__version__}-cache-2"
 # 128 + SIGPIPE: the status a shell gives a writer whose reader went away
@@ -89,15 +92,6 @@ def _parse_cache_dir(text: str) -> str:
             raise argparse.ArgumentTypeError(f"{path!r} is not a directory")
         path = os.path.dirname(path)
     return text
-
-
-def _positive(value, default: int, flag: str) -> int:
-    """A count flag: its default when absent, a UsageError when below 1."""
-    if value is None:
-        return default
-    if value < 1:
-        raise UsageError(f"need {flag.lstrip('-')} >= 1")
-    return value
 
 
 def _parse_dimvec(text: str, nv: int):
@@ -290,69 +284,79 @@ def _emit_report(rep, fmt, out):
 # Commands
 # ---------------------------------------------------------------------------
 
+def _class_rows(selector, d, q, cache_dir=None):
+    """The grade's class rows, served from and stored to cache_dir when one is given."""
+    path, rows = _cached_payload(selector, q, d, cache_dir)
+    if rows is None:
+        rows = _compute_class_rows(_get_engine(selector, q), d)
+        if path:
+            _store_payload(path, selector, q, d, rows)
+    return rows
+
+
+# checking a nilpotent row would cost what computing it does, so none takes --cache-dir
+CLASS_RUNNERS = {"nil": _runner(_class_rows, "q", q=2),
+                 "brute": _runner(_class_rows, "q", "cache_dir", q=2, cache_dir=None)}
+
+
 def cmd_isoclasses(args, out):
     selector = _parse_selector(args.quiver)
     nv = selector[1] if selector[0] == "nil" else selector[1].nv
     d = _parse_dimvec(args.d, nv)
-    brute = selector[0] == "brute"
-    # checking a nilpotent row would cost what computing it does, so none is stored
-    path, rows = _cached_payload(selector, args.q, d, args.cache_dir) if brute else (None, None)
-    if rows is None:
-        rows = _compute_class_rows(_get_engine(selector, args.q), d)
-        if path:
-            _store_payload(path, selector, args.q, d, rows)
-    columns = ["class", "aut"] + (["orbit_size"] if brute else [])
+    rows = CLASS_RUNNERS[selector[0]](f"isoclasses --quiver {args.quiver}",
+                                      {"q": args.q, "cache_dir": args.cache_dir}, selector, d)
+    columns = ["class", "aut"] + (["orbit_size"] if selector[0] == "brute" else [])
     _emit_rows(rows, columns, args.format, out)
     return 0
 
 
-def cmd_hallnum(args, out):
-    selector, L, M, N = _cyclic_triple(args)
-    r = selector[1]
-    if args.symbolic:
-        refuse_unused("hallnum --symbolic", {"cache-dir": args.cache_dir}, ())
-        poly = hall_polynomial(r, L, M, N)
-        out.write(poly.render() + "\n" if args.format != "json" else
-                  json.dumps({"polynomial": poly.render()}, sort_keys=True) + "\n")
-        return 0
-    d = ms_dim_vector(L, r)
+def _hall_number(selector, L, M, N, q, cache_dir):
+    d = ms_dim_vector(L, selector[1])
     key = f"{multisegment_str(L)}|{multisegment_str(M)}|{multisegment_str(N)}"
-    path, hall = _cached_payload(selector, args.q, d, args.cache_dir)
+    path, hall = _cached_payload(selector, q, d, cache_dir)
     hall = hall or {}
     value = hall.get(key)
     if value is None:
-        engine = _get_engine(selector, args.q)
+        engine = _get_engine(selector, q)
         value = engine.hall_number(engine.class_from_key(L), engine.class_from_key(M),
                                    engine.class_from_key(N))
         if path:
             hall[key] = value
-            _store_payload(path, selector, args.q, d, hall)
-    if args.format == "json":
-        out.write(json.dumps({"L": multisegment_str(L), "M": multisegment_str(M),
-                              "N": multisegment_str(N), "q": args.q,
-                              "value": value}, sort_keys=True) + "\n")
-    else:
-        out.write(f"{value}\n")
-    return 0
+            _store_payload(path, selector, q, d, hall)
+    return {"q": q, "value": value}, str(value)
 
 
-def cmd_hallpoly(args, out):
+def _hall_polynomial(selector, L, M, N):
+    poly = hall_polynomial(selector[1], L, M, N).render()
+    return {"polynomial": poly}, poly
+
+
+HALL_RUNNERS = {"hallnum": _runner(_hall_number, "q", "cache_dir", q=2, cache_dir=None),
+                **dict.fromkeys(("hallnum --symbolic", "hallpoly"), _runner(_hall_polynomial))}
+
+
+def cmd_hallnum(args, out):
+    """hallnum, and hallpoly, which hallnum --symbolic runs: the value
+    line, or with --format json an object naming L, M and N too."""
     selector, L, M, N = _cyclic_triple(args)
-    poly = hall_polynomial(selector[1], L, M, N)
+    mode = args.command + (" --symbolic" if getattr(args, "symbolic", None) else "")
+    flags = {"q": args.q, "cache_dir": getattr(args, "cache_dir", None)}
+    obj, line = HALL_RUNNERS[mode](mode, flags, selector, L, M, N)
     if args.format == "json":
-        out.write(json.dumps({"L": multisegment_str(L), "M": multisegment_str(M),
-                              "N": multisegment_str(N),
-                              "polynomial": poly.render()}, sort_keys=True) + "\n")
-    else:
-        out.write(poly.render() + "\n")
+        line = json.dumps({"L": multisegment_str(L), "M": multisegment_str(M),
+                           "N": multisegment_str(N), **obj}, sort_keys=True)
+    out.write(line + "\n")
     return 0
+
+
+PRIMITIVE_RUNNER = _runner(_get_engine, "q", q=2)
 
 
 def cmd_primitive(args, out):
     selector = _parse_selector(args.quiver)
     nv = selector[1] if selector[0] == "nil" else selector[1].nv
     d = _parse_dimvec(args.d, nv)
-    engine = _get_engine(selector, args.q)
+    engine = PRIMITIVE_RUNNER("primitive", {"q": args.q}, selector)
     predicate = None
     if args.reg:
         if selector[0] != "brute" or selector[1] != kronecker_quiver():
@@ -369,52 +373,63 @@ def cmd_primitive(args, out):
     return 0
 
 
+def _printed(elt, fmt):
+    return json.dumps(elt.to_json_dict()) if fmt == "json" else elt.render()
+
+
+def _element(build, engine):
+    """The cell of a family built as build(engine(q, *rank), n), where rank
+    is the family's --r if it reads one."""
+    return lambda n, q, fmt, *rank: _printed(build(engine(q, *rank), n), fmt)
+
+
+def _cyclic_engine(q, r):
+    if r < 2:
+        raise UsageError("cyclic families need --r >= 2")
+    return get_nilpotent_engine(r, q)
+
+
+def _tube_element(m, deg, index, q, fmt):
+    engine = get_brute_engine(kronecker_quiver(), q)
+    tubes = [t for t in kronecker_tubes(engine, m * deg) if t.degree == deg]
+    if not tubes or not 0 <= index < len(tubes):
+        raise UsageError("no tube with that degree and index")
+    return _printed(tube_primitive(engine, tubes[index], m), fmt)
+
+
+def _jordan_symbolic(n, fmt):
+    rows = [{"class": f"I{list(lam.parts)}", "coeff": poly.render()}
+            for lam, poly in p_jordan_symbolic(n)]
+    if fmt == "table":
+        return " + ".join(f"({row['coeff']})*[{row['class']}]" for row in rows)
+    return json.dumps({"family": "jordan_pn", "n": n, "terms": rows}, sort_keys=True)
+
+
+# one runner per family, and one for jordan_pn --symbolic, whose --format defaults to json
+ELEMENT_RUNNERS = {
+    "jordan_pn": _runner(_element(p_jordan, lambda q: get_nilpotent_engine(1, q)),
+                         "n", "q", "format", n=1, q=2, format="table"),
+    "jordan_pn --symbolic": _runner(_jordan_symbolic, "n", "format", n=1, format="json"),
+    **{family: _runner(_element(build, _cyclic_engine), "n", "q", "format", "r",
+                       n=1, q=2, format="table", r=2)
+       for family, build in (("cyclic_cn", c_central), ("cyclic_xn", x_element),
+                             ("cyclic_pnr", p_cyclic))},
+    "tube_pm": _runner(_tube_element, "m", "deg", "index", "q", "format",
+                       m=1, deg=1, index=0, q=2, format="table"),
+    **{family: _runner(_element(build, lambda q: get_brute_engine(kronecker_quiver(), q)),
+                       "n", "q", "format", n=1, q=2, format="table")
+       for family, build in (("kron_p0", kron_p0), ("kron_pinf", kron_pinf),
+                             ("kron_pk2", kron_pK2))},
+}
+
+
 def cmd_element(args, out):
     """Construct one named primitive element and print it."""
-    family = args.family
-    # the flags each family reads besides --q and --format; the kron_* ones read --n
-    reads = {"jordan_pn": ("n", "symbolic"), "tube_pm": ("m", "deg", "index"),
-             **dict.fromkeys(("cyclic_cn", "cyclic_xn", "cyclic_pnr"), ("r", "n"))}
-    flags = {"r": args.r, "n": args.n, "m": args.m, "deg": args.deg, "index": args.index,
-             "symbolic": args.symbolic or None}
-    refuse_unused(f"element --family {family}", flags, reads.get(family, ("n",)))
-    n = _positive(args.n, 1, "--n")
-    m = _positive(args.m, 1, "--m")
-    deg = _positive(args.deg, 1, "--deg")
-    index = args.index or 0
-    if family == "jordan_pn":
-        if args.symbolic:
-            rows = [{"class": f"I{list(lam.parts)}", "coeff": poly.render()}
-                    for lam, poly in p_jordan_symbolic(n)]
-            out.write(json.dumps({"family": family, "n": n, "terms": rows},
-                                 sort_keys=True) + "\n")
-            return 0
-        elt = p_jordan(get_nilpotent_engine(1, args.q), n)
-    elif family in ("cyclic_cn", "cyclic_xn", "cyclic_pnr"):
-        r = 2 if args.r is None else args.r
-        if r < 2:
-            raise UsageError("cyclic families need --r >= 2")
-        engine = get_nilpotent_engine(r, args.q)
-        builder = {"cyclic_cn": c_central, "cyclic_xn": x_element,
-                   "cyclic_pnr": p_cyclic}[family]
-        elt = builder(engine, n)
-    elif family in ("kron_p0", "kron_pinf", "kron_pk2"):
-        engine = get_brute_engine(kronecker_quiver(), args.q)
-        builder = {"kron_p0": kron_p0, "kron_pinf": kron_pinf,
-                   "kron_pk2": kron_pK2}[family]
-        elt = builder(engine, n)
-    elif family == "tube_pm":
-        engine = get_brute_engine(kronecker_quiver(), args.q)
-        tubes = [t for t in kronecker_tubes(engine, m * deg) if t.degree == deg]
-        if not tubes or not 0 <= index < len(tubes):
-            raise UsageError("no tube with that degree and index")
-        elt = tube_primitive(engine, tubes[index], m)
-    else:
-        raise UsageError(f"unknown element family {family!r}")
-    if args.format == "json":
-        out.write(json.dumps(elt.to_json_dict()) + "\n")
-    else:
-        out.write(elt.render() + "\n")
+    symbolic = args.symbolic and f"{args.family} --symbolic" in ELEMENT_RUNNERS
+    mode = args.family + (" --symbolic" if symbolic else "")
+    flags = {name: getattr(args, name) for name in ("q", "r", "n", "m", "deg", "index", "format")}
+    flags["symbolic"] = None if symbolic else args.symbolic
+    out.write(ELEMENT_RUNNERS[mode](f"element --family {mode}", flags) + "\n")
     return 0
 
 
@@ -424,10 +439,8 @@ def cmd_verify(args, out):
     if args.all:
         if args.check:
             raise UsageError(f"verify --all takes no check name; got {args.check!r}")
-        refuse_unused("verify --all", params, ())
-        results = run_all()
         failed = 0
-        for num, name, rep in results:
+        for num, name, rep in _runner(run_all)("verify --all", params):
             if fmt == "json":
                 out.write(json.dumps({"criterion": num, **rep.to_dict()},
                                      sort_keys=True) + "\n")
@@ -449,15 +462,19 @@ def cmd_verify(args, out):
     return 0 if rep.passed else 1
 
 
+def _glsum(fmt, n, q):
+    value = gl_character_sum(n, q).render()
+    return json.dumps({"n": n, "q": q, "value": value}) if fmt == "json" else value
+
+
+# the one fourier check that prints a value, not a report
+GLSUM_RUNNER = _runner(_glsum, "n", "q", n=1, q=2)
+
+
 def cmd_fourier(args, out):
     params = {"n": args.n, "q": args.q, "pair": args.pair}
     if args.check == "glsum":
-        # the one check that prints a value, not a report
-        refuse_unused("glsum", params, ("n", "q"))
-        n, q = _positive(args.n, 1, "--n"), 2 if args.q is None else args.q
-        value = gl_character_sum(n, q).render()
-        out.write(json.dumps({"n": n, "q": q, "value": value}) + "\n" if args.format == "json"
-                  else f"{value}\n")
+        out.write(GLSUM_RUNNER("glsum", params, args.format) + "\n")
         return 0
     rep = FOURIER_RUNNERS[args.check](args.check, params)
     _emit_report(rep, args.format, out)
@@ -481,7 +498,7 @@ def build_parser():
     def common(sp, cache=False):
         sp.add_argument("--quiver", default="c1",
                         help="c1 | cr:<r> | k2 | a2 | c2full")
-        sp.add_argument("--q", type=_parse_field_order, default=2,
+        sp.add_argument("--q", type=_parse_field_order, default=None,
                         help="prime power field size")
         if cache:
             sp.add_argument("--cache-dir", type=_parse_cache_dir, default=None)
@@ -497,7 +514,7 @@ def build_parser():
     sp.add_argument("--L", required=True)
     sp.add_argument("--M", required=True)
     sp.add_argument("--N", required=True)
-    sp.add_argument("--symbolic", action="store_true",
+    sp.add_argument("--symbolic", action="store_true", default=None,
                     help="interpolate the Hall polynomial instead")
     sp.set_defaults(fn="cmd_hallnum")
 
@@ -506,7 +523,7 @@ def build_parser():
     sp.add_argument("--L", required=True)
     sp.add_argument("--M", required=True)
     sp.add_argument("--N", required=True)
-    sp.set_defaults(fn="cmd_hallpoly")
+    sp.set_defaults(fn="cmd_hallnum")
 
     sp = sub.add_parser("primitive", help="basis of the primitive subspace")
     common(sp)
@@ -517,16 +534,15 @@ def build_parser():
 
     sp = sub.add_parser("element", help="construct one named primitive element")
     sp.add_argument("--family", required=True,
-                    choices=("jordan_pn", "cyclic_cn", "cyclic_xn", "cyclic_pnr",
-                             "tube_pm", "kron_p0", "kron_pinf", "kron_pk2"))
-    sp.add_argument("--q", type=_parse_field_order, default=2)
+                    choices=[mode for mode in ELEMENT_RUNNERS if " " not in mode])
+    sp.add_argument("--q", type=_parse_field_order, default=None)
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--deg", type=int, default=None)
     sp.add_argument("--index", type=int, default=None)
-    sp.add_argument("--symbolic", action="store_true")
-    sp.add_argument("--format", choices=("table", "json"), default="table")
+    sp.add_argument("--symbolic", action="store_true", default=None)
+    sp.add_argument("--format", choices=("table", "json"), default=None)
     sp.set_defaults(fn="cmd_element")
 
     sp = sub.add_parser("verify", help="run verification checks")

@@ -250,13 +250,13 @@ def run_all():
 
 
 # Check runners for the CLI, beyond whole criteria: CHECK_RUNNERS for
-# `verify`, FOURIER_RUNNERS for `fourier`'s report checks.  Each is called
-# with the check's name and the dict of its command's flag values, None
-# where a flag is absent, and refuses, before any work, a flag its check
-# does not read.
+# `verify`, FOURIER_RUNNERS for `fourier`'s report checks; the CLI builds
+# its other modes' runners the same way.  Each is called with the mode's
+# name and the dict of its command's flag values, None where a flag is
+# absent, and refuses, before any work, a flag its mode does not read.
 
 def _flags(names):
-    return ", ".join(f"--{name}" for name in names)
+    return ", ".join(f"--{name.replace('_', '-')}" for name in names)
 
 
 def refuse_unused(check, args, names):
@@ -267,11 +267,12 @@ def refuse_unused(check, args, names):
 
 
 def _runner(cell, *flags, criterion=None, **defaults):
-    """A runner of cell(*flags): it refuses a flag the check does not read,
-    runs criterion, when there is one, if no flag is set, gives an absent
-    flag its default, and refuses an absent flag that has none."""
+    """run(check, args, *head) runs cell(*head, *flags); run.flags names the
+    flags.  It refuses a flag the check does not read, runs criterion, if
+    any, when no flag is set, gives an absent flag its default, and refuses
+    an absent flag without one and a count defaulting to 1 given below 1."""
 
-    def run(check, args):
+    def run(check, args, *head):
         refuse_unused(check, args, flags)
         given = {name: args[name] for name in flags if args.get(name) is not None}
         if criterion is not None and not given:
@@ -281,8 +282,12 @@ def _runner(cell, *flags, criterion=None, **defaults):
         if missing:
             raise UsageError(f"{check} runs one cell on {_flags(flags)} together, "
                              f"or its criterion on none of them; missing {_flags(missing)}")
-        return cell(*(values[name] for name in flags))
+        low = [name for name in flags if defaults.get(name) == 1 and values[name] < 1]
+        if low:
+            raise UsageError(f"need {low[0]} >= 1")
+        return cell(*head, *(values[name] for name in flags))
 
+    run.flags = flags
     return run
 
 

@@ -190,13 +190,19 @@ class TestPinnedSymbolicOutputs:
          '{"L": "S1[2]+S2[1]", "M": "S1[2]", "N": "S2[1]", "polynomial": "q"}\n'),
         (["hallnum", "--quiver", "c1", "--L", "(1,1,1)", "--M", "(1)", "--N", "(1,1)",
           "--symbolic", "--format", "json"],
-         '{"polynomial": "q^2+q+1"}\n'),
+         '{"L": "3*S1[1]", "M": "S1[1]", "N": "2*S1[1]", "polynomial": "q^2+q+1"}\n'),
         (["element", "--family", "jordan_pn", "--n", "3", "--symbolic"],
          '{"family": "jordan_pn", "n": 3, "terms": [{"class": "I[3]", "coeff": "1"}, '
          '{"class": "I[2, 1]", "coeff": "-q+1"}, '
          '{"class": "I[1, 1, 1]", "coeff": "q^3-q^2-q+1"}]}\n'),
+        (["element", "--family", "jordan_pn", "--n", "2", "--symbolic", "--format", "json"],
+         '{"family": "jordan_pn", "n": 2, "terms": [{"class": "I[2]", "coeff": "1"}, '
+         '{"class": "I[1, 1]", "coeff": "-q+1"}]}\n'),
+        (["element", "--family", "jordan_pn", "--n", "3", "--symbolic", "--format", "table"],
+         "(1)*[I[3]] + (-q+1)*[I[2, 1]] + (q^3-q^2-q+1)*[I[1, 1, 1]]\n"),
     ], ids=["hallpoly-c1", "hallpoly-c1-quadratic", "hallpoly-cr2", "hallpoly-cr2-json",
-            "hallnum-symbolic-json", "element-jordan-symbolic"])
+            "hallnum-symbolic-json", "element-jordan-symbolic", "element-jordan-symbolic-json",
+            "element-jordan-symbolic-table"])
     def test_stdout(self, argv, expected):
         assert run_cli(argv) == (0, expected)
 
@@ -608,30 +614,36 @@ class TestCacheClassRows:
     and positive int counts, aut * orbit_size = |G_d| for every row and
     the orbit sizes summing to q^(sum_arrows d_t d_h).  Any other file is
     rebuilt, and the warm run prints the cold output.  Nilpotent
-    isoclasses reads and writes no file, so a nilpotent file with class
-    rows, as older trees wrote, is left as it is and changes nothing."""
+    isoclasses refuses --cache-dir, so a nilpotent file with class rows,
+    as older trees wrote, is never read and is left as it is."""
 
     @pytest.mark.parametrize("argv,tamper", [(argv, tamper) for _, argv, tamper in _TAMPERED_ROWS],
                              ids=[name for name, _, _ in _TAMPERED_ROWS])
-    def test_tampered_rows_are_rebuilt(self, tmp_path, argv, tamper):
+    def test_tampered_rows_are_rebuilt(self, tmp_path, capsys, argv, tamper):
         for fmt in ("table", "json"):
             cache = tmp_path / fmt
             args = argv + ["--format", fmt, "--cache-dir", str(cache)]
-            code, cold = run_cli(args)
-            assert code == 0
             if argv is _C1:
-                assert not cache.exists()
                 cache.mkdir()
                 rows = json.loads(run_cli(argv + ["--format", "json"])[1])
                 (cache / "c1nil_q2_d3.json").write_text(json.dumps(
                     {"version": CACHE_VERSION, "quiver": "c1nil", "q": 2, "grade": [3],
                      "classes": rows, "hall": {}}))
+            else:
+                code, cold = run_cli(args)
+                assert code == 0
             (path,) = cache.iterdir()
             stored = json.loads(path.read_text())
             tampered = json.loads(path.read_text())
             tamper(tampered)
             path.write_text(json.dumps(tampered))
-            assert run_cli(args) == (0, cold)
+            capsys.readouterr()
+            if argv is _C1:
+                assert run_cli(args) == (2, "")
+                err = capsys.readouterr().err
+                assert err == "usage error: isoclasses --quiver c1 takes no --cache-dir\n"
+            else:
+                assert run_cli(args) == (0, cold)
             assert json.loads(path.read_text()) == (tampered if argv is _C1 else stored)
 
     def test_rows_that_hold_are_served(self, tmp_path, monkeypatch):
@@ -762,6 +774,9 @@ class TestExitCodes:
         (["element", "--family", "tube_pm", "--m", "0"], "need m >= 1"),
         (["element", "--family", "tube_pm", "--deg", "0"], "need deg >= 1"),
         (["element", "--family", "cyclic_pnr", "--r", "0"], "cyclic families need --r >= 2"),
+        (["element", "--family", "cyclic_cn", "--r", "0", "--n", "0"], "need n >= 1"),
+        (["element", "--family", "tube_pm", "--m", "0", "--deg", "0"], "need m >= 1"),
+        (["verify", "central", "--r", "0", "--n", "0", "--q", "2"], "need r >= 1 and n >= 1"),
         (["fourier", "--check", "glsum", "--n", "0", "--q", "2"], "need n >= 1"),
         (["fourier", "--check", "divided", "--n", "0", "--q", "2"], "need n >= 1"),
         (["fourier", "--check", "lemma", "--n", "0", "--q", "2"], "need n >= 1"),
@@ -879,6 +894,77 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err == "usage error: hallnum --symbolic takes no --cache-dir\n"
         assert os.listdir(tmp_path) == []
+
+
+def _mode_argvs():
+    """(argv, flags it reads) for every mode of every command: each is read
+    from its runner table, so a new mode cannot be left out."""
+    from hallalg import cli, suite
+
+    inputs = {"nil": ["--quiver", "c1", "--d", "3"], "brute": ["--quiver", "k2", "--d", "1,1"]}
+    modes = [(["isoclasses", *inputs[kind]], run) for kind, run in cli.CLASS_RUNNERS.items()]
+    modes += [([command, "--quiver", "c1", "--L", "(1,1)", "--M", "(1)", "--N", "(1)", *rest], run)
+              for (command, *rest), run in ((mode.split(), run)
+                                            for mode, run in cli.HALL_RUNNERS.items())]
+    modes.append((["primitive", "--quiver", "k2", "--d", "1,1", "--reg"], cli.PRIMITIVE_RUNNER))
+    modes += [(["element", "--family", *mode.split()], run)
+              for mode, run in cli.ELEMENT_RUNNERS.items()]
+    modes += [(["verify", check], run) for check, run in suite.CHECK_RUNNERS.items()]
+    modes += [(["fourier", "--check", check], run)
+              for check, run in {**suite.FOURIER_RUNNERS, "glsum": cli.GLSUM_RUNNER}.items()]
+    return [(argv, run.flags) for argv, run in modes] + [(["verify", "--all"], ())]
+
+
+_MODES = _mode_argvs()
+
+
+class TestOneFlagRule:
+    """A flag that is given is read or refused: for every mode of every
+    command, each parser flag the mode does not read exits 2 with
+    `<mode> takes no --<flag>` before any work starts."""
+
+    VALUES = {"--q": ["5"], "--r": ["2"], "--n": ["1"], "--m": ["1"], "--deg": ["1"],
+              "--index": ["0"], "--symbolic": [], "--pair": ["a2"]}
+
+    @staticmethod
+    def _parser_flags(command):
+        import argparse
+
+        from hallalg import cli
+
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return [a.option_strings[0] for a in sub.choices[command]._actions
+                if a.option_strings and a.dest != "help"]
+
+    @pytest.mark.parametrize("argv,reads", _MODES, ids=[" ".join(argv) for argv, _ in _MODES])
+    def test_unread_flag_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                 argv, reads):
+        from types import SimpleNamespace
+
+        from hallalg import cli, report
+
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("get_nilpotent_engine", "get_brute_engine", "hall_polynomial",
+                     "p_jordan_symbolic", "gl_character_sum"):
+            monkeypatch.setattr(cli, name, started)
+        monkeypatch.setattr(report, "time", SimpleNamespace(monotonic=started))
+        assert run_cli(argv) == (3, "")  # the mode starts work, and the work is caught
+        capsys.readouterr()
+        cache = tmp_path / "cache"
+        values = dict(self.VALUES, **{"--cache-dir": [str(cache)]})
+        # every mode reads --format; a flag that makes argv another mode's
+        # argv chooses that mode, and --all is verify's mode without a check
+        unread = [flag for flag in self._parser_flags(argv[0])
+                  if flag not in argv and flag[2:].replace("-", "_") not in reads
+                  and argv + [flag] not in [other for other, _ in _MODES]
+                  and flag not in ("--all", "--format")]
+        for flag in unread:
+            assert run_cli(argv + [flag, *values[flag]]) == (2, "")
+            assert f"takes no {flag}\n" in capsys.readouterr().err
+        assert not cache.exists()
 
 
 class TestParserReuse:
