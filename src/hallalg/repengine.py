@@ -231,6 +231,23 @@ def _multisegment_of_ranks(r: int, rank) -> tuple:
     return ms
 
 
+def _ranks_of_multisegment(r: int, ms) -> tuple:
+    """The rank table of a multisegment, the inverse of
+    _multisegment_of_ranks.  The segment (i, l) has a basis vector at
+    vertex j for each height t = (j - i) mod r + 1 + k r <= l, and a
+    path of p arrows is nonzero on it iff t + p <= l."""
+    def rank(j, p):
+        return sum(m * max(0, (l - p - (j - i) % r - 1) // r + 1) for (i, l), m in ms)
+
+    table = []
+    for j in range(r):
+        row = []
+        while x := rank(j, len(row)):
+            row.append(x)
+        table.append(tuple(row))
+    return tuple(table)
+
+
 # ---------------------------------------------------------------------------
 # Isomorphism classes
 # ---------------------------------------------------------------------------
@@ -319,6 +336,11 @@ def _pivot_pair(n: int, pivots: tuple):
 def _entry(n, rows, codes, pivots):
     """The entry of an RREF basis of a subspace of F^n."""
     return (rows, codes) + _pivot_pair(n, pivots)
+
+
+def _check_vertex_cap(F: FieldSpec, dims):
+    if any(F.q ** n > POINT_CAP for n in dims):
+        raise UsageError(f"vector space F_{F.q}^{max(dims)} exceeds the point cap")
 
 
 def _check_subspace_cap(q: int, n: int):
@@ -467,10 +489,11 @@ def _product_walk(F, quiver, mats, dims):
     return walk(0)
 
 
-def _nilpotent_walk(F, quiver, mats, dims):
+def _nilpotent_walk(F, quiver, mats, dims, sub_rank=None):
     """Triples (quotient ranks, sub ranks, count) that together count every
     submodule of a point of a quiver in which each vertex has one
-    outgoing arrow, the arrows acting nilpotently.
+    outgoing arrow, the arrows acting nilpotently; with sub_rank, a rank
+    table, only the submodules of that rank table.
 
     With T the arrow maps, a graded subspace U is a submodule iff
     T(U) is inside U.  So a submodule U of a submodule S lies between
@@ -507,6 +530,12 @@ def _nilpotent_walk(F, quiver, mats, dims):
     Otherwise the listed W that pass the onto test are tallied.  The
     vertices' counts multiply, and one triple is yielded per V and pivot
     tuple.
+
+    A rank table R for U fixes one for V = T(U): R'[h(i)] = R[i][1:], as
+    rank_row reads U's row at i off V's at h(i).  So submodules(S,
+    choose, R) passes R' down, and at vertex i keeps only the W of
+    dimension R[i][0] - dim V_i (0 for an empty row), the rest of the
+    walk unchanged.
     """
     q = F.q
     add, sub, mul, _ = F.tables
@@ -599,16 +628,20 @@ def _nilpotent_walk(F, quiver, mats, dims):
 
         return C_rows, C_pivots, onto
 
-    def lifts(i, level, V, TV):
-        """Every U_i of complement(i, level, V, TV), with count 1."""
+    def lifts(i, level, V, TV, k):
+        """Every U_i of complement(i, level, V, TV), with count 1; with k
+        not None, only those of dimension dim V_i + k."""
         found = complement(i, level, V, TV)
         if found is None:
-            yield V[i], 1
+            if not k:
+                yield V[i], 1
             return
         C_rows, C_pivots, onto = found
         n, m = dims[i], len(C_rows)
         V_rows, V_pivots = V[i]
         candidates = _subspace_cache(F, m)
+        if k is not None:
+            candidates = [W for W in candidates if len(W[1]) == k]
         if onto:
             candidates = (W for W in candidates if onto(W[1]))
         lift = [combine(w, C_rows, n) for w in _vector_cache(F, m)[0]]  # w C, by code
@@ -623,21 +656,24 @@ def _nilpotent_walk(F, quiver, mats, dims):
                               for p, v in zip(V_pivots, V_rows)])
             yield (tuple(r for _, r in pairs), tuple(p for p, _ in pairs)), 1
 
-    def pivot_counts(i, level, V, TV):
+    def pivot_counts(i, level, V, TV, k):
         """Every U_i of complement(i, level, V, TV) as (None, its pivots),
-        with the number of U_i that have those pivots."""
+        with the number of U_i that have those pivots; with k not None,
+        only those of dimension dim V_i + k."""
         found = complement(i, level, V, TV)
         V_pivots = V[i][1]
         if found is None:
-            return [((None, V_pivots), 1)]
+            return [((None, V_pivots), 1)] if not k else []
         _, C_pivots, onto = found
         m = len(C_pivots)
         if onto:
-            cells = Counter(W[2] for W in _subspace_cache(F, m) if onto(W[1]))
+            cells = Counter(W[2] for W in _subspace_cache(F, m)
+                            if (k is None or len(W[2]) == k) and onto(W[1])).items()
         else:
-            cells = _pivot_cells(q, m)
+            cells = [(W_pivots, count) for W_pivots, count in _pivot_cells(q, m).items()
+                     if k is None or len(W_pivots) == k]
         return [((None, tuple(sorted(V_pivots + tuple(C_pivots[p] for p in W_pivots)))),
-                 count) for W_pivots, count in cells.items()]
+                 count) for W_pivots, count in cells]
 
     def rank_row(i, U_i, rank_V):
         """The rank row of U at vertex i."""
@@ -661,27 +697,35 @@ def _nilpotent_walk(F, quiver, mats, dims):
             raise InternalCheckError("point identification failed (non-nilpotent input?)")
         return tuple(TS), levels
 
-    def submodules(S, choose):
+    def submodules(S, choose, R):
         """(U, T(U), rank table of U, count) for the submodules U of S, a
-        tuple of per-vertex (RREF rows, pivots) spanning a submodule; each
-        U_i comes from choose(i, level, V, TV) as (U_i, count), and a
-        yielded U stands for count submodules."""
+        tuple of per-vertex (RREF rows, pivots) spanning a submodule, of
+        rank table R unless R is None; each U_i comes from choose(i, level,
+        V, TV, k) as (U_i, count), and a yielded U stands for count
+        submodules."""
         if not any(pivots for _, pivots in S):
-            yield S, S, ((),) * nv, 1
+            if R is None or not any(R):
+                yield S, S, ((),) * nv, 1
             return
         TS, levels = levels_of(S)
-        for V, TV, rank_V, _ in submodules(TS, lifts):
+        R_V = None
+        if R is not None:
+            R_V = [None] * nv
+            for i, row in enumerate(R):
+                R_V[out[i][1]] = row[1:]
+        for V, TV, rank_V, _ in submodules(TS, lifts, R_V):
             rest = [((), (), 1)]
             for i in range(nv - 1, -1, -1):
+                k = None if R is None else (R[i] or (0,))[0] - len(V[i][1])
                 rest = [((U_i,) + tail, (rank_row(i, U_i, rank_V),) + rows, ways * count)
-                        for U_i, ways in choose(i, levels[i], V, TV)
+                        for U_i, ways in choose(i, levels[i], V, TV, k)
                         for tail, rows, count in rest]
             for U, rank, count in rest:
                 yield U, V, rank, count
 
     full = tuple((rows, tuple(range(len(rows)))) for rows in units)
     quotients = {}
-    for U, _, rank, count in submodules(full, pivot_counts):
+    for U, _, rank, count in submodules(full, pivot_counts, sub_rank):
         quotient = quotients.get(U)
         if quotient is None:
             quotient = quotients[U] = quotient_ranks(U)
@@ -705,8 +749,7 @@ def _submodule_table(F, quiver, mats, dims, classes, classify, walk):
     space past POINT_CAP vectors is refused before either walk lists
     vectors of it or of its subspaces.
     """
-    if any(F.q ** n > POINT_CAP for n in dims):
-        raise UsageError(f"vector space F_{F.q}^{max(dims)} exceeds the point cap")
+    _check_vertex_cap(F, dims)
     counts = {}
 
     def class_key(invariant):
@@ -1028,6 +1071,19 @@ class NilpotentCyclicEngine(_HallEngine):
 
     def class_from_key(self, key) -> IsoClass:
         return IsoClass(self.engine_id, "ms", ms_dim_vector(key, self.r), key)
+
+    def hall_number(self, L: IsoClass, M: IsoClass, N: IsoClass) -> int:
+        """F^L_{M,N}, read off L's table if it is memoized, or else by the
+        walk over the submodules of N's rank table alone, summing those
+        whose quotient has M's."""
+        if L.key in self._subtables or add_dim(M.grade, N.grade) != L.grade:
+            return super().hall_number(L, M, N)
+        mats, dims = self.rep_point(L)
+        _check_vertex_cap(self.field, dims)
+        walk = _nilpotent_walk(self.field, self.quiver, mats, dims,
+                               _ranks_of_multisegment(self.r, N.key))
+        quotient = _ranks_of_multisegment(self.r, M.key)
+        return sum(count for quot, _, count in walk if quot == quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,11 @@ class TestEulerForm:
             euler_form(cyclic_quiver(2), (1,), (1, 1))
 
 
+_ISOCLASS_BOXES = [(1, (15,), True), (2, (6, 6), True), (3, (4, 4, 4), True),
+                   (4, (3, 3, 3, 3), True), (4, (4, 4, 4, 4), False)]
+_ISOCLASS_BOX_IDS = ["C1", "C2", "C3", "C4", "C4-4444"]
+
+
 class TestIsoclassEnumeration:
     def test_nilpotent_c2_delta(self):
         engine = get_nilpotent_engine(2, 2)
@@ -99,9 +104,7 @@ class TestIsoclassEnumeration:
         with pytest.raises(ValueError):
             engine.classes((5, 4))
 
-    @pytest.mark.parametrize("r,top,whole_box", [
-        (1, (15,), True), (2, (6, 6), True), (3, (4, 4, 4), True), (4, (3, 3, 3, 3), True),
-        (4, (4, 4, 4, 4), False)], ids=["C1", "C2", "C3", "C4", "C4-4444"])
+    @pytest.mark.parametrize("r,top,whole_box", _ISOCLASS_BOXES, ids=_ISOCLASS_BOX_IDS)
     def test_multisegments_are_distinct_and_as_many_as_coin_change(self, r, top, whole_box):
         """classes(d) lists distinct multisegments of grade d, in order, as
         many as the coefficient of x^d in the product over segments s of
@@ -113,6 +116,20 @@ class TestIsoclassEnumeration:
             assert len(set(classes)) == len(classes) == count[d], d
             assert classes == sorted(classes)
             assert all(ms_dim_vector(c.key, r) == d for c in classes)
+
+    @pytest.mark.parametrize("r,top,whole_box", _ISOCLASS_BOXES + [(5, (2, 2, 2, 2, 2), True)],
+                             ids=_ISOCLASS_BOX_IDS + ["C5"])
+    def test_rank_tables_of_multisegments_invert(self, r, top, whole_box):
+        """_ranks_of_multisegment is the inverse of _multisegment_of_ranks
+        on every multisegment of every grade d <= top, or of top alone."""
+        from hallalg import repengine
+
+        engine = NilpotentCyclicEngine(r, 2)
+        grades = product(*(range(x + 1) for x in top)) if whole_box else [top]
+        for d in grades:
+            for c in engine.classes(d):
+                rank = repengine._ranks_of_multisegment(r, c.key)
+                assert repengine._multisegment_of_ranks(r, rank) == c.key, c.render()
 
 
 def _coin_change_counts(r, top):
@@ -539,6 +556,83 @@ class TestHallNumbers:
                                   * engine.hall_number(Y, M, N)
                                   for Y in engine.classes(add_dim(M.grade, N.grade)))
                         assert lhs == rhs
+
+
+class TestOneHallNumber:
+    """The nilpotent engine's hall_number walks only the submodules of N's
+    rank table when L's table is not memoized."""
+
+    @pytest.mark.parametrize("r,q0,top", [(1, 2, 6), (1, 3, 5), (2, 2, 5), (2, 3, 4),
+                                          (3, 2, 5), (3, 3, 4), (4, 2, 4)])
+    def test_equals_the_table_entry(self, r, q0, top):
+        """For every L of total dimension <= top and every M, N of
+        complementary sub-grades, including the pairs absent from L's table."""
+        tables = NilpotentCyclicEngine(r, q0)
+        engine = NilpotentCyclicEngine(r, q0)
+        absent = 0
+        for d in product(range(top + 1), repeat=r):
+            if not 0 < sum(d) <= top:
+                continue
+            for L in tables.classes(d):
+                table = tables.sub_table(L)
+                for e in product(*(range(x + 1) for x in d)):
+                    rest = tuple(a - b for a, b in zip(d, e))
+                    for N in tables.classes(e):
+                        for M in tables.classes(rest):
+                            want = table.get((M.key, N.key), 0)
+                            assert engine.hall_number(L, M, N) == want, (L, M, N)
+                            absent += (M.key, N.key) not in table
+        assert absent and not engine._subtables
+
+    @pytest.mark.parametrize("r,q0,top", [(1, 2, 6), (2, 2, 4), (3, 3, 3)])
+    def test_walk_yields_only_the_given_rank_table(self, r, q0, top):
+        """_nilpotent_walk given a sub rank table yields the whole walk's
+        counts of that rank table by quotient ranks, and nothing else."""
+        from hallalg import repengine
+
+        engine = NilpotentCyclicEngine(r, q0)
+        for d in product(range(top + 1), repeat=r):
+            if not 0 < sum(d) <= top:
+                continue
+            for L in engine.classes(d):
+                point = (engine.field, engine.quiver) + engine.rep_point(L)
+                whole = Counter()
+                for quot, sub, count in repengine._nilpotent_walk(*point):
+                    whole[sub, quot] += count
+                for e in product(*(range(x + 1) for x in d)):
+                    for N in engine.classes(e):
+                        rank = repengine._ranks_of_multisegment(r, N.key)
+                        walked = Counter()
+                        for quot, sub, count in repengine._nilpotent_walk(*point, rank):
+                            assert sub == rank
+                            walked[sub, quot] += count
+                        assert walked == Counter({k: n for k, n in whole.items()
+                                                  if k[0] == rank}), (L, N)
+
+    def test_cold_engine_walks_no_table(self, monkeypatch):
+        walked = _count_walks(monkeypatch)
+        engine = NilpotentCyclicEngine(1, 2)
+        L, M, N = (engine.make_class(tuple(((0, l), 1) for l in parts))
+                   for parts in ((5, 4, 3, 2, 1), (4, 3, 2, 1), (2, 1, 1, 1)))
+        assert engine.hall_number(L, M, N) == 81
+        assert walked == [] and not engine._subtables
+
+    def test_memoized_table_is_read(self, monkeypatch):
+        from hallalg import repengine
+
+        engine = NilpotentCyclicEngine(2, 2)
+        L = engine.make_class((((0, 2), 1), ((1, 1), 1)))
+        M, N = engine.simple(1), engine.segment_class(0, 2)
+        assert engine.hall_number(L, M, N) == 1
+        engine.sub_table(L)
+        engine._subtables[L.key] = {(M.key, N.key): 7}
+
+        def refused(*args, **kwargs):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(repengine, "_nilpotent_walk", refused)
+        assert engine.hall_number(L, M, N) == 7
+        assert engine.hall_number(L, N, M) == 0
 
 
 def _reference_table(engine, mats, dims, classify):
