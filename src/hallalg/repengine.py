@@ -922,7 +922,8 @@ class NilpotentCyclicEngine(_HallEngine):
     the structured combinatorial formulas.  Hall numbers count the
     submodules of rep_point's matrix realization by the walk over T(U)
     (_nilpotent_walk), which names subs and quotients by rank tables,
-    memoized once per engine.
+    memoized once per engine; one Hall number walks only the submodules
+    of its sub's rank table unless the table is memoized.
 
     Tables are walked once per orbit of the dihedral group of order 2r.
     """
