@@ -375,7 +375,8 @@ def gl_generators(F: FieldSpec, n: int):
 
 
 def subspaces(F: FieldSpec, n: int, k: int):
-    """All k-dimensional subspaces of F^n as RREF row bases (tuples of rows)."""
+    """All k-dimensional subspaces of F^n as RREF row bases (tuples of rows):
+    the reference that the engines' cells (repengine._cell) are checked against."""
     if k == 0:
         yield ()
         return

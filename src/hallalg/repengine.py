@@ -300,11 +300,11 @@ class IsoClass:
 #
 # Vectors of F^n are numbered by base-q codes, the first coordinate the
 # most significant digit, so code c is the c-th tuple of
-# product(range(q), repeat=n).  A subspace list holds each subspace as
-# the entry (basis, codes, pivots, nonpivots) of its RREF basis, and the
-# product walk hands a tuple of entries, one per vertex, around as a
-# choice.  A table is a multiset of counts: the order of its keys is
-# unspecified.
+# product(range(q), repeat=n).  A subspace is the tuple of its RREF
+# basis rows' codes (_cell); the product walk holds it as the entry
+# (basis, codes, pivots, nonpivots) and hands a tuple of entries, one
+# per vertex, around as a choice.  A table is a multiset of counts: the
+# order of its keys is unspecified.
 
 @cache
 def _vector_cache(F: FieldSpec, n: int):
@@ -326,18 +326,6 @@ def _subspace_count(q: int, n: int) -> int:
     return count
 
 
-@cache
-def _pivot_pair(n: int, pivots: tuple):
-    """(pivots, nonpivots): the tuples every entry of F^n with these
-    pivots shares."""
-    return pivots, tuple(c for c in range(n) if c not in pivots)
-
-
-def _entry(n, rows, codes, pivots):
-    """The entry of an RREF basis of a subspace of F^n."""
-    return (rows, codes) + _pivot_pair(n, pivots)
-
-
 def _check_vertex_cap(F: FieldSpec, dims):
     if any(F.q ** n > POINT_CAP for n in dims):
         raise UsageError(f"vector space F_{F.q}^{max(dims)} exceeds the point cap")
@@ -355,8 +343,8 @@ def _pivot_cells(q: int, n: int):
     An RREF basis with pivots p_0 < ... < p_{k-1} is free exactly in the
     non-pivot columns past each row's pivot, (n - 1 - p_r) - (k - 1 - r)
     entries in row r, so its pivot set is a cell of q^(free entries)
-    subspaces.  Past POINT_CAP subspaces the count is refused, as the
-    list is, so a table's cap does not depend on which of them it reads.
+    subspaces, which _cell lists.  Past POINT_CAP subspaces the count is
+    refused, as a cell is, so a table's cap does not depend on which it reads.
     """
     _check_subspace_cap(q, n)
     return {pivots: q ** sum(n - k + r - p for r, p in enumerate(pivots))
@@ -364,21 +352,22 @@ def _pivot_cells(q: int, n: int):
 
 
 @cache
-def _subspace_cache(F: FieldSpec, n: int):
-    """Every subspace of F^n as an entry, by dimension in gf.subspaces
-    order, built once per (q, n); the basis rows are the same tuple
-    objects as in the vector list.  Past POINT_CAP subspaces the list is
-    refused before any is built."""
-    _check_subspace_cap(F.q, n)
-    vectors = _vector_cache(F, n)[0]
-    code_of = {v: c for c, v in enumerate(vectors)}
-    out = []
-    for k in range(n + 1):
-        for basis in gf.subspaces(F, n, k):
-            codes = tuple(map(code_of.__getitem__, basis))
-            out.append(_entry(n, tuple(map(vectors.__getitem__, codes)), codes,
-                              tuple(row.index(1) for row in basis)))
-    return out
+def _cell(q: int, n: int, pivots: tuple):
+    """The subspaces of F_q^n with these RREF pivots, each the tuple of
+    its basis rows' codes: a pivot p adds q^(n-1-p) to its row's code and
+    a free entry x in column c adds x q^(n-1-c).  Free entries run row by
+    row, left to right, the first slowest, so the cells in _pivot_cells
+    order are in gf.subspaces order.  Refused before any is built past
+    POINT_CAP subspaces of F_q^n."""
+    _check_subspace_cap(q, n)
+    rows = []
+    for p in pivots:
+        codes = [q ** (n - 1 - p)]
+        for c in range(p + 1, n):
+            if c not in pivots:
+                codes = [a + x * q ** (n - 1 - c) for a in codes for x in range(q)]
+        rows.append(codes)
+    return tuple(product(*rows))
 
 
 def _image_codes(F: FieldSpec, X, tail_vectors):
@@ -465,7 +454,16 @@ def _product_walk(F, quiver, mats, dims):
     _, sub, mul, _ = F.tables
     vectors = [_vector_cache(F, n)[0] for n in dims]
     images = [_image_codes(F, X, vectors[t]) for X, (t, _) in zip(mats, quiver.arrows)]
-    lists = [_subspace_cache(F, n) for n in dims]
+
+    def entries(n, vecs):
+        """F^n's subspaces as entries, cell by cell; a cell's entries
+        share one (pivots, nonpivots) pair."""
+        for pivots in _pivot_cells(F.q, n):
+            pair = (pivots, tuple(c for c in range(n) if c not in pivots))
+            for codes in _cell(F.q, n, pivots):
+                yield (tuple(map(vecs.__getitem__, codes)), codes) + pair
+
+    lists = [list(entries(n, vecs)) for n, vecs in zip(dims, vectors)]
     leads = [_vector_cache(F, n)[1] for n in dims]
     # the arrows tested when vertex i is chosen: (image, tail, head)
     tests = [[(image, t, h) for image, (t, h) in zip(images, quiver.arrows)
@@ -503,12 +501,12 @@ def _nilpotent_walk(F, quiver, mats, dims, sub_rank=None):
     choose), runs through the submodules V of T(S) first (T(S) is
     smaller, as T is nilpotent, and the recursion ends at the zero
     module, its one submodule), then through the graded subspaces U/V of P/V,
-    one F^m subspace list per vertex with m = dim P_i/V_i, and keeps U
+    the cells of F^m (_cell) per vertex with m = dim P_i/V_i, and keeps U
     when T(U) = V.  At vertex i, with X the arrow to j, that says X maps
     U_i onto V_j modulo X(V_i), so each vertex is filtered alone.  Every
     U visited is a submodule.  Each subspace of the point is an (RREF
     rows, pivots) pair, and rows are mapped through the arrows' matrices
-    as they are needed; a W of an F^m list is read by its codes.
+    as they are needed; a W of an F^m cell is read by its codes.
 
     A rank table lists, per vertex j, the ranks of the paths of 0, 1, 2,
     ... arrows from j while they are nonzero (_multisegment_of_ranks).
@@ -527,13 +525,13 @@ def _nilpotent_walk(F, quiver, mats, dims, sub_rank=None):
     V_i's and C's pivot columns at W's.  When V_j = X(V_i), nothing is to
     be mapped onto and every subspace W of F^m counts: those with one
     pivot set are a cell of q^(free RREF entries) (_pivot_cells).
-    Otherwise the listed W that pass the onto test are tallied.  The
+    Otherwise a cell counts its W that pass the onto test.  The
     vertices' counts multiply, and one triple is yielded per V and pivot
     tuple.
 
     A rank table R for U fixes one for V = T(U): R'[h(i)] = R[i][1:], as
     rank_row reads U's row at i off V's at h(i).  So submodules(S,
-    choose, R) passes R' down, and at vertex i keeps only the W of
+    choose, R) passes R' down, and at vertex i reads only the cells of
     dimension R[i][0] - dim V_i (0 for an empty row), the rest of the
     walk unchanged.
     """
@@ -639,22 +637,21 @@ def _nilpotent_walk(F, quiver, mats, dims, sub_rank=None):
         C_rows, C_pivots, onto = found
         n, m = dims[i], len(C_rows)
         V_rows, V_pivots = V[i]
-        candidates = _subspace_cache(F, m)
-        if k is not None:
-            candidates = [W for W in candidates if len(W[1]) == k]
-        if onto:
-            candidates = (W for W in candidates if onto(W[1]))
+        cells = [p for p in _pivot_cells(q, m) if k is None or len(p) == k]
         lift = [combine(w, C_rows, n) for w in _vector_cache(F, m)[0]]  # w C, by code
-        for _, W_codes, W_pivots, _ in candidates:
-            # W C is in RREF, with pivots in C's pivot columns and zeros in
-            # V_i's; clearing those columns from V_i's rows leaves them in
-            # RREF too
-            L_rows = list(map(lift.__getitem__, W_codes))
+        for W_pivots in cells:
             L_pivots = [C_pivots[p] for p in W_pivots]
-            pairs = sorted(list(zip(L_pivots, L_rows))
-                           + [(p, tuple(_residue(v, L_rows, L_pivots, sub, mul)))
-                              for p, v in zip(V_pivots, V_rows)])
-            yield (tuple(r for _, r in pairs), tuple(p for p, _ in pairs)), 1
+            for W_codes in _cell(q, m, W_pivots):
+                if onto and not onto(W_codes):
+                    continue
+                # W C is in RREF, with pivots in C's pivot columns and zeros
+                # in V_i's; clearing those columns from V_i's rows leaves
+                # them in RREF too
+                L_rows = list(map(lift.__getitem__, W_codes))
+                pairs = sorted(list(zip(L_pivots, L_rows))
+                               + [(p, tuple(_residue(v, L_rows, L_pivots, sub, mul)))
+                                  for p, v in zip(V_pivots, V_rows)])
+                yield (tuple(r for _, r in pairs), tuple(p for p, _ in pairs)), 1
 
     def pivot_counts(i, level, V, TV, k):
         """Every U_i of complement(i, level, V, TV) as (None, its pivots),
@@ -666,14 +663,11 @@ def _nilpotent_walk(F, quiver, mats, dims, sub_rank=None):
             return [((None, V_pivots), 1)] if not k else []
         _, C_pivots, onto = found
         m = len(C_pivots)
-        if onto:
-            cells = Counter(W[2] for W in _subspace_cache(F, m)
-                            if (k is None or len(W[2]) == k) and onto(W[1])).items()
-        else:
-            cells = [(W_pivots, count) for W_pivots, count in _pivot_cells(q, m).items()
-                     if k is None or len(W_pivots) == k]
+        counts = [(W_pivots, sum(map(onto, _cell(q, m, W_pivots))) if onto else size)
+                  for W_pivots, size in _pivot_cells(q, m).items()
+                  if k is None or len(W_pivots) == k]
         return [((None, tuple(sorted(V_pivots + tuple(C_pivots[p] for p in W_pivots)))),
-                 count) for W_pivots, count in cells]
+                 count) for W_pivots, count in counts if count]
 
     def rank_row(i, U_i, rank_V):
         """The rank row of U at vertex i."""

@@ -617,6 +617,25 @@ class TestOneHallNumber:
         assert engine.hall_number(L, M, N) == 81
         assert walked == [] and not engine._subtables
 
+    def test_filtered_walk_builds_no_cell_of_a_dimension_it_drops(self, monkeypatch):
+        """(5,4,3,2,1,1,1,1) at q=2 is 8-dimensional at its socle, so the
+        walk for N = (2,1,1,1,1) reads F_2^8 there, and keeps only its
+        5-dimensional subspaces."""
+        from hallalg import repengine
+
+        requested = []
+        cell = repengine._cell
+        monkeypatch.setattr(repengine, "_cell",
+                            lambda q, n, pivots: requested.append((n, pivots))
+                            or cell(q, n, pivots))
+        engine = NilpotentCyclicEngine(1, 2)
+        L, M, N = (engine.make_class(tuple(((0, l), 1) for l in parts))
+                   for parts in ((5, 4, 3, 2, 1, 1, 1, 1), (4, 3, 2, 1, 1, 1),
+                                 (2, 1, 1, 1, 1)))
+        assert engine.hall_number(L, M, N) == 5755
+        wide = {pivots for n, pivots in requested if n == 8}
+        assert wide and all(len(pivots) == 5 for pivots in wide)
+
     def test_memoized_table_is_read(self, monkeypatch):
         from hallalg import repengine
 
@@ -1073,18 +1092,18 @@ class TestSemisimpleTables:
 
     @pytest.fixture
     def unlisted(self, monkeypatch):
-        """Refuse the subspace list of F_q^n for the given n."""
+        """Refuse every cell of F_q^n for the given n."""
         from hallalg import repengine
 
         def refuse(n):
-            listed = repengine._subspace_cache
+            listed = repengine._cell
 
-            def guarded(F, m):
+            def guarded(q, m, pivots):
                 if m == n:
-                    raise AssertionError(f"listed the subspaces of F_{F.q}^{m}")
-                return listed(F, m)
+                    raise AssertionError(f"listed subspaces of F_{q}^{m}")
+                return listed(q, m, pivots)
 
-            monkeypatch.setattr(repengine, "_subspace_cache", guarded)
+            monkeypatch.setattr(repengine, "_cell", guarded)
 
         return refuse
 
@@ -1115,9 +1134,9 @@ class TestSemisimpleTables:
                          _gaussian_binomial(3, a, 2) * _gaussian_binomial(3, b, 2)
                          for a in range(4) for b in range(4)}
 
-    def test_count_past_the_point_cap_is_refused_as_the_list_is(self):
+    def test_count_past_the_point_cap_is_refused_as_a_cell_is(self):
         """At q=5 the 3,583,232 subspaces of F_5^6 are neither listed nor
-        counted: the table exits with the list's usage error."""
+        counted: the table exits with a cell's usage error."""
         from hallalg import repengine
         from hallalg.report import UsageError
 
@@ -1125,33 +1144,39 @@ class TestSemisimpleTables:
         c = engine.make_class((((0, 1), 6),))
         message = "the subspaces of F_5^6 exceed the point cap"
         with pytest.raises(UsageError) as listed:
-            repengine._subspace_cache(engine.field, 6)
+            repengine._cell(5, 6, ())
         with pytest.raises(UsageError) as counted:
             engine.sub_table(c)
         assert str(listed.value) == str(counted.value) == message
 
 
-class TestSubspaceLists:
-    @pytest.mark.parametrize("q0,n", [(q0, n) for q0 in (2, 3, 4, 5) for n in range(5)])
-    def test_pivot_cells_count_the_list_by_pivots(self, q0, n):
-        from collections import Counter
+_CELL_SPACES = [(q0, n) for q0 in (2, 3, 4, 5, 7, 8, 9) for n in range(6 if q0 <= 4 else 4)]
 
-        from hallalg import repengine
+
+class TestSubspaceCells:
+    @pytest.mark.parametrize("q0,n", _CELL_SPACES)
+    def test_cells_in_pivot_order_are_gf_subspaces(self, q0, n):
+        """Concatenated in _pivot_cells order, the cells list every
+        subspace of F_q^n in gf.subspaces order, dimension by dimension."""
+        from hallalg import gf, repengine
         from hallalg.gf import FieldSpec
+
+        F = FieldSpec.from_order(q0)
+        vectors = repengine._vector_cache(F, n)[0]
+        for k in range(n + 1):
+            listed = [tuple(map(vectors.__getitem__, codes))
+                      for pivots in repengine._pivot_cells(q0, n) if len(pivots) == k
+                      for codes in repengine._cell(q0, n, pivots)]
+            assert listed == list(gf.subspaces(F, n, k)), k
+
+    @pytest.mark.parametrize("q0,n", _CELL_SPACES)
+    def test_cell_sizes_are_the_pivot_cells(self, q0, n):
+        from hallalg import repengine
 
         cells = repengine._pivot_cells(q0, n)
-        assert cells == Counter(entry[2] for entry in repengine._subspace_cache(
-            FieldSpec.from_order(q0), n))
+        assert all(len(repengine._cell(q0, n, pivots)) == size
+                   for pivots, size in cells.items())
         assert sum(cells.values()) == repengine._subspace_count(q0, n)
-
-    @pytest.mark.parametrize("q0,n", [(q0, n) for q0 in (2, 3, 4, 5)
-                                      for n in range(6 if q0 < 4 else 5)])
-    def test_count_is_the_list_length(self, q0, n):
-        from hallalg import repengine
-        from hallalg.gf import FieldSpec
-
-        assert repengine._subspace_count(q0, n) == len(
-            repengine._subspace_cache(FieldSpec.from_order(q0), n))
 
     def test_counts_quoted_at_the_walk_threshold(self):
         from hallalg import repengine
@@ -1159,36 +1184,48 @@ class TestSubspaceLists:
         assert repengine._subspace_count(2, 5) == 374
         assert repengine._subspace_count(3, 5) == 2664
 
-    def test_list_past_the_point_cap_is_refused_before_listing(self, monkeypatch):
-        """F_5^6 has 3,583,232 subspaces: the list is refused before a
-        single vector or subspace is built."""
+    def test_cell_past_the_point_cap_is_refused_before_listing(self, monkeypatch):
+        """F_5^6 has 3,583,232 subspaces: a cell of it is refused before a
+        single vector or code is built."""
         from hallalg import repengine
-        from hallalg.gf import FieldSpec
         from hallalg.report import UsageError
 
         def no_listing(*args):
-            raise AssertionError("listed vectors past the subspace cap")
+            raise AssertionError("listed past the subspace cap")
 
         monkeypatch.setattr(repengine, "_vector_cache", no_listing)
+        monkeypatch.setattr(repengine, "product", no_listing)
         assert repengine._subspace_count(4, 6) <= repengine.POINT_CAP
         assert repengine._subspace_count(5, 6) == 3583232 > repengine.POINT_CAP
-        with pytest.raises(UsageError, match="point cap"):
-            repengine._subspace_cache(FieldSpec.from_order(5), 6)
+        for pivots in ((), (0, 1, 2)):
+            with pytest.raises(UsageError, match="point cap"):
+                repengine._cell(5, 6, pivots)
 
-    def test_entries_share_their_pivot_tuples(self):
+    def test_product_walk_entries_of_a_cell_share_one_pivot_pair(self, monkeypatch):
+        """On the zero point of K2 at (4, 1) every subspace tuple is a
+        submodule, so the walk hands every entry of F_2^4 to
+        _sub_quotient_point; the entries of one cell share its (pivots,
+        nonpivots) tuples."""
         from hallalg import repengine
         from hallalg.gf import FieldSpec
 
         shared = {}
-        for q0 in (2, 3):
-            for _, _, pivots, nonpivots in repengine._subspace_cache(
-                    FieldSpec.from_order(q0), 4):
-                first = shared.setdefault(pivots, (pivots, nonpivots))
-                assert first[0] is pivots and first[1] is nonpivots
+        point = repengine._sub_quotient_point
+
+        def record(arrows, vectors, images, choice, sub, mul):
+            _, _, pivots, nonpivots = choice[0]
+            first = shared.setdefault(pivots, (pivots, nonpivots))
+            assert first[0] is pivots and first[1] is nonpivots
+            return point(arrows, vectors, images, choice, sub, mul)
+
+        monkeypatch.setattr(repengine, "_sub_quotient_point", record)
+        zero = ((0, 0, 0, 0),)
+        walked = list(repengine._product_walk(FieldSpec.from_order(2), kronecker_quiver(),
+                                              (zero, zero), (4, 1)))
+        assert len(walked) == repengine._subspace_count(2, 4) * 2
         assert len(shared) == 16
-        _, _, pivots, nonpivots = repengine._entry(4, (), (), ())
-        assert (pivots, nonpivots) == ((), (0, 1, 2, 3))
-        assert shared[()][0] is pivots and shared[()][1] is nonpivots
+        assert shared[()] == ((), (0, 1, 2, 3))
+        assert shared[(1, 3)] == ((1, 3), (0, 2))
 
 
 _MEMO_CELLS = [
