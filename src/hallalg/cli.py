@@ -203,7 +203,8 @@ def _class_rows_hold(rows, quiver, q0, d) -> bool:
 
 def _store_cache(path, data):
     """Write through a temp file of this writer's own, then rename it over
-    path, so concurrent writers never interleave and readers see whole files."""
+    path, so concurrent writers never interleave and readers see whole files.
+    The JSON text is built first and written in one call."""
     import tempfile  # here, not at the top, so that runs which never write do not load it
 
     directory = os.path.dirname(path) or "."
@@ -211,7 +212,7 @@ def _store_cache(path, data):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
+            fh.write(json.dumps(data, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -124,10 +124,7 @@ def _fiber_walk(spec: ReversalSpec, src_engine: BruteForceEngine, point, grade,
     rev_set = set(spec.reversed_indices)
     arrows = spec.source.arrows
     d = tuple(grade)
-    dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(arrows) if i in rev_set)
-    if q0 ** dim_y > POINT_CAP:
-        raise UsageError(f"fiber too large for the transform: {q0}^{dim_y} points "
-                         "exceed the point cap")
+    dim_y = _fiber_dim(spec, q0, d)
     if len(point) != len(arrows):
         raise ValueError("point does not belong to the target variety")
 
@@ -169,6 +166,17 @@ def _fiber_walk(spec: ReversalSpec, src_engine: BruteForceEngine, point, grade,
     return {orbit: c for orbit, c in column.items() if any(c)}, v_power(-dim_y, q0)
 
 
+def _fiber_dim(spec: ReversalSpec, q0: int, d) -> int:
+    """dim Y, the reversed arrows' share of the grade's entries; UsageError
+    when the q0^dim Y points of one fiber exceed POINT_CAP."""
+    dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(spec.source.arrows)
+                if i in spec.reversed_indices)
+    if q0 ** dim_y > POINT_CAP:
+        raise UsageError(f"fiber too large for the transform: {q0}^{dim_y} points "
+                         "exceed the point cap")
+    return dim_y
+
+
 def _check_engines(spec: ReversalSpec, src_engine, tgt_engine=None, f=None):
     """ValueError unless the engines sit on the reversal's source and target
     at one q, and f is a function on the source engine."""
@@ -197,26 +205,37 @@ def transform_value_at_point(f: HallElement, spec: ReversalSpec,
 def transform_grade(spec: ReversalSpec, src_engine: BruteForceEngine,
                     tgt_engine: BruteForceEngine, grade,
                     conjugate: bool = False) -> dict:
-    """Phi([M]) for every source class M of the grade, as {M: HallElement}.
+    """Phi([M]) for every source class M of the grade, as a new dict
+    {M: HallElement}.
 
     The fiber of each target representative is walked once for all classes,
     and once more at a second point of every orbit of size > 1, where the
-    whole column of values must agree (InternalCheckError otherwise).
+    whole column of values must agree (InternalCheckError otherwise).  The
+    images are memoized on the target engine once every check has passed;
+    a memo hit refuses a fiber past the current POINT_CAP, as the walk would.
     """
     _check_engines(spec, src_engine, tgt_engine)
+    grade = tuple(grade)
+    # a memo hit too meets the walk's refusals, in the walk's order
     tgt_data = tgt_engine.grade_data(grade)
-    terms = {}  # source orbit -> {target class: value}
-    for cls, rep, size in zip(tgt_data.classes, tgt_data.reps, tgt_data.sizes):
-        column, scale = _fiber_walk(spec, src_engine, rep, grade, conjugate)
-        if size > 1:
-            other = _second_orbit_point(tgt_engine, rep, grade)
-            if _fiber_walk(spec, src_engine, other, grade, conjugate)[0] != column:
-                raise InternalCheckError(
-                    "transformed function is not constant on an orbit")
-        for orbit, coords in column.items():
-            terms.setdefault(orbit, {})[cls] = _cyclo(coords, scale)
-    return {M: HallElement(tgt_engine, terms.get(M.key))
-            for M in src_engine.grade_data(grade).classes}
+    _fiber_dim(spec, src_engine.q0, grade)
+    src_classes = src_engine.grade_data(grade).classes
+    key = (src_engine.engine_id, spec.reversed_indices, grade, conjugate)
+    images = tgt_engine._transforms.get(key)
+    if images is None:
+        terms = {}  # source orbit -> {target class: value}
+        for cls, rep, size in zip(tgt_data.classes, tgt_data.reps, tgt_data.sizes):
+            column, scale = _fiber_walk(spec, src_engine, rep, grade, conjugate)
+            if size > 1:
+                other = _second_orbit_point(tgt_engine, rep, grade)
+                if _fiber_walk(spec, src_engine, other, grade, conjugate)[0] != column:
+                    raise InternalCheckError(
+                        "transformed function is not constant on an orbit")
+            for orbit, coords in column.items():
+                terms.setdefault(orbit, {})[cls] = _cyclo(coords, scale)
+        images = tgt_engine._transforms[key] = {
+            M: HallElement(tgt_engine, terms.get(M.key)) for M in src_classes}
+    return dict(images)
 
 
 def _sum_images(f: HallElement, image_of, tgt_engine: BruteForceEngine) -> HallElement:

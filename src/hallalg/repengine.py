@@ -845,6 +845,9 @@ class _HallEngine:
         self._products = {}
         self._coproducts = {}
         self._primitive_caches = {}
+        # filled by BruteForceEngine.aut_order_point and fourier.transform_grade
+        self._point_auts = {}
+        self._transforms = {}
 
     def _closing(self, key):
         """The symmetries whose closure from key reaches the least key of
@@ -1571,16 +1574,31 @@ class BruteForceEngine(_HallEngine):
         its units are counted, and past POINT_CAP it is refused, as the
         orbit, no smaller, would be.  Otherwise the orbit is closed and
         orbit-stabilizer gives |G_d| / |orbit|.
+
+        The order is memoized per point with the size of the walk that
+        gave it, and a memo hit refuses what that walk would under the
+        current POINT_CAP.
         """
         dims = tuple(dims)
-        basis = _hom_space_basis(self.field, self.quiver, mats, dims, mats, dims)
-        group = self.group_order(dims)
-        size = self.q0 ** len(basis)
-        if size * size > group:
-            return group // self._orbits(dims, [self._pack(mats, dims)], {})[1][0]
+        key = (dims, self._pack(mats, dims))
+        hit = self._point_auts.get(key)
+        if hit is None:
+            basis = _hom_space_basis(self.field, self.quiver, mats, dims, mats, dims)
+            group = self.group_order(dims)
+            size = self.q0 ** len(basis)
+            refusal = "the endomorphisms of the point exceed the point cap"
+            if size * size > group:
+                size = self._orbits(dims, [key[1]], {})[1][0]
+                order, refusal = group // size, "orbit closure exceeds the point cap"
+            elif size > POINT_CAP:
+                raise UsageError(refusal)
+            else:
+                order = _count_units(self.field, basis, dims)
+            hit = self._point_auts[key] = (order, size, refusal)
+        order, size, refusal = hit
         if size > POINT_CAP:
-            raise UsageError("the endomorphisms of the point exceed the point cap")
-        return _count_units(self.field, basis, dims)
+            raise UsageError(refusal)
+        return order
 
     # -- Hall numbers --------------------------------------------------------------
 

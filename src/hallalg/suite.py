@@ -71,8 +71,9 @@ def _aggregate(name, params, cells):
 def criterion_alambda() -> VerificationReport:
     """Closed-form automorphism counts match brute counts on the Jordan
     points, each the units of End or orbit-stabilizer, as
-    BruteForceEngine.aut_order_point picks; both run here.  The report's
-    rhs reads "orbit-stabilizer", as the golden output pins it."""
+    BruteForceEngine.aut_order_point picks; both run here on a cold
+    engine, and a warm one reads its memo.  The report's rhs reads
+    "orbit-stabilizer", as the golden output pins it."""
 
     def run():
         for q in (2, 3):

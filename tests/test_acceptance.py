@@ -37,6 +37,14 @@ def test_acceptance_criterion(number, name, fn):
     _run(number, name, fn)
 
 
+def test_warm_rerun_matches_golden():
+    """Every criterion run twice in a row, the second time on warm engines
+    and memos: both reports, minus their timing, equal the golden record."""
+    for _ in range(2):
+        for number, name, fn in CRITERIA:
+            _run(number, name, fn)
+
+
 def test_aggregated_criterion_times_its_whole_run(monkeypatch):
     """A criterion of many fast cells reports the time of the whole run,
     not a sum of each cell's milliseconds cut to an int: with the clock

@@ -426,6 +426,23 @@ class TestCache:
         assert code2 == 0
         assert cold == warm
 
+    def test_stored_file_is_the_sorted_json_text(self, tmp_path):
+        """A store writes exactly json.dumps(payload, sort_keys=True), and a
+        replay from what a command stored prints the cold output."""
+        from hallalg.cli import _store_cache
+
+        payload = {"z": [3, {"b": 1, "a": "(2,1)"}], "a": {"y": [], "x": None}}
+        _store_cache(str(tmp_path / "sub" / "p.json"), payload)
+        assert (tmp_path / "sub" / "p.json").read_text() == json.dumps(payload, sort_keys=True)
+        assert os.listdir(tmp_path / "sub") == ["p.json"]
+
+        args = ["isoclasses", "--quiver", "k2", "--q", "2", "--d", "2,1",
+                "--cache-dir", str(tmp_path / "k2"), "--format", "json"]
+        code, cold = run_cli(args)
+        text = (tmp_path / "k2" / "k2_q2_d2-1.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+        assert run_cli(args) == (code, cold) == (0, cold)
+
     def test_hallnum_cache_roundtrip(self, tmp_path):
         args = ["hallnum", "--quiver", "c1", "--q", "2", "--L", "(2,1)",
                 "--M", "(1)", "--N", "(2)", "--cache-dir", str(tmp_path)]

@@ -22,7 +22,13 @@ from hallalg.fourier import (
 )
 from hallalg.hallcore import HallElement, is_primitive, multiply
 from hallalg.primitives import kron_pK2
-from hallalg.repengine import POINT_CAP, cyclic_quiver, get_brute_engine, kronecker_quiver
+from hallalg.repengine import (
+    POINT_CAP,
+    BruteForceEngine,
+    cyclic_quiver,
+    get_brute_engine,
+    kronecker_quiver,
+)
 from hallalg.report import InternalCheckError, UsageError
 
 
@@ -88,10 +94,11 @@ class TestTransformBasics:
 
     def test_invariance_check_catches_a_point_of_another_orbit(self, monkeypatch):
         """A second point from a different orbit gives a different column (the
-        transform is invertible), so both transforms must refuse it."""
+        transform is invertible), so both transforms must refuse it.  Fresh
+        engines, so no memoized transform of the grade answers first."""
         spec = kronecker_to_c2()
-        src = get_brute_engine(spec.source, 3)
-        tgt = get_brute_engine(spec.target, 3)
+        src = BruteForceEngine(spec.source, 3)
+        tgt = BruteForceEngine(spec.target, 3)
         d = (1, 1)
         reps = tgt.grade_data(d).reps
 
@@ -145,6 +152,70 @@ class TestTransformBasics:
                     HallElement.basis(src, np1), spec, src,
                     (gf.mat_identity(n),), (n, n))
                 assert val == v_power(-n, q0) * ((-1) ** n)
+
+
+class TestTransformMemo:
+    """transform_grade keeps its images on the target engine: a warm engine
+    answers as a fresh one, and a memo hit refuses what the walk would."""
+
+    @staticmethod
+    def _fresh(spec, q0):
+        return BruteForceEngine(spec.source, q0), BruteForceEngine(spec.target, q0)
+
+    @pytest.mark.parametrize("q0", (2, 3))
+    @pytest.mark.parametrize("make_spec", (kronecker_to_c2, a2_reversal),
+                             ids=("kronecker_to_c2", "a2_reversal"))
+    def test_warm_engine_equals_a_fresh_engine(self, make_spec, q0):
+        spec = make_spec()
+        src, tgt = self._fresh(spec, q0)
+        cells = [(d, conjugate) for conjugate in (False, True) for d in _BOX_GRADES]
+        first = [transform_grade(spec, src, tgt, d, conjugate) for d, conjugate in cells]
+        assert len(tgt._transforms) == len(cells)
+        for (d, conjugate), images in zip(cells, first):
+            fresh = transform_grade(spec, *self._fresh(spec, q0), d, conjugate)
+            warm = transform_grade(spec, src, tgt, list(d), conjugate)
+            assert warm == images == fresh and list(warm) == list(fresh), (d, conjugate)
+        if make_spec is kronecker_to_c2 and q0 == 3:
+            # the two kernels differ here, so a memo that ignored conjugate would show
+            assert first[cells.index(((1, 1), False))] != first[cells.index(((1, 1), True))]
+
+    def test_returned_dict_is_not_the_memo(self):
+        spec = kronecker_to_c2()
+        src, tgt = self._fresh(spec, 2)
+        out = transform_grade(spec, src, tgt, (1, 1))
+        kept = dict(out)
+        (memo,) = tgt._transforms.values()
+        assert out is not memo
+        out.clear()
+        again = transform_grade(spec, src, tgt, (1, 1))
+        assert again == kept and again is not memo
+
+    def test_a_call_that_raised_stores_nothing(self, monkeypatch):
+        spec = kronecker_to_c2()
+        src, tgt = self._fresh(spec, 3)
+        reps = tgt.grade_data((1, 1)).reps
+        monkeypatch.setattr(fourier, "_second_orbit_point",
+                            lambda engine, rep, grade: next(r for r in reps if r != rep))
+        with pytest.raises(InternalCheckError, match="not constant on an orbit"):
+            transform_grade(spec, src, tgt, (1, 1))
+        assert tgt._transforms == {}
+        monkeypatch.undo()
+        assert transform_grade(spec, src, tgt, (1, 1)) == \
+            transform_grade(spec, *self._fresh(spec, 3), (1, 1))
+
+    def test_memo_hit_past_the_fiber_cap_is_refused(self, monkeypatch):
+        """(2, 2) on K2 -> C2 at q = 2 has 2^4 fiber points: a memoized
+        grade under a cap of 15 raises the walk's UsageError."""
+        spec = kronecker_to_c2()
+        src, tgt = self._fresh(spec, 2)
+        images = transform_grade(spec, src, tgt, (2, 2))
+        monkeypatch.setattr(fourier, "POINT_CAP", 15)
+        with pytest.raises(UsageError, match="fiber too large for the transform: 2\\^4"):
+            transform_grade(spec, src, tgt, (2, 2))
+        with pytest.raises(UsageError, match="fiber too large"):
+            fourier_transform(HallElement.basis(src, src.classes((2, 2))[0]), spec, src, tgt)
+        monkeypatch.setattr(fourier, "POINT_CAP", 16)
+        assert transform_grade(spec, src, tgt, (2, 2)) == images
 
 
 # -- the flat fiber sum against the matrix-tuple loop it replaced -------------

@@ -496,6 +496,71 @@ class TestAutOrders:
         with pytest.raises(UsageError, match="endomorphisms of the point exceed the point cap"):
             engine.aut_order_point(point, (4,))
 
+    @staticmethod
+    def _jordan_points():
+        """The points criterion_alambda reads: J_lambda for |lambda| <= 4."""
+        return [(lam, (jordan_matrix(lam),), (n,))
+                for n in range(1, 5) for lam in partitions_of(n)]
+
+    @pytest.mark.parametrize("q0", (2, 3))
+    def test_warm_engine_equals_a_fresh_engine(self, q0):
+        warm = BruteForceEngine(jordan_quiver(), q0)
+        first = [warm.aut_order_point(mats, dims) for _, mats, dims in self._jordan_points()]
+        for (lam, mats, dims), order in zip(self._jordan_points(), first):
+            fresh = BruteForceEngine(jordan_quiver(), q0).aut_order_point(mats, dims)
+            assert warm.aut_order_point(mats, dims) == order == fresh == a_lambda(lam, q0)
+
+    def test_second_call_walks_nothing(self, monkeypatch):
+        """Each point walks End or its orbit once; a second call reads the
+        memo.  Both walks occur among the points."""
+        from hallalg import repengine
+
+        engine = BruteForceEngine(jordan_quiver(), 2)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(repengine, "_count_units", counted("end", repengine._count_units))
+        monkeypatch.setattr(engine, "_orbits", counted("orbit", engine._orbits))
+        for lam, mats, dims in self._jordan_points():
+            before = sum(calls.values())
+            assert engine.aut_order_point(mats, dims) == engine.aut_order_point(mats, dims)
+            assert sum(calls.values()) == before + 1, lam.parts
+        assert calls["end"] and calls["orbit"]
+
+    def test_memos_are_kept_per_q(self):
+        """J_(1,1,1,1) is the zero matrix, packed to 0 at every q, yet its
+        order at q = 3 is not the one at q = 2."""
+        q2 = BruteForceEngine(jordan_quiver(), 2)
+        q3 = BruteForceEngine(jordan_quiver(), 3)
+        for q0, engine in ((2, q2), (3, q3), (2, q2)):
+            for lam, mats, dims in self._jordan_points():
+                assert engine.aut_order_point(mats, dims) == a_lambda(lam, q0), (q0, lam.parts)
+
+    def test_memo_hit_past_the_cap_is_refused_with_the_walks_error(self, monkeypatch):
+        """Under a lowered cap a memoized point raises what its walk raised
+        (exit 2 from the CLI), and answers again once the cap is back."""
+        from hallalg import repengine
+        from hallalg.report import UsageError
+
+        engine = BruteForceEngine(jordan_quiver(), 2, nilpotent=True)
+        end_point = (jordan_matrix(Partition((3, 1))),)
+        orbit_point = (jordan_matrix(Partition((2, 1, 1, 1))),)
+        assert engine.aut_order_point(end_point, (4,)) == 16
+        assert engine.aut_order_point(orbit_point, (5,)) == 21504
+        monkeypatch.setattr(repengine, "POINT_CAP", 63)
+        with pytest.raises(UsageError, match="^the endomorphisms of the point exceed the point cap$"):
+            engine.aut_order_point(end_point, (4,))
+        with pytest.raises(UsageError, match="^orbit closure exceeds the point cap$"):
+            engine.aut_order_point(orbit_point, (5,))
+        monkeypatch.setattr(repengine, "POINT_CAP", 465)
+        assert engine.aut_order_point(end_point, (4,)) == 16
+        assert engine.aut_order_point(orbit_point, (5,)) == 21504
+
     def test_orbit_path_is_bounded_by_the_point_cap(self, monkeypatch):
         """End(J_(2,1,1,1)) has dimension 17 at q = 2, and 2^34 exceeds
         |GL_5(F_2)| = 9,999,360, so its Aut order comes from closing the
