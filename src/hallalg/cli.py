@@ -30,6 +30,7 @@ from .primitives import (
     tube_primitive, x_element,
 )
 from .repengine import (
+    IsoClass,
     cyclic_quiver,
     a2_quiver,
     get_brute_engine,
@@ -178,22 +179,25 @@ def _load_cache(path, tag, q0, d, selector):
 
 def _class_rows_hold(rows, quiver, q0, d) -> bool:
     """Whether rows are class rows as _compute_class_rows writes them for
-    a brute-force quiver: a list of dicts with exactly the printed keys, a
-    string "class" and positive int counts, each row satisfying
-    orbit-stabilizer, aut * orbit_size = |G_d|, and the orbits partitioning
-    the q^(sum over arrows of d_t d_h) points of the variety.  This is
-    integer arithmetic alone: no field or engine grade is built."""
+    a brute-force quiver: a list of dicts with exactly the printed keys,
+    row i's "class" the name the engine prints for orbit i of the grade,
+    and positive int counts, each row satisfying orbit-stabilizer, aut *
+    orbit_size = |G_d|, and the orbits partitioning the q^(sum over arrows
+    of d_t d_h) points of the variety.  This is integer arithmetic and
+    names alone: no field table or engine grade is built."""
     if type(rows) is not list:
         return False
+    # the engine prints orbit i of the grade as this stem followed by i
+    stem = IsoClass(get_brute_engine(quiver, q0).engine_id, "orbit", d, "").render()
     group = 1  # |G_d| = prod_i |GL_{d_i}(F_q)|
     for n in d:
         group *= gl_order(q0, n)
     points = 0
-    for row in rows:
+    for i, row in enumerate(rows):
         if type(row) is not dict or row.keys() != {"class", "aut", "orbit_size"}:
             return False
         name, aut, size = row["class"], row["aut"], row["orbit_size"]
-        if type(name) is not str or type(aut) is not int or type(size) is not int:
+        if name != f"{stem}{i}" or type(aut) is not int or type(size) is not int:
             return False
         if aut < 1 or size < 1 or aut * size != group:
             return False

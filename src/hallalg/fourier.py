@@ -25,13 +25,12 @@ from collections import Counter
 from itertools import product
 from math import prod
 
-from . import gf
+from . import gf, repengine
 from .coeffring import CycloSqrt, SqrtExt, quantum_factorial, v_power
 from .gf import FieldSpec
 from .hallcore import HallElement, in_span, multiply, primitive_subspace
 from .primitives import kron_pK2, xi_partition_sum_value
 from .repengine import (
-    POINT_CAP,
     BruteForceEngine,
     Quiver,
     a2_quiver,
@@ -171,7 +170,7 @@ def _fiber_dim(spec: ReversalSpec, q0: int, d) -> int:
     when the q0^dim Y points of one fiber exceed POINT_CAP."""
     dim_y = sum(d[t] * d[h] for i, (t, h) in enumerate(spec.source.arrows)
                 if i in spec.reversed_indices)
-    if q0 ** dim_y > POINT_CAP:
+    if q0 ** dim_y > repengine.POINT_CAP:
         raise UsageError(f"fiber too large for the transform: {q0}^{dim_y} points "
                          "exceed the point cap")
     return dim_y
@@ -211,18 +210,15 @@ def transform_grade(spec: ReversalSpec, src_engine: BruteForceEngine,
     The fiber of each target representative is walked once for all classes,
     and once more at a second point of every orbit of size > 1, where the
     whole column of values must agree (InternalCheckError otherwise).  The
-    images are memoized on the target engine once every check has passed;
-    a memo hit refuses a fiber past the current POINT_CAP, as the walk would.
+    images are memoized on the target engine, keyed by POINT_CAP, once
+    every check has passed.
     """
     _check_engines(spec, src_engine, tgt_engine)
     grade = tuple(grade)
-    # a memo hit too meets the walk's refusals, in the walk's order
-    tgt_data = tgt_engine.grade_data(grade)
-    _fiber_dim(spec, src_engine.q0, grade)
-    src_classes = src_engine.grade_data(grade).classes
-    key = (src_engine.engine_id, spec.reversed_indices, grade, conjugate)
+    key = (src_engine.engine_id, spec.reversed_indices, grade, conjugate, repengine.POINT_CAP)
     images = tgt_engine._transforms.get(key)
     if images is None:
+        tgt_data = tgt_engine.grade_data(grade)
         terms = {}  # source orbit -> {target class: value}
         for cls, rep, size in zip(tgt_data.classes, tgt_data.reps, tgt_data.sizes):
             column, scale = _fiber_walk(spec, src_engine, rep, grade, conjugate)
@@ -234,7 +230,8 @@ def transform_grade(spec: ReversalSpec, src_engine: BruteForceEngine,
             for orbit, coords in column.items():
                 terms.setdefault(orbit, {})[cls] = _cyclo(coords, scale)
         images = tgt_engine._transforms[key] = {
-            M: HallElement(tgt_engine, terms.get(M.key)) for M in src_classes}
+            M: HallElement(tgt_engine, terms.get(M.key))
+            for M in src_engine.grade_data(grade).classes}
     return dict(images)
 
 
@@ -315,8 +312,9 @@ def check_homomorphism(spec: ReversalSpec, q0: int, grade_pairs) -> Verification
 
 def gl_character_sum(n: int, q: int) -> CycloSqrt:
     """sum over X in GL_n(F_q) of psi(tr X), exactly.  It walks all q^(n^2)
-    matrices, refused past POINT_CAP; as 2^20 > POINT_CAP, n^2 is clipped at 20."""
-    if q ** min(n * n, 20) > POINT_CAP:
+    matrices, refused past repengine.POINT_CAP, read when it runs; as 2^20
+    is past the default cap, n^2 is clipped at 20."""
+    if q ** min(n * n, 20) > repengine.POINT_CAP:
         raise UsageError(f"the {q}^{n * n} matrices of M_{n}(F_{q}) exceed the point cap")
     F = FieldSpec.from_order(q)
     counts = [0] * F.p

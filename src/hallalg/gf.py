@@ -373,27 +373,3 @@ def gl_generators(F: FieldSpec, n: int):
         gens.append(torus)
     return [tuple(map(tuple, g)) for g in gens]
 
-
-def subspaces(F: FieldSpec, n: int, k: int):
-    """All k-dimensional subspaces of F^n as RREF row bases (tuples of rows):
-    the reference that the engines' cells (repengine._cell) are checked against."""
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    from itertools import combinations, product
-    for pivots in combinations(range(n), k):
-        free_positions = []
-        for i in range(k):
-            for c in range(pivots[i] + 1, n):
-                if c not in pivots:
-                    free_positions.append((i, c))
-        for values in product(range(F.q), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(k)]
-            for i in range(k):
-                rows[i][pivots[i]] = 1
-            for (i, c), val in zip(free_positions, values):
-                rows[i][c] = val
-            yield tuple(tuple(r) for r in rows)
-

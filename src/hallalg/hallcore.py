@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from . import gf
+from . import gf, repengine
 from .coeffring import CycloSqrt, SqrtExt, _reduced, v_power
 from .repengine import IsoClass, add_dim, euler_form, kronecker_regular_classes
 from .report import timed_report
@@ -198,10 +198,10 @@ class TensorElement(_Combination):
 def _basis_product(engine, A: IsoClass, B: IsoClass) -> dict:
     """L -> v^<dim A, dim B> F^L_{A,B} for basis classes A and B.
 
-    Memoized on the engine and read from engine.sub_table only, at the
-    pair of A's and B's table keys.
+    Memoized on the engine per POINT_CAP and read from engine.sub_table
+    only, at the pair of A's and B's table keys.
     """
-    key = (A, B)
+    key = (A, B, repengine.POINT_CAP)
     table = engine._products.get(key)
     if table is None:
         twist = v_power(euler_form(engine.quiver, A.grade, B.grade), engine.q0)
@@ -218,10 +218,12 @@ def _basis_product(engine, A: IsoClass, B: IsoClass) -> dict:
 def _basis_coproduct(engine, M: IsoClass) -> dict:
     """(X, Y) -> v^<dim X, dim Y> F^M_{X,Y} a_X a_Y / a_M for a basis class M.
 
-    Memoized on the engine and read from engine.sub_table and aut_order
-    only, never from _basis_product, so adjointness stays a check.
+    Memoized on the engine per POINT_CAP and read from engine.sub_table
+    and aut_order only, never from _basis_product, so adjointness stays
+    a check.
     """
-    table = engine._coproducts.get(M)
+    key = (M, repengine.POINT_CAP)
+    table = engine._coproducts.get(key)
     if table is None:
         quiver, q0 = engine.quiver, engine.q0
         aM = engine.aut_order(M)
@@ -232,7 +234,7 @@ def _basis_coproduct(engine, M: IsoClass) -> dict:
             twist = v_power(euler_form(quiver, X.grade, Y.grade), q0)
             table[(X, Y)] = twist * Fraction(
                 count * engine.aut_order(X) * engine.aut_order(Y), aM)
-        engine._coproducts[M] = table
+        engine._coproducts[key] = table
     return table
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import repengine
 from .coeffring import QPolynomial, v_power
 from .hallcore import (
     HallElement,
@@ -131,16 +132,18 @@ def c_central(engine: NilpotentCyclicEngine, n: int) -> HallElement:
 
 
 def x_element(engine: NilpotentCyclicEngine, n: int) -> HallElement:
-    """The inductive primitive x_n = n c_n - sum_{s=1}^{n-1} x_s c_{n-s}."""
+    """The inductive primitive x_n = n c_n - sum_{s=1}^{n-1} x_s c_{n-s},
+    memoized per POINT_CAP: its products read submodule tables."""
     if n < 1:
         raise ValueError("need n >= 1")
     cache = engine._primitive_caches.setdefault("xelt", {})
-    if n in cache:
-        return cache[n]
+    key = n, repengine.POINT_CAP
+    if key in cache:
+        return cache[key]
     out = c_central(engine, n).scale(n)
     for s in range(1, n):
         out = out - multiply(x_element(engine, s), c_central(engine, n - s))
-    cache[n] = out
+    cache[key] = out
     return out
 
 

@@ -53,6 +53,12 @@ __all__ = [
     "kronecker_regular_classes",
 ]
 
+# The one cap on what a walk lists, read when a call runs.  A memo whose
+# build reads it, directly or through another call, is keyed by the cap it
+# was built under, so a hit under another cap is a miss whose rebuild
+# refuses as a fresh engine would: _cell, _pivot_cells, grade_data's
+# _grades, the engines' _subtables, _point_auts and _transforms, hallcore's
+# _products and _coproducts, and the primitives' "xelt" cache.
 POINT_CAP = 10 ** 6
 # The most digit values one chunk table of a grade's generators is indexed
 # by.  The tables stay on the engine: at 2^16 the Jordan quiver's two
@@ -331,35 +337,35 @@ def _check_vertex_cap(F: FieldSpec, dims):
         raise UsageError(f"vector space F_{F.q}^{max(dims)} exceeds the point cap")
 
 
-def _check_subspace_cap(q: int, n: int):
-    if _subspace_count(q, n) > POINT_CAP:
+def _check_subspace_cap(q: int, n: int, cap: int):
+    if _subspace_count(q, n) > cap:
         raise UsageError(f"the subspaces of F_{q}^{n} exceed the point cap")
 
 
 @cache
-def _pivot_cells(q: int, n: int):
+def _pivot_cells(q: int, n: int, cap: int):
     """{pivots: number of subspaces of F_q^n with those RREF pivots}.
 
     An RREF basis with pivots p_0 < ... < p_{k-1} is free exactly in the
     non-pivot columns past each row's pivot, (n - 1 - p_r) - (k - 1 - r)
     entries in row r, so its pivot set is a cell of q^(free entries)
-    subspaces, which _cell lists.  Past POINT_CAP subspaces the count is
+    subspaces, which _cell lists.  Past cap subspaces the count is
     refused, as a cell is, so a table's cap does not depend on which it reads.
     """
-    _check_subspace_cap(q, n)
+    _check_subspace_cap(q, n, cap)
     return {pivots: q ** sum(n - k + r - p for r, p in enumerate(pivots))
             for k in range(n + 1) for pivots in combinations(range(n), k)}
 
 
 @cache
-def _cell(q: int, n: int, pivots: tuple):
+def _cell(q: int, n: int, pivots: tuple, cap: int):
     """The subspaces of F_q^n with these RREF pivots, each the tuple of
     its basis rows' codes: a pivot p adds q^(n-1-p) to its row's code and
     a free entry x in column c adds x q^(n-1-c).  Free entries run row by
     row, left to right, the first slowest, so the cells in _pivot_cells
-    order are in gf.subspaces order.  Refused before any is built past
-    POINT_CAP subspaces of F_q^n."""
-    _check_subspace_cap(q, n)
+    order are in the order of the tests' reference subspace enumeration.
+    Refused before any is built past cap subspaces of F_q^n."""
+    _check_subspace_cap(q, n, cap)
     rows = []
     for p in pivots:
         codes = [q ** (n - 1 - p)]
@@ -458,9 +464,9 @@ def _product_walk(F, quiver, mats, dims):
     def entries(n, vecs):
         """F^n's subspaces as entries, cell by cell; a cell's entries
         share one (pivots, nonpivots) pair."""
-        for pivots in _pivot_cells(F.q, n):
+        for pivots in _pivot_cells(F.q, n, POINT_CAP):
             pair = (pivots, tuple(c for c in range(n) if c not in pivots))
-            for codes in _cell(F.q, n, pivots):
+            for codes in _cell(F.q, n, pivots, POINT_CAP):
                 yield (tuple(map(vecs.__getitem__, codes)), codes) + pair
 
     lists = [list(entries(n, vecs)) for n, vecs in zip(dims, vectors)]
@@ -637,11 +643,11 @@ def _nilpotent_walk(F, quiver, mats, dims, sub_rank=None):
         C_rows, C_pivots, onto = found
         n, m = dims[i], len(C_rows)
         V_rows, V_pivots = V[i]
-        cells = [p for p in _pivot_cells(q, m) if k is None or len(p) == k]
+        cells = [p for p in _pivot_cells(q, m, POINT_CAP) if k is None or len(p) == k]
         lift = [combine(w, C_rows, n) for w in _vector_cache(F, m)[0]]  # w C, by code
         for W_pivots in cells:
             L_pivots = [C_pivots[p] for p in W_pivots]
-            for W_codes in _cell(q, m, W_pivots):
+            for W_codes in _cell(q, m, W_pivots, POINT_CAP):
                 if onto and not onto(W_codes):
                     continue
                 # W C is in RREF, with pivots in C's pivot columns and zeros
@@ -663,8 +669,8 @@ def _nilpotent_walk(F, quiver, mats, dims, sub_rank=None):
             return [((None, V_pivots), 1)] if not k else []
         _, C_pivots, onto = found
         m = len(C_pivots)
-        counts = [(W_pivots, sum(map(onto, _cell(q, m, W_pivots))) if onto else size)
-                  for W_pivots, size in _pivot_cells(q, m).items()
+        counts = [(W_pivots, sum(map(onto, _cell(q, m, W_pivots, POINT_CAP))) if onto else size)
+                  for W_pivots, size in _pivot_cells(q, m, POINT_CAP).items()
                   if k is None or len(W_pivots) == k]
         return [((None, tuple(sorted(V_pivots + tuple(C_pivots[p] for p in W_pivots)))),
                  count) for W_pivots, count in counts if count]
@@ -837,6 +843,7 @@ class _HallEngine:
     _symmetries = ()
 
     def __init__(self):
+        # the memos keyed by POINT_CAP (see there) take it as their key's last item
         self._subtables = {}
         # symmetry j -> {table key: its image}; table key -> (canonical key, word)
         self._class_images = {}
@@ -881,8 +888,10 @@ class _HallEngine:
         as {(quot key, sub key): count}, walked once per symmetry orbit and
         carried over for the rest."""
         key = self._table_key(c)
-        if key in self._subtables:
-            return self._subtables[key]
+        memo_key = key, POINT_CAP
+        table = self._subtables.get(memo_key)
+        if table is not None:
+            return table
         if self._symmetries and key not in self._canonical:
             symmetries = self._closing(key)
             words = self._words(key, symmetries)
@@ -899,7 +908,7 @@ class _HallEngine:
                 table = {(moved[M], moved[N]): n for (M, N), n in walked.items()}
         else:
             table = self._walk_table(c)
-        self._subtables[key] = table
+        self._subtables[memo_key] = table
         return table
 
     def hall_number(self, L: IsoClass, M: IsoClass, N: IsoClass) -> int:
@@ -1074,7 +1083,7 @@ class NilpotentCyclicEngine(_HallEngine):
         """F^L_{M,N}, read off L's table if it is memoized, or else by the
         walk over the submodules of N's rank table alone, summing those
         whose quotient has M's."""
-        if L.key in self._subtables or add_dim(M.grade, N.grade) != L.grade:
+        if (L.key, POINT_CAP) in self._subtables or add_dim(M.grade, N.grade) != L.grade:
             return super().hall_number(L, M, N)
         mats, dims = self.rep_point(L)
         _check_vertex_cap(self.field, dims)
@@ -1521,8 +1530,10 @@ class BruteForceEngine(_HallEngine):
 
     def grade_data(self, d) -> _GradeData:
         d = tuple(d)
-        if d in self._grades:
-            return self._grades[d]
+        key = d, POINT_CAP
+        data = self._grades.get(key)
+        if data is not None:
+            return data
         if self._point_bound(d) > POINT_CAP:
             raise UsageError("representation variety exceeds the point cap")
         orbit_of = {}
@@ -1539,7 +1550,7 @@ class BruteForceEngine(_HallEngine):
             sizes = [sizes[old] for old in order]
         classes = [IsoClass(self.engine_id, "orbit", d, i) for i in range(len(least))]
         data = _GradeData(classes, orbit_of, least, sizes, lambda x: self._unpack(x, d))
-        self._grades[d] = data
+        self._grades[key] = data
         return data
 
     def classes(self, d) -> list:
@@ -1573,31 +1584,23 @@ class BruteForceEngine(_HallEngine):
         |G_d| / q^h points.  When q^(2h) <= |G_d| End is the smaller walk:
         its units are counted, and past POINT_CAP it is refused, as the
         orbit, no smaller, would be.  Otherwise the orbit is closed and
-        orbit-stabilizer gives |G_d| / |orbit|.
-
-        The order is memoized per point with the size of the walk that
-        gave it, and a memo hit refuses what that walk would under the
-        current POINT_CAP.
+        orbit-stabilizer gives |G_d| / |orbit|.  The order is memoized
+        per point and POINT_CAP.
         """
         dims = tuple(dims)
-        key = (dims, self._pack(mats, dims))
-        hit = self._point_auts.get(key)
-        if hit is None:
+        key = (dims, self._pack(mats, dims), POINT_CAP)
+        order = self._point_auts.get(key)
+        if order is None:
             basis = _hom_space_basis(self.field, self.quiver, mats, dims, mats, dims)
             group = self.group_order(dims)
             size = self.q0 ** len(basis)
-            refusal = "the endomorphisms of the point exceed the point cap"
             if size * size > group:
-                size = self._orbits(dims, [key[1]], {})[1][0]
-                order, refusal = group // size, "orbit closure exceeds the point cap"
+                order = group // self._orbits(dims, [key[1]], {})[1][0]
             elif size > POINT_CAP:
-                raise UsageError(refusal)
+                raise UsageError("the endomorphisms of the point exceed the point cap")
             else:
                 order = _count_units(self.field, basis, dims)
-            hit = self._point_auts[key] = (order, size, refusal)
-        order, size, refusal = hit
-        if size > POINT_CAP:
-            raise UsageError(refusal)
+            self._point_auts[key] = order
         return order
 
     # -- Hall numbers --------------------------------------------------------------

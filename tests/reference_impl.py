@@ -6,6 +6,7 @@ of them is needed by the package itself.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 from hallalg import gf
 from hallalg.coeffring import QPolynomial, SqrtExt
@@ -31,6 +32,29 @@ def mat_mul(F, A, B):
             row.append(s)
         out.append(tuple(row))
     return tuple(out)
+
+
+def subspaces(F, n: int, k: int):
+    """All k-dimensional subspaces of F^n as RREF row bases (tuples of rows):
+    the reference that the engines' cells (repengine._cell) are checked against."""
+    if k == 0:
+        yield ()
+        return
+    if k > n:
+        return
+    for pivots in combinations(range(n), k):
+        free_positions = []
+        for i in range(k):
+            for c in range(pivots[i] + 1, n):
+                if c not in pivots:
+                    free_positions.append((i, c))
+        for values in product(range(F.q), repeat=len(free_positions)):
+            rows = [[0] * n for _ in range(k)]
+            for i in range(k):
+                rows[i][pivots[i]] = 1
+            for (i, c), val in zip(free_positions, values):
+                rows[i][c] = val
+            yield tuple(tuple(r) for r in rows)
 
 
 def mat_inverse(F, A):

@@ -598,6 +598,10 @@ def _aut_off_by_one(data):
     data["classes"][0]["aut"] += 1
 
 
+def _name_first_row_as_second(data):
+    data["classes"][0]["class"] = data["classes"][1]["class"]
+
+
 def _drop_first_row(data):
     del data["classes"][0]
 
@@ -618,6 +622,8 @@ _TAMPERED_ROWS = [
     ("k2-extra-key", _K2, _set_in_first_row("rep", [[[0]], [[0]]])),
     ("k2-bool-aut", _K2, _set_in_first_row("aut", True)),
     ("k2-class-not-a-string", _K2, _set_in_first_row("class", 0)),
+    ("k2-class-renamed", _K2, _set_in_first_row("class", "bogus")),
+    ("k2-class-of-another-index", _K2, _name_first_row_as_second),
     ("c1-classes-5", _C1, _set("classes", 5)),
     ("c1-aut-zero", _C1, _set_in_first_row("aut", 0)),
     ("c1-aut-a-string", _C1, _set_in_first_row("aut", "1")),
@@ -627,9 +633,10 @@ _TAMPERED_ROWS = [
 
 class TestCacheClassRows:
     """A warm run serves a brute-force cache file only if its class rows
-    hold: a list of dicts with exactly the printed keys, a string class
-    and positive int counts, aut * orbit_size = |G_d| for every row and
-    the orbit sizes summing to q^(sum_arrows d_t d_h).  Any other file is
+    hold: a list of dicts with exactly the printed keys, row i's class the
+    name the engine prints for orbit i, and positive int counts, aut *
+    orbit_size = |G_d| for every row and the orbit sizes summing to
+    q^(sum_arrows d_t d_h).  Any other file is
     rebuilt, and the warm run prints the cold output.  Nilpotent
     isoclasses refuses --cache-dir, so a nilpotent file with class rows,
     as older trees wrote, is never read and is left as it is."""

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from hallalg import fourier, gf
+from hallalg import fourier, gf, repengine
 from hallalg.coeffring import CycloSqrt, SqrtExt, v_power
 from hallalg.fourier import (
     ReversalSpec,
@@ -156,7 +156,7 @@ class TestTransformBasics:
 
 class TestTransformMemo:
     """transform_grade keeps its images on the target engine: a warm engine
-    answers as a fresh one, and a memo hit refuses what the walk would."""
+    answers as a fresh one, and under another cap refuses what it does."""
 
     @staticmethod
     def _fresh(spec, q0):
@@ -204,17 +204,23 @@ class TestTransformMemo:
             transform_grade(spec, *self._fresh(spec, 3), (1, 1))
 
     def test_memo_hit_past_the_fiber_cap_is_refused(self, monkeypatch):
-        """(2, 2) on K2 -> C2 at q = 2 has 2^4 fiber points: a memoized
-        grade under a cap of 15 raises the walk's UsageError."""
+        """(2, 2) on K2 -> C2 at q = 2 has 2^4 fiber points over 2^8 target
+        points.  Under a cap of 15 a memoized grade raises what fresh
+        engines raise, the target variety's refusal, which comes first;
+        with the cap restored the memo answers again."""
         spec = kronecker_to_c2()
         src, tgt = self._fresh(spec, 2)
         images = transform_grade(spec, src, tgt, (2, 2))
-        monkeypatch.setattr(fourier, "POINT_CAP", 15)
-        with pytest.raises(UsageError, match="fiber too large for the transform: 2\\^4"):
+        M = src.classes((2, 2))[0]
+        monkeypatch.setattr(repengine, "POINT_CAP", 15)
+        with pytest.raises(UsageError) as fresh:
+            transform_grade(spec, *self._fresh(spec, 2), (2, 2))
+        assert str(fresh.value) == "representation variety exceeds the point cap"
+        with pytest.raises(UsageError, match=f"^{fresh.value}$"):
             transform_grade(spec, src, tgt, (2, 2))
-        with pytest.raises(UsageError, match="fiber too large"):
-            fourier_transform(HallElement.basis(src, src.classes((2, 2))[0]), spec, src, tgt)
-        monkeypatch.setattr(fourier, "POINT_CAP", 16)
+        with pytest.raises(UsageError, match=f"^{fresh.value}$"):
+            fourier_transform(HallElement.basis(src, M), spec, src, tgt)
+        monkeypatch.undo()
         assert transform_grade(spec, src, tgt, (2, 2)) == images
 
 

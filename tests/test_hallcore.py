@@ -25,6 +25,7 @@ from hallalg.hallcore import (
     tensor_green_form,
 )
 from hallalg.repengine import (
+    POINT_CAP,
     BruteForceEngine,
     NilpotentCyclicEngine,
     get_brute_engine,
@@ -467,8 +468,8 @@ _FRESH_ENGINES = {
 
 
 class TestMemoizedMaps:
-    """Basis products and coproducts are memoized per engine; a memo read
-    must give what the engine's first computation gave."""
+    """Basis products and coproducts are memoized per engine and point cap;
+    a memo read must give what the engine's first computation gave."""
 
     @pytest.mark.parametrize("name", sorted(_FRESH_ENGINES))
     def test_memo_reads_equal_first_computations(self, name):
@@ -485,14 +486,14 @@ class TestMemoizedMaps:
         for M in classes:
             comultiply(HallElement.basis(memo, M))
         for A, B in pairs:
-            assert (A, B) not in first._products
+            assert (A, B, POINT_CAP) not in first._products
             expected = multiply(HallElement.basis(first, A), HallElement.basis(first, B))
-            assert (A, B) in memo._products
+            assert (A, B, POINT_CAP) in memo._products
             assert multiply(HallElement.basis(memo, A), HallElement.basis(memo, B)) == expected
         for M in classes:
-            assert M not in first._coproducts
+            assert (M, POINT_CAP) not in first._coproducts
             expected = comultiply(HallElement.basis(first, M))
-            assert M in memo._coproducts
+            assert (M, POINT_CAP) in memo._coproducts
             assert comultiply(HallElement.basis(memo, M)) == expected
 
     def test_results_do_not_alias_the_memo(self, c2):
@@ -553,14 +554,14 @@ class TestChecksSeeACorruptTable:
     def test_wrong_coproduct_memo_entry_fails_adjointness_and_coassociativity(self):
         # a coproduct is read once per class, and still from the memo
         engine, X, Y, L = self._filled()
-        entry = engine._coproducts[L]
+        entry = engine._coproducts[L, POINT_CAP]
         entry[(X, Y)] = entry[(X, Y)] * 2
         assert not adjointness_check(engine, 4).passed
         assert not coassociativity_check(engine, 4).passed
 
     def test_wrong_product_memo_entry_fails_adjointness_and_associativity(self):
         engine, A, B, L = self._filled()
-        entry = engine._products[(A, B)]
+        entry = engine._products[A, B, POINT_CAP]
         entry[L] = entry[L] * 2
         assert not adjointness_check(engine, 4).passed
         assert not associativity_check(engine, 4).passed

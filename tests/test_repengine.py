@@ -39,6 +39,7 @@ from reference_impl import (
     mat_inverse,
     mat_mul,
     socle_solve,
+    subspaces,
 )
 
 
@@ -691,8 +692,8 @@ class TestOneHallNumber:
         requested = []
         cell = repengine._cell
         monkeypatch.setattr(repengine, "_cell",
-                            lambda q, n, pivots: requested.append((n, pivots))
-                            or cell(q, n, pivots))
+                            lambda q, n, pivots, cap: requested.append((n, pivots))
+                            or cell(q, n, pivots, cap))
         engine = NilpotentCyclicEngine(1, 2)
         L, M, N = (engine.make_class(tuple(((0, l), 1) for l in parts))
                    for parts in ((5, 4, 3, 2, 1, 1, 1, 1), (4, 3, 2, 1, 1, 1),
@@ -709,7 +710,7 @@ class TestOneHallNumber:
         M, N = engine.simple(1), engine.segment_class(0, 2)
         assert engine.hall_number(L, M, N) == 1
         engine.sub_table(L)
-        engine._subtables[L.key] = {(M.key, N.key): 7}
+        engine._subtables[L.key, repengine.POINT_CAP] = {(M.key, N.key): 7}
 
         def refused(*args, **kwargs):
             raise AssertionError("walked")
@@ -722,7 +723,7 @@ class TestOneHallNumber:
 def _reference_table(engine, mats, dims, classify):
     """Submodule table by a walk written apart from the engine's.
 
-    Every tuple of subspaces from gf.subspaces is tried; a tuple is
+    Every tuple of subspaces from reference_impl.subspaces is tried; a tuple is
     stable when, for every arrow, the images of the tail basis add
     nothing to the rank of the head basis.  Sub and quotient come from a
     change of basis: at each vertex the frame is the subspace basis
@@ -745,7 +746,7 @@ def _reference_table(engine, mats, dims, classify):
     def transpose(rows, n):
         return tuple(tuple(row[i] for row in rows) for i in range(n))
 
-    per_vertex = [[b for k in range(n + 1) for b in gf.subspaces(F, n, k)] for n in dims]
+    per_vertex = [[b for k in range(n + 1) for b in subspaces(F, n, k)] for n in dims]
     table = {}
     for bases in product(*per_vertex):
         stable = True
@@ -1043,7 +1044,7 @@ class TestSubmoduleWalkOnRandomMultisegments:
         counted = []
         cells = repengine._pivot_cells
         monkeypatch.setattr(repengine, "_pivot_cells",
-                            lambda q, n: counted.append(n) or cells(q, n))
+                            lambda q, n, cap: counted.append(n) or cells(q, n, cap))
         for c in engine.classes(d):
             mats, dims = engine.rep_point(c)
             walked = repengine._submodule_table(engine.field, engine.quiver, mats, dims,
@@ -1163,10 +1164,10 @@ class TestSemisimpleTables:
         def refuse(n):
             listed = repengine._cell
 
-            def guarded(q, m, pivots):
+            def guarded(q, m, pivots, cap):
                 if m == n:
                     raise AssertionError(f"listed subspaces of F_{q}^{m}")
-                return listed(q, m, pivots)
+                return listed(q, m, pivots, cap)
 
             monkeypatch.setattr(repengine, "_cell", guarded)
 
@@ -1209,7 +1210,7 @@ class TestSemisimpleTables:
         c = engine.make_class((((0, 1), 6),))
         message = "the subspaces of F_5^6 exceed the point cap"
         with pytest.raises(UsageError) as listed:
-            repengine._cell(5, 6, ())
+            repengine._cell(5, 6, (), repengine.POINT_CAP)
         with pytest.raises(UsageError) as counted:
             engine.sub_table(c)
         assert str(listed.value) == str(counted.value) == message
@@ -1222,24 +1223,27 @@ class TestSubspaceCells:
     @pytest.mark.parametrize("q0,n", _CELL_SPACES)
     def test_cells_in_pivot_order_are_gf_subspaces(self, q0, n):
         """Concatenated in _pivot_cells order, the cells list every
-        subspace of F_q^n in gf.subspaces order, dimension by dimension."""
-        from hallalg import gf, repengine
+        subspace of F_q^n in reference_impl.subspaces order, dimension by
+        dimension."""
+        from hallalg import repengine
         from hallalg.gf import FieldSpec
 
         F = FieldSpec.from_order(q0)
+        cap = repengine.POINT_CAP
         vectors = repengine._vector_cache(F, n)[0]
         for k in range(n + 1):
             listed = [tuple(map(vectors.__getitem__, codes))
-                      for pivots in repengine._pivot_cells(q0, n) if len(pivots) == k
-                      for codes in repengine._cell(q0, n, pivots)]
-            assert listed == list(gf.subspaces(F, n, k)), k
+                      for pivots in repengine._pivot_cells(q0, n, cap) if len(pivots) == k
+                      for codes in repengine._cell(q0, n, pivots, cap)]
+            assert listed == list(subspaces(F, n, k)), k
 
     @pytest.mark.parametrize("q0,n", _CELL_SPACES)
     def test_cell_sizes_are_the_pivot_cells(self, q0, n):
         from hallalg import repengine
 
-        cells = repengine._pivot_cells(q0, n)
-        assert all(len(repengine._cell(q0, n, pivots)) == size
+        cap = repengine.POINT_CAP
+        cells = repengine._pivot_cells(q0, n, cap)
+        assert all(len(repengine._cell(q0, n, pivots, cap)) == size
                    for pivots, size in cells.items())
         assert sum(cells.values()) == repengine._subspace_count(q0, n)
 
@@ -1264,7 +1268,7 @@ class TestSubspaceCells:
         assert repengine._subspace_count(5, 6) == 3583232 > repengine.POINT_CAP
         for pivots in ((), (0, 1, 2)):
             with pytest.raises(UsageError, match="point cap"):
-                repengine._cell(5, 6, pivots)
+                repengine._cell(5, 6, pivots, repengine.POINT_CAP)
 
     def test_product_walk_entries_of_a_cell_share_one_pivot_pair(self, monkeypatch):
         """On the zero point of K2 at (4, 1) every subspace tuple is a
