@@ -8,8 +8,11 @@ Three coefficient domains live here:
   * SqrtExt: the quadratic extension Q(sqrt(q0)) for a fixed prime
     power q0, where the twist variable v is specialised to sqrt(q0).
     Odd powers of v only ever occur as such values (v_power,
-    quantum_factorial), never symbolically.
-  * CycloSqrt: Q(zeta_p)(sqrt(q0)), used for additive-character values.
+    quantum_factorial), never symbolically.  A value is a rational
+    times sqrt(q0)^0 or sqrt(q0)^1, as every twisted Hall scalar is, and
+    a sum of an even and an odd power of v raises InternalCheckError.
+  * CycloSqrt: Q(zeta_p)(sqrt(q0)), used for additive-character values,
+    with rational coordinates times one power of sqrt(q0).
 
 Everything is immutable and exact; there is no floating point anywhere.
 """
@@ -21,7 +24,7 @@ from functools import cache
 from math import gcd, isqrt, lcm
 from types import MappingProxyType
 
-from .report import UsageError
+from .report import InternalCheckError, UsageError
 
 __all__ = [
     "QPolynomial",
@@ -261,7 +264,7 @@ def interpolate_q(points, degree_bound: int) -> QPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic extension Q(sqrt(q0))
+# Quadratic extension Q(sqrt(q0)), graded by the parity of the power of v
 # ---------------------------------------------------------------------------
 
 @cache
@@ -271,109 +274,103 @@ def _square_root(base: int) -> int:
     return root if root * root == base else 0
 
 
-def _reduced(base: int, a: int, b: int, den: int) -> "SqrtExt":
-    """The element (a + b*sqrt(base))/den for integers with den != 0.
-
-    One gcd brings (a, b, den) to lowest terms with den > 0.  The caller
-    keeps b = 0 when base is a perfect square; sums, products and
-    quotients of such elements do so by themselves.
-    """
-    g = gcd(a, b, den)
+def _monomial(base: int, num: int, den: int, eps: int) -> "SqrtExt":
+    """num/den * sqrt(base)^eps for integers with den != 0, brought to lowest
+    terms with den > 0 by one gcd; zero gets eps = 0."""
+    g = gcd(num, den)
     if den < 0:
         g = -g
     x = object.__new__(SqrtExt)
-    x.base = base
-    if g == 1:
-        x._a, x._b, x._den = a, b, den
-    else:
-        x._a, x._b, x._den = a // g, b // g, den // g
+    x.base, x._eps = base, eps if num else 0
+    x._num, x._den = (num, den) if g == 1 else (num // g, den // g)
     return x
 
 
-class SqrtExt:
-    """Exact element a + b*sqrt(base) of Q(sqrt(base)) for a prime power base.
+def _parts(base: int, x):
+    """(num, den, eps) of a rational or SqrtExt x in Q(sqrt(base)), or None."""
+    if isinstance(x, SqrtExt):
+        if x.base != base:
+            raise TypeError(f"mixed sqrt bases {base} and {x.base}")
+        return x._num, x._den, x._eps
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator, 0
+    return None
 
-    Stored as integers (a + b*sqrt(base))/den in lowest terms with den > 0,
-    so equal values have equal fields.  If base is a perfect square the
-    root is folded into the rational part, so b is always 0 in that case.
-    The properties a and b give the two coordinates as Fractions.
+
+class SqrtExt:
+    """Exact num/den * sqrt(base)^eps in Q(sqrt(base)) for a prime power base,
+    the form of every Hall scalar: a twist v^k times a rational, eps = k mod 2.
+
+    Stored as integers in lowest terms with den > 0, so equal values have
+    equal fields.  Zero, and every value when base is a perfect square, has
+    eps = 0.  Building or summing to a value with both a rational and a
+    sqrt(base) part raises InternalCheckError: a twist is wrong.
     """
 
-    __slots__ = ("base", "_a", "_b", "_den")
+    __slots__ = ("base", "_num", "_den", "_eps")
 
     def __init__(self, base: int, a=0, b=0):
-        a = _frac(a)
-        b = _frac(b)
         base = int(base)
-        na = a.numerator * b.denominator
-        nb = b.numerator * a.denominator
-        root = _square_root(base)
-        if root and nb:
-            na += nb * root
-            nb = 0
-        den = a.denominator * b.denominator
-        g = gcd(na, nb, den)
-        self.base, self._a, self._b, self._den = base, na // g, nb // g, den // g
+        if not all(isinstance(x, (int, Fraction)) for x in (a, b)):
+            raise TypeError(f"expected rational scalars, got {a!r} and {b!r}")
+        if b and _square_root(base):
+            a, b = a + b * _square_root(base), 0
+        if a and b:
+            raise InternalCheckError(f"{a}+{b}*sqrt({base}) mixes even and odd powers of v")
+        c = b or a
+        self.base, self._eps = base, 1 if b else 0
+        self._num, self._den = c.numerator, c.denominator
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self._a, self._den)
+        return Fraction(0) if self._eps else Fraction(self._num, self._den)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self._b, self._den)
+        return Fraction(self._num, self._den) if self._eps else Fraction(0)
 
     @staticmethod
     def zero(base: int) -> "SqrtExt":
-        return _reduced(int(base), 0, 0, 1)
+        return _monomial(int(base), 0, 1, 0)
 
     @staticmethod
     def one(base: int) -> "SqrtExt":
-        return _reduced(int(base), 1, 0, 1)
+        return _monomial(int(base), 1, 1, 0)
 
     def is_zero(self) -> bool:
-        return not self._a and not self._b
+        return not self._num
 
     def __bool__(self):
-        return not self.is_zero()
-
-    def _parts(self, other):
-        """(a, b, den) of other as an element of this field, or None."""
-        if isinstance(other, SqrtExt):
-            if other.base != self.base:
-                raise TypeError(
-                    f"mixed sqrt bases {self.base} and {other.base}")
-            return other._a, other._b, other._den
-        if isinstance(other, int):
-            return other, 0, 1
-        if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator
-        return None
+        return bool(self._num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return (not self._b and self._a == other.numerator
-                    and self._den == other.denominator)
+            return not self._eps and (self._num, self._den) == (other.numerator, other.denominator)
         if not isinstance(other, SqrtExt):
             return NotImplemented
-        return (self.base == other.base and self._a == other._a
-                and self._b == other._b and self._den == other._den)
+        return (self.base == other.base and self._num == other._num
+                and self._den == other._den and self._eps == other._eps)
 
     def __hash__(self):
         # a rational value equals its int or Fraction, so it hashes like it
-        if not self._b:
-            return hash(self.a)
-        return hash((self.base, self._a, self._b, self._den))
+        return hash((self.base, self._num, self._den) if self._eps else self.a)
 
-    def _plus(self, a, b, den):
-        """self + (a + b*sqrt(base))/den."""
+    def _plus(self, num, den, eps):
+        """self + num/den * sqrt(base)^eps, unless both are nonzero with unequal eps."""
+        if not num:
+            return self
+        if not self._num:
+            return _monomial(self.base, num, den, eps)
+        if eps != self._eps:
+            other = _monomial(self.base, num, den, eps).render()
+            raise InternalCheckError(f"{self.render()} + {other} mixes even and odd powers of v")
         d = self._den
         if d == den:
-            return _reduced(self.base, self._a + a, self._b + b, d)
-        return _reduced(self.base, self._a * den + a * d, self._b * den + b * d, d * den)
+            return _monomial(self.base, self._num + num, d, eps)
+        return _monomial(self.base, self._num * den + num * d, d * den, eps)
 
     def __add__(self, other):
-        parts = self._parts(other)
+        parts = _parts(self.base, other)
         if parts is None:
             return NotImplemented
         return self._plus(*parts)
@@ -381,44 +378,45 @@ class SqrtExt:
     __radd__ = __add__
 
     def __neg__(self):
-        return _reduced(self.base, -self._a, -self._b, self._den)
+        return _monomial(self.base, -self._num, self._den, self._eps)
 
     def __sub__(self, other):
-        parts = self._parts(other)
+        parts = _parts(self.base, other)
         if parts is None:
             return NotImplemented
-        a, b, den = parts
-        return self._plus(-a, -b, den)
+        num, den, eps = parts
+        return self._plus(-num, den, eps)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _times(self, a, b, den):
-        """self * (a + b*sqrt(base))/den."""
-        s = self.base
-        return _reduced(s, self._a * a + self._b * b * s, self._a * b + self._b * a,
-                        self._den * den)
+    def _times(self, num, den, eps):
+        """self * num/den * sqrt(base)^eps; sqrt(base)^2 = base goes into num."""
+        num *= self._num
+        eps += self._eps
+        if eps == 2:
+            num, eps = num * self.base, 0
+        return _monomial(self.base, num, self._den * den, eps)
 
     def __mul__(self, other):
-        parts = self._parts(other)
+        parts = _parts(self.base, other)
         if parts is None:
             return NotImplemented
         return self._times(*parts)
 
     __rmul__ = __mul__
 
-    def _inverse_parts(self, a, b, den):
-        """1/((a + b*sqrt(base))/den) = den*(a - b*sqrt(base))/(a^2 - b^2*base)."""
-        norm = a * a - b * b * self.base
-        if not norm:
+    def _inverse_parts(self, num, den, eps):
+        """1/(num/den * sqrt(base)^eps) = den/(num * base^eps) * sqrt(base)^eps."""
+        if not num:
             raise ZeroDivisionError("inverse of zero in Q(sqrt(q0))")
-        return den * a, -den * b, norm
+        return den, num * self.base if eps else num, eps
 
     def inverse(self) -> "SqrtExt":
-        return _reduced(self.base, *self._inverse_parts(self._a, self._b, self._den))
+        return _monomial(self.base, *self._inverse_parts(self._num, self._den, self._eps))
 
     def __truediv__(self, other):
-        parts = self._parts(other)
+        parts = _parts(self.base, other)
         if parts is None:
             return NotImplemented
         return self._times(*self._inverse_parts(*parts))
@@ -427,26 +425,15 @@ class SqrtExt:
         return self.inverse() * other
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = SqrtExt.one(self.base)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        x = self if n >= 0 else self.inverse()
+        n = abs(n)
+        num = x._num ** n * (x.base ** (n // 2) if x._eps else 1)
+        return _monomial(x.base, num, x._den ** n, x._eps * (n % 2))
 
     def render(self) -> str:
-        a, b = self.a, self.b
-        if not b:
-            return str(a)
-        if not a:
-            return f"{b}*sqrt({self.base})"
-        s = f"{a}+{b}*sqrt({self.base})" if b > 0 else \
-            f"{a}-{-b}*sqrt({self.base})"
-        return s
+        """The rational times sqrt(base)^eps, e.g. '-3/2' or '1/2*sqrt(5)'."""
+        c = Fraction(self._num, self._den)
+        return f"{c}*sqrt({self.base})" if self._eps else str(c)
 
     def __repr__(self):
         return f"SqrtExt({self.render()})"
@@ -454,9 +441,7 @@ class SqrtExt:
 
 def v_power(k: int, q0: int) -> SqrtExt:
     """Exact value of v^k at v = sqrt(q0)."""
-    if k % 2 == 0:
-        return SqrtExt(q0, Fraction(q0) ** (k // 2), 0)
-    return SqrtExt(q0, 0, Fraction(q0) ** ((k - 1) // 2))
+    return SqrtExt(q0, 0, 1) ** k
 
 
 def quantum_factorial(n: int, q0: int) -> SqrtExt:
@@ -466,10 +451,7 @@ def quantum_factorial(n: int, q0: int) -> SqrtExt:
         raise ValueError("quantum factorial of a negative argument")
     out = SqrtExt.one(q0)
     for s in range(1, n + 1):
-        qint = SqrtExt.zero(q0)
-        for i in range(s):
-            qint = qint + v_power(s - 1 - 2 * i, q0)
-        out = out * qint
+        out = out * sum((v_power(s - 1 - 2 * i, q0) for i in range(s)), SqrtExt.zero(q0))
     return out
 
 
@@ -492,36 +474,66 @@ def _gauss_root(p: int, base: int):
                 for a in range(1, p)), CycloSqrt.zero(p, base)) * p ** m
 
 
+def _convolve(p: int, x, y) -> list:
+    """Power-basis coordinates of (sum_i x_i zeta^i)(sum_j y_j zeta^j) in Q(zeta_p)."""
+    n = p - 1
+    raw = [0] * (2 * n)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    raw[i + j] += a * b
+    # zeta^p = 1, and zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    for e in range(p, 2 * n):
+        raw[e - p] += raw[e]
+    top = raw[n]
+    return [c - top for c in raw[:n]]
+
+
+def _cyclo_sqrt(p: int, base: int, num, den: int, eps: int) -> "CycloSqrt":
+    """sqrt(base)^eps sum_k num[k]/den zeta^k for integers with den != 0,
+    brought to lowest terms with den > 0 by one gcd; zero gets eps = 0."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    x = object.__new__(CycloSqrt)
+    x.p, x.base, x.eps = p, base, eps if any(num) else 0
+    x._num, x._den = (tuple(num), den) if g == 1 else (tuple(c // g for c in num), den // g)
+    return x
+
+
 class CycloSqrt:
-    """Element of Q(zeta_p)(sqrt(q0)) in the power basis 1, zeta, ..., zeta^(p-2).
+    """sqrt(q0)^eps sum_k coords[k] zeta^k in Q(zeta_p)(sqrt(q0)) for a prime p <= 7,
+    stored as integer numerators over one denominator in lowest terms.
 
-    Arithmetic reduces modulo 1 + zeta + ... + zeta^(p-1) = 0.  The
-    prime p is the field characteristic of the additive characters that
-    produce these values; only p <= 7 is supported.  Where sqrt(q0) lies
-    in Q(zeta_p) the stored coordinates are not unique, so comparisons
-    read _canonical().
-    """
+    Arithmetic reduces modulo 1 + zeta + ... + zeta^(p-1) = 0; a product is
+    an integer convolution that adds the eps values.  Where sqrt(q0) lies in
+    Q(zeta_p), comparisons and sums of unequal eps fold eps = 1 into the
+    coordinates through _gauss_root; elsewhere such a sum raises
+    InternalCheckError."""
 
-    __slots__ = ("p", "base", "coords")
+    __slots__ = ("p", "base", "eps", "_num", "_den")
 
     def __init__(self, p: int, base: int, coords=None):
         if p < 2 or p > _CYCLO_PRIME_CAP:
             raise UsageError(f"cyclotomic prime {p} is outside 2..{_CYCLO_PRIME_CAP}, "
                              "the cyclotomic prime cap")
-        if coords is None:
-            coords = [SqrtExt.zero(base)] * (p - 1)
-        coords = tuple(
-            c if isinstance(c, SqrtExt) else SqrtExt(base, c, 0) for c in coords)
+        coords = [0] * (p - 1) if coords is None else coords
         if len(coords) != p - 1:
             raise ValueError("coordinate vector must have length p-1")
-        for c in coords:
-            if c.base != base:
-                raise TypeError("coordinate base mismatch")
-        self.p = p
-        self.base = base
-        self.coords = coords
+        parts = [_parts(base, c) for c in coords]
+        if None in parts:
+            raise TypeError("coordinates must be rational or SqrtExt")
+        eps = {e for n, d, e in parts if n}
+        if len(eps) > 1:
+            raise InternalCheckError("coordinates mix even and odd powers of v")
+        den = lcm(*(d for n, d, e in parts))
+        self.p, self.base, self.eps = p, base, max(eps, default=0)
+        self._num, self._den = tuple(n * (den // d) for n, d, e in parts), den
 
-    # -- constructors -------------------------------------------------------
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @staticmethod
     def zero(p: int, base: int) -> "CycloSqrt":
@@ -543,131 +555,122 @@ class CycloSqrt:
             return CycloSqrt(p, base, [-1] * (p - 1))
         return CycloSqrt(p, base, [int(j == k) for j in range(p - 1)])
 
-    # -- predicates ---------------------------------------------------------
-
-    def _canonical(self):
-        """Coordinates equal exactly when the values are: where sqrt(base) lies
-        in Q(zeta_p), each b*sqrt(base) becomes b*root, and the t*root that
-        clears root's first nonzero zeta coordinate goes back as t*sqrt(base)."""
-        root = _gauss_root(self.p, self.base)
+    def _folded(self) -> "CycloSqrt":
+        """This value with equal fields exactly when values are equal: where
+        sqrt(base) lies in Q(zeta_p), eps = 1 is folded in by one convolution."""
+        root = _gauss_root(self.p, self.base) if self.eps else None
         if root is None:
-            return self.coords
-        a, b = (CycloSqrt(self.p, self.base, [getattr(c, part) for c in self.coords])
-                for part in "ab")
-        x = a + b * root
-        k = next(k for k, c in enumerate(root.coords) if k and c)
-        t = x.coords[k] / root.coords[k]
-        return (x - root * t + t * SqrtExt(self.base, 0, 1)).coords
+            return self
+        return _cyclo_sqrt(self.p, self.base, _convolve(self.p, self._num, root._num),
+                           self._den * root._den, 0)
+
+    def _as_sqrtext(self):
+        """The value as a SqrtExt, or None when it has a zeta part."""
+        x = self._folded()
+        num = x._num
+        if not any(num[1:]):
+            return _monomial(self.base, num[0], x._den, x.eps)
+        root = _gauss_root(self.p, self.base)
+        if root is not None:  # t*sqrt(base) has the coordinates t*root
+            r = root._num
+            k = next(k for k, c in enumerate(r) if k and c)
+            if all(c * r[k] == num[k] * rc for c, rc in zip(num, r)):
+                return _monomial(self.base, num[k] * root._den, x._den * r[k], 1)
+        return None
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._canonical())
+        return not any(self._num)
 
     def is_sqrtext(self) -> bool:
         """True when the value lies in Q(sqrt(base)), i.e. has no zeta part."""
-        return all(c.is_zero() for c in self._canonical()[1:])
+        return self._as_sqrtext() is not None
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self._num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, SqrtExt)):
-            return self.is_sqrtext() and self._canonical()[0] == other
+            return self._as_sqrtext() == other  # None, for a zeta part, equals no scalar
         if not isinstance(other, CycloSqrt):
             return NotImplemented
-        return (self.p == other.p and self.base == other.base
-                and self._canonical() == other._canonical())
+        x, y = self._folded(), other._folded()
+        return (x.p, x.base, x.eps, x._num, x._den) == (y.p, y.base, y.eps, y._num, y._den)
 
     def __hash__(self):
         # a value of Q(sqrt(base)) equals its SqrtExt, so it hashes like it
-        if self.is_sqrtext():
-            return hash(self._canonical()[0])
-        return hash((self.p, self.base, self._canonical()))
+        value = self._as_sqrtext()
+        x = self._folded()
+        return hash((x.p, x.base, x.eps, x._num, x._den) if value is None else value)
 
     def _coerce(self, other):
         if isinstance(other, CycloSqrt):
             if other.p != self.p or other.base != self.base:
                 raise TypeError("mixed cyclotomic contexts")
             return other
-        if isinstance(other, (int, Fraction, SqrtExt)):
-            return CycloSqrt.from_scalar(self.p, self.base, other)
-        return None
+        parts = _parts(self.base, other)
+        if parts is None:
+            return None
+        num, den, eps = parts
+        return _cyclo_sqrt(self.p, self.base, (num,) + (0,) * (self.p - 2), den, eps)
+
+    def _plus(self, other, sign: int):
+        """self + sign*other, at the eps of the nonzero terms."""
+        x, y = self, self._coerce(other)
+        if y is None:
+            return NotImplemented
+        if x and y and x.eps != y.eps:
+            x, y = x._folded(), y._folded()
+            if x.eps or y.eps:
+                raise InternalCheckError(
+                    f"{x.render()} + {y.render()} mixes even and odd powers of v")
+        d, e = x._den, y._den
+        num = [a * e + sign * b * d for a, b in zip(x._num, y._num)]
+        return _cyclo_sqrt(self.p, self.base, num, d * e, x.eps or y.eps)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloSqrt(self.p, self.base,
-                         [a + b for a, b in zip(self.coords, o.coords)])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloSqrt(self.p, self.base, [-c for c in self.coords])
+        return _cyclo_sqrt(self.p, self.base, [-c for c in self._num], self._den, self.eps)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloSqrt(self.p, self.base,
-                         [a - b for a, b in zip(self.coords, o.coords)])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, SqrtExt)):  # scales each coordinate
-            return CycloSqrt(self.p, self.base, [c * other for c in self.coords])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.p
-        n = p - 1
-        raw = [SqrtExt.zero(self.base) for _ in range(2 * n - 1)]
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coords):
-                if b.is_zero():
-                    continue
-                raw[i + j] = raw[i + j] + a * b
-        # fold exponents >= p-1 back into the power basis
-        for e in range(2 * n - 2, n - 1, -1):
-            c = raw[e]
-            if c.is_zero():
-                continue
-            raw[e] = SqrtExt.zero(self.base)
-            if e >= p:
-                raw[e - p] = raw[e - p] + c
-            else:  # e == p-1: zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-                for j in range(n):
-                    raw[j] = raw[j] - c
-        return CycloSqrt(p, self.base, raw[:n])
+        num, eps = _convolve(self.p, self._num, o._num), self.eps + o.eps
+        if eps == 2:
+            num, eps = [c * self.base for c in num], 0
+        return _cyclo_sqrt(self.p, self.base, num, self._den * o._den, eps)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         # scalar division only; full cyclotomic inversion is not needed
-        if isinstance(other, (int, Fraction)):
-            other = SqrtExt(self.base, other, 0)
-        if isinstance(other, SqrtExt):
-            inv = other.inverse()
-            return CycloSqrt(self.p, self.base, [c * inv for c in self.coords])
-        return NotImplemented
+        return self * (SqrtExt.one(self.base) / other)
 
     def to_json(self):
-        return {"a": [str(c.a) for c in self.coords],
-                "b": [str(c.b) for c in self.coords]}
+        coords = [str(c) for c in self.coords]
+        zeros = ["0"] * len(coords)
+        return {"a": zeros if self.eps else coords, "b": coords if self.eps else zeros}
 
     def render(self) -> str:
-        if all(c.is_zero() for c in self.coords[1:]):
-            return self.coords[0].render()
+        coords = [_monomial(self.base, c, self._den, self.eps).render() for c in self._num]
+        if not any(self._num[1:]):
+            return coords[0]
         parts = []
-        for k, c in enumerate(self.coords):
-            if c.is_zero():
-                continue
-            mono = "1" if k == 0 else (f"z{self.p}" if k == 1 else f"z{self.p}^{k}")
-            parts.append(f"({c.render()})*{mono}")
-        return " + ".join(parts) if parts else "0"
+        for k, (c, text) in enumerate(zip(self._num, coords)):
+            if c:
+                mono = "1" if k == 0 else (f"z{self.p}" if k == 1 else f"z{self.p}^{k}")
+                parts.append(f"({text})*{mono}")
+        return " + ".join(parts)
 
     def __repr__(self):
         return f"CycloSqrt({self.render()})"

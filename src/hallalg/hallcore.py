@@ -4,7 +4,9 @@ Multiplication counts extensions with a v-power twist by the Euler form,
 comultiplication is its adjoint for the Green form { [M], [N] } =
 delta_{MN} / |Aut M|, and primitivity means Delta(x) = x ox 1 + 1 ox x.
 The primitive-subspace solver runs exact Gaussian elimination over
-Q(sqrt(q0)).
+Q(sqrt(q0)).  Every structure constant and Green form value is a rational
+times v^k with k fixed by the grades, so a sum of terms of unequal parity
+of k, which a wrong twist makes, raises InternalCheckError.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cache
 from itertools import product
 
 from . import gf, repengine
-from .coeffring import CycloSqrt, SqrtExt, _reduced, v_power
+from .coeffring import CycloSqrt, SqrtExt, v_power
 from .repengine import IsoClass, add_dim, euler_form, kronecker_regular_classes
 from .report import timed_report
 
@@ -41,8 +43,7 @@ __all__ = [
 
 def _coerce_coeff(engine, c):
     if isinstance(c, (int, Fraction)):
-        # an int or Fraction is in lowest terms with a positive denominator
-        return _reduced(engine.q0, c.numerator, 0, c.denominator)
+        return SqrtExt(engine.q0, c)
     if isinstance(c, (SqrtExt, CycloSqrt)):
         if c.base != engine.q0:
             raise TypeError("coefficient base does not match the engine's field")

@@ -367,11 +367,11 @@ class TestFlatFiberSumAgainstMatrixLoop:
     def test_element_transform_at_every_target_rep(self, make_spec, q0, conjugate):
         """fourier_transform of multi-term functions against the oracle: the
         Kronecker difference primitives for n = 1, 2, and every class of (2,2)
-        with its own coefficient k + sqrt(q) (irrational unless q = 4)."""
+        with its own coefficient k sqrt(q) (irrational unless q = 4)."""
         spec = make_spec()
         src = get_brute_engine(spec.source, q0)
         tgt = get_brute_engine(spec.target, q0)
-        functions = [HallElement(src, {cls: SqrtExt(q0, k, 1)
+        functions = [HallElement(src, {cls: SqrtExt(q0, 0, k)
                                        for k, cls in enumerate(src.classes((2, 2)), 1)})]
         if make_spec is kronecker_to_c2:
             functions += [kron_pK2(src, n) for n in (1, 2)]
@@ -440,8 +440,8 @@ class TestCyclotomicCoefficients:
         p = src.field.p
         root = self._root(p, q0)
         classes = src.classes((1, 1))
-        plain = HallElement(src, {cls: SqrtExt(q0, k, 1) for k, cls in enumerate(classes, 1)})
-        cyclo = HallElement(src, {cls: root + k for k, cls in enumerate(classes, 1)})
+        plain = HallElement(src, {cls: SqrtExt(q0, 0, k) for k, cls in enumerate(classes, 1)})
+        cyclo = HallElement(src, {cls: root * k for k, cls in enumerate(classes, 1)})
         if q0 == 5:
             # sqrt(5) in Q(zeta_5): same value, other coordinates
             assert root.coords != CycloSqrt.from_scalar(p, q0, SqrtExt(q0, 0, 1)).coords
@@ -449,9 +449,10 @@ class TestCyclotomicCoefficients:
         assert cyclo.scale(-1) == plain.scale(-1) and plain.scale(-1) == cyclo.scale(-1)
         assert cyclo != plain.scale(-1) and plain.scale(-1) != cyclo
 
-        changes = [1, SqrtExt(q0, 0, Fraction(1, 2))]
+        # each change is a rational times sqrt(q0), as the coefficients are
+        changes = [v_power(3, q0), SqrtExt(q0, 0, Fraction(1, 2))]
         if p > 2:
-            changes.append(CycloSqrt.zeta(p, q0))  # off Q(sqrt q)
+            changes.append(CycloSqrt.zeta(p, q0) * v_power(1, q0))  # off Q(sqrt q)
         for change in changes:
             for cls in classes:
                 terms = dict(cyclo.terms)

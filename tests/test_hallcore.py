@@ -8,6 +8,7 @@ from hallalg.coeffring import CycloSqrt, SqrtExt, v_power
 from hallalg.hallcore import (
     HallElement,
     TensorElement,
+    _basis_product,
     _classes_up_to,
     _coerce_coeff,
     adjointness_check,
@@ -28,11 +29,13 @@ from hallalg.repengine import (
     POINT_CAP,
     BruteForceEngine,
     NilpotentCyclicEngine,
+    euler_form,
     get_brute_engine,
     get_nilpotent_engine,
     is_regular_kronecker,
     kronecker_quiver,
 )
+from hallalg.report import InternalCheckError
 from reference_impl import green_form_x_scan, tensor_green_form_t_scan
 
 
@@ -176,10 +179,19 @@ class TestPairingsEqualTheirDefinitions:
         return get_brute_engine(kronecker_quiver(), q0)
 
     @staticmethod
-    def _weighted(engine, classes, shift=0):
-        # multi-term, with irrational coefficients: (k + shift) v + 1/k
+    def _weighted(engine, classes, shift=0, grade=None):
+        # multi-term, with irrational coefficients: ((k + shift) v + v^3/k) v^e.
+        # e is 0, or <A, d - A> for the class A given a grade d: then every
+        # term of {x ox y, t} at grade d has one parity of the power of v
         v = v_power(1, engine.q0)
-        return HallElement(engine, {c: v * (k + shift) + Fraction(1, k)
+
+        def twist(c):
+            if grade is None:
+                return 1
+            rest = [g - a for g, a in zip(grade, c.grade)]
+            return v_power(euler_form(engine.quiver, c.grade, rest), engine.q0)
+
+        return HallElement(engine, {c: (v * (k + shift) + v ** 3 / k) * twist(c)
                                     for k, c in enumerate(classes, start=1)})
 
     def test_green_form(self, engine):
@@ -200,7 +212,7 @@ class TestPairingsEqualTheirDefinitions:
         quotients = sorted({a for a, _ in t.terms}, key=lambda c: c.sort_key())
         subs = sorted({b for _, b in t.terms}, key=lambda c: c.sort_key())
         # x and y cover only part of t's pairs, so t has terms outside supp x ox supp y
-        x = self._weighted(engine, quotients[::2])
+        x = self._weighted(engine, quotients[::2], grade=d)
         y = self._weighted(engine, subs[1:], shift=2)
         assert any(a not in x.terms or b not in y.terms for a, b in t.terms)
         disjoint = self._weighted(engine, engine.classes((0, 2)))
@@ -355,8 +367,8 @@ class TestStructureChecks:
 
 
 class TestCoefficientCoercion:
-    """_coerce_coeff builds an int or Fraction coefficient directly in
-    lowest terms; it must equal SqrtExt(q0, c, 0) field for field."""
+    """_coerce_coeff turns an int or Fraction coefficient into a SqrtExt;
+    it must equal SqrtExt(q0, c, 0) field for field."""
 
     @pytest.mark.parametrize("q0", [2, 4, 9])
     @pytest.mark.parametrize("c", [0, 1, -1, 7, -7, Fraction(-3, 4), Fraction(6, 4)])
@@ -364,7 +376,7 @@ class TestCoefficientCoercion:
         engine = get_nilpotent_engine(1, q0)
         got, expected = _coerce_coeff(engine, c), SqrtExt(q0, c, 0)
         assert type(got) is SqrtExt and got.base == q0
-        assert (got._a, got._b, got._den) == (expected._a, expected._b, expected._den)
+        assert (got._num, got._den, got._eps) == (expected._num, expected._den, expected._eps)
         assert hash(got) == hash(expected) == hash(c)
         assert got == expected == c
 
@@ -507,7 +519,7 @@ class TestMemoizedMaps:
         assert comultiply(one_d(c2, (1, 1))).terms == expected_delta
 
     def test_bilinear_extension(self, k2):
-        x = one_d(k2, (1, 1)).scale(v_power(1, 2)) + one_d(k2, (1, 0))
+        x = one_d(k2, (1, 1)).scale(v_power(1, 2)) + one_d(k2, (1, 0)).scale(v_power(-1, 2))
         y = one_d(k2, (0, 1)) - HallElement.unit(k2).scale(3)
         expected = HallElement.zero(k2)
         for A, ca in x.terms.items():
@@ -541,6 +553,17 @@ class TestChecksSeeACorruptTable:
 
     def test_adjointness_is_blind_to_it(self, corrupt):
         assert adjointness_check(corrupt, 4).passed
+
+    def test_product_entry_with_the_wrong_power_of_v_is_an_internal_fault(self):
+        # v times v^<S2,S1> F^L_{S2,S1} at L = S1[1]+S2[1] has the wrong parity of
+        # the power of v.  A product in the check adds it to a term of the other
+        # parity, and the sum raises instead of the check reporting a failure
+        engine = NilpotentCyclicEngine(2, 2)
+        entry = _basis_product(engine, engine.simple(1), engine.simple(0))
+        L = next(c for c in entry if c.render() == "S1[1]+S2[1]")
+        entry[L] = entry[L] * v_power(1, 2)
+        with pytest.raises(InternalCheckError):
+            associativity_check(engine, 4)
 
     @staticmethod
     def _filled():
